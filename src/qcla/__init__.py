@@ -9,7 +9,6 @@ classical and statevector simulators.
 
 from .builders import Design, RoundKind, RoundTriple, build, cla_reference, design_from_key, round_indices
 from .ir import (
-    AllocPolicy,
     AncillaInit,
     Circuit,
     CircuitError,
@@ -19,7 +18,7 @@ from .ir import (
     QubitRef,
     new_circuit,
 )
-from .lowering import LoweringPolicy, lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from .lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
 from .resources import (
     CostModel,
     ResourceReport,
@@ -39,7 +38,6 @@ from .statevec import AllBranches, FixedOutcomes, SeededRandom, gadget_unitary_c
 
 __all__ = [
     "AllBranches",
-    "AllocPolicy",
     "AncillaInit",
     "BasisState",
     "Circuit",
@@ -50,7 +48,6 @@ __all__ = [
     "Gate",
     "GateKind",
     "Level",
-    "LoweringPolicy",
     "QubitRef",
     "ResourceReport",
     "RoundKind",

@@ -95,6 +95,7 @@ class RoundTriple(NamedTuple):
 
 
 def floor_log2(n: int) -> int:
+    """floor(log2 n) from the bit length; exact, no floating point."""
     if n < 1:
         raise ValueError("floor_log2 requires n >= 1")
     return n.bit_length() - 1
@@ -104,7 +105,7 @@ def _c_level_max(n: int) -> int:
     # floor(log2(2n/3)) in exact integer arithmetic; negative for n = 1.
     if 2 * n < 3:
         return -1
-    v, t = 2 * n // 3, 0
+    t = 0
     # largest t with 3 * 2^t <= 2n
     while 3 * (2 ** (t + 1)) <= 2 * n:
         t += 1
@@ -211,7 +212,8 @@ class _Net:
         # live wire maps: interval (lo, hi) -> qubit currently holding the value
         self.p: dict[tuple[int, int], QubitRef] = {}
         self.g: dict[tuple[int, int], QubitRef] = {}
-        # snapshot pool of spent ancillae available for re-initialization
+        # ancillae spent so far (in spend order), and the pool alloc reuses first
+        self.spent: list[QubitRef] = []
         self.pool: list[QubitRef] = []
 
     def alloc(self, label: str) -> QubitRef:
@@ -235,7 +237,7 @@ class _Net:
             self.circ.append(cnot(tmp, target))
             self.circ.append(uncompute(c1, c2, tmp))
             self.circ.labels[tmp] = "spent"
-            self.circ.free_ancilla(tmp)
+            self.spent.append(tmp)
         else:
             self.circ.append(toffoli(c1, c2, target))
 
@@ -278,7 +280,7 @@ class _Net:
             tgt = self.p.pop((tr.j, tr.k))
             self.circ.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
             self.circ.labels[tgt] = "spent"
-            self.circ.free_ancilla(tgt)
+            self.spent.append(tgt)
 
 
 def _build_out_of_place(design: Design, n: int) -> Circuit:
@@ -378,8 +380,7 @@ def _build_in_place(design: Design, n: int) -> Circuit:
     if n >= 2:
         # The reverse half draws its gadget ancillae from the pool spent in the
         # forward half, one slot per gate, matching the published register sizing.
-        net.pool = list(circ._free)
-        circ._free = []
+        net.pool, net.spent = net.spent, []
         net.p = {(i, i + 1): B[i] for i in range(1, n - 1)}
         for i in range(1, n - 1):
             circ.labels[B[i]] = f"p[{i},{i + 1}]"

@@ -5,7 +5,8 @@ resources), ``sim`` (add two numbers on a simulator backend), ``compare``
 (cost catalog with savings percentages), ``verify`` (the full verification
 suite with the known-discrepancy ledger).
 
-Usage errors exit 2 (argparse); verification or formula-mismatch failures
+Usage errors exit 2 (argparse, bad input values, or a simulation past the
+simulator's qubit or branch cap); verification or formula-mismatch failures
 exit 1.  The environment variable QCLA_SEED overrides the default
 simulation seed of 42.
 """
@@ -33,7 +34,7 @@ from .resources import (
     savings_average,
 )
 from .revsim import initial_state, read_labeled, run_basis
-from .statevec import AllBranches, SeededRandom, simulate
+from .statevec import AllBranches, SeededRandom, SimulationError, simulate
 from .validate import UNREPRODUCED_AVERAGE, run_validation
 
 DESIGN_KEYS = ["out1", "out2", "in1", "in2"]
@@ -242,7 +243,7 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

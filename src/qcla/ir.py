@@ -37,11 +37,6 @@ class Level(Enum):
     CLIFFORD_T = "cliffordt"
 
 
-class AllocPolicy(Enum):
-    FRESH = "fresh"
-    REUSE = "reuse"
-
-
 class QubitRef(NamedTuple):
     reg: str
     index: int
@@ -202,7 +197,6 @@ class Circuit:
     num_cbits: int = 0
     labels: WireNameMap = field(default_factory=dict)
     ancilla_register: str = "anc"
-    _free: list[QubitRef] = field(default_factory=list, repr=False)
 
     # -- register/qubit structure -------------------------------------------------
 
@@ -267,19 +261,8 @@ class Circuit:
 
     # -- ancilla allocation ----------------------------------------------------------
 
-    def allocate_ancilla(
-        self, init: AncillaInit, policy: AllocPolicy = AllocPolicy.FRESH
-    ) -> QubitRef:
-        """Return an ancilla qubit of the requested initial state.
-
-        FRESH always extends the ancilla register.  REUSE returns the oldest
-        previously freed ancilla with a matching init when one exists; the
-        returned qubit counts as re-initialized.
-        """
-        if policy is AllocPolicy.REUSE:
-            for i, q in enumerate(self._free):
-                if self.init_of(q) is init:
-                    return self._free.pop(i)
+    def allocate_ancilla(self, init: AncillaInit) -> QubitRef:
+        """Extend the ancilla register by one qubit of the requested initial state."""
         if self.ancilla_register not in self.registers:
             self.add_register(self.ancilla_register, 0, [])
         reg = self.registers[self.ancilla_register]
@@ -287,11 +270,6 @@ class Circuit:
         reg.inits.append(init)
         reg.size += 1
         return QubitRef(reg.name, reg.size - 1)
-
-    def free_ancilla(self, q: QubitRef) -> None:
-        if not self.resolves(q):
-            raise CircuitError(f"cannot free unknown qubit {q}")
-        self._free.append(q)
 
     def structural_key(self) -> tuple:
         """Hashable key for structural equality (registers, gates, level, labels)."""

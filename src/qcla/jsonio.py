@@ -49,6 +49,12 @@ def to_json(circ: Circuit) -> str:
 
 
 def from_json_dict(data: dict) -> Circuit:
+    """Rebuild a circuit, validating every gate through ``Circuit.append``.
+
+    Raises JsonIrError or CircuitError when a gate or label names a qubit
+    that does not exist, a conditional gate reads a bit no earlier
+    measurement wrote, or ``num_cbits`` differs from the measured bits.
+    """
     if data.get("schema") != SCHEMA:
         raise JsonIrError(f"unsupported schema {data.get('schema')!r}")
     circ = Circuit(
@@ -60,13 +66,19 @@ def from_json_dict(data: dict) -> Circuit:
         circ.add_register(
             reg["name"], reg["size"], None if inits is None else [AncillaInit(v) for v in inits]
         )
-    circ.num_cbits = int(data["num_cbits"])
     for g in data["gates"]:
         qubits = tuple(QubitRef(r, i) for r, i in g["qubits"])
-        circ.gates.append(Gate(GateKind(g["kind"]), qubits, g.get("cbit")))
+        circ.append(Gate(GateKind(g["kind"]), qubits, g.get("cbit")))
+    if circ.num_cbits != data["num_cbits"]:
+        raise JsonIrError(
+            f"num_cbits {data['num_cbits']} disagrees with the {circ.num_cbits} measured bits"
+        )
     for key, label in data["labels"].items():
         reg, idx = key[:-1].split("[")
-        circ.labels[QubitRef(reg, int(idx))] = label
+        q = QubitRef(reg, int(idx))
+        if not circ.resolves(q):
+            raise JsonIrError(f"label {label!r} is on unknown qubit {key}")
+        circ.labels[q] = label
     return circ
 
 

@@ -20,8 +20,6 @@ controlled X conditioned on that ancilla's measurement outcome resets it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import (
     AncillaInit,
     Circuit,
@@ -39,18 +37,6 @@ from .ir import (
     t,
     tdg,
 )
-
-
-@dataclass(frozen=True)
-class LoweringPolicy:
-    """Gadget selection; single choices in this release, present for extension."""
-
-    toffoli_style: str = "seven_t"
-    and_style: str = "four_t"
-    uncompute_style: str = "measure_based"
-
-
-DEFAULT_POLICY = LoweringPolicy()
 
 
 def lower_toffoli(c1: QubitRef, c2: QubitRef, target: QubitRef) -> list[Gate]:
@@ -115,7 +101,7 @@ def lower_uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef, cbit: int = 0)
     return [measure_x(target, cbit), cc_z(cbit, c1, c2)]
 
 
-def lower(circ: Circuit, policy: LoweringPolicy = DEFAULT_POLICY) -> Circuit:
+def lower(circ: Circuit) -> Circuit:
     """Gate-by-gate, in-order rewrite to a Clifford+T circuit.
 
     NOT and CNOT pass through.  The qubit set is unchanged; measured T-count
@@ -123,12 +109,6 @@ def lower(circ: Circuit, policy: LoweringPolicy = DEFAULT_POLICY) -> Circuit:
     """
     if circ.level is not Level.TOFFOLI:
         raise CircuitError("lower expects a Toffoli-level circuit")
-    if (policy.toffoli_style, policy.and_style, policy.uncompute_style) != (
-        "seven_t",
-        "four_t",
-        "measure_based",
-    ):
-        raise CircuitError(f"unsupported lowering policy {policy}")
 
     and_targets = {g.qubits[2] for g in circ.gates if g.kind is GateKind.TEMP_AND}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builders import Design
+from .builders import Design, floor_log2
 from .ir import Circuit, GateKind, Level, T_KINDS
 
 
@@ -21,13 +21,6 @@ def hamming_weight(n: int) -> int:
     if n < 0:
         raise ValueError("hamming_weight requires n >= 0")
     return bin(n).count("1")
-
-
-def floor_log2(n: int) -> int:
-    """floor(log2 n) from the bit length; exact, no floating point."""
-    if n < 1:
-        raise ValueError("floor_log2 requires n >= 1")
-    return n.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ two controls and then mark the target spent (a classical qubit); later use
 of a spent qubit is an error unless it is re-initialized as a fresh
 temporary-AND target.
 
-``exhaustive_check`` evaluates all 2^(2n) operand pairs in one pass by
-carrying one bitmask per qubit (bit i of the mask = that qubit's value on
-input number i), so gates become bitwise integer operations.
+One executor serves single inputs and batches: it carries one bitmask per
+qubit (bit i of the mask = that qubit's value on input number i), so gates
+become bitwise integer operations.  ``run_basis`` runs it on one input;
+``exhaustive_check`` evaluates all 2^(2n) operand pairs and ``random_check``
+a random sample, each in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .builders import Design, build, cla_reference
 from .ir import Circuit, GateKind, Level, QubitRef
@@ -62,16 +65,24 @@ def initial_state(circ: Circuit, register_values: dict[str, int]) -> BasisState:
     return BasisState(bits)
 
 
-def run_basis(circ: Circuit, state: BasisState) -> BasisState:
-    """Execute the circuit on a basis state; returns the final state.
+def _run_masks(
+    circ: Circuit,
+    bits: dict[QubitRef, int],
+    spent: set[QubitRef],
+    full: int,
+    failures: list[Exception],
+) -> None:
+    """Bit-parallel executor: ``bits`` holds one integer mask per qubit.
 
-    Linear in gate count.  Raises UncomputeAssertionError or
-    SpentQubitUseError on contract violations (builder bugs).
+    Bit i of a mask is the qubit's value on input slot i, and ``full`` has
+    one bit set per slot, so every gate is a bitwise integer operation over
+    all inputs at once.  ``bits`` and ``spent`` are updated in place.  A
+    failed uncompute is appended to ``failures`` (with the number of failing
+    inputs) and execution continues; a spent qubit used again or an AND
+    target that is not fresh raises at once.
     """
     if circ.level is not Level.TOFFOLI:
-        raise ValueError("run_basis executes Toffoli-level circuits only")
-    st = state.copy()
-    bits, spent = st.bits, st.spent
+        raise ValueError("the reversible simulator executes Toffoli-level circuits only")
     for idx, gate in enumerate(circ.gates):
         kind = gate.kind
         if kind is GateKind.TEMP_AND:
@@ -81,7 +92,7 @@ def run_basis(circ: Circuit, state: BasisState) -> BasisState:
                     raise SpentQubitUseError(idx, q)
             if tgt in spent:
                 spent.discard(tgt)  # allocator re-initialized this qubit
-            elif bits[tgt] != 0:
+            elif bits[tgt]:
                 raise UncomputeAssertionError(idx, f"AND target {tgt} not fresh at gate {idx}")
             bits[tgt] = bits[c1] & bits[c2]
             continue
@@ -89,8 +100,7 @@ def run_basis(circ: Circuit, state: BasisState) -> BasisState:
             if q in spent:
                 raise SpentQubitUseError(idx, q)
         if kind is GateKind.NOT:
-            q = gate.qubits[0]
-            bits[q] ^= 1
+            bits[gate.qubits[0]] ^= full
         elif kind is GateKind.CNOT:
             c, tq = gate.qubits
             bits[tq] ^= bits[c]
@@ -99,11 +109,35 @@ def run_basis(circ: Circuit, state: BasisState) -> BasisState:
             bits[tq] ^= bits[c1] & bits[c2]
         elif kind is GateKind.UNCOMPUTE:
             c1, c2, tq = gate.qubits
-            if bits[tq] != bits[c1] & bits[c2]:
-                raise UncomputeAssertionError(idx)
+            bad = bits[tq] ^ (bits[c1] & bits[c2])
+            if bad:
+                failures.append(
+                    UncomputeAssertionError(
+                        idx,
+                        f"gate {idx}: uncompute target {tq} wrong on "
+                        f"{bin(bad).count('1')} inputs",
+                    )
+                )
             spent.add(tq)
         else:
             raise ValueError(f"unexpected gate kind {kind} at Toffoli level")
+
+
+def run_basis(circ: Circuit, state: BasisState) -> BasisState:
+    """Execute the circuit on a basis state; returns the final state.
+
+    Linear in gate count.  Raises the first contract violation in gate order,
+    an UncomputeAssertionError or SpentQubitUseError (builder bugs).
+    """
+    st = state.copy()
+    failures: list[Exception] = []
+    try:
+        _run_masks(circ, st.bits, st.spent, 1, failures)
+    except (SpentQubitUseError, UncomputeAssertionError):
+        if not failures:
+            raise
+    if failures:
+        raise failures[0]
     return st
 
 
@@ -164,42 +198,59 @@ def _index_bit_mask(bit: int, total_bits: int) -> int:
     return mask
 
 
-class _MaskRun:
-    """Bit-parallel executor: one integer bitmask per qubit, one bit per input."""
+def _check_batch(
+    design: Design,
+    n: int,
+    a_masks: list[int],
+    b_masks: list[int],
+    total: int,
+    find_mismatches: Callable[[list[int]], list[tuple[int, int, int, int]]],
+) -> CheckReport:
+    """Run ``total`` operand pairs packed into the A/B masks in one pass.
 
-    def __init__(self, circ: Circuit, num_slots: int):
-        self.full = (1 << num_slots) - 1
-        self.num_slots = num_slots
-        self.bits: dict[QubitRef, int] = {q: 0 for q in circ.qubits()}
-        self.spent: set[QubitRef] = set()
-        self.failures: list[str] = []
-        self.circ = circ
+    ``find_mismatches`` receives the final mask of each sum bit s0..sn and
+    returns the wrong (a, b, expected, got) rows.  Contract violations that
+    stop the run are reported as assertion failures, as are failed
+    uncomputes; both operands (only A for in-place designs) must come back.
+    """
+    circ = build(design, n)
+    bits = dict.fromkeys(circ.qubits(), 0)
+    for i in range(n):
+        bits[QubitRef("A", i)] = a_masks[i]
+        bits[QubitRef("B", i)] = b_masks[i]
+    failures: list[Exception] = []
+    try:
+        _run_masks(circ, bits, set(), (1 << total) - 1, failures)
+    except (SpentQubitUseError, UncomputeAssertionError) as exc:
+        failures.append(exc)
 
-    def run(self) -> None:
-        bits, spent = self.bits, self.spent
-        for idx, gate in enumerate(self.circ.gates):
-            kind = gate.kind
-            if kind is GateKind.TEMP_AND:
-                c1, c2, tgt = gate.qubits
-                spent.discard(tgt)
-                bits[tgt] = bits[c1] & bits[c2]
-            elif kind is GateKind.NOT:
-                bits[gate.qubits[0]] ^= self.full
-            elif kind is GateKind.CNOT:
-                c, tq = gate.qubits
-                bits[tq] ^= bits[c]
-            elif kind is GateKind.TOFFOLI:
-                c1, c2, tq = gate.qubits
-                bits[tq] ^= bits[c1] & bits[c2]
-            elif kind is GateKind.UNCOMPUTE:
-                c1, c2, tq = gate.qubits
-                if bits[tq] != bits[c1] & bits[c2]:
-                    bad = bits[tq] ^ (bits[c1] & bits[c2])
-                    self.failures.append(
-                        f"gate {idx}: uncompute target {tq} wrong on "
-                        f"{bin(bad).count('1')} inputs"
-                    )
-                spent.add(tq)
+    restored = {"A": a_masks} if design.in_place else {"A": a_masks, "B": b_masks}
+    restoration = [
+        f"{reg}[{i}] not restored"
+        for reg, masks in restored.items()
+        for i in range(n)
+        if bits[QubitRef(reg, i)] != masks[i]
+    ]
+    sums = sum_qubits(circ)
+    labels_ok = set(sums) == set(range(n + 1))
+    return CheckReport(
+        design=design.value,
+        n=n,
+        total=total,
+        mismatches=find_mismatches([bits[sums[j]] for j in range(n + 1)]) if labels_ok else [],
+        assertion_failures=[str(f) for f in failures],
+        restoration_failures=restoration,
+        labels_ok=labels_ok,
+    )
+
+
+def _bit_column(values: list[int], bit: int) -> int:
+    """The integer whose bit j is bit ``bit`` of values[j].
+
+    Packs operands into per-qubit masks and reads one slot back out of the
+    sum-bit masks: both are transposes of a bit matrix.
+    """
+    return sum(((v >> bit) & 1) << j for j, v in enumerate(values))
 
 
 def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
@@ -211,63 +262,40 @@ def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
     """
     if n > max_n:
         raise ValueError(f"exhaustive check capped at n = {max_n}")
-    circ = build(design, n)
     width = 2 * n  # input index = (a << n) | b
-    runner = _MaskRun(circ, 1 << width)
-    bits = runner.bits
-    for i in range(n):
-        bits[QubitRef("A", i)] = _index_bit_mask(n + i, width)
-        bits[QubitRef("B", i)] = _index_bit_mask(i, width)
-    a_in = {i: bits[QubitRef("A", i)] for i in range(n)}
-    b_in = {i: bits[QubitRef("B", i)] for i in range(n)}
-    runner.run()
-
-    # expected sum masks from the oracle (and oracle self-check vs native +)
     total = 1 << width
+    low = (1 << n) - 1
+    # expected sum masks from the oracle (and oracle self-check vs native +)
     expected = [0] * (n + 1)
-    mismatch_mask = 0
     for idx in range(total):
-        a, b = idx >> n, idx & ((1 << n) - 1)
+        a, b = idx >> n, idx & low
         s = cla_reference(a, b, n)
         if s != a + b:
             raise AssertionError(f"oracle self-check failed at a={a} b={b}")
         for j in range(n + 1):
             expected[j] |= ((s >> j) & 1) << idx
 
-    sums = sum_qubits(circ)
-    labels_ok = set(sums) == set(range(n + 1))
-    for j in range(n + 1):
-        if labels_ok:
-            mismatch_mask |= bits[sums[j]] ^ expected[j]
+    def find_mismatches(sums: list[int]) -> list[tuple[int, int, int, int]]:
+        bad = 0
+        for got, want in zip(sums, expected):
+            bad |= got ^ want
+        mismatches = []
+        while bad and len(mismatches) < 8:
+            idx = (bad & -bad).bit_length() - 1
+            a, b = idx >> n, idx & low
+            mismatches.append((a, b, a + b, _bit_column(sums, idx)))
+            bad &= bad - 1
+        if len(mismatches) == 8:
+            mismatches.append((-1, -1, -1, -1))  # truncated marker
+        return mismatches
 
-    restoration: list[str] = []
-    for i in range(n):
-        if bits[QubitRef("A", i)] != a_in[i]:
-            restoration.append(f"A[{i}] not restored")
-    if not design.in_place:
-        for i in range(n):
-            if bits[QubitRef("B", i)] != b_in[i]:
-                restoration.append(f"B[{i}] not restored")
-
-    mismatches = []
-    bad = mismatch_mask
-    while bad and len(mismatches) < 8:
-        idx = (bad & -bad).bit_length() - 1
-        a, b = idx >> n, idx & ((1 << n) - 1)
-        got = sum(((bits[sums[j]] >> idx) & 1) << j for j in range(n + 1)) if labels_ok else -1
-        mismatches.append((a, b, a + b, got))
-        bad &= bad - 1
-    if mismatch_mask and len(mismatches) == 8:
-        mismatches.append((-1, -1, -1, -1))  # truncated marker
-
-    return CheckReport(
-        design=design.value,
-        n=n,
-        total=total,
-        mismatches=mismatches,
-        assertion_failures=runner.failures,
-        restoration_failures=restoration,
-        labels_ok=labels_ok,
+    return _check_batch(
+        design,
+        n,
+        [_index_bit_mask(n + i, width) for i in range(n)],
+        [_index_bit_mask(i, width) for i in range(n)],
+        total,
+        find_mismatches,
     )
 
 
@@ -277,41 +305,24 @@ def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckRep
 
     rng = _random.Random(seed)
     samples = [(rng.randrange(2**n), rng.randrange(2**n)) for _ in range(pairs)]
-    circ = build(design, n)
-    runner = _MaskRun(circ, pairs)
-    bits = runner.bits
-    for i in range(n):
-        bits[QubitRef("A", i)] = sum(((a >> i) & 1) << j for j, (a, _) in enumerate(samples))
-        bits[QubitRef("B", i)] = sum(((b >> i) & 1) << j for j, (_, b) in enumerate(samples))
-    a_in = {i: bits[QubitRef("A", i)] for i in range(n)}
-    b_in = {i: bits[QubitRef("B", i)] for i in range(n)}
-    runner.run()
 
-    sums = sum_qubits(circ)
-    labels_ok = set(sums) == set(range(n + 1))
-    mismatches: list[tuple[int, int, int, int]] = []
-    if labels_ok:
+    def find_mismatches(sums: list[int]) -> list[tuple[int, int, int, int]]:
+        mismatches = []
         for j, (a, b) in enumerate(samples):
             want = cla_reference(a, b, n)
-            got = sum(((bits[sums[k]] >> j) & 1) << k for k in range(n + 1))
+            got = _bit_column(sums, j)
             if got != want or want != a + b:
                 mismatches.append((a, b, a + b, got))
                 if len(mismatches) >= 8:
                     break
-    restoration: list[str] = []
-    for i in range(n):
-        if bits[QubitRef("A", i)] != a_in[i]:
-            restoration.append(f"A[{i}] not restored")
-    if not design.in_place:
-        for i in range(n):
-            if bits[QubitRef("B", i)] != b_in[i]:
-                restoration.append(f"B[{i}] not restored")
-    return CheckReport(
-        design=design.value,
-        n=n,
-        total=pairs,
-        mismatches=mismatches,
-        assertion_failures=runner.failures,
-        restoration_failures=restoration,
-        labels_ok=labels_ok,
+        return mismatches
+
+    a_values, b_values = [a for a, _ in samples], [b for _, b in samples]
+    return _check_batch(
+        design,
+        n,
+        [_bit_column(a_values, i) for i in range(n)],
+        [_bit_column(b_values, i) for i in range(n)],
+        pairs,
+        find_mismatches,
     )

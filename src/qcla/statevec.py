@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
+from typing import Sequence
 
 import numpy as np
 
-from .ir import AncillaInit, Circuit, GateKind, Level, QubitRef
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef
 from .lowering import lower_temporary_and, lower_toffoli, lower_uncompute
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
@@ -160,40 +161,29 @@ def _readout(circ: Circuit, state: np.ndarray, positions: dict[QubitRef, int]) -
     return out
 
 
-def simulate(
-    circ: Circuit,
-    register_values: dict[str, int],
+def _run_branches(
+    gates: Sequence[Gate],
+    positions: dict[QubitRef, int],
+    state: np.ndarray,
+    cbits: Sequence[int],
     strategy=AllBranches(),
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
     branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> list[BranchOutcome]:
-    """Run a Clifford+T circuit, returning one outcome per surviving branch.
+) -> list[tuple[np.ndarray, float, tuple[int, ...]]]:
+    """Execute a gate list from (state, cbits), branching on measurements.
 
-    Branch probabilities sum to 1 (within numerical tolerance) under
-    AllBranches; SeededRandom and FixedOutcomes return a single branch whose
-    probability is that of the sampled/forced measurement record.
+    ``positions`` maps each qubit to its axis of ``state``; the start state
+    may be modified in place.  Returns one (state, probability, cbits) per
+    branch: every outcome above the prune cut under AllBranches, a single
+    sampled or forced record under SeededRandom and FixedOutcomes.
     """
-    if circ.level is not Level.CLIFFORD_T:
-        raise SimulationError("statevector simulation expects a Clifford+T circuit")
-    nq = circ.num_qubits
-    if nq > qubit_cap:
-        raise SimulationError(f"{nq} qubits exceeds the cap of {qubit_cap}")
-    if isinstance(strategy, FixedOutcomes) and len(strategy.outcomes) != circ.num_cbits:
-        raise SimulationError(
-            f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
-        )
-    positions = circ.qubit_positions()
     rng = np.random.default_rng(strategy.seed) if isinstance(strategy, SeededRandom) else None
-
-    state0 = initial_vector(circ, register_values)
     # branch: (gate index to resume at, state, probability, classical bits)
-    stack = [(0, state0, 1.0, [0] * circ.num_cbits)]
-    results: list[BranchOutcome] = []
+    stack = [(0, state, 1.0, list(cbits))]
+    results: list[tuple[np.ndarray, float, tuple[int, ...]]] = []
     while stack:
         gi, state, prob, cbits = stack.pop()
-        n_gates = len(circ.gates)
-        while gi < n_gates:
-            gate = circ.gates[gi]
+        for gi in range(gi, len(gates)):
+            gate = gates[gi]
             kind = gate.kind
             if kind in _GATE_1Q:
                 state = _apply_1q(state, _GATE_1Q[kind], positions[gate.qubits[0]])
@@ -235,11 +225,47 @@ def simulate(
                 cbits[gate.cbit] = outcome
             else:
                 raise SimulationError(f"unsupported gate kind {kind}")
-            gi += 1
+        results.append((state, prob, tuple(cbits)))
+    return results
+
+
+def simulate(
+    circ: Circuit,
+    register_values: dict[str, int],
+    strategy=AllBranches(),
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
+    branch_cap: int = DEFAULT_BRANCH_CAP,
+) -> list[BranchOutcome]:
+    """Run a Clifford+T circuit, returning one outcome per surviving branch.
+
+    Branch probabilities sum to 1 (within numerical tolerance) under
+    AllBranches; SeededRandom and FixedOutcomes return a single branch whose
+    probability is that of the sampled/forced measurement record.
+    """
+    if circ.level is not Level.CLIFFORD_T:
+        raise SimulationError("statevector simulation expects a Clifford+T circuit")
+    nq = circ.num_qubits
+    if nq > qubit_cap:
+        raise SimulationError(f"{nq} qubits exceeds the cap of {qubit_cap}")
+    if isinstance(strategy, FixedOutcomes) and len(strategy.outcomes) != circ.num_cbits:
+        raise SimulationError(
+            f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
+        )
+    positions = circ.qubit_positions()
+    branches = _run_branches(
+        circ.gates,
+        positions,
+        initial_vector(circ, register_values),
+        [0] * circ.num_cbits,
+        strategy,
+        branch_cap,
+    )
+    results: list[BranchOutcome] = []
+    for state, prob, cbits in branches:
         norm = float(np.sum(np.abs(state) ** 2))
         if abs(norm - 1) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm}")
-        results.append(BranchOutcome(tuple(cbits), prob, _readout(circ, state, positions)))
+        results.append(BranchOutcome(cbits, prob, _readout(circ, state, positions)))
     results.sort(key=lambda r: r.cbits)
     return results
 
@@ -274,47 +300,6 @@ def _max_dev_mod_phase(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(g * phase - w)))
 
 
-def _apply_gate_list(gates, nq: int, state: np.ndarray, cbits: dict[int, int]) -> list:
-    """Execute a raw gate list on (state, cbits); branches on measurements.
-
-    Returns [(state, probability, cbits)] over all branches.
-    """
-    pos = {QubitRef("q", i): i for i in range(nq)}
-    branches = [(state, 1.0, dict(cbits))]
-    for gate in gates:
-        nxt = []
-        for st, pr, cb in branches:
-            kind = gate.kind
-            if kind in _GATE_1Q:
-                nxt.append((_apply_1q(st, _GATE_1Q[kind], pos[gate.qubits[0]]), pr, cb))
-            elif kind is GateKind.CNOT:
-                nxt.append((_apply_cnot(st, pos[gate.qubits[0]], pos[gate.qubits[1]]), pr, cb))
-            elif kind is GateKind.CZ:
-                nxt.append((_apply_cz(st, pos[gate.qubits[0]], pos[gate.qubits[1]]), pr, cb))
-            elif kind is GateKind.CC_Z:
-                if cb[gate.cbit]:
-                    st = _apply_cz(st, pos[gate.qubits[0]], pos[gate.qubits[1]])
-                nxt.append((st, pr, cb))
-            elif kind is GateKind.CC_X:
-                if cb[gate.cbit]:
-                    st = _apply_1q(st, _GATE_1Q[GateKind.NOT], pos[gate.qubits[0]])
-                nxt.append((st, pr, cb))
-            elif kind is GateKind.MEASURE_X:
-                axis = pos[gate.qubits[0]]
-                st = _apply_1q(st, _H, axis)
-                p1 = _prob_one(st, axis)
-                for outcome, p in ((0, 1 - p1), (1, p1)):
-                    if sqrt(max(p, 0.0)) <= PRUNE_AMPLITUDE:
-                        continue
-                    cb2 = dict(cb)
-                    cb2[gate.cbit] = outcome
-                    nxt.append((_project(st.copy(), axis, outcome, p), pr * p, cb2))
-            else:
-                raise SimulationError(f"unsupported gate kind {kind} in gadget check")
-        branches = nxt
-    return branches
-
-
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
     """Certify one lowering gadget against its truth action.
 
@@ -327,6 +312,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
       measurement branch.
     """
     q = [QubitRef("q", i) for i in range(4)]
+    pos = {qi: i for i, qi in enumerate(q)}
     tol = 1e-10
     worst = 0.0
     cases = 0
@@ -335,7 +321,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         gates = lower_toffoli(q[0], q[1], q[2])
         for bits in range(8):
             inp = _basis(3, bits)
-            (out, _, _), = _apply_gate_list(gates, 3, inp, {})
+            (out, _, _), = _run_branches(gates, pos, inp, [])
             x, y, zv = bits >> 2 & 1, bits >> 1 & 1, bits & 1
             want = _basis(3, (x << 2) | (y << 1) | (zv ^ (x & y)))
             worst = max(worst, _max_dev_mod_phase(out, want))
@@ -348,16 +334,16 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         full = lower_temporary_and(q[0], q[1], q[2])
         core = full[2:]  # after the H, T magic-state preparation
         # preparation reproduces the magic resource state exactly
-        (st, _, _), = _apply_gate_list([_h(q[0]), _t(q[0])], 1, _basis(1, 0), {})
+        (st, _, _), = _run_branches([_h(q[0]), _t(q[0])], pos, _basis(1, 0), [])
         worst = max(worst, float(np.max(np.abs(st.ravel() - MAGIC_A_STATE))))
         cases += 1
         for bits in range(4):
             x, y = bits >> 1 & 1, bits & 1
             want = _basis(3, (x << 2) | (y << 1) | (x & y))
-            (out, _, _), = _apply_gate_list(full, 3, _basis(3, bits << 1), {})
+            (out, _, _), = _run_branches(full, pos, _basis(3, bits << 1), [])
             worst = max(worst, _max_dev_mod_phase(out, want))
             magic_in = np.tensordot(_basis(2, bits), MAGIC_A_STATE, axes=0)
-            (out2, _, _), = _apply_gate_list(core, 3, magic_in, {})
+            (out2, _, _), = _run_branches(core, pos, magic_in, [])
             worst = max(worst, _max_dev_mod_phase(out2, want))
             cases += 2
         return GadgetCheck(gadget, worst < tol, worst, cases)
@@ -373,7 +359,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         for bits in range(8):
             x, y, zv = bits >> 2 & 1, bits >> 1 & 1, bits & 1
             inp = _basis(4, bits << 1)  # ancilla q3 starts |0>
-            branches = _apply_gate_list(gates, 4, inp, {0: 0})
+            branches = _run_branches(gates, pos, inp, [0])
             total_p = 0.0
             for st, pr, _cb in branches:
                 total_p += pr

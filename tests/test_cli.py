@@ -71,3 +71,11 @@ def test_verify_writes_report(tmp_path, capsys):
     assert len(data["discrepancies"]) == 5
     out = capsys.readouterr().out
     assert out.count("pass") >= 10
+
+
+def test_sim_statevector_over_qubit_cap_is_usage_error(capsys):
+    assert cli(["sim", "--design", "out1", "--n", "8", "--a", "1", "--b", "2",
+                "--backend", "statevector"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the cap" in err
+    assert len(err.strip().splitlines()) == 1

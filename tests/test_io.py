@@ -1,11 +1,12 @@
 """OpenQASM 3 and JSON IR: emission, parsing, round-trips, golden files."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from qcla.builders import Design, build
-from qcla.ir import Circuit, Level, QubitRef, cnot
+from qcla.ir import Circuit, CircuitError, Level, QubitRef, cnot
 from qcla.jsonio import JsonIrError, from_json, to_json
 from qcla.lowering import lower, lower_uncompute
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
@@ -112,3 +113,29 @@ def test_golden_qasm_files():
 def test_golden_json_file():
     path = GOLDEN / "out1_n2.json"
     assert to_json(lower(build(Design.OUT_FT_QCLA1, 2))) == path.read_text()
+
+
+
+@pytest.mark.parametrize(
+    "lowered, edit",
+    [
+        (False, lambda d: d["gates"].append(
+            {"kind": "toffoli", "qubits": [["A", 0], ["A", 0], ["Q", 5]]})),
+        (False, lambda d: d["gates"].append({"kind": "cnot", "qubits": [["A", 0], ["A", 0]]})),
+        (False, lambda d: d["gates"].append({"kind": "h", "qubits": [["A", 0]]})),
+        (True, lambda d: d["gates"].append(
+            {"kind": "cc_z", "qubits": [["A", 0], ["A", 1]], "cbit": 99})),
+        (True, lambda d: d["labels"].update({"Q[5]": "s9"})),
+        (True, lambda d: d.update(num_cbits=d["num_cbits"] - 1)),
+        (True, lambda d: d.update(num_cbits=d["num_cbits"] + 1)),
+    ],
+    ids=["toffoli-duplicate-unknown-register", "duplicate-operand", "wrong-level",
+         "unknown-cbit", "label-on-unknown-qubit", "num-cbits-too-small",
+         "num-cbits-too-large"],
+)
+def test_json_loader_validates(lowered, edit):
+    circ = build(Design.OUT_FT_QCLA1, 2)
+    data = json.loads(to_json(lower(circ) if lowered else circ))
+    edit(data)
+    with pytest.raises((JsonIrError, CircuitError)):
+        from_json(json.dumps(data))

@@ -3,7 +3,6 @@
 import pytest
 
 from qcla.ir import (
-    AllocPolicy,
     AncillaInit,
     CircuitError,
     Level,
@@ -77,28 +76,6 @@ def test_allocate_fresh_extends_register():
     for _ in range(3):
         circ.allocate_ancilla(MAGIC)
     assert circ.registers["anc"].size == 3
-
-
-def test_allocate_reuse_returns_freed():
-    circ = new_circuit([])
-    q = circ.allocate_ancilla(MAGIC)
-    circ.free_ancilla(q)
-    assert circ.allocate_ancilla(MAGIC, AllocPolicy.REUSE) == q
-
-
-def test_allocate_fresh_ignores_freed():
-    circ = new_circuit([])
-    q = circ.allocate_ancilla(MAGIC)
-    circ.free_ancilla(q)
-    assert circ.allocate_ancilla(MAGIC) != q
-
-
-def test_reuse_respects_init_kind():
-    circ = new_circuit([])
-    q = circ.allocate_ancilla(MAGIC)
-    circ.free_ancilla(q)
-    other = circ.allocate_ancilla(ZERO, AllocPolicy.REUSE)
-    assert other != q  # init mismatch forces a fresh slot
 
 
 def test_measure_assigns_cbits_in_program_order():

@@ -13,8 +13,8 @@ from qcla.statevec import (
     MAGIC_A_STATE,
     SeededRandom,
     SimulationError,
-    _apply_gate_list,
     _basis,
+    _run_branches,
     gadget_unitary_check,
     simulate,
 )
@@ -29,10 +29,11 @@ def test_gadget_certification(gadget):
 
 def test_and_gadget_truth_table():
     q = [QubitRef("q", i) for i in range(3)]
+    pos = {qi: i for i, qi in enumerate(q)}
     gates = lower_temporary_and(q[0], q[1], q[2])
     for x in (0, 1):
         for y in (0, 1):
-            (state, prob, _), = _apply_gate_list(gates, 3, _basis(3, (x << 2) | (y << 1)), {})
+            (state, prob, _), = _run_branches(gates, pos, _basis(3, (x << 2) | (y << 1)), [])
             want = _basis(3, (x << 2) | (y << 1) | (x & y))
             assert np.max(np.abs(state - want)) < 1e-12
             assert prob == 1.0
@@ -41,13 +42,14 @@ def test_and_gadget_truth_table():
 def test_and_uncompute_restores_superposed_controls():
     """Both measurement branches return the controls to the pre-AND state."""
     q = [QubitRef("q", i) for i in range(3)]
+    pos = {qi: i for i, qi in enumerate(q)}
     gates = (
         lower_temporary_and(q[0], q[1], q[2])
         + lower_uncompute(q[0], q[1], q[2], cbit=0)
     )
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     inp = np.tensordot(np.tensordot(plus, plus, axes=0), np.array([1, 0], dtype=complex), axes=0)
-    branches = _apply_gate_list(gates, 3, inp, {0: 0})
+    branches = _run_branches(gates, pos, inp, [0])
     assert len(branches) == 2
     for state, prob, _ in branches:
         # trace out the (now classical) ancilla and compare the control state
