@@ -5,10 +5,10 @@ resources), ``sim`` (add two numbers on a simulator backend), ``compare``
 (cost catalog with savings percentages), ``verify`` (the full verification
 suite with the known-discrepancy ledger).
 
-Usage errors exit 2 (argparse, bad input values, or a simulation past the
-simulator's qubit or branch cap); verification or formula-mismatch failures
-exit 1.  The environment variable QCLA_SEED overrides the default
-simulation seed of 42.
+Usage errors exit 2 (argparse, bad input values including a non-integer
+QCLA_SEED, or a statevector simulation past its branch cap); verification or
+formula-mismatch failures exit 1.  The environment variable QCLA_SEED
+overrides the default simulation seed of 42.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ DESIGN_KEYS = ["out1", "out2", "in1", "in2"]
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("QCLA_SEED", "42")
     try:
-        return int(os.environ.get("QCLA_SEED", "42"))
+        return int(raw)
     except ValueError:
-        return 42
+        raise ValueError(f"QCLA_SEED must be an integer, got {raw!r}") from None
 
 
 def _write(text: str, path: str | None) -> None:

@@ -117,7 +117,9 @@ def parse_qasm3(text: str) -> Circuit:
 
     Only the emitted subset is understood; anything else is a parse error.
     An ``h`` immediately followed by a measurement of the same qubit folds
-    back into the single X-basis-measurement gate it came from.
+    back into the single X-basis-measurement gate it came from.  Every gate
+    goes through :meth:`Circuit.append`, which counts the classical bits from
+    the measurements; the ``bit[k] c;`` declaration must agree with that count.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "OPENQASM 3.0;":
@@ -126,6 +128,7 @@ def parse_qasm3(text: str) -> Circuit:
     in_prep = False
     prep_seen: list[QubitRef] = []
     pending_h: QubitRef | None = None
+    declared_cbits = 0
 
     def flush_pending() -> None:
         nonlocal pending_h
@@ -143,6 +146,8 @@ def parse_qasm3(text: str) -> Circuit:
         if ln == "// end magic-state preparation":
             # rewrite the prologue h/t pairs into MAGIC_A annotations
             for q in prep_seen:
+                if not circ.resolves(q):
+                    raise QasmError(f"magic preparation on unknown qubit {q}")
                 reg = circ.registers[q.reg]
                 if reg.inits is None:
                     raise QasmError(f"magic preparation on data register {q.reg}")
@@ -158,7 +163,10 @@ def parse_qasm3(text: str) -> Circuit:
             values = inits.split(",") if inits else []
             if len(values) != reg.size:
                 raise QasmError(f"ancilla annotation length mismatch for {name!r}")
-            reg.inits = [AncillaInit(v) for v in values]
+            try:
+                reg.inits = [AncillaInit(v) for v in values]
+            except ValueError:
+                raise QasmError(f"unknown ancilla init in {ln!r}") from None
             continue
         if ln.startswith("//"):
             continue
@@ -168,7 +176,7 @@ def parse_qasm3(text: str) -> Circuit:
             continue
         m = _RE_BIT.match(ln)
         if m:
-            circ.num_cbits = int(m.group(1))
+            declared_cbits = int(m.group(1))
             continue
         if in_prep:
             m = _RE_ONE.match(ln)
@@ -205,12 +213,18 @@ def parse_qasm3(text: str) -> Circuit:
             flush_pending()
             cbit, op, args = int(m.group(1)), m.group(2), m.group(3)
             if op == "cz":
-                a, b = (part.strip() for part in args.split(","))
-                circ.append(Gate(GateKind.CC_Z, (_ref(a), _ref(b)), cbit))
+                parts = args.split(",")
+                if len(parts) != 2:
+                    raise QasmError(f"conditional cz needs two operands: {ln!r}")
+                circ.append(Gate(GateKind.CC_Z, tuple(_ref(p) for p in parts), cbit))
             else:
                 circ.append(Gate(GateKind.CC_X, (_ref(args),), cbit))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
     flush_pending()
+    if declared_cbits != circ.num_cbits:
+        raise QasmError(
+            f"bit[{declared_cbits}] c; declared, but the measurements write {circ.num_cbits} bits"
+        )
     # registers without an ancilla annotation are data registers (inits None)
     return circ

@@ -79,3 +79,17 @@ def test_sim_statevector_over_qubit_cap_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the cap" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_sim_statevector_seeded_at_n64(capsys):
+    assert cli(["sim", "--design", "in1", "--n", "64", "--a", "5", "--b", "9",
+                "--backend", "statevector", "--branches", "seed:5"]) == 0
+    assert "deterministic, correct (5 + 9 = 14)" in capsys.readouterr().out
+
+
+def test_non_integer_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QCLA_SEED", "abc")
+    assert cli(["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2",
+                "--backend", "statevector", "--branches", "seed"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: QCLA_SEED must be an integer, got 'abc'\n"

@@ -139,3 +139,24 @@ def test_json_loader_validates(lowered, edit):
     edit(data)
     with pytest.raises((JsonIrError, CircuitError)):
         from_json(json.dumps(data))
+
+
+_QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "qubit[2] q;\nbit[2] c;\nif (c[1] == 1) { cz q[0], q[1]; }\n",
+        "qubit[1] q;\nbit[5] c;\nh q[0];\nc[0] = measure q[0];\n",
+        "qubit[1] q;\n// begin magic-state preparation\nh z[0];\nt z[0];\n"
+        "// end magic-state preparation\n",
+        "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[0] == 1) { cz q[1]; }\n",
+        "qubit[1] a;\n// ancilla a: bogus\n",
+    ],
+    ids=["conditional-without-measurement", "declared-bits-exceed-measured",
+         "magic-prologue-unknown-register", "conditional-cz-one-operand", "unknown-ancilla-init"],
+)
+def test_qasm_parser_validates(body):
+    with pytest.raises((QasmError, CircuitError)):
+        parse_qasm3(_QASM_HEAD + body)
