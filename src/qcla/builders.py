@@ -102,18 +102,12 @@ def floor_log2(n: int) -> int:
 
 
 def _c_level_max(n: int) -> int:
-    # floor(log2(2n/3)) in exact integer arithmetic; negative for n = 1.
-    if 2 * n < 3:
-        return -1
-    t = 0
-    # largest t with 3 * 2^t <= 2n
-    while 3 * (2 ** (t + 1)) <= 2 * n:
-        t += 1
-    return t
+    # floor(log2(2n/3)): the largest t with 3 * 2^t <= 2n; -1 for n = 1.
+    return (2 * n // 3).bit_length() - 1
 
 
 def _p_rounds(n: int, descending: bool = False) -> list[RoundTriple]:
-    levels = range(1, floor_log2(n)) if n >= 1 else range(0)
+    levels = range(1, floor_log2(n))
     out = []
     for t in (reversed(levels) if descending else levels):
         half, full = 2 ** (t - 1), 2**t
@@ -246,29 +240,16 @@ class _Net:
             src1, src2 = self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)]
             self.p[(tr.j, tr.k)] = self.emit_and(src1, src2, f"p[{tr.j},{tr.k}]")
 
-    def g_round(self, triples: list[RoundTriple]) -> None:
+    def merge_round(self, triples: list[RoundTriple]) -> None:
+        # G and C merges (C triples have j = 0): g[l,k] becomes g[j,k]
         for tr in triples:
             tgt = self.g.pop((tr.l, tr.k))
             self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
             self.g[(tr.j, tr.k)] = tgt
             self.circ.labels[tgt] = f"g[{tr.j},{tr.k}]"
 
-    def c_round(self, triples: list[RoundTriple]) -> None:
-        for tr in triples:
-            tgt = self.g.pop((tr.l, tr.k))
-            self.emit_carry_merge(self.g[(0, tr.l)], self.p[(tr.l, tr.k)], tgt)
-            self.g[(0, tr.k)] = tgt
-            self.circ.labels[tgt] = f"g[0,{tr.k}]"
-
-    def reverse_c_round(self, triples: list[RoundTriple]) -> None:
-        # inverse of a C merge: target currently labeled g[0,k], reverts to g[l,k]
-        for tr in triples:
-            tgt = self.g.pop((0, tr.k))
-            self.emit_carry_merge(self.g[(0, tr.l)], self.p[(tr.l, tr.k)], tgt)
-            self.g[(tr.l, tr.k)] = tgt
-            self.circ.labels[tgt] = f"g[{tr.l},{tr.k}]"
-
-    def reverse_g_round(self, triples: list[RoundTriple]) -> None:
+    def unmerge_round(self, triples: list[RoundTriple]) -> None:
+        # inverse of merge_round: g[j,k] reverts to g[l,k]
         for tr in triples:
             tgt = self.g.pop((tr.j, tr.k))
             self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
@@ -281,6 +262,26 @@ class _Net:
             self.circ.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
             self.circ.labels[tgt] = "spent"
             self.spent.append(tgt)
+
+    def forward(
+        self, A: list[QubitRef], B: list[QubitRef], gen: list[QubitRef], first_p: int
+    ) -> None:
+        """Steps 1-6 at width n: generate bits onto ``gen``, propagate bits in
+        place on B from bit ``first_p`` up, then propagate spans, carry merges,
+        completed carries and span erasure."""
+        n = len(A)
+        for i in range(n):
+            self.circ.append(temp_and(A[i], B[i], gen[i]))
+            self.g[(i, i + 1)] = gen[i]
+            self.circ.labels[gen[i]] = f"g[{i},{i + 1}]"
+        for i in range(first_p, n):
+            self.circ.append(cnot(A[i], B[i]))
+            self.p[(i, i + 1)] = B[i]
+            self.circ.labels[B[i]] = f"p[{i},{i + 1}]"
+        self.p_round(round_indices(RoundKind.P, n))
+        self.merge_round(round_indices(RoundKind.G, n))
+        self.merge_round(round_indices(RoundKind.C, n))
+        self.p_erase(round_indices(RoundKind.P_ERASE, n))
 
 
 def _build_out_of_place(design: Design, n: int) -> Circuit:
@@ -300,22 +301,9 @@ def _build_out_of_place(design: Design, n: int) -> Circuit:
         circ.labels[B[i]] = f"b{i}"
 
     net = _Net(circ, design.uses_and_pairs)
-
-    # Step 1: per-bit generate bits onto the magic ancillae X[1..n].
-    for i in range(n):
-        circ.append(temp_and(A[i], B[i], X[i + 1]))
-        net.g[(i, i + 1)] = X[i + 1]
-        circ.labels[X[i + 1]] = f"g[{i},{i + 1}]"
-    # Step 2: per-bit propagate bits in place on B (bit 0 is never needed).
-    for i in range(1, n):
-        circ.append(cnot(A[i], B[i]))
-        net.p[(i, i + 1)] = B[i]
-        circ.labels[B[i]] = f"p[{i},{i + 1}]"
-    # Steps 3-6: propagate spans, carry merges, completed carries, span erasure.
-    net.p_round(round_indices(RoundKind.P, n))
-    net.g_round(round_indices(RoundKind.G, n))
-    net.c_round(round_indices(RoundKind.C, n))
-    net.p_erase(round_indices(RoundKind.P_ERASE, n))
+    # Steps 1-6: generate bits onto the magic ancillae X[1..n]; propagate bits
+    # from bit 1 (bit 0 is never needed); the carry network.
+    net.forward(A, B, X[1:], first_p=1)
     # Step 7: fold propagate bits into the carries to form sum bits 1..n-1;
     # X[0] picks up b0.
     for i in range(1, n):
@@ -349,23 +337,10 @@ def _build_in_place(design: Design, n: int) -> Circuit:
         circ.labels[B[i]] = f"b{i}"
 
     net = _Net(circ, design.uses_and_pairs)
-
-    # Step 1: generate bits onto the Z register.
-    for i in range(n):
-        circ.append(temp_and(A[i], B[i], Z[i]))
-        net.g[(i, i + 1)] = Z[i]
-        circ.labels[Z[i]] = f"g[{i},{i + 1}]"
-    # Step 2: propagate bits in place on B, bit 0 included (its complement
-    # seeds the uncomputation network and the final sum bit s0).
-    for i in range(n):
-        circ.append(cnot(A[i], B[i]))
-        net.p[(i, i + 1)] = B[i]
-        circ.labels[B[i]] = f"p[{i},{i + 1}]"
-    # Steps 3-6: forward carry network at width n, as in the out-of-place case.
-    net.p_round(round_indices(RoundKind.P, n))
-    net.g_round(round_indices(RoundKind.G, n))
-    net.c_round(round_indices(RoundKind.C, n))
-    net.p_erase(round_indices(RoundKind.P_ERASE, n))
+    # Steps 1-6: generate bits onto the Z register; propagate bits from bit 0
+    # (its complement seeds the uncomputation network and the final sum bit
+    # s0); the carry network.
+    net.forward(A, B, Z, first_p=0)
     # Step 7: sum bits into B (carries stay intact on Z for uncomputation).
     for i in range(1, n):
         circ.append(cnot(net.g[(0, i)], B[i]))
@@ -386,8 +361,8 @@ def _build_in_place(design: Design, n: int) -> Circuit:
             circ.labels[B[i]] = f"p[{i},{i + 1}]"
         # Steps 10-13: recompute spans, unmerge carries, erase spans (width n-1).
         net.p_round(round_indices(RoundKind.REVERSE_P_ERASE, n))
-        net.reverse_c_round(round_indices(RoundKind.REVERSE_C, n))
-        net.reverse_g_round(round_indices(RoundKind.REVERSE_G, n))
+        net.unmerge_round(round_indices(RoundKind.REVERSE_C, n))
+        net.unmerge_round(round_indices(RoundKind.REVERSE_G, n))
         net.p_erase(round_indices(RoundKind.REVERSE_P, n))
         # Step 14: back to complemented sum bits.
         for i in range(1, n - 1):

@@ -134,7 +134,8 @@ def _cmd_sim(args) -> int:
     outcomes = simulate(lowered, {"A": args.a, "B": args.b}, strategy)
     sums = {o.labeled_int("s") for o in outcomes}
     for o in outcomes:
-        print(f"sum={o.labeled_int('s')} probability={o.probability:.6f} cbits={o.cbits}")
+        cbits = "".join(map(str, o.cbits))
+        print(f"sum={o.labeled_int('s')} probability={o.probability:.6g} cbits={cbits}")
     if sums == {args.a + args.b}:
         print(f"verdict: deterministic, correct ({args.a} + {args.b} = {args.a + args.b})")
         return 0

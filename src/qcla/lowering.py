@@ -138,11 +138,8 @@ def lower(circ: Circuit) -> Circuit:
                 out.append(cc_x(outcome_bit.pop(anc), anc))
             out.extend(lower_temporary_and(c1, c2, anc))
         elif kind is GateKind.UNCOMPUTE:
-            c1, c2, target = gate.qubits
-            out.append(measure_x(target))
-            cbit = out.gates[-1].cbit
-            out.append(cc_z(cbit, c1, c2))
-            outcome_bit[target] = cbit
+            outcome_bit[gate.qubits[2]] = out.num_cbits
+            out.extend(lower_uncompute(*gate.qubits, out.num_cbits))
         else:
             raise CircuitError(f"cannot lower gate kind {kind}")
     return out

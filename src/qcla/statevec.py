@@ -40,7 +40,7 @@ MAGIC_A_STATE = (complex(_R), _T_PHASE * _R)
 NORM_TOL = 1e-9
 PRUNE_AMPLITUDE = 1e-12
 AMPLITUDE_CAP = 1 << 20
-DEFAULT_BRANCH_CAP = 4096
+BRANCH_CAP = 4096
 
 State = dict[int, complex]
 
@@ -158,7 +158,6 @@ def _run_branches(
     state: State,
     cbits: Sequence[int],
     strategy=AllBranches(),
-    branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> list[tuple[State, float, tuple[int, ...]]]:
     """Execute a gate list from (state, cbits), branching on measurements.
 
@@ -198,8 +197,8 @@ def _run_branches(
                 if isinstance(strategy, AllBranches):
                     live = [b for b in (0, 1) if sqrt(p[b]) > PRUNE_AMPLITUDE]
                     if len(live) == 2:
-                        if len(stack) + len(results) + 2 > branch_cap:
-                            raise SimulationError(f"branch count exceeds the cap of {branch_cap}")
+                        if len(stack) + len(results) + 2 > BRANCH_CAP:
+                            raise SimulationError(f"branch count exceeds the cap of {BRANCH_CAP}")
                         bits2 = list(cbits)
                         bits2[gate.cbit] = 1
                         stack.append((gi + 1, _project(state, m, 1, p[1]), prob * p[1], bits2))
@@ -225,7 +224,6 @@ def simulate(
     circ: Circuit,
     register_values: dict[str, int],
     strategy=AllBranches(),
-    branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> list[BranchOutcome]:
     """Run a Clifford+T circuit, returning one outcome per surviving branch.
 
@@ -246,7 +244,6 @@ def simulate(
         initial_vector(circ, register_values),
         [0] * circ.num_cbits,
         strategy,
-        branch_cap,
     )
     results: list[BranchOutcome] = []
     for state, prob, cbits in branches:
@@ -282,14 +279,20 @@ def _heavier_half(state: State, mask: int) -> State:
     return {k & ~mask: v for k, v in state.items() if k & mask == keep}
 
 
-def _max_dev_mod_phase(got: State, want: State) -> float:
-    """Max amplitude deviation after removing a global phase."""
-    keys = got.keys() | want.keys()
+def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
+    """Max amplitude deviation over (got, want) cases after removing one
+    global phase, fixed from the first case and shared by all of them: a
+    phase that differs between basis inputs is an error of the gadget."""
+    got, want = cases[0]
     k = max(want, key=lambda i: abs(want[i]))
     g = got.get(k, 0)
     phase = want[k] / g if abs(g) >= 1e-14 else 1
     phase /= abs(phase)
-    return max(abs(got.get(i, 0) * phase - want.get(i, 0)) for i in keys)
+    return max(
+        abs(got.get(i, 0) * phase - want.get(i, 0))
+        for got, want in cases
+        for i in got.keys() | want.keys()
+    )
 
 
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
@@ -302,20 +305,23 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
     * "and_uncompute_pair": AND, CNOT onto a fourth qubit, uncompute; checked
       against the Toffoli action on the three logical qubits in every
       measurement branch.
+
+    Each gadget sequence is compared up to one global phase shared by all its
+    basis inputs (one per measurement record for the pair), so a relative
+    phase between inputs fails the check.
     """
     q = [QubitRef("q", i) for i in range(4)]
     pos = {qi: i for i, qi in enumerate(q)}
     tol = 1e-10
-    worst = 0.0
-    cases = 0
 
     if gadget == "toffoli":
         gates = lower_toffoli(q[0], q[1], q[2])
+        pairs = []
         for x, y, z in product((0, 1), repeat=3):
             (out, _, _), = _run_branches(gates, pos, _basis(x, y, z), [])
-            worst = max(worst, _max_dev_mod_phase(out, _basis(x, y, z ^ (x & y))))
-            cases += 1
-        return GadgetCheck(gadget, worst < tol, worst, cases)
+            pairs.append((out, _basis(x, y, z ^ (x & y))))
+        worst = _max_dev_mod_phase(pairs)
+        return GadgetCheck(gadget, worst < tol, worst, len(pairs))
 
     if gadget == "and":
         from .ir import h as _h, t as _t
@@ -324,17 +330,17 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         core = full[2:]  # after the H, T magic-state preparation
         # preparation reproduces the magic resource state exactly
         (st, _, _), = _run_branches([_h(q[0]), _t(q[0])], pos, _basis(0), [])
-        worst = max(worst, max(abs(st.get(b, 0) - MAGIC_A_STATE[b]) for b in (0, 1)))
-        cases += 1
+        prep = max(abs(st.get(b, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
+        full_pairs, core_pairs = [], []
         for x, y in product((0, 1), repeat=2):
             want = _basis(x, y, x & y)
             (out, _, _), = _run_branches(full, pos, _basis(x, y, 0), [])
-            worst = max(worst, _max_dev_mod_phase(out, want))
+            full_pairs.append((out, want))
             magic_in = {x | y << 1 | b << 2: MAGIC_A_STATE[b] for b in (0, 1)}
             (out2, _, _), = _run_branches(core, pos, magic_in, [])
-            worst = max(worst, _max_dev_mod_phase(out2, want))
-            cases += 2
-        return GadgetCheck(gadget, worst < tol, worst, cases)
+            core_pairs.append((out2, want))
+        worst = max(prep, _max_dev_mod_phase(full_pairs), _max_dev_mod_phase(core_pairs))
+        return GadgetCheck(gadget, worst < tol, worst, 1 + len(full_pairs) + len(core_pairs))
 
     if gadget == "and_uncompute_pair":
         from .ir import cnot as _cnot
@@ -344,16 +350,18 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
             + [_cnot(q[3], q[2])]
             + lower_uncompute(q[0], q[1], q[3], cbit=0)
         )
+        worst = 0.0
+        by_record: dict[tuple[int, ...], list[tuple[State, State]]] = {}
         for x, y, z in product((0, 1), repeat=3):
             branches = _run_branches(gates, pos, _basis(x, y, z, 0), [0])  # ancilla q3 at |0>
-            total_p = 0.0
             want = _basis(x, y, z ^ (x & y))
-            for st, pr, _cb in branches:
-                total_p += pr
+            for st, _pr, cb in branches:
                 # compare the three logical qubits; ancilla is classical post-measure
-                worst = max(worst, _max_dev_mod_phase(_heavier_half(st, 1 << 3), want))
-                cases += 1
-            worst = max(worst, abs(total_p - 1.0))
+                by_record.setdefault(cb, []).append((_heavier_half(st, 1 << 3), want))
+            worst = max(worst, abs(sum(pr for _st, pr, _cb in branches) - 1.0))
+        for pairs in by_record.values():
+            worst = max(worst, _max_dev_mod_phase(pairs))
+        cases = sum(len(pairs) for pairs in by_record.values())
         return GadgetCheck(gadget, worst < tol, worst, cases)
 
     raise ValueError(f"unknown gadget {gadget!r}")

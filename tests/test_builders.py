@@ -1,5 +1,6 @@
 """Builders: round enumeration identities, the classical oracle, circuit shape."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qcla.builders import Design, RoundKind, build, cla_reference, round_indices
 from qcla.ir import GateKind
 from qcla.jsonio import to_json
+from qcla.lowering import lower
 from qcla.resources import floor_log2, hamming_weight
 
 
@@ -172,3 +174,16 @@ def test_register_sizing_matches_design_contract():
     assert in1.registers["X"].size == 3 * n - 2 * hamming_weight(n) - 2 * floor_log2(n) - 1
     out2 = build(Design.OUT_FT_QCLA2, n)
     assert out2.registers["Z"].size == n - hamming_weight(n) - floor_log2(n)
+
+
+def test_emitted_streams_digest():
+    """Pins the bytes of every Toffoli-level and lowered circuit at n = 1..16."""
+    digest = hashlib.sha256()
+    for design in Design:
+        for n in range(1, 17):
+            circ = build(design, n)
+            digest.update(to_json(circ).encode())
+            digest.update(to_json(lower(circ)).encode())
+    assert digest.hexdigest() == (
+        "4abde2c55d621fc5d52752b333f87c15af1d1a053e0c384661a52784a0c5717a"
+    )

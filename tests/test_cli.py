@@ -73,7 +73,7 @@ def test_verify_writes_report(tmp_path, capsys):
     assert out.count("pass") >= 10
 
 
-def test_sim_statevector_over_qubit_cap_is_usage_error(capsys):
+def test_sim_statevector_over_branch_cap_is_usage_error(capsys):
     assert cli(["sim", "--design", "out1", "--n", "8", "--a", "1", "--b", "2",
                 "--backend", "statevector"]) == 2
     err = capsys.readouterr().err
@@ -84,7 +84,13 @@ def test_sim_statevector_over_qubit_cap_is_usage_error(capsys):
 def test_sim_statevector_seeded_at_n64(capsys):
     assert cli(["sim", "--design", "in1", "--n", "64", "--a", "5", "--b", "9",
                 "--backend", "statevector", "--branches", "seed:5"]) == 0
-    assert "deterministic, correct (5 + 9 = 14)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "deterministic, correct (5 + 9 = 14)" in out
+    # a branch of 2^-406 prints as a nonzero probability and a 0/1 string
+    fields = dict(f.split("=", 1) for f in out.splitlines()[0].split())
+    assert fields["sum"] == "14"
+    assert float(fields["probability"]) > 0
+    assert fields["cbits"] and set(fields["cbits"]) <= {"0", "1"}
 
 
 def test_non_integer_seed_is_usage_error(capsys, monkeypatch):

@@ -35,6 +35,22 @@ def test_gadget_certification(gadget):
     assert chk.max_deviation < 1e-10
 
 
+@pytest.mark.parametrize("gadget, patched", [
+    ("toffoli", "lower_toffoli"),
+    ("and", "lower_temporary_and"),
+    ("and_uncompute_pair", "lower_temporary_and"),
+])
+def test_gadget_certification_sees_relative_phase(monkeypatch, gadget, patched):
+    """A Z on a control gives the inputs different phases; the check fails."""
+    from qcla import statevec
+    from qcla.ir import z
+
+    real = getattr(statevec, patched)
+    monkeypatch.setattr(statevec, patched, lambda c1, c2, t: real(c1, c2, t) + [z(c1)])
+    chk = gadget_unitary_check(gadget)
+    assert not chk.passed, f"{gadget}: max deviation {chk.max_deviation}"
+
+
 def test_and_gadget_truth_table():
     q = [QubitRef("q", i) for i in range(3)]
     pos = {qi: i for i, qi in enumerate(q)}
@@ -147,7 +163,7 @@ def test_magic_annotated_ancilla_drives_and_core():
         assert out.readout["s0"] == want
 
 
-def test_qubit_cap_enforced():
+def test_branch_cap_enforced():
     circ = lower(build(Design.OUT_FT_QCLA1, 8))  # 40 qubits
     with pytest.raises(SimulationError, match="exceeds the cap"):
         simulate(circ, {"A": 0, "B": 0}, AllBranches())
