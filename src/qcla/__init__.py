@@ -16,6 +16,7 @@ from .ir import (
     GateKind,
     Level,
     QubitRef,
+    load_circuit,
     new_circuit,
 )
 from .lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
@@ -66,6 +67,7 @@ __all__ = [
     "gadget_unitary_check",
     "hamming_weight",
     "initial_state",
+    "load_circuit",
     "lower",
     "lower_temporary_and",
     "lower_toffoli",

@@ -37,7 +37,7 @@ from .revsim import initial_state, read_labeled, run_basis
 from .statevec import AllBranches, SeededRandom, SimulationError, simulate
 from .validate import UNREPRODUCED_AVERAGE, run_validation
 
-DESIGN_KEYS = ["out1", "out2", "in1", "in2"]
+DESIGN_KEYS = [d.key for d in Design]
 
 
 def _default_seed() -> int:

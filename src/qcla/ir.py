@@ -83,6 +83,25 @@ CLIFFORD_T_ONLY = frozenset(
 )
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 
+# Qubit operand count of each gate kind.
+_ARITY = {
+    GateKind.NOT: 1,
+    GateKind.CNOT: 2,
+    GateKind.TOFFOLI: 3,
+    GateKind.TEMP_AND: 3,
+    GateKind.UNCOMPUTE: 3,
+    GateKind.H: 1,
+    GateKind.T: 1,
+    GateKind.TDG: 1,
+    GateKind.S: 1,
+    GateKind.SDG: 1,
+    GateKind.Z: 1,
+    GateKind.CZ: 2,
+    GateKind.MEASURE_X: 1,
+    GateKind.CC_Z: 2,
+    GateKind.CC_X: 1,
+}
+
 
 class Gate(NamedTuple):
     """One gate application: a kind, its qubit operands, optional classical bit.
@@ -229,28 +248,45 @@ class Circuit:
     # -- gate appends ---------------------------------------------------------------
 
     def append(self, gate: Gate) -> "Circuit":
-        """Validate and append one gate; returns self for chaining."""
+        """Validate and append one gate; returns self for chaining.
+
+        Classical bits are written once, in program order: a MEASURE_X writes
+        bit ``num_cbits`` (assigned when its cbit is None), so a CC_Z / CC_X
+        condition bit in ``[0, num_cbits)`` was measured earlier.  No other
+        gate carries a classical bit.
+        """
+        kind = gate.kind
+        if len(gate.qubits) != _ARITY[kind]:
+            raise CircuitError(
+                f"{kind.value} takes {_ARITY[kind]} qubit operands, got {len(gate.qubits)}"
+            )
         for q in gate.qubits:
             if not self.resolves(q):
                 raise CircuitError(f"operand {q} does not resolve in the register table")
         if len(set(gate.qubits)) != len(gate.qubits):
-            raise CircuitError(f"duplicate operands in gate {gate.kind.value}")
-        if self.level is Level.TOFFOLI and gate.kind in CLIFFORD_T_ONLY:
-            raise CircuitError(f"{gate.kind.value} is not a Toffoli-level gate")
-        if self.level is Level.CLIFFORD_T and gate.kind in TOFFOLI_ONLY:
-            raise CircuitError(f"{gate.kind.value} is not a Clifford+T gate")
-        if gate.kind is GateKind.TEMP_AND:
+            raise CircuitError(f"duplicate operands in gate {kind.value}")
+        if self.level is Level.TOFFOLI and kind in CLIFFORD_T_ONLY:
+            raise CircuitError(f"{kind.value} is not a Toffoli-level gate")
+        if self.level is Level.CLIFFORD_T and kind in TOFFOLI_ONLY:
+            raise CircuitError(f"{kind.value} is not a Clifford+T gate")
+        if kind is GateKind.TEMP_AND:
             if self.init_of(gate.qubits[2]) is not AncillaInit.MAGIC_A:
                 raise CircuitError(
                     f"temporary-AND target {gate.qubits[2]} is not a magic-state ancilla"
                 )
-        if gate.kind is GateKind.MEASURE_X:
+        if kind is GateKind.MEASURE_X:
             if gate.cbit is None:
-                gate = Gate(gate.kind, gate.qubits, self.num_cbits)
-            self.num_cbits = max(self.num_cbits, gate.cbit + 1)
-        elif gate.kind in (GateKind.CC_Z, GateKind.CC_X):
+                gate = Gate(kind, gate.qubits, self.num_cbits)
+            elif gate.cbit != self.num_cbits:
+                raise CircuitError(
+                    f"measure_x writes bit {gate.cbit}; the next classical bit is {self.num_cbits}"
+                )
+            self.num_cbits += 1
+        elif kind in (GateKind.CC_Z, GateKind.CC_X):
             if gate.cbit is None or not 0 <= gate.cbit < self.num_cbits:
-                raise CircuitError(f"{gate.kind.value} references unknown classical bit")
+                raise CircuitError(f"{kind.value} references unknown classical bit")
+        elif gate.cbit is not None:
+            raise CircuitError(f"{kind.value} carries classical bit {gate.cbit}")
         self.gates.append(gate)
         return self
 
@@ -297,3 +333,29 @@ def new_circuit(
     return circ
 
 
+def load_circuit(
+    level: Level,
+    registers: Sequence[tuple[str, int, list[AncillaInit] | None]],
+    gates: Sequence[Gate],
+    num_cbits: int,
+    labels: WireNameMap | None = None,
+    ancilla_register: str = "anc",
+) -> Circuit:
+    """Build a whole circuit from plain parts and validate it.
+
+    The one whole-circuit validator: every gate goes through
+    :meth:`Circuit.append`, the declared ``num_cbits`` must equal the number
+    of measured bits, and every label must name a qubit.  The JSON and
+    OpenQASM loaders both end here.  Raises :class:`CircuitError`.
+    """
+    circ = new_circuit(registers, level, ancilla_register)
+    circ.extend(gates)
+    if num_cbits != circ.num_cbits:
+        raise CircuitError(
+            f"num_cbits {num_cbits} disagrees with the {circ.num_cbits} measured bits"
+        )
+    for q, label in (labels or {}).items():
+        if not circ.resolves(q):
+            raise CircuitError(f"label {label!r} is on unknown qubit {q}")
+        circ.labels[q] = label
+    return circ

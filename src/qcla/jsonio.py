@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, load_circuit
 
 SCHEMA = "qcla-ir/1"
 
@@ -48,39 +48,60 @@ def to_json(circ: Circuit) -> str:
     return json.dumps(to_json_dict(circ), indent=2) + "\n"
 
 
-def from_json_dict(data: dict) -> Circuit:
-    """Rebuild a circuit, validating every gate through ``Circuit.append``.
+def _typed(value, typ: type):
+    if type(value) is not typ:
+        raise TypeError(f"expected {typ.__name__}, got {value!r}")
+    return value
 
-    Raises JsonIrError or CircuitError when a gate or label names a qubit
-    that does not exist, a conditional gate reads a bit no earlier
-    measurement wrote, or ``num_cbits`` differs from the measured bits.
+
+def _register(reg: dict) -> tuple[str, int, list[AncillaInit] | None]:
+    inits = reg["inits"]
+    if inits is not None:
+        inits = [AncillaInit(v) for v in _typed(inits, list)]
+    return _typed(reg["name"], str), _typed(reg["size"], int), inits
+
+
+def _gate(g: dict) -> Gate:
+    qubits = tuple(QubitRef(_typed(r, str), _typed(i, int)) for r, i in g["qubits"])
+    cbit = g.get("cbit")
+    return Gate(GateKind(g["kind"]), qubits, None if cbit is None else _typed(cbit, int))
+
+
+def _label_key(key: str) -> QubitRef:
+    reg, index = key[:-1].split("[")
+    q = QubitRef(reg, int(index))
+    if str(q) != key:
+        raise ValueError(f"label key {key!r} is not of the form reg[index]")
+    return q
+
+
+def from_json_dict(data: dict) -> Circuit:
+    """Rebuild a circuit through :func:`qcla.ir.load_circuit`.
+
+    A document that is not a ``qcla-ir/1`` object of the expected shape and
+    types raises JsonIrError.  A well-formed document that breaks a circuit
+    rule (a gate or label on a qubit that does not exist, a conditional gate
+    reading a bit no earlier measurement wrote, a ``num_cbits`` that differs
+    from the measured bits) raises CircuitError.
     """
-    if data.get("schema") != SCHEMA:
-        raise JsonIrError(f"unsupported schema {data.get('schema')!r}")
-    circ = Circuit(
-        level=Level(data["level"]),
-        ancilla_register=data.get("ancilla_register", "anc"),
-    )
-    for reg in data["registers"]:
-        inits = reg["inits"]
-        circ.add_register(
-            reg["name"], reg["size"], None if inits is None else [AncillaInit(v) for v in inits]
-        )
-    for g in data["gates"]:
-        qubits = tuple(QubitRef(r, i) for r, i in g["qubits"])
-        circ.append(Gate(GateKind(g["kind"]), qubits, g.get("cbit")))
-    if circ.num_cbits != data["num_cbits"]:
-        raise JsonIrError(
-            f"num_cbits {data['num_cbits']} disagrees with the {circ.num_cbits} measured bits"
-        )
-    for key, label in data["labels"].items():
-        reg, idx = key[:-1].split("[")
-        q = QubitRef(reg, int(idx))
-        if not circ.resolves(q):
-            raise JsonIrError(f"label {label!r} is on unknown qubit {key}")
-        circ.labels[q] = label
-    return circ
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != SCHEMA:
+        raise JsonIrError(f"unsupported schema {schema!r}")
+    try:
+        level = Level(data["level"])
+        registers = [_register(reg) for reg in data["registers"]]
+        gates = [_gate(g) for g in data["gates"]]
+        labels = {_label_key(k): _typed(v, str) for k, v in data["labels"].items()}
+        num_cbits = _typed(data["num_cbits"], int)
+        ancilla_register = _typed(data.get("ancilla_register", "anc"), str)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise JsonIrError(f"malformed {SCHEMA} document ({type(exc).__name__}: {exc})") from None
+    return load_circuit(level, registers, gates, num_cbits, labels, ancilla_register)
 
 
 def from_json(text: str) -> Circuit:
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JsonIrError(f"not a JSON document: {exc}") from None
+    return from_json_dict(data)

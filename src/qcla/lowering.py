@@ -106,6 +106,11 @@ def lower(circ: Circuit) -> Circuit:
 
     NOT and CNOT pass through.  The qubit set is unchanged; measured T-count
     of the output is 7 per Toffoli plus 4 per temporary AND.
+
+    The output is written straight into ``out.gates`` without
+    :meth:`Circuit.append`: the input gates were checked when they were
+    appended or loaded, each gadget checks its own operands, and classical
+    bits are numbered here in program order.
     """
     if circ.level is not Level.TOFFOLI:
         raise CircuitError("lower expects a Toffoli-level circuit")
@@ -125,21 +130,23 @@ def lower(circ: Circuit) -> Circuit:
         out.add_register(reg.name, reg.size, inits)
     out.labels = dict(circ.labels)
 
+    gates = out.gates
     outcome_bit: dict[QubitRef, int] = {}  # spent ancilla -> its measurement bit
     for gate in circ.gates:
         kind = gate.kind
         if kind in (GateKind.NOT, GateKind.CNOT):
-            out.append(gate)
+            gates.append(gate)
         elif kind is GateKind.TOFFOLI:
-            out.extend(lower_toffoli(*gate.qubits))
+            gates += lower_toffoli(*gate.qubits)
         elif kind is GateKind.TEMP_AND:
             c1, c2, anc = gate.qubits
             if anc in outcome_bit:
-                out.append(cc_x(outcome_bit.pop(anc), anc))
-            out.extend(lower_temporary_and(c1, c2, anc))
+                gates.append(cc_x(outcome_bit.pop(anc), anc))
+            gates += lower_temporary_and(c1, c2, anc)
         elif kind is GateKind.UNCOMPUTE:
             outcome_bit[gate.qubits[2]] = out.num_cbits
-            out.extend(lower_uncompute(*gate.qubits, out.num_cbits))
+            gates += lower_uncompute(*gate.qubits, out.num_cbits)
+            out.num_cbits += 1
         else:
             raise CircuitError(f"cannot lower gate kind {kind}")
     return out

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .ir import (
-    AncillaInit,
-    Circuit,
-    Gate,
-    GateKind,
-    Level,
-    QubitRef,
-)
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, Register, load_circuit
 
 
 class QasmError(ValueError):
@@ -87,22 +80,15 @@ def to_qasm3(circ: Circuit) -> str:
 
 _RE_QUBIT = re.compile(r"^qubit\[(\d+)\]\s+(\w+);$")
 _RE_BIT = re.compile(r"^bit\[(\d+)\]\s+c;$")
-_RE_ANC = re.compile(r"^// ancilla (\w+): (.*)$")
+# lines are stripped, so an empty ancilla register's annotation has no space after the colon
+_RE_ANC = re.compile(r"^// ancilla (\w+): ?(.*)$")
 _RE_REF = re.compile(r"^(\w+)\[(\d+)\]$")
-_RE_ONE = re.compile(r"^(x|h|t|tdg|s|sdg|z)\s+([^,;]+);$")
+_RE_ONE = re.compile(rf"^({'|'.join(_SIMPLE.values())})\s+([^,;]+);$")
 _RE_TWO = re.compile(r"^(cx|cz)\s+([^,;]+),\s*([^,;]+);$")
 _RE_MEASURE = re.compile(r"^c\[(\d+)\]\s*=\s*measure\s+([^,;]+);$")
 _RE_IF = re.compile(r"^if \(c\[(\d+)\] == 1\) \{ (cz|x) ([^;]+); \}$")
 
-_NAME_TO_KIND = {
-    "x": GateKind.NOT,
-    "h": GateKind.H,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "z": GateKind.Z,
-}
+_NAME_TO_KIND = {name: kind for kind, name in _SIMPLE.items()}
 
 
 def _ref(text: str) -> QubitRef:
@@ -115,27 +101,21 @@ def _ref(text: str) -> QubitRef:
 def parse_qasm3(text: str) -> Circuit:
     """Parse text produced by :func:`to_qasm3` back into a circuit.
 
-    Only the emitted subset is understood; anything else is a parse error.
-    An ``h`` immediately followed by a measurement of the same qubit folds
-    back into the single X-basis-measurement gate it came from.  Every gate
-    goes through :meth:`Circuit.append`, which counts the classical bits from
-    the measurements; the ``bit[k] c;`` declaration must agree with that count.
+    Only the emitted subset is understood; anything else is a parse error
+    (QasmError).  An ``h`` immediately followed by a measurement of the same
+    qubit folds back into the single X-basis-measurement gate it came from.
+    The parsed registers, gates and ``bit[k] c;`` count go to
+    :func:`qcla.ir.load_circuit`, which applies the circuit rules
+    (CircuitError).
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise QasmError("missing OPENQASM 3.0 header")
-    circ = Circuit(level=Level.CLIFFORD_T)
+    registers: list[Register] = []  # inits stay None for data registers
+    gates: list[Gate] = []
+    magic: list[QubitRef] = []
+    num_cbits = 0
     in_prep = False
-    prep_seen: list[QubitRef] = []
-    pending_h: QubitRef | None = None
-    declared_cbits = 0
-
-    def flush_pending() -> None:
-        nonlocal pending_h
-        if pending_h is not None:
-            circ.append(Gate(GateKind.H, (pending_h,)))
-            pending_h = None
-
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
         i += 1
@@ -144,20 +124,12 @@ def parse_qasm3(text: str) -> Circuit:
             in_prep = True
             continue
         if ln == "// end magic-state preparation":
-            # rewrite the prologue h/t pairs into MAGIC_A annotations
-            for q in prep_seen:
-                if not circ.resolves(q):
-                    raise QasmError(f"magic preparation on unknown qubit {q}")
-                reg = circ.registers[q.reg]
-                if reg.inits is None:
-                    raise QasmError(f"magic preparation on data register {q.reg}")
-                reg.inits[q.index] = AncillaInit.MAGIC_A
             in_prep = False
             continue
         m = _RE_ANC.match(ln)
         if m:
             name, inits = m.group(1), m.group(2)
-            reg = circ.registers.get(name)
+            reg = next((r for r in registers if r.name == name), None)
             if reg is None:
                 raise QasmError(f"ancilla annotation for unknown register {name!r}")
             values = inits.split(",") if inits else []
@@ -172,59 +144,51 @@ def parse_qasm3(text: str) -> Circuit:
             continue
         m = _RE_QUBIT.match(ln)
         if m:
-            circ.add_register(m.group(2), int(m.group(1)), None)
+            registers.append(Register(m.group(2), int(m.group(1))))
             continue
         m = _RE_BIT.match(ln)
         if m:
-            declared_cbits = int(m.group(1))
+            num_cbits = int(m.group(1))
             continue
         if in_prep:
             m = _RE_ONE.match(ln)
             if not m or m.group(1) not in ("h", "t"):
                 raise QasmError(f"unexpected line in preparation prologue: {ln!r}")
             if m.group(1) == "t":
-                prep_seen.append(_ref(m.group(2)))
+                magic.append(_ref(m.group(2)))
             continue
         m = _RE_MEASURE.match(ln)
         if m:
-            cbit, q = int(m.group(1)), _ref(m.group(2))
-            if pending_h == q:
-                pending_h = None
-                circ.append(Gate(GateKind.MEASURE_X, (q,), cbit))
-                continue
-            raise QasmError("bare measurement without preceding h (not in emitted subset)")
+            q = _ref(m.group(2))
+            if not gates or gates[-1] != Gate(GateKind.H, (q,)):
+                raise QasmError("bare measurement without preceding h (not in emitted subset)")
+            gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
+            continue
         m = _RE_ONE.match(ln)
         if m:
-            flush_pending()
-            kind, q = _NAME_TO_KIND[m.group(1)], _ref(m.group(2))
-            if kind is GateKind.H:
-                pending_h = q  # may fold into a following measurement
-            else:
-                circ.append(Gate(kind, (q,)))
+            gates.append(Gate(_NAME_TO_KIND[m.group(1)], (_ref(m.group(2)),)))
             continue
         m = _RE_TWO.match(ln)
         if m:
-            flush_pending()
             kind = GateKind.CNOT if m.group(1) == "cx" else GateKind.CZ
-            circ.append(Gate(kind, (_ref(m.group(2)), _ref(m.group(3)))))
+            gates.append(Gate(kind, (_ref(m.group(2)), _ref(m.group(3)))))
             continue
         m = _RE_IF.match(ln)
         if m:
-            flush_pending()
-            cbit, op, args = int(m.group(1)), m.group(2), m.group(3)
-            if op == "cz":
-                parts = args.split(",")
-                if len(parts) != 2:
-                    raise QasmError(f"conditional cz needs two operands: {ln!r}")
-                circ.append(Gate(GateKind.CC_Z, tuple(_ref(p) for p in parts), cbit))
-            else:
-                circ.append(Gate(GateKind.CC_X, (_ref(args),), cbit))
+            kind = GateKind.CC_Z if m.group(2) == "cz" else GateKind.CC_X
+            qubits = tuple(_ref(p) for p in m.group(3).split(","))
+            gates.append(Gate(kind, qubits, int(m.group(1))))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
-    flush_pending()
-    if declared_cbits != circ.num_cbits:
-        raise QasmError(
-            f"bit[{declared_cbits}] c; declared, but the measurements write {circ.num_cbits} bits"
-        )
-    # registers without an ancilla annotation are data registers (inits None)
-    return circ
+    if in_prep:
+        raise QasmError("magic-state preparation is not terminated")
+    # the prologue's h/t pairs become MAGIC_A annotations
+    for q in magic:
+        reg = next((r for r in registers if r.name == q.reg and q.index < r.size), None)
+        if reg is None:
+            raise QasmError(f"magic preparation on unknown qubit {q}")
+        if reg.inits is None:
+            raise QasmError(f"magic preparation on data register {q.reg}")
+        reg.inits[q.index] = AncillaInit.MAGIC_A
+    specs = [(r.name, r.size, r.inits) for r in registers]
+    return load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits)

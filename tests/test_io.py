@@ -128,10 +128,19 @@ def test_golden_json_file():
         (True, lambda d: d["labels"].update({"Q[5]": "s9"})),
         (True, lambda d: d.update(num_cbits=d["num_cbits"] - 1)),
         (True, lambda d: d.update(num_cbits=d["num_cbits"] + 1)),
+        (False, lambda d: d["gates"].append({"kind": "cnot", "qubits": [["A", 0]]})),
+        (True, lambda d: d["gates"].append({"kind": "h", "qubits": []})),
+        (True, lambda d: d["gates"].append({"kind": "h", "qubits": [["A", 0], ["A", 1]]})),
+        (True, lambda d: d["gates"].append(
+            {"kind": "measure_x", "qubits": [["A", 0]], "cbit": -1})),
+        (True, lambda d: d["gates"].append(
+            {"kind": "measure_x", "qubits": [["A", 0]], "cbit": 0})),
+        (True, lambda d: d["gates"].append({"kind": "h", "qubits": [["A", 0]], "cbit": 3})),
     ],
     ids=["toffoli-duplicate-unknown-register", "duplicate-operand", "wrong-level",
          "unknown-cbit", "label-on-unknown-qubit", "num-cbits-too-small",
-         "num-cbits-too-large"],
+         "num-cbits-too-large", "cnot-one-operand", "h-no-operand", "h-two-operands",
+         "measure-negative-cbit", "measure-rewrites-bit", "h-with-cbit"],
 )
 def test_json_loader_validates(lowered, edit):
     circ = build(Design.OUT_FT_QCLA1, 2)
@@ -139,6 +148,33 @@ def test_json_loader_validates(lowered, edit):
     edit(data)
     with pytest.raises((JsonIrError, CircuitError)):
         from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: {k: v for k, v in d.items() if k != "level"},
+        lambda d: {**d, "level": "x"},
+        lambda d: {**d, "gates": d["gates"] + [{"kind": "rx", "qubits": [["A", 0]]}]},
+        lambda d: {**d, "labels": {"A0": "s9"}},
+        lambda d: {**d, "labels": {"A[1x": "s9"}},
+        lambda d: {**d, "gates": d["gates"] + [{"kind": "not", "qubits": [["A", "0"]]}]},
+        lambda d: {**d, "registers": [{**d["registers"][0], "size": 2.0}] + d["registers"][1:]},
+        lambda d: [d],
+    ],
+    ids=["missing-level", "unknown-level", "unknown-kind", "label-key-without-brackets",
+         "label-key-trailing-text", "string-qubit-index", "float-register-size",
+         "top-level-list"],
+)
+def test_json_loader_rejects_malformed_documents(edit):
+    data = edit(json.loads(to_json(build(Design.OUT_FT_QCLA1, 2))))
+    with pytest.raises(JsonIrError):
+        from_json(json.dumps(data))
+
+
+def test_json_loader_rejects_invalid_json_text():
+    with pytest.raises(JsonIrError):
+        from_json('{"schema": "qcla-ir/1",')
 
 
 _QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
@@ -153,9 +189,12 @@ _QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
         "// end magic-state preparation\n",
         "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[0] == 1) { cz q[1]; }\n",
         "qubit[1] a;\n// ancilla a: bogus\n",
+        "qubit[2] q;\nbit[2] c;\nh q[0];\nc[1] = measure q[0];\nif (c[0] == 1) { x q[1]; }\n",
+        "qubit[1] a;\n// ancilla a: zero\n// begin magic-state preparation\nh a[0];\nt a[0];\n",
     ],
     ids=["conditional-without-measurement", "declared-bits-exceed-measured",
-         "magic-prologue-unknown-register", "conditional-cz-one-operand", "unknown-ancilla-init"],
+         "magic-prologue-unknown-register", "conditional-cz-one-operand", "unknown-ancilla-init",
+         "measure-skips-bit", "unterminated-magic-prologue"],
 )
 def test_qasm_parser_validates(body):
     with pytest.raises((QasmError, CircuitError)):

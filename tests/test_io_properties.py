@@ -1,0 +1,137 @@
+"""Property tests for the JSON and OpenQASM loaders.
+
+Random well-formed Clifford+T circuits round-trip byte-identically, and a
+document with one field or line changed either loads into a circuit that
+serializes again or raises one of the loaders' documented errors.
+"""
+
+import json
+import re
+
+from hypothesis import given, settings, strategies as st
+
+from qcla.ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level
+from qcla.jsonio import JsonIrError, from_json, to_json
+from qcla.qasm import QasmError, parse_qasm3, to_qasm3
+
+LOADER_ERRORS = (JsonIrError, QasmError, CircuitError)
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+ONE_QUBIT = [GateKind.NOT, GateKind.H, GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG,
+             GateKind.Z, GateKind.MEASURE_X, GateKind.CC_X]
+TWO_QUBIT = [GateKind.CNOT, GateKind.CZ, GateKind.CC_Z]
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def clifford_t_circuits(draw) -> Circuit:
+    circ = Circuit(level=Level.CLIFFORD_T, ancilla_register=draw(NAMES))
+    for name in draw(st.lists(NAMES, max_size=3, unique=True)):
+        size = draw(st.integers(0, 4))
+        inits = draw(st.none() | st.lists(st.sampled_from(AncillaInit), min_size=size,
+                                          max_size=size))
+        circ.add_register(name, size, inits)
+    qubits = list(circ.qubits())
+    if not qubits:
+        return circ
+    kinds = ONE_QUBIT + (TWO_QUBIT if len(qubits) >= 2 else [])
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(kinds))
+        arity = 2 if kind in TWO_QUBIT else 1
+        operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
+                                 unique=True))
+        cbit = None
+        if kind in (GateKind.CC_X, GateKind.CC_Z):
+            if not circ.num_cbits:
+                continue
+            cbit = draw(st.integers(0, circ.num_cbits - 1))
+        circ.append(Gate(kind, tuple(operands), cbit))
+    for q in draw(st.lists(st.sampled_from(qubits), unique=True)):
+        circ.labels[q] = draw(st.text(max_size=4))
+    return circ
+
+
+@SETTINGS
+@given(clifford_t_circuits())
+def test_json_round_trip_is_byte_identical(circ):
+    text = to_json(circ)
+    back = from_json(text)
+    assert to_json(back) == text
+    assert back.structural_key() == circ.structural_key()
+
+
+@SETTINGS
+@given(clifford_t_circuits())
+def test_qasm_round_trip_is_byte_identical(circ):
+    text = to_qasm3(circ)
+    back = parse_qasm3(text)
+    assert to_qasm3(back) == text
+    assert back.gates == circ.gates and back.num_cbits == circ.num_cbits
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) in a JSON document, containers included."""
+    yield prefix, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+REPLACEMENTS = st.sampled_from(
+    [None, -1, 0, 1, 2, 99, True, 1.5, "", "x", "A[0]", "measure_x", "magic_a", [], {},
+     ["A", 0], [["A", 0]], "toffoli", "cliffordt"]
+)
+
+
+def _loads_cleanly(circ: Circuit) -> None:
+    """A circuit a loader accepted serializes and loads again."""
+    assert from_json(to_json(circ)).structural_key() == circ.structural_key()
+    if circ.level is Level.CLIFFORD_T:
+        assert parse_qasm3(to_qasm3(circ)).gates == circ.gates
+
+
+@SETTINGS
+@given(clifford_t_circuits(), st.data())
+def test_json_single_field_mutation_raises_only_loader_errors(circ, data):
+    doc = json.loads(to_json(circ))
+    path, _ = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(REPLACEMENTS)
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent.pop(path[-1])
+    try:
+        back = from_json(json.dumps(doc))
+    except LOADER_ERRORS:
+        return
+    _loads_cleanly(back)
+
+
+TOKENS = st.sampled_from(["h", "x", "cz", "cx", "t", "measure", "q", "c", "anc", "0", "1",
+                          "7", "//", ";", ",", "{", "}", "[", "]", "zero", "magic_a", ""])
+
+
+@SETTINGS
+@given(clifford_t_circuits(), st.data())
+def test_qasm_single_line_mutation_raises_only_loader_errors(circ, data):
+    lines = to_qasm3(circ).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["delete", "duplicate", "token"]))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = re.split(r"(\W)", lines[i])
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+        lines[i] = "".join(tokens)
+    try:
+        back = parse_qasm3("\n".join(lines) + "\n")
+    except LOADER_ERRORS:
+        return
+    _loads_cleanly(back)

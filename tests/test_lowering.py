@@ -10,6 +10,7 @@ from qcla.ir import (
     Level,
     QubitRef,
     T_KINDS,
+    load_circuit,
     new_circuit,
     temp_and,
     toffoli,
@@ -113,3 +114,17 @@ def test_reused_ancillae_get_reset_gates():
 def test_out_of_place_has_no_resets():
     lowered = lower(build(Design.OUT_FT_QCLA1, 8))
     assert not any(g.kind is GateKind.CC_X for g in lowered.gates)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_lowered_stream_passes_load_circuit(design):
+    """`lower` skips Circuit.append; replaying its output through the validator
+    must give the same circuit."""
+    for n in range(1, 17):
+        lowered = lower(build(design, n))
+        registers = [(r.name, r.size, r.inits) for r in lowered.registers.values()]
+        replay = load_circuit(
+            lowered.level, registers, lowered.gates, lowered.num_cbits,
+            lowered.labels, lowered.ancilla_register,
+        )
+        assert replay.structural_key() == lowered.structural_key()
