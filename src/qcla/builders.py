@@ -175,26 +175,30 @@ def round_indices(kind: RoundKind, n: int, literal: bool = False) -> list[RoundT
     raise ValueError(f"unknown round kind {kind}")
 
 
-def cla_reference(a: int, b: int, n: int) -> int:
-    """Classical carry-lookahead oracle: the generate/propagate recurrence.
+def cla_masks(a_masks: list[int], b_masks: list[int]) -> list[int]:
+    """Classical carry-lookahead oracle, bit-sliced: the generate/propagate recurrence.
 
-    Computes the (n+1)-bit sum through per-bit generate g_i = a_i & b_i and
-    propagate p_i = a_i ^ b_i with carries c_{i+1} = (p_i & c_i) | g_i, never
-    through native addition.
+    a_masks[i] and b_masks[i] hold operand bit i, one bit per input slot.
+    Computes generate g_i = a_i & b_i, propagate p_i = a_i ^ b_i, sum bits
+    s_i = p_i ^ c_i and carries c_{i+1} = (p_i & c_i) | g_i on every slot at
+    once, never through native addition, and returns the n + 1 sum masks.
     """
+    sums, c = [], 0
+    for a, b in zip(a_masks, b_masks, strict=True):
+        p = a ^ b
+        sums.append(p ^ c)
+        c = (p & c) | (a & b)
+    return sums + [c]
+
+
+def cla_reference(a: int, b: int, n: int) -> int:
+    """The (n+1)-bit sum a + b from :func:`cla_masks` on one input slot."""
     if n < 1:
         raise ValueError("width must be >= 1")
     if not 0 <= a < 2**n or not 0 <= b < 2**n:
         raise ValueError(f"operands must lie in [0, 2^{n})")
-    p = [(a >> i & 1) ^ (b >> i & 1) for i in range(n)]
-    g = [(a >> i & 1) & (b >> i & 1) for i in range(n)]
-    c = g[0]
-    s = p[0]
-    for i in range(1, n):
-        s |= (c ^ p[i]) << i
-        c = (p[i] & c) | g[i]
-    s |= c << n
-    return s
+    bits = cla_masks([a >> i & 1 for i in range(n)], [b >> i & 1 for i in range(n)])
+    return sum(bit << i for i, bit in enumerate(bits))
 
 
 class _Net:

@@ -179,10 +179,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_validation(full=args.full)
-    for name, ok, detail in report.checks:
+    for name, ok, detail, seconds in report.checks:
         status = "pass" if ok else "FAIL"
         suffix = f"  [{detail}]" if detail and not ok else ""
-        print(f"{status}  {name}{suffix}")
+        print(f"{status}  {seconds:7.3f} s  {name}{suffix}")
     print(f"known discrepancies reproduced: {len(report.discrepancies)}")
     for d in report.discrepancies:
         print(f"  - {d.id}: {d.values}")

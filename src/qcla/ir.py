@@ -241,6 +241,10 @@ class Circuit:
         return reg is not None and 0 <= q.index < reg.size
 
     def add_register(self, name: str, size: int, inits: list[AncillaInit] | None = None) -> None:
+        """Add a register.  Its name must be an identifier other than ``c``, the
+        classical register of the OpenQASM export."""
+        if not name.isidentifier() or name == "c":
+            raise CircuitError(f"register name {name!r} is not an identifier other than 'c'")
         if name in self.registers:
             raise CircuitError(f"duplicate register name {name!r}")
         self.registers[name] = Register(name, size, inits)

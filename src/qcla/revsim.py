@@ -11,15 +11,15 @@ One executor serves single inputs and batches: it carries one bitmask per
 qubit (bit i of the mask = that qubit's value on input number i), so gates
 become bitwise integer operations.  ``run_basis`` runs it on one input;
 ``exhaustive_check`` evaluates all 2^(2n) operand pairs and ``random_check``
-a random sample, each in one pass.
+a random sample, each in one pass checked against the bit-sliced oracle
+``cla_masks``; both also require every ancilla to end spent or 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .builders import Design, build, cla_reference
+from .builders import Design, build, cla_masks
 from .ir import Circuit, GateKind, Level, QubitRef
 
 
@@ -188,42 +188,79 @@ class CheckReport:
         return f"{self.design} n={self.n}: {self.total - len(self.mismatches)}/{self.total} {status}"
 
 
-def _index_bit_mask(bit: int, total_bits: int) -> int:
-    """Bitmask over 2^total_bits positions whose index has ``bit`` set."""
-    block = (1 << (1 << bit)) - 1
-    period = 1 << (bit + 1)
-    mask = 0
-    for start in range(1 << bit, 1 << total_bits, period):
-        mask |= block << start
-    return mask
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of result[i] is bit i of rows[j].
+
+    Every row must be a non-negative integer of at most ``width`` bits.  It
+    packs operand values into per-qubit slot masks and unpacks sum-bit masks
+    into per-slot values.
+    """
+    if rows and (min(rows) < 0 or max(rows) >> width):
+        raise ValueError(f"transpose row does not fit in {width} bits")
+    if not rows or not width:
+        return [0] * width
+    fmt = f"0{width}b"
+    # most significant character first, so the last row is the top bit of each column
+    columns = zip(*[format(r, fmt) for r in reversed(rows)])
+    return [int("".join(col), 2) for col in columns][::-1]
 
 
 def _check_batch(
     design: Design,
     n: int,
+    a_values: list[int],
+    b_values: list[int],
     a_masks: list[int],
     b_masks: list[int],
-    total: int,
-    find_mismatches: Callable[[list[int]], list[tuple[int, int, int, int]]],
+    exhaustive: bool,
 ) -> CheckReport:
-    """Run ``total`` operand pairs packed into the A/B masks in one pass.
+    """Run operand pair (a_values[i], b_values[i]) on slot i, all in one pass.
 
-    ``find_mismatches`` receives the final mask of each sum bit s0..sn and
-    returns the wrong (a, b, expected, got) rows.  Contract violations that
-    stop the run are reported as assertion failures, as are failed
-    uncomputes; both operands (only A for in-place designs) must come back.
+    ``a_masks`` and ``b_masks`` hold the same operands transposed: bit i of
+    a_masks[k] is bit k of a_values[i].  The sum-bit masks are compared with
+    the bit-sliced oracle ``cla_masks`` and with native a + b; the first 8
+    wrong slots become (a, b, a + b, got) rows in slot order.  With
+    ``exhaustive`` an oracle that disagrees with native addition raises
+    AssertionError, and a truncated list ends in a (-1, -1, -1, -1) marker.
+    Contract violations that stop the run, failed uncomputes and ancillae
+    left dirty are assertion failures; both operands (only A for in-place
+    designs) must come back.
     """
+    total = len(a_values)
+    expected = cla_masks(a_masks, b_masks)
+    native = _transpose([a + b for a, b in zip(a_values, b_values)], n + 1)
+    oracle_bad = 0
+    for want, nat in zip(expected, native):
+        oracle_bad |= want ^ nat
+    if exhaustive and oracle_bad:
+        i = (oracle_bad & -oracle_bad).bit_length() - 1
+        raise AssertionError(f"oracle self-check failed at a={a_values[i]} b={b_values[i]}")
+
     circ = build(design, n)
     bits = dict.fromkeys(circ.qubits(), 0)
     for i in range(n):
         bits[QubitRef("A", i)] = a_masks[i]
         bits[QubitRef("B", i)] = b_masks[i]
+    spent: set[QubitRef] = set()
     failures: list[Exception] = []
     try:
-        _run_masks(circ, bits, set(), (1 << total) - 1, failures)
+        _run_masks(circ, bits, spent, (1 << total) - 1, failures)
     except (SpentQubitUseError, UncomputeAssertionError) as exc:
         failures.append(exc)
+        finished = False
+    else:
+        finished = True
 
+    sums = sum_qubits(circ)
+    assertions = [str(f) for f in failures]
+    if finished:  # every ancilla not holding a sum bit must end spent or 0
+        outputs = set(sums.values())
+        for q, mask in bits.items():
+            if mask and q not in spent and q not in outputs and circ.registers[q.reg].is_ancilla:
+                assertions.append(
+                    f"ancilla {q} ({circ.labels.get(q, 'unlabelled')}) not clean on "
+                    f"{mask.bit_count()} inputs"
+                )
     restored = {"A": a_masks} if design.in_place else {"A": a_masks, "B": b_masks}
     restoration = [
         f"{reg}[{i}] not restored"
@@ -231,72 +268,46 @@ def _check_batch(
         for i in range(n)
         if bits[QubitRef(reg, i)] != masks[i]
     ]
-    sums = sum_qubits(circ)
     labels_ok = set(sums) == set(range(n + 1))
+    mismatches: list[tuple[int, int, int, int]] = []
+    if labels_ok:
+        got = [bits[sums[j]] for j in range(n + 1)]
+        bad = oracle_bad
+        for mask, want in zip(got, expected):
+            bad |= mask ^ want
+        got_values = _transpose(got, total) if bad else []
+        while bad and len(mismatches) < 8:
+            i = (bad & -bad).bit_length() - 1
+            a, b = a_values[i], b_values[i]
+            mismatches.append((a, b, a + b, got_values[i]))
+            bad &= bad - 1
+        if exhaustive and bad:
+            mismatches.append((-1, -1, -1, -1))  # truncated marker
     return CheckReport(
         design=design.value,
         n=n,
         total=total,
-        mismatches=find_mismatches([bits[sums[j]] for j in range(n + 1)]) if labels_ok else [],
-        assertion_failures=[str(f) for f in failures],
+        mismatches=mismatches,
+        assertion_failures=assertions,
         restoration_failures=restoration,
         labels_ok=labels_ok,
     )
 
 
-def _bit_column(values: list[int], bit: int) -> int:
-    """The integer whose bit j is bit ``bit`` of values[j].
-
-    Packs operands into per-qubit masks and reads one slot back out of the
-    sum-bit masks: both are transposes of a bit matrix.
-    """
-    return sum(((v >> bit) & 1) << j for j, v in enumerate(values))
-
-
 def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
     """Run every (a, b) pair through the built circuit and compare with the oracle.
 
-    The oracle is the classical generate/propagate recurrence, cross-checked
-    against native addition.  Also verifies operand restoration and that the
-    final wire-name map points at the right qubits.
+    The oracle is the bit-sliced generate/propagate recurrence, cross-checked
+    against native addition.  Also verifies operand restoration, clean
+    ancillae and that the final wire-name map points at the right qubits.
     """
     if n > max_n:
         raise ValueError(f"exhaustive check capped at n = {max_n}")
-    width = 2 * n  # input index = (a << n) | b
-    total = 1 << width
+    indices = range(1 << (2 * n))  # input index = (a << n) | b
     low = (1 << n) - 1
-    # expected sum masks from the oracle (and oracle self-check vs native +)
-    expected = [0] * (n + 1)
-    for idx in range(total):
-        a, b = idx >> n, idx & low
-        s = cla_reference(a, b, n)
-        if s != a + b:
-            raise AssertionError(f"oracle self-check failed at a={a} b={b}")
-        for j in range(n + 1):
-            expected[j] |= ((s >> j) & 1) << idx
-
-    def find_mismatches(sums: list[int]) -> list[tuple[int, int, int, int]]:
-        bad = 0
-        for got, want in zip(sums, expected):
-            bad |= got ^ want
-        mismatches = []
-        while bad and len(mismatches) < 8:
-            idx = (bad & -bad).bit_length() - 1
-            a, b = idx >> n, idx & low
-            mismatches.append((a, b, a + b, _bit_column(sums, idx)))
-            bad &= bad - 1
-        if len(mismatches) == 8:
-            mismatches.append((-1, -1, -1, -1))  # truncated marker
-        return mismatches
-
-    return _check_batch(
-        design,
-        n,
-        [_index_bit_mask(n + i, width) for i in range(n)],
-        [_index_bit_mask(i, width) for i in range(n)],
-        total,
-        find_mismatches,
-    )
+    masks = _transpose(indices, 2 * n)
+    a_values, b_values = [i >> n for i in indices], [i & low for i in indices]
+    return _check_batch(design, n, a_values, b_values, masks[n:], masks[:n], True)
 
 
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
@@ -305,24 +316,6 @@ def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckRep
 
     rng = _random.Random(seed)
     samples = [(rng.randrange(2**n), rng.randrange(2**n)) for _ in range(pairs)]
-
-    def find_mismatches(sums: list[int]) -> list[tuple[int, int, int, int]]:
-        mismatches = []
-        for j, (a, b) in enumerate(samples):
-            want = cla_reference(a, b, n)
-            got = _bit_column(sums, j)
-            if got != want or want != a + b:
-                mismatches.append((a, b, a + b, got))
-                if len(mismatches) >= 8:
-                    break
-        return mismatches
-
     a_values, b_values = [a for a, _ in samples], [b for _, b in samples]
-    return _check_batch(
-        design,
-        n,
-        [_bit_column(a_values, i) for i in range(n)],
-        [_bit_column(b_values, i) for i in range(n)],
-        pairs,
-        find_mismatches,
-    )
+    a_masks, b_masks = _transpose(a_values, n), _transpose(b_values, n)
+    return _check_batch(design, n, a_values, b_values, a_masks, b_masks, False)

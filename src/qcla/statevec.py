@@ -104,10 +104,13 @@ def _prob_one(state: State, mask: int) -> float:
     return sum(abs(v) ** 2 for k, v in state.items() if k & mask)
 
 
-def _project(state: State, mask: int, outcome: int, prob: float) -> State:
+def _project(state: State, mask: int, outcome: int) -> State:
+    """Keep the amplitudes with the measured bit equal to ``outcome``, renormalised
+    by their own norm, so rounding in the outcome probability cannot accumulate."""
     keep = mask if outcome else 0
-    norm = sqrt(prob)
-    return {k: v / norm for k, v in state.items() if k & mask == keep}
+    kept = {k: v for k, v in state.items() if k & mask == keep}
+    norm = sqrt(sum(abs(v) ** 2 for v in kept.values()))
+    return {k: v / norm for k, v in kept.items()}
 
 
 def initial_vector(circ: Circuit, register_values: dict[str, int]) -> State:
@@ -201,7 +204,7 @@ def _run_branches(
                             raise SimulationError(f"branch count exceeds the cap of {BRANCH_CAP}")
                         bits2 = list(cbits)
                         bits2[gate.cbit] = 1
-                        stack.append((gi + 1, _project(state, m, 1, p[1]), prob * p[1], bits2))
+                        stack.append((gi + 1, _project(state, m, 1), prob * p[1], bits2))
                     outcome = live[0]
                 elif isinstance(strategy, FixedOutcomes):
                     outcome = strategy.outcomes[gate.cbit]
@@ -211,7 +214,7 @@ def _run_branches(
                         )
                 else:
                     outcome = int(rng.random() < p[1])
-                state = _project(state, m, outcome, p[outcome])
+                state = _project(state, m, outcome)
                 prob *= p[outcome]
                 cbits[gate.cbit] = outcome
             elif kind not in (GateKind.CC_X, GateKind.CC_Z):

@@ -11,6 +11,7 @@ ledger and do not fail verification.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -150,19 +151,26 @@ class ValidationReport:
     rows: list[CostRow] = field(default_factory=list)
     savings_table: list[dict] = field(default_factory=list)
     discrepancies: list[Discrepancy] = field(default_factory=list)
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    # (name, passed, detail, seconds since the previous check was recorded)
+    checks: list[tuple[str, bool, str, float]] = field(default_factory=list)
+    _clock: float = field(default_factory=time.perf_counter, repr=False)
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(ok for _, ok, _, _ in self.checks)
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
+        now = time.perf_counter()
+        self.checks.append((name, bool(ok), detail, now - self._clock))
+        self._clock = now
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in self.checks],
+            "checks": [
+                {"name": n, "passed": ok, "detail": d, "seconds": round(s, 3)}
+                for n, ok, d, s in self.checks
+            ],
             "cost_rows": [vars(r) for r in self.rows],
             "savings": self.savings_table,
             "discrepancies": [

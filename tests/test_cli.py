@@ -71,6 +71,12 @@ def test_verify_writes_report(tmp_path, capsys):
     assert len(data["discrepancies"]) == 5
     out = capsys.readouterr().out
     assert out.count("pass") >= 10
+    # each check carries its own run time, in the report and on its line
+    for check in data["checks"]:
+        assert list(check) == ["name", "passed", "detail", "seconds"]
+        assert check["seconds"] >= 0
+        line = next(ln for ln in out.splitlines() if ln.endswith(check["name"]))
+        assert f"{check['seconds']:.3f} s" in line
 
 
 def test_sim_statevector_over_branch_cap_is_usage_error(capsys):

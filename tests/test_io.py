@@ -199,3 +199,18 @@ _QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 def test_qasm_parser_validates(body):
     with pytest.raises((QasmError, CircuitError)):
         parse_qasm3(_QASM_HEAD + body)
+
+
+@pytest.mark.parametrize("name", ["a b", "9q", "c", "", "q;"])
+def test_json_loader_rejects_bad_register_names(name):
+    data = json.loads(to_json(build(Design.OUT_FT_QCLA1, 2)))
+    data["registers"][0]["name"] = name
+    with pytest.raises(CircuitError, match="register name"):
+        from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("body", ["qubit[1] 9q;\nx 9q[0];\n", "qubit[2] c;\nx c[0];\n"],
+                         ids=["leading-digit", "reserved-c"])
+def test_qasm_parser_rejects_bad_register_names(body):
+    with pytest.raises(CircuitError, match="register name"):
+        parse_qasm3(_QASM_HEAD + body)

@@ -20,7 +20,7 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=N
 ONE_QUBIT = [GateKind.NOT, GateKind.H, GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG,
              GateKind.Z, GateKind.MEASURE_X, GateKind.CC_X]
 TWO_QUBIT = [GateKind.CNOT, GateKind.CZ, GateKind.CC_Z]
-NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(lambda s: s != "c")
 
 
 @st.composite

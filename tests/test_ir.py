@@ -37,6 +37,19 @@ def test_new_circuit_duplicate_name():
         new_circuit([("A", 2, None), ("A", 3, None)])
 
 
+@pytest.mark.parametrize("name", ["a b", "9q", "c", "", "q[0]", "x-y"])
+def test_add_register_rejects_bad_names(name):
+    circ = new_circuit([])
+    with pytest.raises(CircuitError, match="register name"):
+        circ.add_register(name, 1)
+    assert not circ.registers
+
+
+def test_add_register_accepts_identifiers():
+    circ = new_circuit([("c0", 1, None), ("_anc", 1, [ZERO]), ("cc", 0, None)])
+    assert list(circ.registers) == ["c0", "_anc", "cc"]
+
+
 def test_append_cnot():
     circ = new_circuit([("A", 2, None)])
     circ.append(cnot(QubitRef("A", 0), QubitRef("A", 1)))

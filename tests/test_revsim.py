@@ -1,14 +1,26 @@
 """Reversible simulator: semantics, contract enforcement, exhaustive checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcla.builders import Design, build
-from qcla.ir import AncillaInit, QubitRef, cnot, new_circuit, not_, temp_and, uncompute
+from qcla.builders import Design, build, cla_masks
+from qcla.ir import (
+    AncillaInit,
+    Gate,
+    GateKind,
+    QubitRef,
+    cnot,
+    new_circuit,
+    not_,
+    temp_and,
+    uncompute,
+)
 
 MAGIC = AncillaInit.MAGIC_A
 from qcla.revsim import (
     SpentQubitUseError,
     UncomputeAssertionError,
+    _transpose,
     exhaustive_check,
     initial_state,
     random_check,
@@ -120,3 +132,109 @@ def test_random_pairs_large_widths(design, n):
 def test_exhaustive_cap():
     with pytest.raises(ValueError):
         exhaustive_check(Design.OUT_FT_QCLA1, 7)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 130), st.integers(1, 300), st.randoms(use_true_random=False))
+def test_transpose_and_bit_sliced_oracle(width, slots, rng):
+    """_transpose is its own inverse, and cla_masks gives the bit columns of a + b."""
+    a = [rng.getrandbits(width) for _ in range(slots)]
+    b = [rng.getrandbits(width) for _ in range(slots)]
+    a_masks, b_masks = _transpose(a, width), _transpose(b, width)
+    assert len(a_masks) == width and all(m >> slots == 0 for m in a_masks)
+    for i in (0, width - 1):
+        assert [(a_masks[i] >> j) & 1 for j in (0, slots - 1)] == [a[0] >> i & 1, a[-1] >> i & 1]
+    assert _transpose(a_masks, slots) == a
+    assert cla_masks(a_masks, b_masks) == _transpose([x + y for x, y in zip(a, b)], width + 1)
+
+
+@pytest.mark.parametrize("rows, width", [([4], 2), ([1, 2, 8], 3), ([-1], 4), ([1], 0)])
+def test_transpose_rejects_rows_wider_than_width(rows, width):
+    with pytest.raises(ValueError, match="does not fit"):
+        _transpose(rows, width)
+
+
+def _swap_toffoli_control(circ):
+    # the first Toffoli merges g[0,1] and p[1,2]; A[0] replaces g[0,1]
+    i = next(i for i, g in enumerate(circ.gates) if g.kind is GateKind.TOFFOLI)
+    _, c2, tgt = circ.gates[i].qubits
+    circ.gates[i] = Gate(GateKind.TOFFOLI, (QubitRef("A", 0), c2, tgt))
+
+
+def _wrong_cnot_target(circ):
+    # step 7 folds p1 into the carry holding s1; send it to s2 instead
+    sums = {label: q for q, label in circ.labels.items()}
+    i = circ.gates.index(cnot(QubitRef("B", 1), sums["s1"]))
+    circ.gates[i] = cnot(QubitRef("B", 1), sums["s2"])
+
+
+def _corrupted(monkeypatch, corrupt):
+    circuits = []
+
+    def corrupted_build(design, n):
+        circ = build(design, n)
+        corrupt(circ)
+        circuits.append(circ)
+        return circ
+
+    monkeypatch.setattr("qcla.revsim.build", corrupted_build)
+    return circuits
+
+
+@pytest.mark.parametrize("corrupt", [_swap_toffoli_control, _wrong_cnot_target])
+@pytest.mark.parametrize("check", ["exhaustive", "random"])
+def test_fault_reports_match_single_input_runs(monkeypatch, corrupt, check):
+    """Each reported row holds a + b and what run_basis computes on that input."""
+    circuits = _corrupted(monkeypatch, corrupt)
+    if check == "exhaustive":
+        report = exhaustive_check(Design.OUT_FT_QCLA2, 4)
+    else:
+        report = random_check(Design.OUT_FT_QCLA2, 64, pairs=256, seed=3)
+    assert not report.passed and not report.assertion_failures
+    rows = [row for row in report.mismatches if row[0] >= 0]
+    assert rows and len(rows) <= 8
+    if check == "random":
+        assert len(rows) == len(report.mismatches)  # no truncation marker
+    circ, = circuits
+    for a, b, expected, got in rows:
+        assert expected == a + b
+        assert got != a + b
+        assert got == read_labeled(circ, run_basis(circ, initial_state(circ, {"A": a, "B": b})))
+
+
+def test_exhaustive_rows_come_in_input_order(monkeypatch):
+    _corrupted(monkeypatch, _wrong_cnot_target)
+    report = exhaustive_check(Design.OUT_FT_QCLA1, 3)
+    indices = [(a << 3) | b for a, b, _, _ in report.mismatches[:8]]
+    assert indices == sorted(indices) and report.mismatches[-1] == (-1, -1, -1, -1)
+
+
+def test_corrupted_oracle_is_caught(monkeypatch):
+    def off_on_slot_0(a_masks, b_masks):
+        return [m ^ 1 for m in cla_masks(a_masks, b_masks)]
+
+    monkeypatch.setattr("qcla.revsim.cla_masks", off_on_slot_0)
+    with pytest.raises(AssertionError, match="oracle self-check failed at a=0 b=0"):
+        exhaustive_check(Design.OUT_FT_QCLA1, 3)
+    report = random_check(Design.OUT_FT_QCLA1, 16, pairs=32, seed=5)
+    assert not report.passed
+    (a, b, expected, got), = report.mismatches  # slot 0 only; the circuit is right
+    assert expected == got == a + b
+
+
+@pytest.mark.parametrize("design", list(Design))
+@pytest.mark.parametrize("which", [0, -1])
+@pytest.mark.parametrize("check", ["exhaustive", "random"])
+def test_dropped_uncompute_leaves_a_dirty_ancilla(monkeypatch, design, which, check):
+    """Deleting one uncompute gate fails through the clean-ancilla rule."""
+
+    def drop_uncompute(circ):
+        del circ.gates[[i for i, g in enumerate(circ.gates) if g.kind is GateKind.UNCOMPUTE][which]]
+
+    _corrupted(monkeypatch, drop_uncompute)
+    if check == "exhaustive":
+        report = exhaustive_check(design, 4)
+    else:
+        report = random_check(design, 4, pairs=256)
+    assert not report.passed
+    assert any(" not clean on " in f or " not fresh " in f for f in report.assertion_failures)

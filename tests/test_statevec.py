@@ -190,6 +190,18 @@ def test_seeded_branch_reads_sum_at_n64(design):
         assert out.labeled_int("s") == cla_reference(a, b, n)
 
 
+@pytest.mark.parametrize("design", list(Design))
+@pytest.mark.parametrize("n", [16, 64])
+def test_all_zero_outcomes_keep_the_norm(design, n):
+    """Projection renormalises by the kept amplitudes, so a long run of outcome-0
+    measurements does not drift the state norm."""
+    circ = lower(build(design, n))
+    a, b = 2**n - 1, 1
+    out, = simulate(circ, {"A": a, "B": b}, FixedOutcomes((0,) * circ.num_cbits))
+    assert out.labeled_int("s") == a + b
+    assert out.probability == pytest.approx(2.0**-circ.num_cbits, rel=1e-9)
+
+
 def test_amplitude_cap_enforced(monkeypatch):
     from qcla import statevec
     from qcla.ir import h as h_gate
