@@ -27,13 +27,13 @@ print("gate histogram:", hist)
 # ---------------------------------------------------------------------------
 # The wire-name map: where each output lives when the circuit finishes.
 print("\nsum bit positions:")
-sum_labels = {l: q for q, l in circ.labels.items() if l.startswith("s") and l[1:].isdigit()}
+sum_bits = circ.labeled("s")
 for i in range(9):
-    print(f"  s{i}: {sum_labels[f's{i}']}")
+    print(f"  s{i}: {sum_bits[i]}")
 
 # ---------------------------------------------------------------------------
 # The in-place variant overwrites B with the sum and parks the carry-out on Z.
 in_circ = build(Design.IN_FT_QCLA1, 8)
 print("\nin-place variant:")
 print(f"  qubits: {in_circ.num_qubits}")
-print(f"  s8 lives on: {[q for q, l in in_circ.labels.items() if l == 's8'][0]}")
+print(f"  s8 lives on: {in_circ.labeled('s')[8]}")

@@ -9,6 +9,10 @@ gadget ancilla.
 
 Bit 0 is the least significant bit everywhere; register qubit i holds
 bit i of the operand.
+
+Only final wire labels are written (see ``ir``).  An ancilla enters the map
+as ``spent`` at its first temporary-AND and sum labels are written last, as
+the map's insertion order is part of the emitted JSON bytes.
 """
 
 from __future__ import annotations
@@ -210,31 +214,23 @@ class _Net:
         # live wire maps: interval (lo, hi) -> qubit currently holding the value
         self.p: dict[tuple[int, int], QubitRef] = {}
         self.g: dict[tuple[int, int], QubitRef] = {}
-        # ancillae spent so far (in spend order), and the pool alloc reuses first
+        # ancillae spent so far (in spend order), and the pool emit_and reuses first
         self.spent: list[QubitRef] = []
         self.pool: list[QubitRef] = []
 
-    def alloc(self, label: str) -> QubitRef:
-        if self.pool:
-            q = self.pool.pop(0)
-        else:
-            q = self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
-        self.circ.labels[q] = label
+    def emit_and(self, c1: QubitRef, c2: QubitRef) -> QubitRef:
+        """Temporary-AND onto a pooled or fresh magic ancilla, labelled spent."""
+        q = self.pool.pop(0) if self.pool else self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
+        self.circ.labels[q] = "spent"
+        self.circ.append(temp_and(c1, c2, q))
         return q
-
-    def emit_and(self, c1: QubitRef, c2: QubitRef, label: str) -> QubitRef:
-        tgt = self.alloc(label)
-        self.circ.append(temp_and(c1, c2, tgt))
-        return tgt
 
     def emit_carry_merge(self, c1: QubitRef, c2: QubitRef, target: QubitRef) -> None:
         """Toffoli action onto target, via AND pair or a plain Toffoli."""
         if self.use_pairs:
-            tmp = self.alloc("tmp")
-            self.circ.append(temp_and(c1, c2, tmp))
+            tmp = self.emit_and(c1, c2)
             self.circ.append(cnot(tmp, target))
             self.circ.append(uncompute(c1, c2, tmp))
-            self.circ.labels[tmp] = "spent"
             self.spent.append(tmp)
         else:
             self.circ.append(toffoli(c1, c2, target))
@@ -242,7 +238,7 @@ class _Net:
     def p_round(self, triples: list[RoundTriple]) -> None:
         for tr in triples:
             src1, src2 = self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)]
-            self.p[(tr.j, tr.k)] = self.emit_and(src1, src2, f"p[{tr.j},{tr.k}]")
+            self.p[(tr.j, tr.k)] = self.emit_and(src1, src2)
 
     def merge_round(self, triples: list[RoundTriple]) -> None:
         # G and C merges (C triples have j = 0): g[l,k] becomes g[j,k]
@@ -250,7 +246,6 @@ class _Net:
             tgt = self.g.pop((tr.l, tr.k))
             self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
             self.g[(tr.j, tr.k)] = tgt
-            self.circ.labels[tgt] = f"g[{tr.j},{tr.k}]"
 
     def unmerge_round(self, triples: list[RoundTriple]) -> None:
         # inverse of merge_round: g[j,k] reverts to g[l,k]
@@ -258,13 +253,11 @@ class _Net:
             tgt = self.g.pop((tr.j, tr.k))
             self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
             self.g[(tr.l, tr.k)] = tgt
-            self.circ.labels[tgt] = f"g[{tr.l},{tr.k}]"
 
     def p_erase(self, triples: list[RoundTriple]) -> None:
         for tr in triples:
             tgt = self.p.pop((tr.j, tr.k))
             self.circ.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
-            self.circ.labels[tgt] = "spent"
             self.spent.append(tgt)
 
     def forward(
@@ -275,34 +268,38 @@ class _Net:
         completed carries and span erasure."""
         n = len(A)
         for i in range(n):
+            self.circ.labels[gen[i]] = "spent"
             self.circ.append(temp_and(A[i], B[i], gen[i]))
             self.g[(i, i + 1)] = gen[i]
-            self.circ.labels[gen[i]] = f"g[{i},{i + 1}]"
         for i in range(first_p, n):
             self.circ.append(cnot(A[i], B[i]))
             self.p[(i, i + 1)] = B[i]
-            self.circ.labels[B[i]] = f"p[{i},{i + 1}]"
         self.p_round(round_indices(RoundKind.P, n))
         self.merge_round(round_indices(RoundKind.G, n))
         self.merge_round(round_indices(RoundKind.C, n))
         self.p_erase(round_indices(RoundKind.P_ERASE, n))
 
 
-def _build_out_of_place(design: Design, n: int) -> Circuit:
+def _adder_circuit(
+    n: int, out_register: tuple[str, int, list[AncillaInit]], ancilla_register: str
+) -> tuple[Circuit, list[QubitRef], list[QubitRef]]:
+    """A circuit with data registers A and B, labelled a<i> and b<i>
+    interleaved, then ``out_register``; returns it with the A and B qubits."""
     circ = new_circuit(
-        [
-            ("A", n, None),
-            ("B", n, None),
-            ("X", n + 1, [AncillaInit.ZERO] + [AncillaInit.MAGIC_A] * n),
-        ],
-        ancilla_register="Z",
+        [("A", n, None), ("B", n, None), out_register], ancilla_register=ancilla_register
     )
     A = [QubitRef("A", i) for i in range(n)]
     B = [QubitRef("B", i) for i in range(n)]
-    X = [QubitRef("X", i) for i in range(n + 1)]
     for i in range(n):
         circ.labels[A[i]] = f"a{i}"
         circ.labels[B[i]] = f"b{i}"
+    return circ, A, B
+
+
+def _build_out_of_place(design: Design, n: int) -> Circuit:
+    x_inits = [AncillaInit.ZERO] + [AncillaInit.MAGIC_A] * n
+    circ, A, B = _adder_circuit(n, ("X", n + 1, x_inits), ancilla_register="Z")
+    X = [QubitRef("X", i) for i in range(n + 1)]
 
     net = _Net(circ, design.uses_and_pairs)
     # Steps 1-6: generate bits onto the magic ancillae X[1..n]; propagate bits
@@ -316,7 +313,6 @@ def _build_out_of_place(design: Design, n: int) -> Circuit:
     # Step 8: restore B to b, complete s0 = a0 xor b0 on X[0].
     for i in range(1, n):
         circ.append(cnot(A[i], B[i]))
-        circ.labels[B[i]] = f"b{i}"
     circ.append(cnot(A[0], X[0]))
 
     for i in range(n + 1):
@@ -325,20 +321,8 @@ def _build_out_of_place(design: Design, n: int) -> Circuit:
 
 
 def _build_in_place(design: Design, n: int) -> Circuit:
-    circ = new_circuit(
-        [
-            ("A", n, None),
-            ("B", n, None),
-            ("Z", n, [AncillaInit.MAGIC_A] * n),
-        ],
-        ancilla_register="X",
-    )
-    A = [QubitRef("A", i) for i in range(n)]
-    B = [QubitRef("B", i) for i in range(n)]
+    circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.MAGIC_A] * n), ancilla_register="X")
     Z = [QubitRef("Z", i) for i in range(n)]
-    for i in range(n):
-        circ.labels[A[i]] = f"a{i}"
-        circ.labels[B[i]] = f"b{i}"
 
     net = _Net(circ, design.uses_and_pairs)
     # Steps 1-6: generate bits onto the Z register; propagate bits from bit 0
@@ -348,7 +332,6 @@ def _build_in_place(design: Design, n: int) -> Circuit:
     # Step 7: sum bits into B (carries stay intact on Z for uncomputation).
     for i in range(1, n):
         circ.append(cnot(net.g[(0, i)], B[i]))
-        circ.labels[B[i]] = f"s{i}"
     # Steps 8-9: complement sum bits 0..n-2 and rebuild propagate bits of the
     # (n-1)-wide network over (a, not-s), whose carry chain equals the original.
     for i in range(n - 1):
@@ -361,8 +344,6 @@ def _build_in_place(design: Design, n: int) -> Circuit:
         # forward half, one slot per gate, matching the published register sizing.
         net.pool, net.spent = net.spent, []
         net.p = {(i, i + 1): B[i] for i in range(1, n - 1)}
-        for i in range(1, n - 1):
-            circ.labels[B[i]] = f"p[{i},{i + 1}]"
         # Steps 10-13: recompute spans, unmerge carries, erase spans (width n-1).
         net.p_round(round_indices(RoundKind.REVERSE_P_ERASE, n))
         net.unmerge_round(round_indices(RoundKind.REVERSE_C, n))
@@ -374,7 +355,6 @@ def _build_in_place(design: Design, n: int) -> Circuit:
         # Step 15: erase the per-bit generate values g'_i = a_i & not-s_i.
         for i in range(n - 1):
             circ.append(uncompute(A[i], B[i], Z[i]))
-            circ.labels[Z[i]] = "spent"
     # Step 16: uncomplement; B now holds sum bits 0..n-1, Z[n-1] holds s_n.
     for i in range(n - 1):
         circ.append(not_(B[i]))

@@ -197,8 +197,16 @@ class Register:
         return self.inits is not None
 
 
-# Wire labels: "a3", "b0", "s5", "p[2,4]", "g[0,8]", "free", "spent".
+# Wire labels.  Built circuits label every qubit: operand bits "a<i>" and
+# "b<i>", sum bits "s<i>" (i in ASCII digits) and "spent" for every other
+# ancilla.  Loaded circuits may carry any string.
 WireNameMap = dict  # QubitRef -> str
+
+
+def label_index(label: str, prefix: str = "s") -> int | None:
+    """The index i of a label spelled ``prefix`` then ASCII digits, else None."""
+    digits = label[len(prefix) :] if label.startswith(prefix) else ""
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 @dataclass
@@ -231,6 +239,33 @@ class Circuit:
 
     def qubit_positions(self) -> dict[QubitRef, int]:
         return {q: i for i, q in enumerate(self.qubits())}
+
+    def labeled(self, prefix: str = "s") -> dict[int, QubitRef]:
+        """The qubits labelled ``prefix<i>`` (see :func:`label_index`), keyed by i.
+        Raises :class:`CircuitError` when two qubits spell the same index."""
+        out: dict[int, QubitRef] = {}
+        for q, label in self.labels.items():
+            i = label_index(label, prefix)
+            if i in out:
+                raise CircuitError(f"qubits {out[i]} and {q} both carry {prefix}{i}")
+            if i is not None:
+                out[i] = q
+        return out
+
+    def basis_input(self, register_values: dict[str, int]) -> dict[QubitRef, int]:
+        """One input bit per qubit, in register-table order: bit i of a register's
+        value on its qubit i, 0 on ancilla registers given no value.  Raises
+        ValueError for a data register with no value or a value that does not fit."""
+        bits: dict[QubitRef, int] = {}
+        for reg in self.registers.values():
+            value = register_values.get(reg.name)
+            if reg.inits is None and value is None:
+                raise ValueError(f"data register {reg.name!r} needs an input value")
+            if value is not None and not 0 <= value < 2**reg.size:
+                raise ValueError(f"value {value} does not fit register {reg.name!r}[{reg.size}]")
+            for i in range(reg.size):
+                bits[QubitRef(reg.name, i)] = (value or 0) >> i & 1
+        return bits
 
     def init_of(self, q: QubitRef) -> AncillaInit | None:
         reg = self.registers[q.reg]

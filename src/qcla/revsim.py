@@ -53,16 +53,7 @@ class BasisState:
 
 def initial_state(circ: Circuit, register_values: dict[str, int]) -> BasisState:
     """Build the input state: data registers from the given integers, ancillae 0."""
-    bits: dict[QubitRef, int] = {}
-    for reg in circ.registers.values():
-        value = register_values.get(reg.name)
-        if reg.inits is None and value is None:
-            raise ValueError(f"data register {reg.name!r} needs an input value")
-        if value is not None and not 0 <= value < 2**reg.size:
-            raise ValueError(f"value {value} does not fit register {reg.name!r}[{reg.size}]")
-        for i in range(reg.size):
-            bits[QubitRef(reg.name, i)] = (value >> i) & 1 if value is not None else 0
-    return BasisState(bits)
+    return BasisState(circ.basis_input(register_values))
 
 
 def _run_masks(
@@ -147,21 +138,9 @@ def read_register(circ: Circuit, state: BasisState, name: str) -> int:
 
 
 def read_labeled(circ: Circuit, state: BasisState, prefix: str = "s") -> int:
-    """Read the integer spelled by labels prefix0, prefix1, ... in the name map."""
-    value = 0
-    for q, label in circ.labels.items():
-        if label.startswith(prefix) and label[len(prefix) :].isdigit():
-            value |= state.bits[q] << int(label[len(prefix) :])
-    return value
-
-
-def sum_qubits(circ: Circuit) -> dict[int, QubitRef]:
-    """Positions of the sum bits s0..sn in the final wire-name map."""
-    out: dict[int, QubitRef] = {}
-    for q, label in circ.labels.items():
-        if label.startswith("s") and label[1:].isdigit():
-            out[int(label[1:])] = q
-    return out
+    """Read the integer spelled by the qubits labelled prefix0, prefix1, ...
+    (:meth:`Circuit.labeled`)."""
+    return sum(state.bits[q] << i for i, q in circ.labeled(prefix).items())
 
 
 @dataclass
@@ -251,7 +230,7 @@ def _check_batch(
     else:
         finished = True
 
-    sums = sum_qubits(circ)
+    sums = circ.labeled("s")
     assertions = [str(f) for f in failures]
     if finished:  # every ancilla not holding a sum bit must end spent or 0
         outputs = set(sums.values())

@@ -21,7 +21,7 @@ from itertools import product
 from math import pi, sqrt
 from typing import Sequence
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, label_index
 from .lowering import lower_temporary_and, lower_toffoli, lower_uncompute
 
 _T_PHASE = cmath.exp(1j * pi / 4)
@@ -77,10 +77,12 @@ class BranchOutcome:
     readout: dict[str, int]  # final wire label -> classical bit value
 
     def labeled_int(self, prefix: str = "s") -> int:
+        """The integer spelled by the readout of labels prefix0, prefix1, ..."""
         value = 0
         for label, bit in self.readout.items():
-            if label.startswith(prefix) and label[len(prefix) :].isdigit():
-                value |= bit << int(label[len(prefix) :])
+            i = label_index(label, prefix)
+            if i is not None:
+                value |= bit << i
         return value
 
 
@@ -116,22 +118,13 @@ def _project(state: State, mask: int, outcome: int) -> State:
 def initial_vector(circ: Circuit, register_values: dict[str, int]) -> State:
     """Tensor product of data-register basis states and ancilla init states."""
     state: State = {0: 1 + 0j}
-    mask = 1
-    for reg in circ.registers.values():
-        value = register_values.get(reg.name)
-        if reg.inits is None and value is None:
-            raise ValueError(f"data register {reg.name!r} needs an input value")
-        if value is not None and not 0 <= value < 2**reg.size:
-            raise ValueError(f"value {value} does not fit register {reg.name!r}[{reg.size}]")
-        for i in range(reg.size):
-            if reg.inits is not None and reg.inits[i] is AncillaInit.MAGIC_A:
-                state = _check_size(
-                    {k | (mask if b else 0): v * MAGIC_A_STATE[b]
-                     for k, v in state.items() for b in (0, 1)}
-                )
-            elif value is not None and (value >> i) & 1:
-                state = {k | mask: v for k, v in state.items()}
-            mask <<= 1
+    for pos, (q, bit) in enumerate(circ.basis_input(register_values).items()):
+        if circ.init_of(q) is AncillaInit.MAGIC_A:
+            state = _check_size(
+                {k | b << pos: v * MAGIC_A_STATE[b] for k, v in state.items() for b in (0, 1)}
+            )
+        elif bit:
+            state = {k | 1 << pos: v for k, v in state.items()}
     return state
 
 
@@ -146,12 +139,9 @@ def _readout(circ: Circuit, state: State, positions: dict[QubitRef, int]) -> dic
         if label in ("free", "spent"):
             continue
         p1 = _prob_one(state, 1 << positions[q])
-        if p1 > 1 - NORM_TOL:
-            out[label] = 1
-        elif p1 < NORM_TOL:
-            out[label] = 0
-        else:
+        if NORM_TOL <= p1 <= 1 - NORM_TOL:
             raise SimulationError(f"labeled output {label} on {q} is not classical (p1={p1})")
+        out[label] = int(p1 > 0.5)
     return out
 
 

@@ -181,8 +181,8 @@ class ValidationReport:
 
 
 def _check_costs(report: ValidationReport, n_max: int) -> None:
-    t_ok, q_ok, table_ok = True, True, True
-    detail = ""
+    # each check's last failure, "" while it passes
+    t_fail = table_fail = q_fail = ""
     for design in Design:
         start = 2 if design.in_place else 1
         for n in range(start, n_max + 1):
@@ -195,17 +195,14 @@ def _check_costs(report: ValidationReport, n_max: int) -> None:
                     CostRow(design.value, n, rep.t_count, per_step, table, rep.qubit_count, qf)
                 )
             if rep.t_count != per_step:
-                t_ok = False
-                detail = f"{design.value} n={n}: measured {rep.t_count} != stage sum {per_step}"
+                t_fail = f"{design.value} n={n}: measured {rep.t_count} != stage sum {per_step}"
             if design is not Design.IN_FT_QCLA1 and per_step != table:
-                table_ok = False
-                detail = f"{design.value} n={n}: stage sum {per_step} != closed form {table}"
+                table_fail = f"{design.value} n={n}: stage sum {per_step} != closed form {table}"
             if rep.qubit_count - qf != QUBIT_DELTAS[design]:
-                q_ok = False
-                detail = f"{design.value} n={n}: qubit delta {rep.qubit_count - qf}"
-    report.check("t-count conformance (measured == stage sum)", t_ok, detail)
-    report.check("closed form == stage sum (except In-FT-QCLA1)", table_ok)
-    report.check("qubit conformance (constant per-design delta, |delta| <= 1)", q_ok)
+                q_fail = f"{design.value} n={n}: qubit delta {rep.qubit_count - qf}"
+    report.check("t-count conformance (measured == stage sum)", not t_fail, t_fail)
+    report.check("closed form == stage sum (except In-FT-QCLA1)", not table_fail, table_fail)
+    report.check("qubit conformance (constant per-design delta, |delta| <= 1)", not q_fail, q_fail)
 
     in1 = Design.IN_FT_QCLA1
     delta_ok = all(
@@ -305,8 +302,7 @@ def _check_depth(report: ValidationReport, top: int) -> None:
 def _check_savings(report: ValidationReport) -> None:
     ok, detail = True, ""
     for design_label, baseline, quoted in QUOTED_SAVINGS:
-        design = next(d for d in Design if d.value == design_label)
-        fig = savings(design, baseline)
+        fig = savings(Design(design_label), baseline)
         delta = abs(fig.percent - Fraction(quoted))
         report.savings_table.append(
             {
@@ -320,8 +316,7 @@ def _check_savings(report: ValidationReport) -> None:
             ok = False
             detail = f"{design_label} vs {baseline}: computed {fig.display}, published {quoted}"
     for design_label, quoted in QUOTED_AVERAGES.items():
-        design = next(d for d in Design if d.value == design_label)
-        avg = savings_average(design)
+        avg = savings_average(Design(design_label))
         if abs(avg - Fraction(quoted)) > Fraction(1, 100):
             ok = False
             detail = f"{design_label} average: computed {round_half_up(avg)}, published {quoted}"

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
 from qcla.builders import Design, RoundKind, build, cla_reference, round_indices
-from qcla.ir import GateKind
+from qcla.ir import GateKind, QubitRef
 from qcla.jsonio import to_json
 from qcla.lowering import lower
 from qcla.resources import floor_log2, hamming_weight
@@ -148,19 +149,26 @@ def test_every_and_target_consumed_or_output(design, n):
 
 @pytest.mark.parametrize("design", list(Design))
 def test_final_labels(design):
-    n = 5
-    circ = build(design, n)
-    by_label = {lab: q for q, lab in circ.labels.items()}
-    for i in range(n + 1):
-        assert f"s{i}" in by_label
-    for i in range(n):
-        assert by_label[f"a{i}"].reg == "A"
-    if design.in_place:
-        assert all(by_label[f"s{i}"].reg == "B" for i in range(n))
-        assert by_label[f"s{n}"].reg == "Z"
-    else:
-        assert all(by_label[f"s{i}"].reg == "X" for i in range(n + 1))
-        assert all(by_label[f"b{i}"].reg == "B" for i in range(n))
+    """Every qubit ends labelled: A[i] a<i>, B[i] b<i> (out of place) or s<i>
+    (in place), each ancilla s<i> or spent, and no other spelling."""
+    b_prefix = "s" if design.in_place else "b"
+    for n in range(1, 65):
+        circ = build(design, n)
+        assert set(circ.labels) == set(circ.qubits())
+        for q, label in circ.labels.items():
+            if q.reg == "A":
+                assert label == f"a{q.index}"
+            elif q.reg == "B":
+                assert label == f"{b_prefix}{q.index}"
+            else:
+                assert circ.registers[q.reg].is_ancilla
+                assert re.fullmatch(r"spent|s(0|[1-9][0-9]*)", label), (n, q, label)
+        sums = circ.labeled("s")
+        assert sorted(sums) == list(range(n + 1))
+        if design.in_place:
+            assert sums[n] == QubitRef("Z", n - 1)
+        else:
+            assert [sums[i] for i in range(n + 1)] == [QubitRef("X", i) for i in range(n + 1)]
 
 
 def test_register_sizing_matches_design_contract():

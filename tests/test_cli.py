@@ -1,8 +1,13 @@
 """Command-line interface behavior and exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
-from qcla.cli import cli
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcla.cli import DESIGN_KEYS, cli
 
 
 def test_sim_reversible(capsys):
@@ -105,3 +110,59 @@ def test_non_integer_seed_is_usage_error(capsys, monkeypatch):
                 "--backend", "statevector", "--branches", "seed"]) == 2
     err = capsys.readouterr().err
     assert err == "error: QCLA_SEED must be an integer, got 'abc'\n"
+
+
+DESIGNS = st.sampled_from(DESIGN_KEYS)
+BAD_WIDTHS = st.sampled_from(["0", "-1", "two"])
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """argv for gen, cost, sim or compare at n <= 6 (statevector n <= 3) in which
+    at most one option takes a bad value: an unknown choice, a width below 1 or
+    not a number, an operand out of range or a malformed --branches string."""
+    command = draw(st.sampled_from(["gen", "cost", "sim", "compare"]))
+    backend = draw(st.sampled_from(["reversible", "statevector"]))
+    n = draw(st.integers(1, 3 if command == "sim" and backend == "statevector" else 6))
+    operand = st.integers(0, 2**n - 1).map(str)
+    bad_operand = st.sampled_from(["-1", str(2**n), str(2**64), "x"])
+    options = {
+        "gen": {"--design": DESIGNS, "--n": st.just(str(n)),
+                "--level": st.sampled_from(["toffoli", "cliffordt"]),
+                "--format": st.sampled_from(["json", "qasm3"])},
+        "cost": {"--design": DESIGNS, "--n-from": st.integers(1, n).map(str),
+                 "--n-to": st.just(str(n)), "--format": st.sampled_from(["table", "csv", "json"])},
+        "sim": {"--design": DESIGNS, "--n": st.just(str(n)), "--a": operand, "--b": operand,
+                "--backend": st.just(backend),
+                "--branches": st.sampled_from(["all", "seed", "seed:7", "seed:-3"])},
+        "compare": {"--table": st.sampled_from(["in", "out"]), "--n": st.just(str(n))},
+    }[command]
+    bad = {
+        "--design": st.just("bogus"), "--n": BAD_WIDTHS, "--n-from": BAD_WIDTHS,
+        "--n-to": BAD_WIDTHS, "--level": st.just("qubit"), "--format": st.just("xml"),
+        "--a": bad_operand, "--b": bad_operand,
+        "--backend": st.just("gpu"), "--branches": st.sampled_from(["seed:", "seed:x", "one", ""]),
+        "--table": st.just("both"),
+    }
+    fault = draw(st.sampled_from([None, *options]))
+    argv = [command]
+    for opt, valid in options.items():
+        argv += [opt, draw(bad[opt] if opt == fault else valid)]
+    if command == "cost" and draw(st.booleans()):
+        argv.append("--check-formulas")
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(argv=argvs(), seed=st.sampled_from([None, "7", "abc", ""]))
+def test_cli_exit_codes_without_traceback(argv, seed):
+    """Every argv of the grammar exits 0, 1 or 2 and prints no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        if seed is None:
+            mp.delenv("QCLA_SEED", raising=False)
+        else:
+            mp.setenv("QCLA_SEED", seed)
+        code = cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

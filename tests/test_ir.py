@@ -1,7 +1,10 @@
-"""Circuit IR: construction, append validation, ancilla allocation."""
+"""Circuit IR: construction, append validation, ancilla allocation, labels, inputs."""
+
+import json
 
 import pytest
 
+from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
     CircuitError,
@@ -9,10 +12,15 @@ from qcla.ir import (
     QubitRef,
     cnot,
     h,
+    label_index,
     new_circuit,
     temp_and,
     toffoli,
 )
+from qcla.jsonio import from_json, to_json
+from qcla.lowering import lower
+from qcla.revsim import initial_state, read_labeled, run_basis
+from qcla.statevec import SeededRandom, simulate
 
 ZERO, MAGIC = AncillaInit.ZERO, AncillaInit.MAGIC_A
 
@@ -107,3 +115,46 @@ def test_cc_gate_requires_known_cbit():
     circ = new_circuit([("A", 2, None)], level=Level.CLIFFORD_T)
     with pytest.raises(CircuitError, match="classical bit"):
         circ.append(cc_z(0, QubitRef("A", 0), QubitRef("A", 1)))
+
+
+@pytest.mark.parametrize(
+    "label, prefix, index",
+    [("s12", "s", 12), ("s0", "s", 0), ("a3", "a", 3), ("spent", "s", None), ("s", "s", None),
+     ("s-1", "s", None), ("s²", "s", None), ("s٣", "s", None), ("b1", "s", None)],
+)
+def test_label_index_reads_ascii_digits_only(label, prefix, index):
+    assert label_index(label, prefix) == index
+
+
+@pytest.mark.parametrize("label", ["s²", "s٣"])
+def test_unicode_digit_label_is_not_a_sum_bit(label):
+    """A loaded label spelled with a non-ASCII digit is no sum bit, for every reader."""
+    data = json.loads(to_json(build(Design.OUT_FT_QCLA1, 2)))
+    data["labels"] = {k: label if v == "s1" else v for k, v in data["labels"].items()}
+    circ = from_json(json.dumps(data))
+    assert sorted(circ.labeled("s")) == [0, 2]
+    want = (3 + 3) & ~0b10  # the sum without bit 1
+    assert read_labeled(circ, run_basis(circ, initial_state(circ, {"A": 3, "B": 3}))) == want
+    out, = simulate(lower(circ), {"A": 3, "B": 3}, SeededRandom(1))
+    assert out.labeled_int("s") == want
+
+
+@pytest.mark.parametrize("spelling", ["s1", "s01"])
+def test_duplicated_sum_index_raises(spelling):
+    circ = build(Design.OUT_FT_QCLA1, 2)
+    circ.labels[QubitRef("A", 0)] = spelling
+    with pytest.raises(CircuitError, match="both carry s1"):
+        circ.labeled("s")
+    with pytest.raises(CircuitError, match="both carry s1"):
+        read_labeled(circ, run_basis(circ, initial_state(circ, {"A": 1, "B": 2})))
+
+
+def test_basis_input_in_register_order():
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC]), ("B", 1, None)])
+    bits = circ.basis_input({"A": 0b10, "B": 1})
+    assert list(bits) == list(circ.qubits())
+    assert list(bits.values()) == [0, 1, 0, 0, 1]
+    with pytest.raises(ValueError, match="does not fit register 'A'"):
+        circ.basis_input({"A": 4, "B": 0})
+    with pytest.raises(ValueError, match="data register 'B' needs an input value"):
+        circ.basis_input({"A": 0})
