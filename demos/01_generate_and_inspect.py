@@ -5,7 +5,7 @@ gate list at Toffoli level, and a final wire-name map identifying where the
 sum bits land.
 """
 
-from qcla import Design, build
+from qcla import Design, build, count
 
 # ---------------------------------------------------------------------------
 # An 8-bit out-of-place adder: operands in A and B, sum on the X register.
@@ -19,10 +19,7 @@ for reg in circ.registers.values():
 print(f"\ntotal qubits: {circ.num_qubits}")
 print(f"gates: {len(circ.gates)}")
 
-hist = {}
-for g in circ.gates:
-    hist[g.kind.value] = hist.get(g.kind.value, 0) + 1
-print("gate histogram:", hist)
+print("gate histogram:", count(circ).gate_histogram)
 
 # ---------------------------------------------------------------------------
 # The wire-name map: where each output lives when the circuit finishes.

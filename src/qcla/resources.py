@@ -9,11 +9,12 @@ rounding half up.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .builders import Design, floor_log2
-from .ir import Circuit, GateKind, Level, T_KINDS
+from .ir import Circuit, GateKind, Level
 
 
 def hamming_weight(n: int) -> int:
@@ -54,31 +55,39 @@ def schedule(circ: Circuit) -> tuple[int, int]:
     t_depth is the depth of the T-gate dependency cone: T and T-dagger cost
     one T layer, every other gate is free but still synchronizes its
     operands (the usual T-depth with free Clifford gates).
+
+    One walk over the gates keeps a (layer, cone) pair per qubit and per
+    measured classical bit; gate kinds are compared by identity.
     """
-    qubit_layer: dict = {}
-    cbit_layer: dict[int, int] = {}
-    t_cone: dict = {}
-    t_cbit: dict[int, int] = {}
+    T, TDG = GateKind.T, GateKind.TDG
+    CC_Z, CC_X, MEASURE_X = GateKind.CC_Z, GateKind.CC_X, GateKind.MEASURE_X
+    wire: dict = {}
+    cwire: dict[int, tuple[int, int]] = {}
+    unset = (0, 0)
     total = 0
     t_depth = 0
-    for gate in circ.gates:
-        layer = 0
-        cone = 0
-        for q in gate.qubits:
-            layer = max(layer, qubit_layer.get(q, 0))
-            cone = max(cone, t_cone.get(q, 0))
-        if gate.kind in (GateKind.CC_Z, GateKind.CC_X):
-            layer = max(layer, cbit_layer.get(gate.cbit, 0))
-            cone = max(cone, t_cbit.get(gate.cbit, 0))
+    for kind, qubits, cbit in circ.gates:
+        layer = cone = 0
+        for q in qubits:
+            q_layer, q_cone = wire.get(q, unset)
+            if q_layer > layer:
+                layer = q_layer
+            if q_cone > cone:
+                cone = q_cone
+        if kind is CC_Z or kind is CC_X:
+            c_layer, c_cone = cwire.get(cbit, unset)
+            if c_layer > layer:
+                layer = c_layer
+            if c_cone > cone:
+                cone = c_cone
         layer += 1
-        if gate.kind in T_KINDS:
+        if kind is T or kind is TDG:
             cone += 1
-        for q in gate.qubits:
-            qubit_layer[q] = layer
-            t_cone[q] = cone
-        if gate.kind is GateKind.MEASURE_X:
-            cbit_layer[gate.cbit] = layer
-            t_cbit[gate.cbit] = cone
+        state = (layer, cone)
+        for q in qubits:
+            wire[q] = state
+        if kind is MEASURE_X:
+            cwire[cbit] = state
         if layer > total:
             total = layer
         if cone > t_depth:
@@ -87,10 +96,9 @@ def schedule(circ: Circuit) -> tuple[int, int]:
 
 
 def count(circ: Circuit) -> ResourceReport:
-    """Single-pass gate histogram plus scheduled depths."""
-    hist: dict[str, int] = {}
-    for gate in circ.gates:
-        hist[gate.kind.value] = hist.get(gate.kind.value, 0) + 1
+    """Gate histogram (keys in order of first occurrence) plus the depths of
+    :func:`schedule`: two walks over the gate list."""
+    hist = {kind.value: k for kind, k in Counter(g.kind for g in circ.gates).items()}
     total_depth, t_depth = schedule(circ)
     report = ResourceReport(
         level=circ.level.value,

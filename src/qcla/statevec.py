@@ -222,10 +222,12 @@ def simulate(
 
     Branch probabilities sum to 1 (within numerical tolerance) under
     AllBranches; SeededRandom and FixedOutcomes return a single branch whose
-    probability is that of the sampled/forced measurement record.
+    probability is that of the sampled/forced measurement record.  Raises
+    :class:`CircuitError` when two qubits spell one sum-bit label.
     """
     if circ.level is not Level.CLIFFORD_T:
         raise SimulationError("statevector simulation expects a Clifford+T circuit")
+    circ.labeled("s")
     if isinstance(strategy, FixedOutcomes) and len(strategy.outcomes) != circ.num_cbits:
         raise SimulationError(
             f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"

@@ -3,9 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcla.builders import Design, build
-from qcla.ir import Level, QubitRef, cnot, new_circuit, t as t_gate
+from qcla.ir import (
+    AncillaInit,
+    Gate,
+    GateKind,
+    Level,
+    QubitRef,
+    T_KINDS,
+    cc_x,
+    cc_z,
+    cnot,
+    h as h_gate,
+    measure_x,
+    new_circuit,
+    t as t_gate,
+)
 from qcla.lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
 from qcla.resources import (
     CATALOG,
@@ -85,6 +100,128 @@ def test_schedule_t_depth_sequencing():
     circ2.append(t_gate(QubitRef("q", 0)))
     circ2.append(t_gate(QubitRef("q", 1)))
     assert schedule(circ2)[1] == 1
+
+
+
+def test_schedule_cc_gate_waits_for_its_measurement():
+    q = [QubitRef("q", i) for i in range(4)]
+    circ = new_circuit([("q", 4, None)], level=Level.CLIFFORD_T)
+    circ.append(h_gate(q[0])).append(h_gate(q[0])).append(measure_x(q[0]))
+    # neither gate touches q[0]; both still wait for bit 0, written in layer 3
+    circ.append(cc_x(0, q[1])).append(cc_z(0, q[2], q[3]))
+    assert schedule(circ) == (4, 0)
+
+
+def test_schedule_cc_gate_inherits_the_measurement_t_cone():
+    q = [QubitRef("q", i) for i in range(2)]
+    circ = new_circuit([("q", 2, None)], level=Level.CLIFFORD_T)
+    circ.append(t_gate(q[0])).append(measure_x(q[0]))
+    circ.append(cc_x(0, q[1])).append(t_gate(q[1]))
+    assert schedule(circ) == (4, 2)
+
+
+def test_schedule_orders_a_gate_after_the_cc_gate_sharing_its_qubit():
+    q = [QubitRef("q", i) for i in range(3)]
+    circ = new_circuit([("q", 3, None)], level=Level.CLIFFORD_T)
+    circ.append(h_gate(q[0])).append(measure_x(q[0])).append(cc_x(0, q[1]))
+    circ.append(cnot(q[1], q[2]))  # q[2] is fresh; q[1] was last set in layer 3
+    assert schedule(circ) == (4, 0)
+
+
+def _reference_schedule(circ):
+    """The ``max()``-based scheduler that :func:`schedule` replaced, verbatim."""
+    qubit_layer: dict = {}
+    cbit_layer: dict[int, int] = {}
+    t_cone: dict = {}
+    t_cbit: dict[int, int] = {}
+    total = 0
+    t_depth = 0
+    for gate in circ.gates:
+        layer = 0
+        cone = 0
+        for q in gate.qubits:
+            layer = max(layer, qubit_layer.get(q, 0))
+            cone = max(cone, t_cone.get(q, 0))
+        if gate.kind in (GateKind.CC_Z, GateKind.CC_X):
+            layer = max(layer, cbit_layer.get(gate.cbit, 0))
+            cone = max(cone, t_cbit.get(gate.cbit, 0))
+        layer += 1
+        if gate.kind in T_KINDS:
+            cone += 1
+        for q in gate.qubits:
+            qubit_layer[q] = layer
+            t_cone[q] = cone
+        if gate.kind is GateKind.MEASURE_X:
+            cbit_layer[gate.cbit] = layer
+            t_cbit[gate.cbit] = cone
+        if layer > total:
+            total = layer
+        if cone > t_depth:
+            t_depth = cone
+    return total, t_depth
+
+
+def _reference_histogram(circ):
+    hist: dict[str, int] = {}
+    for gate in circ.gates:
+        hist[gate.kind.value] = hist.get(gate.kind.value, 0) + 1
+    return hist
+
+
+_KINDS = {
+    Level.TOFFOLI: [GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.TEMP_AND,
+                    GateKind.UNCOMPUTE],
+    Level.CLIFFORD_T: [GateKind.NOT, GateKind.CNOT, GateKind.H, GateKind.T, GateKind.TDG,
+                       GateKind.S, GateKind.SDG, GateKind.Z, GateKind.CZ, GateKind.MEASURE_X,
+                       GateKind.CC_Z, GateKind.CC_X],
+}
+_ARITY = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.CC_Z: 2, GateKind.TOFFOLI: 3,
+          GateKind.TEMP_AND: 3, GateKind.UNCOMPUTE: 3}
+
+
+@st.composite
+def _random_circuits(draw):
+    """Circuits of up to 8 qubits and 60 gates, built through ``Circuit.append``.
+    Every qubit is a magic-state ancilla, so any qubit may be a temporary-AND
+    target."""
+    level = draw(st.sampled_from(Level))
+    nq = draw(st.integers(1, 8))
+    circ = new_circuit([("q", nq, [AncillaInit.MAGIC_A] * nq)], level=level)
+    qubits = list(circ.qubits())
+    kinds = [k for k in _KINDS[level] if _ARITY.get(k, 1) <= nq]
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(kinds))
+        arity = _ARITY.get(kind, 1)
+        operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
+                                 unique=True))
+        cbit = None
+        if kind in (GateKind.CC_Z, GateKind.CC_X):
+            if not circ.num_cbits:
+                continue
+            cbit = draw(st.integers(0, circ.num_cbits - 1))
+        circ.append(Gate(kind, tuple(operands), cbit))
+    return circ
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_random_circuits())
+def test_schedule_matches_the_reference_on_random_circuits(circ):
+    assert schedule(circ) == _reference_schedule(circ)
+
+
+def test_count_matches_the_reference_on_all_designs():
+    for design in Design:
+        for n in [*range(1, 65), 256]:
+            toffoli_level = build(design, n)
+            for circ in (toffoli_level, lower(toffoli_level)):
+                rep = count(circ)
+                hist = _reference_histogram(circ)
+                assert list(rep.gate_histogram.items()) == list(hist.items())
+                assert (rep.total_depth, rep.t_depth or 0) == _reference_schedule(circ)
+                assert rep.cnot_count == hist.get("cnot", 0)
+                assert rep.measurement_count == hist.get("measure_x", 0)
+                if circ.level is Level.CLIFFORD_T:
+                    assert rep.t_count == hist.get("t", 0) + hist.get("tdg", 0)
 
 
 def test_formula_spot_values():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qcla.builders import Design, build, cla_reference
-from qcla.ir import Circuit, Level, QubitRef
+from qcla.ir import Circuit, CircuitError, Level, QubitRef
 from qcla.lowering import lower, lower_temporary_and, lower_uncompute
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import (
@@ -128,6 +128,15 @@ def test_fixed_outcomes_single_branch():
     forced, = simulate(circ, {"A": 3, "B": 3}, FixedOutcomes(record))
     assert forced.cbits == record
     assert forced.labeled_int("s") == 6
+
+
+def test_two_labels_spelling_one_index_raise():
+    """``simulate`` reads the sum-bit map as ``Circuit.labeled`` does: an ``s01``
+    next to an ``s1`` is an error, not two bits ORed into one."""
+    circ = lower(build(Design.OUT_FT_QCLA1, 2))
+    circ.labels[QubitRef("A", 0)] = "s01"
+    with pytest.raises(CircuitError, match="both carry s1"):
+        simulate(circ, {"A": 0, "B": 2}, SeededRandom(1))
 
 
 def test_fixed_outcomes_rejects_impossible_record():
