@@ -18,6 +18,7 @@ the map's insertion order is part of the emitted JSON bytes.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .ir import (
@@ -35,30 +36,22 @@ from .ir import (
 
 
 class Design(Enum):
-    """The four generated adder variants."""
+    """The four generated adder variants: ``(label, key, in_place,
+    uses_and_pairs)``.  ``uses_and_pairs`` is True when carry merges use
+    AND/uncompute pairs instead of Toffolis."""
 
-    OUT_FT_QCLA1 = "Out-FT-QCLA1"
-    OUT_FT_QCLA2 = "Out-FT-QCLA2"
-    IN_FT_QCLA1 = "In-FT-QCLA1"
-    IN_FT_QCLA2 = "In-FT-QCLA2"
+    OUT_FT_QCLA1 = ("Out-FT-QCLA1", "out1", False, True)
+    OUT_FT_QCLA2 = ("Out-FT-QCLA2", "out2", False, False)
+    IN_FT_QCLA1 = ("In-FT-QCLA1", "in1", True, True)
+    IN_FT_QCLA2 = ("In-FT-QCLA2", "in2", True, False)
 
-    @property
-    def in_place(self) -> bool:
-        return self in (Design.IN_FT_QCLA1, Design.IN_FT_QCLA2)
-
-    @property
-    def uses_and_pairs(self) -> bool:
-        """True when carry merges use AND/uncompute pairs instead of Toffolis."""
-        return self in (Design.OUT_FT_QCLA1, Design.IN_FT_QCLA1)
-
-    @property
-    def key(self) -> str:
-        return {
-            Design.OUT_FT_QCLA1: "out1",
-            Design.OUT_FT_QCLA2: "out2",
-            Design.IN_FT_QCLA1: "in1",
-            Design.IN_FT_QCLA2: "in2",
-        }[self]
+    def __new__(cls, label: str, key: str, in_place: bool, uses_and_pairs: bool) -> Design:
+        design = object.__new__(cls)
+        design._value_ = label
+        design.key = key
+        design.in_place = in_place
+        design.uses_and_pairs = uses_and_pairs
+        return design
 
 
 def design_from_key(key: str) -> Design:
@@ -77,11 +70,6 @@ class RoundKind(Enum):
     REVERSE_C = "reverse_c"
     REVERSE_G = "reverse_g"
     REVERSE_P = "reverse_p"
-
-
-REVERSE_KINDS = frozenset(
-    {RoundKind.REVERSE_P_ERASE, RoundKind.REVERSE_C, RoundKind.REVERSE_G, RoundKind.REVERSE_P}
-)
 
 
 class RoundTriple(NamedTuple):
@@ -105,36 +93,22 @@ def floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _c_level_max(n: int) -> int:
-    # floor(log2(2n/3)): the largest t with 3 * 2^t <= 2n; -1 for n = 1.
-    return (2 * n // 3).bit_length() - 1
-
-
-def _p_rounds(n: int, descending: bool = False) -> list[RoundTriple]:
-    levels = range(1, floor_log2(n))
-    out = []
-    for t in (reversed(levels) if descending else levels):
-        half, full = 2 ** (t - 1), 2**t
-        for m in range(1, n // full):
-            j = full * m
-            out.append(RoundTriple(t, m, j, j + half, j + full))
-    return out
-
-
-def _g_rounds(n: int, descending: bool = False) -> list[RoundTriple]:
+def _span_rounds(n: int, descending: bool, first_m: int) -> list[RoundTriple]:
+    # spans [j, k) with j = 2^t*m, m >= first_m: generate spans start at m = 0,
+    # propagate spans at m = 1 (a propagate span from bit 0 is never needed)
     levels = range(1, floor_log2(n) + 1)
     out = []
     for t in (reversed(levels) if descending else levels):
         half, full = 2 ** (t - 1), 2**t
-        for m in range(0, n // full):
+        for m in range(first_m, n // full):
             j = full * m
             out.append(RoundTriple(t, m, j, j + half, j + full))
     return out
 
 
-def _c_rounds(n: int, descending: bool = True) -> list[RoundTriple]:
-    tmax = _c_level_max(n)
-    levels = range(1, tmax + 1)
+def _c_rounds(n: int, descending: bool) -> list[RoundTriple]:
+    # t up to floor(log2(2n/3)): the largest t with 3 * 2^t <= 2n
+    levels = range(1, (2 * n // 3).bit_length())
     out = []
     for t in (reversed(levels) if descending else levels):
         half, full = 2 ** (t - 1), 2**t
@@ -144,39 +118,38 @@ def _c_rounds(n: int, descending: bool = True) -> list[RoundTriple]:
     return out
 
 
-def round_indices(kind: RoundKind, n: int, literal: bool = False) -> list[RoundTriple]:
+_P_SPANS = partial(_span_rounds, first_m=1)
+_G_SPANS = partial(_span_rounds, first_m=0)
+
+# kind -> (width reduction, enumerator, descending).  The reverse rounds undo
+# the network at width n - 1 with the level order flipped.
+_ROUNDS = {
+    RoundKind.P: (0, _P_SPANS, False),
+    RoundKind.G: (0, _G_SPANS, False),
+    RoundKind.C: (0, _c_rounds, True),
+    RoundKind.P_ERASE: (0, _P_SPANS, True),
+    RoundKind.REVERSE_P_ERASE: (1, _P_SPANS, False),
+    RoundKind.REVERSE_C: (1, _c_rounds, False),
+    RoundKind.REVERSE_G: (1, _G_SPANS, True),
+    RoundKind.REVERSE_P: (1, _P_SPANS, True),
+}
+
+
+def round_indices(kind: RoundKind, n: int) -> list[RoundTriple]:
     """Enumerate the carry-network gate indices for one round kind at width n.
 
     Forward rounds (P, G, C, P_ERASE) run at width n.  Reverse rounds belong to
     the in-place designs' uncomputation half, which operates on the (n-1)-bit
     network over operand A and the complemented sum; they enumerate the
     corresponding forward sets at width n-1 with the outer loop direction
-    flipped.  ``literal=True`` instead returns the width-n bounds as printed
-    for the reverse recompute stage; those leave spans unerased and are kept
-    only for the discrepancy report.
+    flipped.
     """
-    if kind in REVERSE_KINDS:
-        if n < 2:
-            raise ValueError("reverse rounds require n >= 2")
-    elif n < 1:
-        raise ValueError("rounds require n >= 1")
-    if kind is RoundKind.P:
-        return _p_rounds(n)
-    if kind is RoundKind.G:
-        return _g_rounds(n)
-    if kind is RoundKind.C:
-        return _c_rounds(n, descending=True)
-    if kind is RoundKind.P_ERASE:
-        return _p_rounds(n, descending=True)
-    if kind is RoundKind.REVERSE_P_ERASE:
-        return _p_rounds(n if literal else n - 1)
-    if kind is RoundKind.REVERSE_C:
-        return _c_rounds(n if literal else n - 1, descending=False)
-    if kind is RoundKind.REVERSE_G:
-        return _g_rounds(n if literal else n - 1, descending=True)
-    if kind is RoundKind.REVERSE_P:
-        return _p_rounds(n - 1, descending=True)
-    raise ValueError(f"unknown round kind {kind}")
+    if kind not in _ROUNDS:
+        raise ValueError(f"unknown round kind {kind}")
+    reduction, rounds, descending = _ROUNDS[kind]
+    if n < 1 + reduction:
+        raise ValueError("reverse rounds require n >= 2" if reduction else "rounds require n >= 1")
+    return rounds(n - reduction, descending)
 
 
 def cla_masks(a_masks: list[int], b_masks: list[int]) -> list[int]:

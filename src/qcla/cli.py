@@ -145,11 +145,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_compare(args) -> int:
     in_place = args.table == "in"
-    designs = (
-        [Design.IN_FT_QCLA1, Design.IN_FT_QCLA2]
-        if in_place
-        else [Design.OUT_FT_QCLA1, Design.OUT_FT_QCLA2]
-    )
+    designs = [d for d in Design if d.in_place == in_place]
     baselines = IN_PLACE_BASELINES if in_place else OUT_OF_PLACE_BASELINES
     n = args.n
     lines = [f"{'design':<18}{'T-count':>14}{'qubits':>10}  savings vs baselines"]

@@ -46,61 +46,36 @@ class QubitRef(NamedTuple):
 
 
 class GateKind(Enum):
+    """Each kind is ``(value, qubit operand count, level)``; the level is None
+    for NOT and CNOT, which are legal at both levels."""
+
     # Toffoli-level logical gates
-    NOT = "not"
-    CNOT = "cnot"
-    TOFFOLI = "toffoli"
-    TEMP_AND = "temp_and"
-    UNCOMPUTE = "uncompute"
+    NOT = ("not", 1, None)
+    CNOT = ("cnot", 2, None)
+    TOFFOLI = ("toffoli", 3, Level.TOFFOLI)
+    TEMP_AND = ("temp_and", 3, Level.TOFFOLI)
+    UNCOMPUTE = ("uncompute", 3, Level.TOFFOLI)
     # Clifford+T primitives
-    H = "h"
-    T = "t"
-    TDG = "tdg"
-    S = "s"
-    SDG = "sdg"
-    Z = "z"
-    CZ = "cz"
-    MEASURE_X = "measure_x"
-    CC_Z = "cc_z"
-    CC_X = "cc_x"
+    H = ("h", 1, Level.CLIFFORD_T)
+    T = ("t", 1, Level.CLIFFORD_T)
+    TDG = ("tdg", 1, Level.CLIFFORD_T)
+    S = ("s", 1, Level.CLIFFORD_T)
+    SDG = ("sdg", 1, Level.CLIFFORD_T)
+    Z = ("z", 1, Level.CLIFFORD_T)
+    CZ = ("cz", 2, Level.CLIFFORD_T)
+    MEASURE_X = ("measure_x", 1, Level.CLIFFORD_T)
+    CC_Z = ("cc_z", 2, Level.CLIFFORD_T)
+    CC_X = ("cc_x", 1, Level.CLIFFORD_T)
+
+    def __new__(cls, value: str, arity: int, level: Level | None) -> GateKind:
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.arity = arity
+        kind.level = level
+        return kind
 
 
-# NOT and CNOT are legal at both levels.
-TOFFOLI_ONLY = frozenset({GateKind.TOFFOLI, GateKind.TEMP_AND, GateKind.UNCOMPUTE})
-CLIFFORD_T_ONLY = frozenset(
-    {
-        GateKind.H,
-        GateKind.T,
-        GateKind.TDG,
-        GateKind.S,
-        GateKind.SDG,
-        GateKind.Z,
-        GateKind.CZ,
-        GateKind.MEASURE_X,
-        GateKind.CC_Z,
-        GateKind.CC_X,
-    }
-)
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
-
-# Qubit operand count of each gate kind.
-_ARITY = {
-    GateKind.NOT: 1,
-    GateKind.CNOT: 2,
-    GateKind.TOFFOLI: 3,
-    GateKind.TEMP_AND: 3,
-    GateKind.UNCOMPUTE: 3,
-    GateKind.H: 1,
-    GateKind.T: 1,
-    GateKind.TDG: 1,
-    GateKind.S: 1,
-    GateKind.SDG: 1,
-    GateKind.Z: 1,
-    GateKind.CZ: 2,
-    GateKind.MEASURE_X: 1,
-    GateKind.CC_Z: 2,
-    GateKind.CC_X: 1,
-}
 
 
 class Gate(NamedTuple):
@@ -295,19 +270,18 @@ class Circuit:
         gate carries a classical bit.
         """
         kind = gate.kind
-        if len(gate.qubits) != _ARITY[kind]:
+        if len(gate.qubits) != kind.arity:
             raise CircuitError(
-                f"{kind.value} takes {_ARITY[kind]} qubit operands, got {len(gate.qubits)}"
+                f"{kind.value} takes {kind.arity} qubit operands, got {len(gate.qubits)}"
             )
         for q in gate.qubits:
             if not self.resolves(q):
                 raise CircuitError(f"operand {q} does not resolve in the register table")
         if len(set(gate.qubits)) != len(gate.qubits):
             raise CircuitError(f"duplicate operands in gate {kind.value}")
-        if self.level is Level.TOFFOLI and kind in CLIFFORD_T_ONLY:
-            raise CircuitError(f"{kind.value} is not a Toffoli-level gate")
-        if self.level is Level.CLIFFORD_T and kind in TOFFOLI_ONLY:
-            raise CircuitError(f"{kind.value} is not a Clifford+T gate")
+        if kind.level is not None and kind.level is not self.level:
+            where = "Toffoli-level" if self.level is Level.TOFFOLI else "Clifford+T"
+            raise CircuitError(f"{kind.value} is not a {where} gate")
         if kind is GateKind.TEMP_AND:
             if self.init_of(gate.qubits[2]) is not AncillaInit.MAGIC_A:
                 raise CircuitError(

@@ -21,7 +21,7 @@ def hamming_weight(n: int) -> int:
     """Number of ones in the binary expansion of n."""
     if n < 0:
         raise ValueError("hamming_weight requires n >= 0")
-    return bin(n).count("1")
+    return n.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +117,6 @@ def count(circ: Circuit) -> ResourceReport:
 # ---------------------------------------------------------------------------
 # closed-form cost models
 
-_BASIS = ("n", "w", "log", "w1", "log1", "const", "n2", "n3")
-
-
 @dataclass(frozen=True)
 class CostExpr:
     """Exact linear form over {n, w(n), log2(n), w(n-1), log2(n-1), 1, n^2, n^3}."""
@@ -168,7 +165,6 @@ class CostModel:
     qubit_form: CostExpr
     approximate: bool = False  # published only as an approximation
     min_n: int = 1
-    notes: str = ""
 
 
 # T-count and qubit closed forms of the four generated designs.
@@ -179,12 +175,12 @@ DESIGN_COSTS: dict[Design, CostModel] = {
     Design.OUT_FT_QCLA2: CostModel(
         "Out-FT-QCLA2", _expr(n=22, w=-11, log=-11, const=-7), _expr(n=4, w=-1, log=-1, const=1)
     ),
+    # The T closed form disagrees with the per-stage sum; see the discrepancy report.
     Design.IN_FT_QCLA1: CostModel(
         "In-FT-QCLA1",
         _expr(n=20, w=-8, w1=-8, log=-4, log1=-4, const=-8),
         _expr(n=6, w=-2, log=-2),
         min_n=2,
-        notes="closed form disagrees with the per-stage sum; see discrepancy report",
     ),
     Design.IN_FT_QCLA2: CostModel(
         "In-FT-QCLA2",
@@ -231,12 +227,9 @@ CATALOG: dict[str, CostModel] = {
     "Mogensen1": CostModel(
         "Mogensen1", _expr(n=84, const=-56), _expr(n=3, const=-1), approximate=True
     ),
+    # The qubit form is printed without a floor on the log term; evaluated with floor(log2 n).
     "Mogensen2": CostModel(
-        "Mogensen2",
-        _expr(n=84, const=-56),
-        _expr(n=3, log=-1, const=-1),
-        approximate=True,
-        notes="qubit form printed without a floor on the log term; evaluated with floor(log2 n)",
+        "Mogensen2", _expr(n=84, const=-56), _expr(n=3, log=-1, const=-1), approximate=True
     ),
 }
 

@@ -106,7 +106,7 @@ def _run_masks(
                     UncomputeAssertionError(
                         idx,
                         f"gate {idx}: uncompute target {tq} wrong on "
-                        f"{bin(bad).count('1')} inputs",
+                        f"{bad.bit_count()} inputs",
                     )
                 )
             spent.add(tq)

@@ -6,7 +6,14 @@ import re
 
 import pytest
 
-from qcla.builders import Design, RoundKind, build, cla_reference, round_indices
+from qcla.builders import (
+    Design,
+    RoundKind,
+    build,
+    cla_reference,
+    design_from_key,
+    round_indices,
+)
 from qcla.ir import GateKind, QubitRef
 from qcla.jsonio import to_json
 from qcla.lowering import lower
@@ -81,11 +88,52 @@ def test_triple_ordering_invariant():
 
 
 def test_literal_reverse_bounds_differ():
-    # the printed width-n recompute bound leaves spans unerased; kept for the report
-    literal = round_indices(RoundKind.REVERSE_P_ERASE, 8, literal=True)
+    # the printed width-n recompute bound, the forward span set, leaves spans
+    # unerased; kept for the report
+    literal = round_indices(RoundKind.P, 8)
     fixed = round_indices(RoundKind.REVERSE_P_ERASE, 8)
     assert len(literal) == 4 and len(fixed) == 2
     assert set(fixed) < set(literal)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [RoundKind.REVERSE_P_ERASE, RoundKind.REVERSE_C, RoundKind.REVERSE_G, RoundKind.REVERSE_P],
+)
+def test_reverse_rounds_need_two_bits(kind):
+    with pytest.raises(ValueError, match=r"^reverse rounds require n >= 2$"):
+        round_indices(kind, 1)
+    assert round_indices(kind, 2) == []
+
+
+@pytest.mark.parametrize("kind", [RoundKind.P, RoundKind.G, RoundKind.C, RoundKind.P_ERASE])
+def test_forward_rounds_need_one_bit(kind):
+    with pytest.raises(ValueError, match=r"^rounds require n >= 1$"):
+        round_indices(kind, 0)
+    assert round_indices(kind, 1) == []
+
+
+@pytest.mark.parametrize(
+    "design, facts",
+    [
+        (Design.OUT_FT_QCLA1, ("Out-FT-QCLA1", "out1", False, True)),
+        (Design.OUT_FT_QCLA2, ("Out-FT-QCLA2", "out2", False, False)),
+        (Design.IN_FT_QCLA1, ("In-FT-QCLA1", "in1", True, True)),
+        (Design.IN_FT_QCLA2, ("In-FT-QCLA2", "in2", True, False)),
+    ],
+)
+def test_design_facts(design, facts):
+    """(value, key, in_place, uses_and_pairs), and lookup by key or label."""
+    assert (design.value, design.key, design.in_place, design.uses_and_pairs) == facts
+    assert Design(facts[0]) is design
+    assert design_from_key(facts[1]) is design
+    assert design_from_key(facts[0]) is design
+
+
+@pytest.mark.parametrize("key", ["out3", "Out-FT-QCLA", "OUT1", "OUT_FT_QCLA1", ""])
+def test_design_from_key_rejects_unknown(key):
+    with pytest.raises(ValueError, match="unknown design"):
+        design_from_key(key)
 
 
 def test_cla_reference_examples():

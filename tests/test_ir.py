@@ -1,6 +1,7 @@
 """Circuit IR: construction, append validation, ancilla allocation, labels, inputs."""
 
 import json
+import re
 
 import pytest
 
@@ -8,11 +9,14 @@ from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
     CircuitError,
+    Gate,
+    GateKind,
     Level,
     QubitRef,
     cnot,
     h,
     label_index,
+    measure_x,
     new_circuit,
     temp_and,
     toffoli,
@@ -80,6 +84,41 @@ def test_append_level_mismatch():
         ct.append(toffoli(QubitRef("A", 0), QubitRef("A", 1), QubitRef("A", 2)))
 
 
+# Each kind's qubit operand count and the kinds legal at one level only,
+# written out: NOT and CNOT are legal at both levels.
+ARITY = {
+    "not": 1, "cnot": 2, "toffoli": 3, "temp_and": 3, "uncompute": 3,
+    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1, "z": 1, "cz": 2,
+    "measure_x": 1, "cc_z": 2, "cc_x": 1,
+}
+TOFFOLI_ONLY = {"toffoli", "temp_and", "uncompute"}
+CLIFFORD_T_ONLY = {"h", "t", "tdg", "s", "sdg", "z", "cz", "measure_x", "cc_z", "cc_x"}
+
+
+@pytest.mark.parametrize("level", list(Level))
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_kind_arity_and_level(kind, level):
+    """A gate of the right arity appends only at its legal level; one operand
+    too many is refused at either level."""
+    circ = new_circuit([("M", 4, [MAGIC] * 4), ("C", 1, [ZERO])], level=level)
+    if level is Level.CLIFFORD_T:
+        circ.append(measure_x(QubitRef("C", 0)))  # bit 0 for the classically controlled kinds
+    qs = [QubitRef("M", i) for i in range(4)]
+    arity = ARITY[kind.value]
+    cbit = 0 if kind.value in ("cc_z", "cc_x") else None
+    gate = Gate(kind, tuple(qs[:arity]), cbit)
+    other_only = CLIFFORD_T_ONLY if level is Level.TOFFOLI else TOFFOLI_ONLY
+    if kind.value in other_only:
+        where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"
+        with pytest.raises(CircuitError, match=re.escape(f"{kind.value} is not a {where} gate")):
+            circ.append(gate)
+    else:
+        circ.append(gate)
+        assert circ.gates[-1].kind is kind and circ.gates[-1].qubits == gate.qubits
+    with pytest.raises(CircuitError, match=f"{kind.value} takes {arity} qubit operands, got"):
+        circ.append(Gate(kind, tuple(qs[: arity + 1]), cbit))
+
+
 def test_append_unresolved_operand():
     circ = new_circuit([("A", 1, None)])
     with pytest.raises(CircuitError, match="does not resolve"):
@@ -100,8 +139,6 @@ def test_allocate_fresh_extends_register():
 
 
 def test_measure_assigns_cbits_in_program_order():
-    from qcla.ir import measure_x
-
     circ = new_circuit([("A", 3, None)], level=Level.CLIFFORD_T)
     for i in range(3):
         circ.append(measure_x(QubitRef("A", i)))

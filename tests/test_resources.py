@@ -168,17 +168,6 @@ def _reference_histogram(circ):
     return hist
 
 
-_KINDS = {
-    Level.TOFFOLI: [GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.TEMP_AND,
-                    GateKind.UNCOMPUTE],
-    Level.CLIFFORD_T: [GateKind.NOT, GateKind.CNOT, GateKind.H, GateKind.T, GateKind.TDG,
-                       GateKind.S, GateKind.SDG, GateKind.Z, GateKind.CZ, GateKind.MEASURE_X,
-                       GateKind.CC_Z, GateKind.CC_X],
-}
-_ARITY = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.CC_Z: 2, GateKind.TOFFOLI: 3,
-          GateKind.TEMP_AND: 3, GateKind.UNCOMPUTE: 3}
-
-
 @st.composite
 def _random_circuits(draw):
     """Circuits of up to 8 qubits and 60 gates, built through ``Circuit.append``.
@@ -188,12 +177,11 @@ def _random_circuits(draw):
     nq = draw(st.integers(1, 8))
     circ = new_circuit([("q", nq, [AncillaInit.MAGIC_A] * nq)], level=level)
     qubits = list(circ.qubits())
-    kinds = [k for k in _KINDS[level] if _ARITY.get(k, 1) <= nq]
+    kinds = [k for k in GateKind if k.level in (None, level) and k.arity <= nq]
     for _ in range(draw(st.integers(0, 60))):
         kind = draw(st.sampled_from(kinds))
-        arity = _ARITY.get(kind, 1)
-        operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
-                                 unique=True))
+        operands = draw(st.lists(st.sampled_from(qubits), min_size=kind.arity,
+                                 max_size=kind.arity, unique=True))
         cbit = None
         if kind in (GateKind.CC_Z, GateKind.CC_X):
             if not circ.num_cbits:
