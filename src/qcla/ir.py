@@ -74,6 +74,10 @@ class GateKind(Enum):
         kind.level = level
         return kind
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and skips Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
 
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 

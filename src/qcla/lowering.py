@@ -20,6 +20,9 @@ controlled X conditioned on that ancilla's measurement outcome resets it to
 
 from __future__ import annotations
 
+from operator import itemgetter
+from typing import Callable, NamedTuple
+
 from .ir import (
     AncillaInit,
     Circuit,
@@ -101,16 +104,57 @@ def lower_uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef, cbit: int = 0)
     return [measure_x(target, cbit), cc_z(cbit, c1, c2)]
 
 
+class _Template(NamedTuple):
+    """One gadget's gate list over operand slots 0, 1, 2 (c1, c2, target).
+
+    ``distinct`` holds each distinct gate once as (kind, operand getter,
+    reads cbit): the getter picks from ``(c1, c2, target, (c1,), (c2,),
+    (target,))``, so a single-qubit gate gets the shared ``(q,)`` tuple and a
+    two-qubit gate a fresh one.  ``order`` maps the list of built distinct
+    gates to the full gate list.
+    """
+
+    gadget: Callable[..., list[Gate]]
+    distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
+    order: itemgetter
+
+
+def _template(gadget: Callable[..., list[Gate]]) -> _Template:
+    # Placeholder qubits stand for the operand slots; the gadget's optional
+    # classical bit keeps its default, and any gate carrying a bit reads it.
+    slots = tuple(QubitRef("slot", i) for i in range(3))
+    gates = gadget(*slots)
+    distinct = list(dict.fromkeys(gates))
+    entries = []
+    for gate in distinct:
+        at = [slots.index(q) for q in gate.qubits]
+        get = itemgetter(3 + at[0]) if len(at) == 1 else itemgetter(*at)
+        entries.append((gate.kind, get, gate.cbit is not None))
+    # every gadget has at least two gates, so ``order`` returns a tuple
+    return _Template(gadget, tuple(entries), itemgetter(*map(distinct.index, gates)))
+
+
+_TEMPLATES = {
+    GateKind.TOFFOLI: _template(lower_toffoli),
+    GateKind.TEMP_AND: _template(lower_temporary_and),
+    GateKind.UNCOMPUTE: _template(lower_uncompute),
+}
+
+
 def lower(circ: Circuit) -> Circuit:
     """Gate-by-gate, in-order rewrite to a Clifford+T circuit.
 
-    NOT and CNOT pass through.  The qubit set is unchanged; measured T-count
-    of the output is 7 per Toffoli plus 4 per temporary AND.
+    NOT and CNOT pass through.  Each Toffoli, temporary AND and uncompute is
+    instantiated from its gadget's template, so within one gadget a repeated
+    gate is one object and single-qubit gates on one qubit share one operand
+    tuple; gates are immutable, so sharing is safe.  The qubit set is
+    unchanged; measured T-count of the output is 7 per Toffoli plus 4 per
+    temporary AND.
 
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.append`: the input gates were checked when they were
-    appended or loaded, each gadget checks its own operands, and classical
-    bits are numbered here in program order.
+    appended or loaded, a repeated gadget operand raises the gadget's own
+    error, and classical bits are numbered here in program order.
     """
     if circ.level is not Level.TOFFOLI:
         raise CircuitError("lower expects a Toffoli-level circuit")
@@ -130,23 +174,32 @@ def lower(circ: Circuit) -> Circuit:
         out.add_register(reg.name, reg.size, inits)
     out.labels = dict(circ.labels)
 
+    NOT, CNOT = GateKind.NOT, GateKind.CNOT
+    TEMP_AND, UNCOMPUTE = GateKind.TEMP_AND, GateKind.UNCOMPUTE
+    new = tuple.__new__
     gates = out.gates
     outcome_bit: dict[QubitRef, int] = {}  # spent ancilla -> its measurement bit
     for gate in circ.gates:
         kind = gate.kind
-        if kind in (GateKind.NOT, GateKind.CNOT):
+        if kind is NOT or kind is CNOT:
             gates.append(gate)
-        elif kind is GateKind.TOFFOLI:
-            gates += lower_toffoli(*gate.qubits)
-        elif kind is GateKind.TEMP_AND:
-            c1, c2, anc = gate.qubits
-            if anc in outcome_bit:
-                gates.append(cc_x(outcome_bit.pop(anc), anc))
-            gates += lower_temporary_and(c1, c2, anc)
-        elif kind is GateKind.UNCOMPUTE:
-            outcome_bit[gate.qubits[2]] = out.num_cbits
-            gates += lower_uncompute(*gate.qubits, out.num_cbits)
-            out.num_cbits += 1
-        else:
+            continue
+        template = _TEMPLATES.get(kind)
+        if template is None:
             raise CircuitError(f"cannot lower gate kind {kind}")
+        c1, c2, c3 = gate.qubits
+        if c1 == c2 or c1 == c3 or c2 == c3:
+            template.gadget(c1, c2, c3)  # raises the gadget's own CircuitError
+        cbit = None
+        if kind is UNCOMPUTE:
+            cbit = outcome_bit[c3] = out.num_cbits
+            out.num_cbits += 1
+        elif kind is TEMP_AND and c3 in outcome_bit:
+            gates.append(cc_x(outcome_bit.pop(c3), c3))
+        refs = (c1, c2, c3, (c1,), (c2,), (c3,))
+        built = [
+            new(Gate, (k, get(refs), cbit if reads else None))
+            for k, get, reads in template.distinct
+        ]
+        gates += template.order(built)
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .builders import Design, floor_log2
 from .ir import Circuit, GateKind, Level
@@ -98,7 +99,7 @@ def schedule(circ: Circuit) -> tuple[int, int]:
 def count(circ: Circuit) -> ResourceReport:
     """Gate histogram (keys in order of first occurrence) plus the depths of
     :func:`schedule`: two walks over the gate list."""
-    hist = {kind.value: k for kind, k in Counter(g.kind for g in circ.gates).items()}
+    hist = {kind.value: k for kind, k in Counter(map(itemgetter(0), circ.gates)).items()}
     total_depth, t_depth = schedule(circ)
     report = ResourceReport(
         level=circ.level.value,

@@ -11,9 +11,12 @@ ledger and do not fail verification.
 
 from __future__ import annotations
 
+import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .builders import Design, RoundKind, build, round_indices
 from .jsonio import from_json, to_json
@@ -149,6 +152,39 @@ class CostRow:
     formula_qubits: int
 
 
+def git_revision() -> str | None:
+    """The commit the package runs from when it runs from a git checkout
+    (``src/qcla`` inside the work tree), else None."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def provenance() -> dict:
+    """What produced a report.  numpy is reported only when something else
+    already imported it; qcla itself never does."""
+    from . import __version__
+
+    numpy = sys.modules.get("numpy")
+    return {
+        "qcla": __version__,
+        "python": platform.python_version(),
+        "git": git_revision(),
+        "numpy": getattr(numpy, "__version__", None),
+    }
+
+
 @dataclass
 class ValidationReport:
     rows: list[CostRow] = field(default_factory=list)
@@ -180,6 +216,7 @@ class ValidationReport:
                 {"id": d.id, "summary": d.summary, "values": d.values}
                 for d in self.discrepancies
             ],
+            "provenance": provenance(),
         }
 
 

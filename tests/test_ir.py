@@ -13,6 +13,7 @@ from qcla.ir import (
     GateKind,
     Level,
     QubitRef,
+    T_KINDS,
     cnot,
     h,
     label_index,
@@ -23,8 +24,9 @@ from qcla.ir import (
 )
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower
+from qcla.qasm import _SIMPLE
 from qcla.revsim import initial_state, read_labeled, run_basis
-from qcla.statevec import SeededRandom, simulate
+from qcla.statevec import _PHASE, SeededRandom, simulate
 
 ZERO, MAGIC = AncillaInit.ZERO, AncillaInit.MAGIC_A
 
@@ -117,6 +119,17 @@ def test_gate_kind_arity_and_level(kind, level):
         assert circ.gates[-1].kind is kind and circ.gates[-1].qubits == gate.qubits
     with pytest.raises(CircuitError, match=f"{kind.value} takes {arity} qubit operands, got"):
         circ.append(Gate(kind, tuple(qs[: arity + 1]), cbit))
+
+
+def test_gate_kinds_hash_by_identity():
+    """Kinds are singletons, so they hash by identity and still key the
+    package's kind tables."""
+    for kind in GateKind:
+        assert hash(kind) == object.__hash__(kind)
+    assert {k for k in GateKind if k in T_KINDS} == {GateKind.T, GateKind.TDG}
+    assert {k: k.value for k in GateKind}[GateKind.CC_X] == "cc_x"
+    assert _SIMPLE[GateKind.SDG] == "sdg" and GateKind.CNOT not in _SIMPLE
+    assert GateKind.TDG in _PHASE and GateKind.H not in _PHASE
 
 
 def test_append_unresolved_operand():

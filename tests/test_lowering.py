@@ -6,17 +6,20 @@ from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
     CircuitError,
+    Gate,
     GateKind,
     Level,
     QubitRef,
     T_KINDS,
+    cc_x,
+    h,
     load_circuit,
     new_circuit,
     temp_and,
     toffoli,
     uncompute,
 )
-from qcla.lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.lowering import _TEMPLATES, lower, lower_temporary_and, lower_toffoli, lower_uncompute
 
 Q = [QubitRef("q", i) for i in range(4)]
 
@@ -128,3 +131,85 @@ def test_lowered_stream_passes_load_circuit(design):
             lowered.labels, lowered.ancilla_register,
         )
         assert replay.structural_key() == lowered.structural_key()
+
+
+def _reference_lowering(circ):
+    """Lowering by concatenating the gadget functions' own gate lists: NOT and
+    CNOT pass through, and a reused AND target is reset by ``cc_x`` on the bit
+    of its last uncompute.  Returns (gates, num_cbits)."""
+    gates = []
+    outcome_bit = {}
+    num_cbits = 0
+    for gate in circ.gates:
+        if gate.kind in (GateKind.NOT, GateKind.CNOT):
+            gates.append(gate)
+        elif gate.kind is GateKind.TOFFOLI:
+            gates += lower_toffoli(*gate.qubits)
+        elif gate.kind is GateKind.TEMP_AND:
+            anc = gate.qubits[2]
+            if anc in outcome_bit:
+                gates.append(cc_x(outcome_bit.pop(anc), anc))
+            gates += lower_temporary_and(*gate.qubits)
+        elif gate.kind is GateKind.UNCOMPUTE:
+            outcome_bit[gate.qubits[2]] = num_cbits
+            gates += lower_uncompute(*gate.qubits, num_cbits)
+            num_cbits += 1
+    return gates, num_cbits
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_lower_matches_the_gadget_functions(design):
+    """The template path emits exactly the gadget functions' gate lists."""
+    for n in [*range(1, 17), 64, 256]:
+        circ = build(design, n)
+        lowered = lower(circ)
+        gates, num_cbits = _reference_lowering(circ)
+        assert lowered.gates == gates
+        assert lowered.num_cbits == num_cbits
+
+
+@pytest.mark.parametrize(
+    "kind, size, distinct, t_gates",
+    [(GateKind.TOFFOLI, 16, 10, 7), (GateKind.TEMP_AND, 13, 9, 4), (GateKind.UNCOMPUTE, 2, 2, 0)],
+)
+def test_gadget_templates(kind, size, distinct, t_gates):
+    """Each template spells its gadget's gate list from its distinct gates."""
+    template = _TEMPLATES[kind]
+    gates = template.gadget(*Q[:3])
+    assert len(gates) == size and _t_count(gates) == t_gates
+    assert len(template.distinct) == distinct == len(set(gates))
+    assert len(template.order(range(distinct))) == size
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        (GateKind.TOFFOLI, "Toffoli operands must be distinct"),
+        (GateKind.TEMP_AND, "temporary-AND operands must be distinct"),
+        (GateKind.UNCOMPUTE, "uncompute operands must be distinct"),
+    ],
+)
+@pytest.mark.parametrize("operands", [(0, 0, 2), (0, 1, 0), (0, 1, 1)])
+def test_lower_raises_the_gadget_error_on_repeated_operands(kind, message, operands):
+    # planted in the gate list directly: Circuit.append would refuse it
+    circ = new_circuit([("q", 4, [AncillaInit.MAGIC_A] * 4)])
+    circ.gates.append(Gate(kind, tuple(Q[i] for i in operands)))
+    with pytest.raises(CircuitError, match=message):
+        lower(circ)
+
+
+def test_lower_rejects_a_planted_clifford_t_gate():
+    circ = new_circuit([("q", 4, None)])
+    circ.gates.append(h(Q[0]))
+    with pytest.raises(CircuitError, match="cannot lower gate kind"):
+        lower(circ)
+
+
+def test_lower_shares_repeated_gates_and_operand_tuples():
+    """Gates are immutable, so a template's repeated gate is one object and
+    single-qubit gates on one qubit share one operand tuple."""
+    circ = new_circuit([("q", 4, None)])
+    circ.append(toffoli(Q[0], Q[1], Q[2]))
+    gates = lower(circ).gates
+    assert gates[0] is gates[-1]  # the H sandwich on the target
+    assert gates[0].qubits is gates[3].qubits  # H and T on the target

@@ -212,6 +212,11 @@ def test_count_matches_the_reference_on_all_designs():
                     assert rep.t_count == hist.get("t", 0) + hist.get("tdg", 0)
 
 
+def test_lowered_in_place_histogram_keeps_first_occurrence_order():
+    hist = count(lower(build(Design.IN_FT_QCLA1, 4))).gate_histogram
+    assert list(hist) == ["h", "t", "cnot", "tdg", "s", "measure_x", "cc_z", "not", "cc_x"]
+
+
 def test_formula_spot_values():
     assert formula_tcount(Design.OUT_FT_QCLA1, 8, "table") == 92
     assert formula_tcount(Design.OUT_FT_QCLA2, 8, "table") == 125

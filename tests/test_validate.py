@@ -1,5 +1,13 @@
-"""Verification suite: each check reports its own failure."""
+"""Verification suite: each check reports its own failure; report provenance."""
 
+import platform
+import re
+import sys
+import types
+
+import pytest
+
+import qcla
 from qcla import validate
 from qcla.builders import Design
 
@@ -14,3 +22,40 @@ def test_cost_checks_carry_their_own_detail(monkeypatch):
     assert checks["t-count conformance"] == (True, "")
     assert checks["closed form == stage sum"] == (True, "")
     assert checks["qubit conformance"] == (False, "In-FT-QCLA2 n=4: qubit delta -1")
+
+
+def test_report_provenance(monkeypatch):
+    """The report ends with a provenance block; numpy is reported only when
+    something else imported it."""
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    report = validate.ValidationReport().to_dict()
+    assert list(report) == ["passed", "checks", "cost_rows", "savings", "discrepancies", "provenance"]
+    prov = report["provenance"]
+    assert prov == {
+        "qcla": qcla.__version__,
+        "python": platform.python_version(),
+        "git": validate.git_revision(),
+        "numpy": None,
+    }
+    assert prov["git"] is None or re.fullmatch("[0-9a-f]{40}", prov["git"])
+    monkeypatch.setitem(sys.modules, "numpy", types.SimpleNamespace(__version__="9.9"))
+    assert validate.provenance()["numpy"] == "9.9"
+
+
+@pytest.mark.parametrize(
+    "files, revision",
+    [
+        ({}, None),
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": "a" * 40 + "\n"}, "a" * 40),
+        ({"HEAD": "ref: refs/heads/main\n", "packed-refs": f"# pack\n{'b' * 40} refs/heads/main\n"}, "b" * 40),
+        ({"HEAD": "c" * 40 + "\n"}, "c" * 40),
+        ({"HEAD": "ref: refs/heads/gone\n"}, None),
+    ],
+)
+def test_git_revision_reads_the_checkout(tmp_path, monkeypatch, files, revision):
+    for name, text in files.items():
+        path = tmp_path / ".git" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    monkeypatch.setattr(validate, "__file__", str(tmp_path / "src" / "qcla" / "validate.py"))
+    assert validate.git_revision() == revision
