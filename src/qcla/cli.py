@@ -23,6 +23,7 @@ from .jsonio import to_json
 from .lowering import lower
 from .qasm import to_qasm3
 from .resources import (
+    DESIGN_COSTS,
     IN_PLACE_BASELINES,
     OUT_OF_PLACE_BASELINES,
     catalog_cost,
@@ -75,7 +76,7 @@ def _cmd_cost(args) -> int:
     design = design_from_key(args.design)
     rows = []
     mismatch = False
-    start = max(args.n_from, 2 if design.in_place else 1)
+    start = max(args.n_from, DESIGN_COSTS[design].min_n)
     for n in range(start, args.n_to + 1):
         rep = count(lower(build(design, n)))
         row = {

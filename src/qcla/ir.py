@@ -12,6 +12,7 @@ registers where every qubit carries an :class:`AncillaInit` annotation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
@@ -37,12 +38,24 @@ class Level(Enum):
     CLIFFORD_T = "cliffordt"
 
 
+# reg[index]: word characters, then an index in ASCII digits without leading zeros
+_RE_REF = re.compile(r"(\w+)\[(0|[1-9][0-9]*)\]")
+
+
 class QubitRef(NamedTuple):
     reg: str
     index: int
 
     def __str__(self) -> str:
         return f"{self.reg}[{self.index}]"
+
+    @classmethod
+    def parse(cls, text: str) -> QubitRef:
+        """The inverse of :meth:`__str__`; any other spelling raises ValueError."""
+        m = _RE_REF.fullmatch(text)
+        if m is None:
+            raise ValueError(f"{text!r} is not a qubit reference reg[index]")
+        return cls(m[1], int(m[2]))
 
 
 class GateKind(Enum):

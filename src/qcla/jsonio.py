@@ -32,7 +32,7 @@ def to_json_dict(circ: Circuit) -> dict:
         ],
         "num_cbits": circ.num_cbits,
         "ancilla_register": circ.ancilla_register,
-        "labels": {f"{q.reg}[{q.index}]": label for q, label in circ.labels.items()},
+        "labels": {str(q): label for q, label in circ.labels.items()},
         "gates": [
             {
                 "kind": g.kind.value,
@@ -67,14 +67,6 @@ def _gate(g: dict) -> Gate:
     return Gate(GateKind(g["kind"]), qubits, None if cbit is None else _typed(cbit, int))
 
 
-def _label_key(key: str) -> QubitRef:
-    reg, index = key[:-1].split("[")
-    q = QubitRef(reg, int(index))
-    if str(q) != key:
-        raise ValueError(f"label key {key!r} is not of the form reg[index]")
-    return q
-
-
 def from_json_dict(data: dict) -> Circuit:
     """Rebuild a circuit through :func:`qcla.ir.load_circuit`.
 
@@ -91,7 +83,7 @@ def from_json_dict(data: dict) -> Circuit:
         level = Level(data["level"])
         registers = [_register(reg) for reg in data["registers"]]
         gates = [_gate(g) for g in data["gates"]]
-        labels = {_label_key(k): _typed(v, str) for k, v in data["labels"].items()}
+        labels = {QubitRef.parse(k): _typed(v, str) for k, v in data["labels"].items()}
         num_cbits = _typed(data["num_cbits"], int)
         ancilla_register = _typed(data.get("ancilla_register", "anc"), str)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

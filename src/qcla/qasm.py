@@ -20,6 +20,9 @@ class QasmError(ValueError):
     pass
 
 
+_BEGIN_PREP = "// begin magic-state preparation"
+_END_PREP = "// end magic-state preparation"
+
 _SIMPLE = {
     GateKind.NOT: "x",
     GateKind.H: "h",
@@ -29,6 +32,20 @@ _SIMPLE = {
     GateKind.SDG: "sdg",
     GateKind.Z: "z",
 }
+
+
+def _magic_prologue(circ: Circuit) -> list[str]:
+    """The H-then-T preparation of every magic-state ancilla, in register
+    order, between its two marker comments; empty when there is none."""
+    lines = [
+        f"{op} {QubitRef(reg.name, i)};"
+        for reg in circ.registers.values()
+        if reg.inits is not None
+        for i, init in enumerate(reg.inits)
+        if init is AncillaInit.MAGIC_A
+        for op in ("h", "t")
+    ]
+    return [_BEGIN_PREP, *lines, _END_PREP] if lines else []
 
 
 def to_qasm3(circ: Circuit) -> str:
@@ -43,19 +60,7 @@ def to_qasm3(circ: Circuit) -> str:
             lines.append(f"// ancilla {reg.name}: {inits}")
     if circ.num_cbits:
         lines.append(f"bit[{circ.num_cbits}] c;")
-    magic = [
-        QubitRef(reg.name, i)
-        for reg in circ.registers.values()
-        if reg.inits is not None
-        for i, init in enumerate(reg.inits)
-        if init is AncillaInit.MAGIC_A
-    ]
-    if magic:
-        lines.append("// begin magic-state preparation")
-        for q in magic:
-            lines.append(f"h {q};")
-            lines.append(f"t {q};")
-        lines.append("// end magic-state preparation")
+    lines += _magic_prologue(circ)
     for gate in circ.gates:
         kind = gate.kind
         if kind in _SIMPLE:
@@ -78,24 +83,24 @@ def to_qasm3(circ: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RE_QUBIT = re.compile(r"^qubit\[(\d+)\]\s+(\w+);$")
-_RE_BIT = re.compile(r"^bit\[(\d+)\]\s+c;$")
+# integers are ASCII digits only; \d would also match the digits of other scripts
+_RE_QUBIT = re.compile(r"^qubit\[([0-9]+)\]\s+(\w+);$")
+_RE_BIT = re.compile(r"^bit\[([0-9]+)\]\s+c;$")
 # lines are stripped, so an empty ancilla register's annotation has no space after the colon
 _RE_ANC = re.compile(r"^// ancilla (\w+): ?(.*)$")
-_RE_REF = re.compile(r"^(\w+)\[(\d+)\]$")
 _RE_ONE = re.compile(rf"^({'|'.join(_SIMPLE.values())})\s+([^,;]+);$")
 _RE_TWO = re.compile(r"^(cx|cz)\s+([^,;]+),\s*([^,;]+);$")
-_RE_MEASURE = re.compile(r"^c\[(\d+)\]\s*=\s*measure\s+([^,;]+);$")
-_RE_IF = re.compile(r"^if \(c\[(\d+)\] == 1\) \{ (cz|x) ([^;]+); \}$")
+_RE_MEASURE = re.compile(r"^c\[([0-9]+)\]\s*=\s*measure\s+([^,;]+);$")
+_RE_IF = re.compile(r"^if \(c\[([0-9]+)\] == 1\) \{ (cz|x) ([^;]+); \}$")
 
 _NAME_TO_KIND = {name: kind for kind, name in _SIMPLE.items()}
 
 
 def _ref(text: str) -> QubitRef:
-    m = _RE_REF.match(text.strip())
-    if not m:
-        raise QasmError(f"bad qubit reference {text!r}")
-    return QubitRef(m.group(1), int(m.group(2)))
+    try:
+        return QubitRef.parse(text.strip())
+    except ValueError:
+        raise QasmError(f"bad qubit reference {text!r}") from None
 
 
 def parse_qasm3(text: str) -> Circuit:
@@ -104,8 +109,10 @@ def parse_qasm3(text: str) -> Circuit:
     Only the emitted subset is understood; anything else is a parse error
     (QasmError).  An ``h`` immediately followed by a measurement of the same
     qubit folds back into the single X-basis-measurement gate it came from.
-    The parsed registers, gates and ``bit[k] c;`` count go to
-    :func:`qcla.ir.load_circuit`, which applies the circuit rules
+    Ancilla inits come from the ``// ancilla`` annotations alone; the
+    magic-state preparation block must be exactly the one :func:`to_qasm3`
+    writes for them.  The parsed registers, gates and ``bit[k] c;`` count go
+    to :func:`qcla.ir.load_circuit`, which applies the circuit rules
     (CircuitError).
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -113,18 +120,16 @@ def parse_qasm3(text: str) -> Circuit:
         raise QasmError("missing OPENQASM 3.0 header")
     registers: list[Register] = []  # inits stay None for data registers
     gates: list[Gate] = []
-    magic: list[QubitRef] = []
+    prologue: list[str] = []
     num_cbits = 0
     in_prep = False
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
         i += 1
     for ln in lines[i:]:
-        if ln == "// begin magic-state preparation":
-            in_prep = True
-            continue
-        if ln == "// end magic-state preparation":
-            in_prep = False
+        if in_prep or ln == _BEGIN_PREP:
+            prologue.append(ln)
+            in_prep = ln != _END_PREP
             continue
         m = _RE_ANC.match(ln)
         if m:
@@ -132,11 +137,8 @@ def parse_qasm3(text: str) -> Circuit:
             reg = next((r for r in registers if r.name == name), None)
             if reg is None:
                 raise QasmError(f"ancilla annotation for unknown register {name!r}")
-            values = inits.split(",") if inits else []
-            if len(values) != reg.size:
-                raise QasmError(f"ancilla annotation length mismatch for {name!r}")
             try:
-                reg.inits = [AncillaInit(v) for v in values]
+                reg.inits = [AncillaInit(v) for v in inits.split(",")] if inits else []
             except ValueError:
                 raise QasmError(f"unknown ancilla init in {ln!r}") from None
             continue
@@ -149,13 +151,6 @@ def parse_qasm3(text: str) -> Circuit:
         m = _RE_BIT.match(ln)
         if m:
             num_cbits = int(m.group(1))
-            continue
-        if in_prep:
-            m = _RE_ONE.match(ln)
-            if not m or m.group(1) not in ("h", "t"):
-                raise QasmError(f"unexpected line in preparation prologue: {ln!r}")
-            if m.group(1) == "t":
-                magic.append(_ref(m.group(2)))
             continue
         m = _RE_MEASURE.match(ln)
         if m:
@@ -182,13 +177,8 @@ def parse_qasm3(text: str) -> Circuit:
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
     if in_prep:
         raise QasmError("magic-state preparation is not terminated")
-    # the prologue's h/t pairs become MAGIC_A annotations
-    for q in magic:
-        reg = next((r for r in registers if r.name == q.reg and q.index < r.size), None)
-        if reg is None:
-            raise QasmError(f"magic preparation on unknown qubit {q}")
-        if reg.inits is None:
-            raise QasmError(f"magic preparation on data register {q.reg}")
-        reg.inits[q.index] = AncillaInit.MAGIC_A
     specs = [(r.name, r.size, r.inits) for r in registers]
-    return load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits)
+    circ = load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits)
+    if prologue != _magic_prologue(circ):
+        raise QasmError("magic-state preparation does not match the ancilla annotations")
+    return circ

@@ -131,11 +131,15 @@ class CostExpr:
     n2: Fraction = Fraction(0)
     n3: Fraction = Fraction(0)
 
+    @property
+    def min_n(self) -> int:
+        """The smallest width the form is defined at: w(n-1) and log2(n-1)
+        need n >= 2, every other term n >= 1."""
+        return 2 if self.w1 or self.log1 else 1
+
     def evaluate(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("cost forms need n >= 1")
-        if (self.w1 or self.log1) and n < 2:
-            raise ValueError("cost form uses w(n-1)/log(n-1); needs n >= 2")
+        if n < self.min_n:
+            raise ValueError(f"cost form needs n >= {self.min_n}")
         value = (
             self.n * n
             + self.w * hamming_weight(n)
@@ -144,7 +148,7 @@ class CostExpr:
             + self.n2 * n * n
             + self.n3 * n**3
         )
-        if self.w1 or self.log1:
+        if self.min_n == 2:
             value += self.w1 * hamming_weight(n - 1) + self.log1 * floor_log2(n - 1)
         return value
 
@@ -165,7 +169,16 @@ class CostModel:
     t_form: CostExpr
     qubit_form: CostExpr
     approximate: bool = False  # published only as an approximation
-    min_n: int = 1
+
+    @property
+    def min_n(self) -> int:
+        return max(self.t_form.min_n, self.qubit_form.min_n)
+
+    def evaluate(self, n: int) -> tuple[Fraction, Fraction]:
+        """(T-count, qubits) at width n; below :attr:`min_n` raises ValueError."""
+        if n < self.min_n:
+            raise ValueError(f"{self.label} cost form needs n >= {self.min_n}")
+        return self.t_form.evaluate(n), self.qubit_form.evaluate(n)
 
 
 # T-count and qubit closed forms of the four generated designs.
@@ -181,13 +194,11 @@ DESIGN_COSTS: dict[Design, CostModel] = {
         "In-FT-QCLA1",
         _expr(n=20, w=-8, w1=-8, log=-4, log1=-4, const=-8),
         _expr(n=6, w=-2, log=-2),
-        min_n=2,
     ),
     Design.IN_FT_QCLA2: CostModel(
         "In-FT-QCLA2",
         _expr(n=40, w=-11, log=-11, w1=-11, log1=-11, const=-32),
         _expr(n=4, w=-1, log=-1, const=1),
-        min_n=2,
     ),
 }
 
@@ -207,13 +218,11 @@ CATALOG: dict[str, CostModel] = {
         "Draper-in",
         _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
         _expr(n=4, w=-1, log=-1, const=1),
-        min_n=2,
     ),
     "Trisetyarso-in": CostModel(
         "Trisetyarso-in",
         _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
         _expr(n=4, w=-1, log=-1, const=1),
-        min_n=2,
     ),
     "Thapliyal-in": CostModel(
         "Thapliyal-in", _expr(n=Fraction(203, 4), const=-28), _expr(n=4, const=1)
@@ -257,8 +266,6 @@ def _per_step_counts(design: Design, n: int) -> list[tuple[str, int, int]]:
         ("completed carries", max(n - lg - 1, 0), merge_t),
     ]
     if design.in_place:
-        if n < 2:
-            raise ValueError("in-place per-step form needs n >= 2")
         w1, lg1 = hamming_weight(n - 1), floor_log2(n - 1)
         steps += [
             ("reverse propagate spans", max(n - 1 - w1 - lg1, 0), 4),
@@ -276,23 +283,17 @@ def formula_tcount(design: Design, n: int, source: str = "table") -> int:
     In-FT-QCLA1, where they differ by 8n - 4*floor(log2 n) -
     4*floor(log2(n-1)) - 12 (a known inconsistency this artifact reproduces).
     """
-    model = DESIGN_COSTS[design]
-    if n < model.min_n:
-        raise ValueError(f"{model.label} cost form needs n >= {model.min_n}")
+    table, _ = DESIGN_COSTS[design].evaluate(n)
     if source == "table":
-        value = model.t_form.evaluate(n)
-        assert value.denominator == 1
-        return int(value)
+        assert table.denominator == 1
+        return int(table)
     if source == "per_step":
         return sum(count * t_per for _, count, t_per in _per_step_counts(design, n))
     raise ValueError(f"unknown formula source {source!r}")
 
 
 def formula_qubits(design: Design, n: int) -> int:
-    model = DESIGN_COSTS[design]
-    if n < model.min_n:
-        raise ValueError(f"{model.label} cost form needs n >= {model.min_n}")
-    value = model.qubit_form.evaluate(n)
+    _, value = DESIGN_COSTS[design].evaluate(n)
     assert value.denominator == 1
     return int(value)
 
@@ -318,14 +319,8 @@ def catalog_cost(label: str, n: int) -> CatalogCost:
     if label not in CATALOG:
         raise KeyError(f"unknown catalog label {label!r}")
     model = CATALOG[label]
-    if n < model.min_n:
-        raise ValueError(f"{model.label} cost form needs n >= {model.min_n}")
-    return CatalogCost(
-        label=label,
-        t_count=model.t_form.evaluate(n),
-        qubits=model.qubit_form.evaluate(n),
-        approximate=model.approximate,
-    )
+    t_count, qubits = model.evaluate(n)
+    return CatalogCost(label, t_count, qubits, model.approximate)
 
 
 # ---------------------------------------------------------------------------

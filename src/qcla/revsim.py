@@ -62,15 +62,16 @@ def _run_masks(
     spent: set[QubitRef],
     full: int,
     failures: list[Exception],
-) -> None:
+) -> bool:
     """Bit-parallel executor: ``bits`` holds one integer mask per qubit.
 
     Bit i of a mask is the qubit's value on input slot i, and ``full`` has
     one bit set per slot, so every gate is a bitwise integer operation over
-    all inputs at once.  ``bits`` and ``spent`` are updated in place.  A
-    failed uncompute is appended to ``failures`` (with the number of failing
-    inputs) and execution continues; a spent qubit used again or an AND
-    target that is not fresh raises at once.
+    all inputs at once.  ``bits`` and ``spent`` are updated in place.  Every
+    contract violation is appended to ``failures`` in gate order.  A failed
+    uncompute (with the number of failing inputs) lets the run go on; a
+    spent qubit used again or an AND target that is not fresh ends it.
+    Returns whether the run reached the end of the gate list.
     """
     if circ.level is not Level.TOFFOLI:
         raise ValueError("the reversible simulator executes Toffoli-level circuits only")
@@ -80,16 +81,21 @@ def _run_masks(
             c1, c2, tgt = gate.qubits
             for q in (c1, c2):
                 if q in spent:
-                    raise SpentQubitUseError(idx, q)
+                    failures.append(SpentQubitUseError(idx, q))
+                    return False
             if tgt in spent:
                 spent.discard(tgt)  # allocator re-initialized this qubit
             elif bits[tgt]:
-                raise UncomputeAssertionError(idx, f"AND target {tgt} not fresh at gate {idx}")
+                failures.append(
+                    UncomputeAssertionError(idx, f"AND target {tgt} not fresh at gate {idx}")
+                )
+                return False
             bits[tgt] = bits[c1] & bits[c2]
             continue
         for q in gate.qubits:
             if q in spent:
-                raise SpentQubitUseError(idx, q)
+                failures.append(SpentQubitUseError(idx, q))
+                return False
         if kind is GateKind.NOT:
             bits[gate.qubits[0]] ^= full
         elif kind is GateKind.CNOT:
@@ -112,6 +118,7 @@ def _run_masks(
             spent.add(tq)
         else:
             raise ValueError(f"unexpected gate kind {kind} at Toffoli level")
+    return True
 
 
 def run_basis(circ: Circuit, state: BasisState) -> BasisState:
@@ -122,11 +129,7 @@ def run_basis(circ: Circuit, state: BasisState) -> BasisState:
     """
     st = state.copy()
     failures: list[Exception] = []
-    try:
-        _run_masks(circ, st.bits, st.spent, 1, failures)
-    except (SpentQubitUseError, UncomputeAssertionError):
-        if not failures:
-            raise
+    _run_masks(circ, st.bits, st.spent, 1, failures)
     if failures:
         raise failures[0]
     return st
@@ -222,13 +225,7 @@ def _check_batch(
         bits[QubitRef("B", i)] = b_masks[i]
     spent: set[QubitRef] = set()
     failures: list[Exception] = []
-    try:
-        _run_masks(circ, bits, spent, (1 << total) - 1, failures)
-    except (SpentQubitUseError, UncomputeAssertionError) as exc:
-        failures.append(exc)
-        finished = False
-    else:
-        finished = True
+    finished = _run_masks(circ, bits, spent, (1 << total) - 1, failures)
 
     sums = circ.labeled("s")
     assertions = [str(f) for f in failures]

@@ -24,6 +24,7 @@ from .ir import T_KINDS, QubitRef
 from .lowering import lower, lower_temporary_and
 from .qasm import parse_qasm3, to_qasm3
 from .resources import (
+    DESIGN_COSTS,
     count,
     depth_bound_fit,
     floor_log2,
@@ -224,8 +225,7 @@ def _check_costs(report: ValidationReport, n_max: int) -> None:
     # each check's last failure, "" while it passes
     t_fail = table_fail = q_fail = ""
     for design in Design:
-        start = 2 if design.in_place else 1
-        for n in range(start, n_max + 1):
+        for n in range(DESIGN_COSTS[design].min_n, n_max + 1):
             rep = count(lower(build(design, n)))
             per_step = formula_tcount(design, n, "per_step")
             table = formula_tcount(design, n, "table")
@@ -248,7 +248,7 @@ def _check_costs(report: ValidationReport, n_max: int) -> None:
     delta_ok = all(
         formula_tcount(in1, n, "per_step") - formula_tcount(in1, n, "table")
         == 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12
-        for n in range(2, n_max + 1)
+        for n in range(DESIGN_COSTS[in1].min_n, n_max + 1)
     )
     report.check("In-FT-QCLA1 closed-form/stage-sum delta identity", delta_ok)
 

@@ -32,6 +32,12 @@ def test_cost_check_formulas(capsys):
     assert "92" in row and "40" in row
 
 
+def test_cost_starts_at_the_closed_form_domain(capsys):
+    assert cli(["cost", "--design", "in1", "--n-from", "1", "--n-to", "3",
+                "--format", "json"]) == 0
+    assert [row["n"] for row in json.loads(capsys.readouterr().out)] == [2, 3]
+
+
 def test_cost_json_format(capsys):
     assert cli(["cost", "--design", "in2", "--n-from", "8", "--n-to", "8",
                 "--check-formulas", "--format", "json"]) == 0

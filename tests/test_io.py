@@ -214,3 +214,44 @@ def test_json_loader_rejects_bad_register_names(name):
 def test_qasm_parser_rejects_bad_register_names(body):
     with pytest.raises(CircuitError, match="register name"):
         parse_qasm3(_QASM_HEAD + body)
+
+
+_PREP = "// begin magic-state preparation\n{}// end magic-state preparation\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "qubit[٣] q;\nx q[0];\n",
+        "qubit[1] q;\nbit[1] c;\nh q[0];\nc[٠] = measure q[0];\n",
+        "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[٠] == 1) { x q[1]; }\n",
+        "qubit[2] q;\nx q[01];\n",
+        "qubit[2] q;\nx q[١];\n",
+        "qubit[2] a;\n// ancilla a: zero,zero\n" + _PREP.format("h a[1];\nt a[1];\n"),
+        "qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("t a[0];\n"),
+        "qubit[1] a;\n// ancilla a: magic_a\n",
+        "qubit[2] a;\n// ancilla a: magic_a,magic_a\n"
+        + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"),
+        "qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("h a[0];\nt a[0];\n") * 2,
+    ],
+    ids=["non-ascii-qubit-count", "non-ascii-measure-bit", "non-ascii-condition-bit",
+         "leading-zero-index", "non-ascii-index", "prologue-contradicts-annotation",
+         "prologue-only-t", "magic-annotation-without-prologue", "prologue-out-of-order",
+         "prologue-twice"],
+)
+def test_qasm_parser_rejects_outside_the_emitted_subset(body):
+    with pytest.raises(QasmError):
+        parse_qasm3(_QASM_HEAD + body)
+
+
+def test_qasm_annotation_length_is_checked_by_the_register():
+    with pytest.raises(CircuitError, match="1 inits for 2 qubits"):
+        parse_qasm3(_QASM_HEAD + "qubit[2] a;\n// ancilla a: zero\n")
+
+
+@pytest.mark.parametrize("key", ["a b[0]", "A[01]", "A[٠]", "A[-1]", "[0]"])
+def test_json_label_key_is_a_qubit_reference(key):
+    data = json.loads(to_json(build(Design.OUT_FT_QCLA1, 2)))
+    data["labels"][key] = "s9"
+    with pytest.raises(JsonIrError):
+        from_json(json.dumps(data))

@@ -208,3 +208,19 @@ def test_basis_input_in_register_order():
         circ.basis_input({"A": 4, "B": 0})
     with pytest.raises(ValueError, match="data register 'B' needs an input value"):
         circ.basis_input({"A": 0})
+
+
+def test_qubit_ref_parse_inverts_str():
+    for design in Design:
+        for n in range(1, 17):
+            for circ in (build(design, n), lower(build(design, n))):
+                for q in circ.qubits():
+                    assert QubitRef.parse(str(q)) == q
+
+
+@pytest.mark.parametrize(
+    "text", ["q[٣]", "q[-1]", "q[1", "[0]", "q[01]", "q[0] ", "a b[0]", "q[]"]
+)
+def test_qubit_ref_parse_rejects(text):
+    with pytest.raises(ValueError, match="is not a qubit reference"):
+        QubitRef.parse(text)

@@ -2,6 +2,7 @@
 standard library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,9 @@ def test_lowering_and_counting_import_no_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_version_matches_pyproject():
+    text = (Path(qcla.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "(.*)"$', project, re.M)[1] == qcla.__version__

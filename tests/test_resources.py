@@ -287,3 +287,41 @@ def test_round_half_up():
     assert round_half_up(Fraction(54285, 1000)) == "54.29"  # 54.285 rounds up
     assert round_half_up(Fraction(1, 3)) == "0.33"
     assert round_half_up(Fraction(-5, 4)) == "-1.25"
+
+
+# Every row's domain as published: the forms with w(n-1) or log2(n-1) terms start at n = 2.
+ROW_MIN_N = {
+    "Out-FT-QCLA1": 1, "Out-FT-QCLA2": 1, "In-FT-QCLA1": 2, "In-FT-QCLA2": 2,
+    "Draper-out": 1, "Trisetyarso-out": 1, "Thapliyal-out": 1, "Babu-out": 1, "Lisa-out": 1,
+    "Draper-in": 2, "Trisetyarso-in": 2, "Thapliyal-in": 1, "Takahashi08": 1,
+    "Takahashi10": 1, "Cheng": 1, "Mogensen1": 1, "Mogensen2": 1,
+}
+
+
+def test_row_domains_are_derived_from_their_forms():
+    rows = [*DESIGN_COSTS.values(), *CATALOG.values()]
+    assert {model.label: model.min_n for model in rows} == ROW_MIN_N
+    for model in rows:
+        assert model.min_n == max(model.t_form.min_n, model.qubit_form.min_n)
+        assert model.t_form.min_n == (2 if model.t_form.w1 or model.t_form.log1 else 1)
+
+
+@pytest.mark.parametrize("label", sorted(ROW_MIN_N))
+def test_each_row_raises_its_own_domain_message(label):
+    min_n = ROW_MIN_N[label]
+    message = f"^{label} cost form needs n >= {min_n}$"
+    design = next((d for d in DESIGN_COSTS if d.value == label), None)
+    calls = (
+        [lambda n: catalog_cost(label, n), CATALOG[label].evaluate]
+        if design is None
+        else [
+            lambda n: formula_tcount(design, n, "table"),
+            lambda n: formula_tcount(design, n, "per_step"),
+            lambda n: formula_qubits(design, n),
+            DESIGN_COSTS[design].evaluate,
+        ]
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call(min_n - 1)
+        call(min_n)

@@ -1,9 +1,11 @@
 """Verification suite: each check reports its own failure; report provenance."""
 
+import json
 import platform
 import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,9 @@ def test_git_revision_reads_the_checkout(tmp_path, monkeypatch, files, revision)
         path.write_text(text)
     monkeypatch.setattr(validate, "__file__", str(tmp_path / "src" / "qcla" / "validate.py"))
     assert validate.git_revision() == revision
+
+
+def test_qubit_deltas_match_the_golden_file():
+    path = Path(__file__).resolve().parent.parent / "golden" / "qubit_deltas.json"
+    golden = json.loads(path.read_text())
+    assert {design.value: delta for design, delta in validate.QUBIT_DELTAS.items()} == golden
