@@ -25,6 +25,7 @@ from .ir import (
     AncillaInit,
     Circuit,
     CircuitError,
+    Gate,
     QubitRef,
     cnot,
     new_circuit,
@@ -179,11 +180,16 @@ def cla_reference(a: int, b: int, n: int) -> int:
 
 
 class _Net:
-    """Shared carry-network emission helpers for one build."""
+    """Shared carry-network emission helpers for one build.
+
+    Gates are collected in ``gates``; :func:`build` validates and appends
+    them in one :meth:`Circuit.extend`.
+    """
 
     def __init__(self, circ: Circuit, use_pairs: bool):
         self.circ = circ
         self.use_pairs = use_pairs
+        self.gates: list[Gate] = []
         # live wire maps: interval (lo, hi) -> qubit currently holding the value
         self.p: dict[tuple[int, int], QubitRef] = {}
         self.g: dict[tuple[int, int], QubitRef] = {}
@@ -195,18 +201,18 @@ class _Net:
         """Temporary-AND onto a pooled or fresh magic ancilla, labelled spent."""
         q = self.pool.pop(0) if self.pool else self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
         self.circ.labels[q] = "spent"
-        self.circ.append(temp_and(c1, c2, q))
+        self.gates.append(temp_and(c1, c2, q))
         return q
 
     def emit_carry_merge(self, c1: QubitRef, c2: QubitRef, target: QubitRef) -> None:
         """Toffoli action onto target, via AND pair or a plain Toffoli."""
         if self.use_pairs:
             tmp = self.emit_and(c1, c2)
-            self.circ.append(cnot(tmp, target))
-            self.circ.append(uncompute(c1, c2, tmp))
+            self.gates.append(cnot(tmp, target))
+            self.gates.append(uncompute(c1, c2, tmp))
             self.spent.append(tmp)
         else:
-            self.circ.append(toffoli(c1, c2, target))
+            self.gates.append(toffoli(c1, c2, target))
 
     def p_round(self, triples: list[RoundTriple]) -> None:
         for tr in triples:
@@ -230,7 +236,7 @@ class _Net:
     def p_erase(self, triples: list[RoundTriple]) -> None:
         for tr in triples:
             tgt = self.p.pop((tr.j, tr.k))
-            self.circ.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
+            self.gates.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
             self.spent.append(tgt)
 
     def forward(
@@ -242,10 +248,10 @@ class _Net:
         n = len(A)
         for i in range(n):
             self.circ.labels[gen[i]] = "spent"
-            self.circ.append(temp_and(A[i], B[i], gen[i]))
+            self.gates.append(temp_and(A[i], B[i], gen[i]))
             self.g[(i, i + 1)] = gen[i]
         for i in range(first_p, n):
-            self.circ.append(cnot(A[i], B[i]))
+            self.gates.append(cnot(A[i], B[i]))
             self.p[(i, i + 1)] = B[i]
         self.p_round(round_indices(RoundKind.P, n))
         self.merge_round(round_indices(RoundKind.G, n))
@@ -269,48 +275,50 @@ def _adder_circuit(
     return circ, A, B
 
 
-def _build_out_of_place(design: Design, n: int) -> Circuit:
+def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     x_inits = [AncillaInit.ZERO] + [AncillaInit.MAGIC_A] * n
     circ, A, B = _adder_circuit(n, ("X", n + 1, x_inits), ancilla_register="Z")
     X = [QubitRef("X", i) for i in range(n + 1)]
 
     net = _Net(circ, design.uses_and_pairs)
+    gates = net.gates
     # Steps 1-6: generate bits onto the magic ancillae X[1..n]; propagate bits
     # from bit 1 (bit 0 is never needed); the carry network.
     net.forward(A, B, X[1:], first_p=1)
     # Step 7: fold propagate bits into the carries to form sum bits 1..n-1;
     # X[0] picks up b0.
     for i in range(1, n):
-        circ.append(cnot(B[i], net.g[(0, i)]))
-    circ.append(cnot(B[0], X[0]))
+        gates.append(cnot(B[i], net.g[(0, i)]))
+    gates.append(cnot(B[0], X[0]))
     # Step 8: restore B to b, complete s0 = a0 xor b0 on X[0].
     for i in range(1, n):
-        circ.append(cnot(A[i], B[i]))
-    circ.append(cnot(A[0], X[0]))
+        gates.append(cnot(A[i], B[i]))
+    gates.append(cnot(A[0], X[0]))
 
     for i in range(n + 1):
         circ.labels[X[i]] = f"s{i}"
-    return circ
+    return circ, gates
 
 
-def _build_in_place(design: Design, n: int) -> Circuit:
+def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.MAGIC_A] * n), ancilla_register="X")
     Z = [QubitRef("Z", i) for i in range(n)]
 
     net = _Net(circ, design.uses_and_pairs)
+    gates = net.gates
     # Steps 1-6: generate bits onto the Z register; propagate bits from bit 0
     # (its complement seeds the uncomputation network and the final sum bit
     # s0); the carry network.
     net.forward(A, B, Z, first_p=0)
     # Step 7: sum bits into B (carries stay intact on Z for uncomputation).
     for i in range(1, n):
-        circ.append(cnot(net.g[(0, i)], B[i]))
+        gates.append(cnot(net.g[(0, i)], B[i]))
     # Steps 8-9: complement sum bits 0..n-2 and rebuild propagate bits of the
     # (n-1)-wide network over (a, not-s), whose carry chain equals the original.
     for i in range(n - 1):
-        circ.append(not_(B[i]))
+        gates.append(not_(B[i]))
     for i in range(1, n - 1):
-        circ.append(cnot(A[i], B[i]))
+        gates.append(cnot(A[i], B[i]))
 
     if n >= 2:
         # The reverse half draws its gadget ancillae from the pool spent in the
@@ -324,18 +332,18 @@ def _build_in_place(design: Design, n: int) -> Circuit:
         net.p_erase(round_indices(RoundKind.REVERSE_P, n))
         # Step 14: back to complemented sum bits.
         for i in range(1, n - 1):
-            circ.append(cnot(A[i], B[i]))
+            gates.append(cnot(A[i], B[i]))
         # Step 15: erase the per-bit generate values g'_i = a_i & not-s_i.
         for i in range(n - 1):
-            circ.append(uncompute(A[i], B[i], Z[i]))
+            gates.append(uncompute(A[i], B[i], Z[i]))
     # Step 16: uncomplement; B now holds sum bits 0..n-1, Z[n-1] holds s_n.
     for i in range(n - 1):
-        circ.append(not_(B[i]))
+        gates.append(not_(B[i]))
 
     for i in range(n):
         circ.labels[B[i]] = f"s{i}"
     circ.labels[Z[n - 1]] = f"s{n}"
-    return circ
+    return circ, gates
 
 
 def build(design: Design, n: int) -> Circuit:
@@ -347,6 +355,6 @@ def build(design: Design, n: int) -> Circuit:
     """
     if n < 1:
         raise CircuitError("operand width must be >= 1")
-    if design.in_place:
-        return _build_in_place(design, n)
-    return _build_out_of_place(design, n)
+    emit = _build_in_place if design.in_place else _build_out_of_place
+    circ, gates = emit(design, n)
+    return circ.extend(gates)

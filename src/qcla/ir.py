@@ -15,7 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, compress, repeat
+from operator import is_, is_not, itemgetter, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class CircuitError(ValueError):
@@ -93,6 +95,7 @@ class GateKind(Enum):
 
 
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
+_CLASSICAL_KINDS = frozenset({GateKind.MEASURE_X, GateKind.CC_Z, GateKind.CC_X})
 
 
 class Gate(NamedTuple):
@@ -105,6 +108,25 @@ class Gate(NamedTuple):
     kind: GateKind
     qubits: tuple[QubitRef, ...]
     cbit: int | None = None
+
+
+_KIND, _QUBITS, _CBIT = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _and_targets(gates: Sequence[Gate]) -> Iterator[QubitRef]:
+    """The target of each temporary AND in ``gates``, in order."""
+    is_and = map(is_, map(_KIND, gates), repeat(GateKind.TEMP_AND))
+    return map(itemgetter(2), map(_QUBITS, compress(gates, is_and)))
+
+
+def _carry_bits(gates: Sequence[Gate]) -> Iterator[bool]:
+    """Whether each gate in ``gates`` carries a classical bit, in order."""
+    return map(is_not, map(_CBIT, gates), repeat(None))
+
+
+def _first(items: Iterable, bad: set):
+    """The first of ``items`` that is in ``bad``."""
+    return next(x for x in items if x in bad)
 
 
 def not_(q: QubitRef) -> Gate:
@@ -279,50 +301,81 @@ class Circuit:
     # -- gate appends ---------------------------------------------------------------
 
     def append(self, gate: Gate) -> "Circuit":
-        """Validate and append one gate; returns self for chaining.
+        """Validate and append one gate (see :meth:`extend`); returns self."""
+        return self.extend((gate,))
 
-        Classical bits are written once, in program order: a MEASURE_X writes
-        bit ``num_cbits`` (assigned when its cbit is None), so a CC_Z / CC_X
-        condition bit in ``[0, num_cbits)`` was measured earlier.  No other
-        gate carries a classical bit.
+    def extend(self, gates: Iterable[Gate]) -> "Circuit":
+        """Validate a batch of gates and append it whole; returns self.
+
+        The one validator of the circuit rules.  Each rule is checked over
+        the whole batch, in this order: the operand count of each kind, that
+        every operand resolves, distinct operands within a gate, the gate set
+        of the level, a magic-state ancilla as each temporary-AND target, and
+        the classical bits.  A ``measure_x`` writes bit ``num_cbits`` (assigned
+        when its cbit is None), so classical bits are written once in program
+        order and a ``cc_z`` / ``cc_x`` condition bit in ``[0, num_cbits)`` was
+        measured earlier; no other gate carries a bit.
+
+        The batch is atomic: on a :class:`CircuitError` nothing is appended and
+        ``num_cbits`` is unchanged.  The error names the first gate that
+        breaks the first rule that fails, so a single gate gets the message
+        of the rule it breaks.
         """
-        kind = gate.kind
-        if len(gate.qubits) != kind.arity:
-            raise CircuitError(
-                f"{kind.value} takes {kind.arity} qubit operands, got {len(gate.qubits)}"
-            )
-        for q in gate.qubits:
-            if not self.resolves(q):
-                raise CircuitError(f"operand {q} does not resolve in the register table")
-        if len(set(gate.qubits)) != len(gate.qubits):
+        # a list or tuple is read in place; no per-gate copy
+        batch = gates if isinstance(gates, (list, tuple)) else list(gates)
+        shapes = set(zip(map(_KIND, batch), map(len, map(_QUBITS, batch))))
+        bad = {(k, n) for k, n in shapes if n != k.arity}
+        if bad:
+            kind, n = _first(zip(map(_KIND, batch), map(len, map(_QUBITS, batch))), bad)
+            raise CircuitError(f"{kind.value} takes {kind.arity} qubit operands, got {n}")
+        # each set of distinct values is a temporary, so at most one is alive
+        bad = {q for q in set(chain.from_iterable(map(_QUBITS, batch))) if not self.resolves(q)}
+        if bad:
+            q = _first(chain.from_iterable(map(_QUBITS, batch)), bad)
+            raise CircuitError(f"operand {q} does not resolve in the register table")
+        # a gate's operand set is never larger than its operand tuple, so the
+        # sums are equal exactly when no gate repeats an operand
+        if sum(map(len, map(set, map(_QUBITS, batch)))) != sum(map(len, map(_QUBITS, batch))):
+            kind = next(g.kind for g in batch if len(set(g.qubits)) != len(g.qubits))
             raise CircuitError(f"duplicate operands in gate {kind.value}")
-        if kind.level is not None and kind.level is not self.level:
+        kinds = {k for k, _ in shapes}
+        bad = {k for k in kinds if k.level is not None and k.level is not self.level}
+        if bad:
+            kind = _first(map(_KIND, batch), bad)
             where = "Toffoli-level" if self.level is Level.TOFFOLI else "Clifford+T"
             raise CircuitError(f"{kind.value} is not a {where} gate")
-        if kind is GateKind.TEMP_AND:
-            if self.init_of(gate.qubits[2]) is not AncillaInit.MAGIC_A:
-                raise CircuitError(
-                    f"temporary-AND target {gate.qubits[2]} is not a magic-state ancilla"
-                )
-        if kind is GateKind.MEASURE_X:
-            if gate.cbit is None:
-                gate = Gate(kind, gate.qubits, self.num_cbits)
-            elif gate.cbit != self.num_cbits:
-                raise CircuitError(
-                    f"measure_x writes bit {gate.cbit}; the next classical bit is {self.num_cbits}"
-                )
-            self.num_cbits += 1
-        elif kind in (GateKind.CC_Z, GateKind.CC_X):
-            if gate.cbit is None or not 0 <= gate.cbit < self.num_cbits:
-                raise CircuitError(f"{kind.value} references unknown classical bit")
-        elif gate.cbit is not None:
-            raise CircuitError(f"{kind.value} carries classical bit {gate.cbit}")
-        self.gates.append(gate)
-        return self
-
-    def extend(self, gates: Sequence[Gate]) -> "Circuit":
-        for g in gates:
-            self.append(g)
+        if GateKind.TEMP_AND in kinds:
+            magic = AncillaInit.MAGIC_A
+            bad = {q for q in set(_and_targets(batch)) if self.init_of(q) is not magic}
+            if bad:
+                q = _first(_and_targets(batch), bad)
+                raise CircuitError(f"temporary-AND target {q} is not a magic-state ancilla")
+        num_cbits = self.num_cbits
+        assigned = []  # (index, bit) of each measure_x given its bit here
+        classical = ()  # indices of the gates with a classical kind or bit
+        if not kinds.isdisjoint(_CLASSICAL_KINDS) or any(_carry_bits(batch)):
+            is_classical = map(_CLASSICAL_KINDS.__contains__, map(_KIND, batch))
+            classical = compress(range(len(batch)), map(or_, _carry_bits(batch), is_classical))
+        for i in classical:
+            kind, qubits, cbit = batch[i]
+            if kind is GateKind.MEASURE_X:
+                if cbit is None:
+                    assigned.append((i, num_cbits))
+                elif cbit != num_cbits:
+                    raise CircuitError(
+                        f"measure_x writes bit {cbit}; the next classical bit is {num_cbits}"
+                    )
+                num_cbits += 1
+            elif kind is GateKind.CC_Z or kind is GateKind.CC_X:
+                if cbit is None or not 0 <= cbit < num_cbits:
+                    raise CircuitError(f"{kind.value} references unknown classical bit")
+            else:
+                raise CircuitError(f"{kind.value} carries classical bit {cbit}")
+        start = len(self.gates)
+        self.gates += batch
+        for i, bit in assigned:
+            self.gates[start + i] = Gate(GateKind.MEASURE_X, batch[i].qubits, bit)
+        self.num_cbits = num_cbits
         return self
 
     # -- ancilla allocation ----------------------------------------------------------
@@ -373,10 +426,10 @@ def load_circuit(
 ) -> Circuit:
     """Build a whole circuit from plain parts and validate it.
 
-    The one whole-circuit validator: every gate goes through
-    :meth:`Circuit.append`, the declared ``num_cbits`` must equal the number
-    of measured bits, and every label must name a qubit.  The JSON and
-    OpenQASM loaders both end here.  Raises :class:`CircuitError`.
+    The one whole-circuit validator: the gates go through
+    :meth:`Circuit.extend` as one batch, the declared ``num_cbits`` must
+    equal the number of measured bits, and every label must name a qubit.
+    The JSON and OpenQASM loaders both end here.  Raises :class:`CircuitError`.
     """
     circ = new_circuit(registers, level, ancilla_register)
     circ.extend(gates)

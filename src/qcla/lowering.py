@@ -152,8 +152,8 @@ def lower(circ: Circuit) -> Circuit:
     temporary AND.
 
     The output is written straight into ``out.gates`` without
-    :meth:`Circuit.append`: the input gates were checked when they were
-    appended or loaded, a repeated gadget operand raises the gadget's own
+    :meth:`Circuit.extend`: the input gates were checked when they were
+    built or loaded, a repeated gadget operand raises the gadget's own
     error, and classical bits are numbered here in program order.
     """
     if circ.level is not Level.TOFFOLI:

@@ -83,14 +83,16 @@ def to_qasm3(circ: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# integers are ASCII digits only; \d would also match the digits of other scripts
-_RE_QUBIT = re.compile(r"^qubit\[([0-9]+)\]\s+(\w+);$")
-_RE_BIT = re.compile(r"^bit\[([0-9]+)\]\s+c;$")
+# integers are ASCII digits only and blanks are ASCII spaces or tabs; \d and
+# \s would also match the digits and spaces of other scripts
+_BLANK = " \t"
+_RE_QUBIT = re.compile(r"^qubit\[([0-9]+)\][ \t]+(\w+);$")
+_RE_BIT = re.compile(r"^bit\[([0-9]+)\][ \t]+c;$")
 # lines are stripped, so an empty ancilla register's annotation has no space after the colon
 _RE_ANC = re.compile(r"^// ancilla (\w+): ?(.*)$")
-_RE_ONE = re.compile(rf"^({'|'.join(_SIMPLE.values())})\s+([^,;]+);$")
-_RE_TWO = re.compile(r"^(cx|cz)\s+([^,;]+),\s*([^,;]+);$")
-_RE_MEASURE = re.compile(r"^c\[([0-9]+)\]\s*=\s*measure\s+([^,;]+);$")
+_RE_ONE = re.compile(rf"^({'|'.join(_SIMPLE.values())})[ \t]+([^,;]+);$")
+_RE_TWO = re.compile(r"^(cx|cz)[ \t]+([^,;]+),[ \t]*([^,;]+);$")
+_RE_MEASURE = re.compile(r"^c\[([0-9]+)\][ \t]*=[ \t]*measure[ \t]+([^,;]+);$")
 _RE_IF = re.compile(r"^if \(c\[([0-9]+)\] == 1\) \{ (cz|x) ([^;]+); \}$")
 
 _NAME_TO_KIND = {name: kind for kind, name in _SIMPLE.items()}
@@ -98,7 +100,7 @@ _NAME_TO_KIND = {name: kind for kind, name in _SIMPLE.items()}
 
 def _ref(text: str) -> QubitRef:
     try:
-        return QubitRef.parse(text.strip())
+        return QubitRef.parse(text.strip(_BLANK))
     except ValueError:
         raise QasmError(f"bad qubit reference {text!r}") from None
 
@@ -109,19 +111,21 @@ def parse_qasm3(text: str) -> Circuit:
     Only the emitted subset is understood; anything else is a parse error
     (QasmError).  An ``h`` immediately followed by a measurement of the same
     qubit folds back into the single X-basis-measurement gate it came from.
-    Ancilla inits come from the ``// ancilla`` annotations alone; the
+    Tokens are separated by ASCII spaces or tabs only.  Ancilla inits come
+    from the ``// ancilla`` annotations alone, at most one per register; the
     magic-state preparation block must be exactly the one :func:`to_qasm3`
-    writes for them.  The parsed registers, gates and ``bit[k] c;`` count go
-    to :func:`qcla.ir.load_circuit`, which applies the circuit rules
+    writes for them.  ``bit[k] c;`` is declared at most once.  The parsed
+    registers, gates and ``bit[k] c;`` count go to
+    :func:`qcla.ir.load_circuit`, which applies the circuit rules
     (CircuitError).
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip(_BLANK) for ln in text.splitlines() if ln.strip(_BLANK)]
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise QasmError("missing OPENQASM 3.0 header")
     registers: list[Register] = []  # inits stay None for data registers
     gates: list[Gate] = []
     prologue: list[str] = []
-    num_cbits = 0
+    num_cbits: int | None = None
     in_prep = False
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
@@ -137,6 +141,8 @@ def parse_qasm3(text: str) -> Circuit:
             reg = next((r for r in registers if r.name == name), None)
             if reg is None:
                 raise QasmError(f"ancilla annotation for unknown register {name!r}")
+            if reg.inits is not None:
+                raise QasmError(f"second ancilla annotation for register {name!r}")
             try:
                 reg.inits = [AncillaInit(v) for v in inits.split(",")] if inits else []
             except ValueError:
@@ -150,6 +156,8 @@ def parse_qasm3(text: str) -> Circuit:
             continue
         m = _RE_BIT.match(ln)
         if m:
+            if num_cbits is not None:
+                raise QasmError("second classical register declaration")
             num_cbits = int(m.group(1))
             continue
         m = _RE_MEASURE.match(ln)
@@ -178,7 +186,7 @@ def parse_qasm3(text: str) -> Circuit:
     if in_prep:
         raise QasmError("magic-state preparation is not terminated")
     specs = [(r.name, r.size, r.inits) for r in registers]
-    circ = load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits)
+    circ = load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits or 0)
     if prologue != _magic_prologue(circ):
         raise QasmError("magic-state preparation does not match the ancilla annotations")
     return circ

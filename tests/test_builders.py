@@ -14,7 +14,7 @@ from qcla.builders import (
     design_from_key,
     round_indices,
 )
-from qcla.ir import GateKind, QubitRef
+from qcla.ir import Circuit, CircuitError, GateKind, QubitRef, temp_and
 from qcla.jsonio import to_json
 from qcla.lowering import lower
 from qcla.resources import floor_log2, hamming_weight
@@ -172,6 +172,40 @@ def test_build_rejects_zero_width():
 @pytest.mark.parametrize("design", list(Design))
 def test_build_deterministic(design):
     assert to_json(build(design, 9)) == to_json(build(design, 9))
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_build_output_is_checked_by_the_circuit_rules(design, monkeypatch):
+    """A temporary AND the builders aim at a data qubit fails the build."""
+
+    def misdirected(c1, c2, target):
+        data = next(q for q in (QubitRef("A", i) for i in range(3)) if q not in (c1, c2))
+        return temp_and(c1, c2, data)
+
+    monkeypatch.setattr("qcla.builders.temp_and", misdirected)
+    with pytest.raises(CircuitError, match="not a magic-state ancilla"):
+        build(design, 4)
+
+
+@pytest.mark.parametrize("design", list(Design))
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_build_validates_its_gates_in_one_batch(design, n, monkeypatch):
+    calls = {"append": 0, "extend": 0}
+
+    def counting(name):
+        method = getattr(Circuit, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Circuit, name, counting(name))
+    circ = build(design, n)
+    assert calls == {"append": 0, "extend": 1}
+    assert circ.gates
 
 
 @pytest.mark.parametrize("design", list(Design))

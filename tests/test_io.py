@@ -233,11 +233,16 @@ _PREP = "// begin magic-state preparation\n{}// end magic-state preparation\n"
         "qubit[2] a;\n// ancilla a: magic_a,magic_a\n"
         + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"),
         "qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("h a[0];\nt a[0];\n") * 2,
+        "qubit[1] a;\n// ancilla a: magic_a\n// ancilla a: zero\n",
+        "qubit[1] q;\nbit[1] c;\nbit[0] c;\n",
+        "qubit[1] q;\nx\u3000q[0];\n",
+        "qubit[2] q;\ncx q[0],\u3000q[1];\n",
     ],
     ids=["non-ascii-qubit-count", "non-ascii-measure-bit", "non-ascii-condition-bit",
          "leading-zero-index", "non-ascii-index", "prologue-contradicts-annotation",
          "prologue-only-t", "magic-annotation-without-prologue", "prologue-out-of-order",
-         "prologue-twice"],
+         "prologue-twice", "ancilla-annotation-twice", "bit-declaration-twice",
+         "non-ascii-space-between-tokens", "non-ascii-space-before-operand"],
 )
 def test_qasm_parser_rejects_outside_the_emitted_subset(body):
     with pytest.raises(QasmError):

@@ -1,8 +1,10 @@
-"""Property tests for the JSON and OpenQASM loaders.
+"""Property tests for the JSON and OpenQASM loaders and the batch validator.
 
 Random well-formed Clifford+T circuits round-trip byte-identically, and a
 document with one field or line changed either loads into a circuit that
 serializes again or raises one of the loaders' documented errors.
+``Circuit.extend``, which both loaders end in, accepts a random gate batch
+exactly when appending its gates one at a time does.
 """
 
 import json
@@ -10,7 +12,7 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from qcla.ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level
+from qcla.ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level, QubitRef
 from qcla.jsonio import JsonIrError, from_json, to_json
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
 
@@ -135,3 +137,69 @@ def test_qasm_single_line_mutation_raises_only_loader_errors(circ, data):
     except LOADER_ERRORS:
         return
     _loads_cleanly(back)
+
+
+# operands a batch may draw: every qubit of the circuit below, one index past
+# a register's end and one qubit of no register
+BATCH_OPERANDS = ([QubitRef("d", i) for i in range(3)] + [QubitRef("m", i) for i in range(3)]
+                  + [QubitRef("d", 3), QubitRef("x", 0)])
+
+
+@st.composite
+def gate_batches(draw):
+    """A circuit factory and a random gate batch for it.
+
+    Gates are of a kind legal at the circuit's level, with distinct operands
+    that exist; only a ``cc_z`` / ``cc_x`` carries a classical bit, which an
+    earlier measurement may or may not have written.  At most one gate is
+    drawn with any kind, operands and classical bit instead."""
+    level = draw(st.sampled_from(Level))
+    inits = draw(st.lists(st.sampled_from(AncillaInit), min_size=3, max_size=3))
+    measured = draw(st.integers(0, 2)) if level is Level.CLIFFORD_T else 0
+
+    def make() -> Circuit:
+        circ = Circuit(level=level)
+        circ.add_register("d", 3)
+        circ.add_register("m", 3, list(inits))
+        circ.extend(Gate(GateKind.MEASURE_X, (QubitRef("d", i),)) for i in range(measured))
+        return circ
+
+    legal = [kind for kind in GateKind if kind.level in (None, level)]
+    size = draw(st.integers(0, 8))
+    wild = draw(st.none() | st.integers(0, 8))
+    batch = []
+    for i in range(size):
+        if i == wild:
+            kind = draw(st.sampled_from(GateKind))
+            operands = draw(st.lists(st.sampled_from(BATCH_OPERANDS), max_size=4))
+            cbit = draw(st.none() | st.integers(-1, 4))
+        else:
+            kind = draw(st.sampled_from(legal))
+            operands = draw(st.lists(st.sampled_from(BATCH_OPERANDS[:6]), min_size=kind.arity,
+                                     max_size=kind.arity, unique=True))
+            cbit = draw(st.integers(0, 3)) if kind in (GateKind.CC_Z, GateKind.CC_X) else None
+        batch.append(Gate(kind, tuple(operands), cbit))
+    return make, batch
+
+
+@SETTINGS
+@given(gate_batches())
+def test_extend_accepts_a_batch_exactly_when_append_accepts_each_gate(case):
+    make, batch = case
+    one_by_one, whole = make(), make()
+    try:
+        for gate in batch:
+            one_by_one.append(gate)
+    except CircuitError:
+        appended = False
+    else:
+        appended = True
+    before = whole.structural_key()
+    try:
+        whole.extend(batch)
+    except CircuitError:
+        assert not appended
+        assert whole.structural_key() == before  # gates and num_cbits untouched
+        return
+    assert appended
+    assert whole.structural_key() == one_by_one.structural_key()

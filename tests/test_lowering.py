@@ -121,7 +121,7 @@ def test_out_of_place_has_no_resets():
 
 @pytest.mark.parametrize("design", list(Design))
 def test_lowered_stream_passes_load_circuit(design):
-    """`lower` skips Circuit.append; replaying its output through the validator
+    """`lower` skips Circuit.extend; replaying its output through the validator
     must give the same circuit."""
     for n in range(1, 17):
         lowered = lower(build(design, n))
@@ -191,7 +191,7 @@ def test_gadget_templates(kind, size, distinct, t_gates):
 )
 @pytest.mark.parametrize("operands", [(0, 0, 2), (0, 1, 0), (0, 1, 1)])
 def test_lower_raises_the_gadget_error_on_repeated_operands(kind, message, operands):
-    # planted in the gate list directly: Circuit.append would refuse it
+    # planted in the gate list directly: Circuit.extend would refuse it
     circ = new_circuit([("q", 4, [AncillaInit.MAGIC_A] * 4)])
     circ.gates.append(Gate(kind, tuple(Q[i] for i in operands)))
     with pytest.raises(CircuitError, match=message):
