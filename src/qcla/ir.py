@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, repeat
-from operator import is_, is_not, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -95,7 +93,6 @@ class GateKind(Enum):
 
 
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
-_CLASSICAL_KINDS = frozenset({GateKind.MEASURE_X, GateKind.CC_Z, GateKind.CC_X})
 
 
 class Gate(NamedTuple):
@@ -108,25 +105,6 @@ class Gate(NamedTuple):
     kind: GateKind
     qubits: tuple[QubitRef, ...]
     cbit: int | None = None
-
-
-_KIND, _QUBITS, _CBIT = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def _and_targets(gates: Sequence[Gate]) -> Iterator[QubitRef]:
-    """The target of each temporary AND in ``gates``, in order."""
-    is_and = map(is_, map(_KIND, gates), repeat(GateKind.TEMP_AND))
-    return map(itemgetter(2), map(_QUBITS, compress(gates, is_and)))
-
-
-def _carry_bits(gates: Sequence[Gate]) -> Iterator[bool]:
-    """Whether each gate in ``gates`` carries a classical bit, in order."""
-    return map(is_not, map(_CBIT, gates), repeat(None))
-
-
-def _first(items: Iterable, bad: set):
-    """The first of ``items`` that is in ``bad``."""
-    return next(x for x in items if x in bad)
 
 
 def not_(q: QubitRef) -> Gate:
@@ -307,58 +285,52 @@ class Circuit:
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
         """Validate a batch of gates and append it whole; returns self.
 
-        The one validator of the circuit rules.  Each rule is checked over
-        the whole batch, in this order: the operand count of each kind, that
-        every operand resolves, distinct operands within a gate, the gate set
-        of the level, a magic-state ancilla as each temporary-AND target, and
-        the classical bits.  A ``measure_x`` writes bit ``num_cbits`` (assigned
-        when its cbit is None), so classical bits are written once in program
-        order and a ``cc_z`` / ``cc_x`` condition bit in ``[0, num_cbits)`` was
-        measured earlier; no other gate carries a bit.
+        The one validator of the circuit rules.  The gates are checked one by
+        one, in order, and each against these rules in this order: the
+        operand count of its kind, that every operand resolves, distinct
+        operands, the gate set of the level, a magic-state ancilla as the
+        target of a temporary AND, and the classical bits.  A ``measure_x``
+        writes bit ``num_cbits`` (assigned when its cbit is None), so
+        classical bits are written once in program order and a ``cc_z`` /
+        ``cc_x`` condition bit in ``[0, num_cbits)`` was measured earlier; no
+        other gate carries a bit.
 
         The batch is atomic: on a :class:`CircuitError` nothing is appended and
-        ``num_cbits`` is unchanged.  The error names the first gate that
-        breaks the first rule that fails, so a single gate gets the message
-        of the rule it breaks.
+        ``num_cbits`` is unchanged.  The error is the one that appending the
+        gates one at a time would raise.
         """
         # a list or tuple is read in place; no per-gate copy
         batch = gates if isinstance(gates, (list, tuple)) else list(gates)
-        shapes = set(zip(map(_KIND, batch), map(len, map(_QUBITS, batch))))
-        bad = {(k, n) for k, n in shapes if n != k.arity}
-        if bad:
-            kind, n = _first(zip(map(_KIND, batch), map(len, map(_QUBITS, batch))), bad)
-            raise CircuitError(f"{kind.value} takes {kind.arity} qubit operands, got {n}")
-        # each set of distinct values is a temporary, so at most one is alive
-        bad = {q for q in set(chain.from_iterable(map(_QUBITS, batch))) if not self.resolves(q)}
-        if bad:
-            q = _first(chain.from_iterable(map(_QUBITS, batch)), bad)
-            raise CircuitError(f"operand {q} does not resolve in the register table")
-        # a gate's operand set is never larger than its operand tuple, so the
-        # sums are equal exactly when no gate repeats an operand
-        if sum(map(len, map(set, map(_QUBITS, batch)))) != sum(map(len, map(_QUBITS, batch))):
-            kind = next(g.kind for g in batch if len(set(g.qubits)) != len(g.qubits))
-            raise CircuitError(f"duplicate operands in gate {kind.value}")
-        kinds = {k for k, _ in shapes}
-        bad = {k for k in kinds if k.level is not None and k.level is not self.level}
-        if bad:
-            kind = _first(map(_KIND, batch), bad)
-            where = "Toffoli-level" if self.level is Level.TOFFOLI else "Clifford+T"
-            raise CircuitError(f"{kind.value} is not a {where} gate")
-        if GateKind.TEMP_AND in kinds:
-            magic = AncillaInit.MAGIC_A
-            bad = {q for q in set(_and_targets(batch)) if self.init_of(q) is not magic}
-            if bad:
-                q = _first(_and_targets(batch), bad)
-                raise CircuitError(f"temporary-AND target {q} is not a magic-state ancilla")
+        level = self.level
         num_cbits = self.num_cbits
+        resolved: set[QubitRef] = set()
         assigned = []  # (index, bit) of each measure_x given its bit here
-        classical = ()  # indices of the gates with a classical kind or bit
-        if not kinds.isdisjoint(_CLASSICAL_KINDS) or any(_carry_bits(batch)):
-            is_classical = map(_CLASSICAL_KINDS.__contains__, map(_KIND, batch))
-            classical = compress(range(len(batch)), map(or_, _carry_bits(batch), is_classical))
-        for i in classical:
-            kind, qubits, cbit = batch[i]
-            if kind is GateKind.MEASURE_X:
+        # an Enum class attribute is slow to look up, so read each one once
+        temp_and_kind, measure_kind = GateKind.TEMP_AND, GateKind.MEASURE_X
+        conditional_kinds = (GateKind.CC_Z, GateKind.CC_X)
+        magic = AncillaInit.MAGIC_A
+        for i, (kind, qubits, cbit) in enumerate(batch):
+            if len(qubits) != kind.arity:
+                raise CircuitError(
+                    f"{kind.value} takes {kind.arity} qubit operands, got {len(qubits)}"
+                )
+            operands = set(qubits)
+            if not operands <= resolved:
+                for q in qubits:
+                    if q not in resolved:
+                        if not self.resolves(q):
+                            raise CircuitError(
+                                f"operand {q} does not resolve in the register table"
+                            )
+                        resolved.add(q)
+            if len(operands) != len(qubits):
+                raise CircuitError(f"duplicate operands in gate {kind.value}")
+            if kind.level is not None and kind.level is not level:
+                where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"
+                raise CircuitError(f"{kind.value} is not a {where} gate")
+            if kind is temp_and_kind and self.init_of(qubits[2]) is not magic:
+                raise CircuitError(f"temporary-AND target {qubits[2]} is not a magic-state ancilla")
+            if kind is measure_kind:
                 if cbit is None:
                     assigned.append((i, num_cbits))
                 elif cbit != num_cbits:
@@ -366,15 +338,15 @@ class Circuit:
                         f"measure_x writes bit {cbit}; the next classical bit is {num_cbits}"
                     )
                 num_cbits += 1
-            elif kind is GateKind.CC_Z or kind is GateKind.CC_X:
+            elif kind in conditional_kinds:
                 if cbit is None or not 0 <= cbit < num_cbits:
                     raise CircuitError(f"{kind.value} references unknown classical bit")
-            else:
+            elif cbit is not None:
                 raise CircuitError(f"{kind.value} carries classical bit {cbit}")
         start = len(self.gates)
         self.gates += batch
         for i, bit in assigned:
-            self.gates[start + i] = Gate(GateKind.MEASURE_X, batch[i].qubits, bit)
+            self.gates[start + i] = Gate(measure_kind, batch[i].qubits, bit)
         self.num_cbits = num_cbits
         return self
 

@@ -23,15 +23,22 @@ class QasmError(ValueError):
 _BEGIN_PREP = "// begin magic-state preparation"
 _END_PREP = "// end magic-state preparation"
 
-_SIMPLE = {
-    GateKind.NOT: "x",
-    GateKind.H: "h",
-    GateKind.T: "t",
-    GateKind.TDG: "tdg",
-    GateKind.S: "s",
-    GateKind.SDG: "sdg",
-    GateKind.Z: "z",
+# the OpenQASM statement of every gate kind but measure_x (written as h then
+# measure): the gate name, and whether it runs under ``if (c[k] == 1) { ... }``
+_SPELLING = {
+    GateKind.NOT: ("x", False),
+    GateKind.CNOT: ("cx", False),
+    GateKind.H: ("h", False),
+    GateKind.T: ("t", False),
+    GateKind.TDG: ("tdg", False),
+    GateKind.S: ("s", False),
+    GateKind.SDG: ("sdg", False),
+    GateKind.Z: ("z", False),
+    GateKind.CZ: ("cz", False),
+    GateKind.CC_Z: ("cz", True),
+    GateKind.CC_X: ("x", True),
 }
+_KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
 
 def _magic_prologue(circ: Circuit) -> list[str]:
@@ -61,23 +68,16 @@ def to_qasm3(circ: Circuit) -> str:
     if circ.num_cbits:
         lines.append(f"bit[{circ.num_cbits}] c;")
     lines += _magic_prologue(circ)
-    for gate in circ.gates:
-        kind = gate.kind
-        if kind in _SIMPLE:
-            lines.append(f"{_SIMPLE[kind]} {gate.qubits[0]};")
-        elif kind is GateKind.CNOT:
-            lines.append(f"cx {gate.qubits[0]}, {gate.qubits[1]};")
-        elif kind is GateKind.CZ:
-            lines.append(f"cz {gate.qubits[0]}, {gate.qubits[1]};")
+    names = {q: str(q) for q in circ.qubits()}  # each qubit is spelled once
+    for kind, qubits, cbit in circ.gates:
+        spelling = _SPELLING.get(kind)
+        if spelling is not None:
+            name, conditional = spelling
+            statement = f"{name} {', '.join(map(names.__getitem__, qubits))};"
+            lines.append(f"if (c[{cbit}] == 1) {{ {statement} }}" if conditional else statement)
         elif kind is GateKind.MEASURE_X:
-            lines.append(f"h {gate.qubits[0]};")
-            lines.append(f"c[{gate.cbit}] = measure {gate.qubits[0]};")
-        elif kind is GateKind.CC_Z:
-            lines.append(
-                f"if (c[{gate.cbit}] == 1) {{ cz {gate.qubits[0]}, {gate.qubits[1]}; }}"
-            )
-        elif kind is GateKind.CC_X:
-            lines.append(f"if (c[{gate.cbit}] == 1) {{ x {gate.qubits[0]}; }}")
+            q = names[qubits[0]]
+            lines += [f"h {q};", f"c[{cbit}] = measure {q};"]
         else:
             raise QasmError(f"gate kind {kind} has no OpenQASM form")
     return "\n".join(lines) + "\n"
@@ -90,12 +90,9 @@ _RE_QUBIT = re.compile(r"^qubit\[([0-9]+)\][ \t]+(\w+);$")
 _RE_BIT = re.compile(r"^bit\[([0-9]+)\][ \t]+c;$")
 # lines are stripped, so an empty ancilla register's annotation has no space after the colon
 _RE_ANC = re.compile(r"^// ancilla (\w+): ?(.*)$")
-_RE_ONE = re.compile(rf"^({'|'.join(_SIMPLE.values())})[ \t]+([^,;]+);$")
-_RE_TWO = re.compile(r"^(cx|cz)[ \t]+([^,;]+),[ \t]*([^,;]+);$")
 _RE_MEASURE = re.compile(r"^c\[([0-9]+)\][ \t]*=[ \t]*measure[ \t]+([^,;]+);$")
-_RE_IF = re.compile(r"^if \(c\[([0-9]+)\] == 1\) \{ (cz|x) ([^;]+); \}$")
-
-_NAME_TO_KIND = {name: kind for kind, name in _SIMPLE.items()}
+# a gate statement, under ``if (c[k] == 1) { ... }`` when group 1 matched
+_RE_GATE = re.compile(r"^(?:if \(c\[([0-9]+)\] == 1\) \{ )?([a-z]+)[ \t]+([^;]+);(?(1) \})$")
 
 
 def _ref(text: str) -> QubitRef:
@@ -111,15 +108,17 @@ def parse_qasm3(text: str) -> Circuit:
     Only the emitted subset is understood; anything else is a parse error
     (QasmError).  An ``h`` immediately followed by a measurement of the same
     qubit folds back into the single X-basis-measurement gate it came from.
-    Tokens are separated by ASCII spaces or tabs only.  Ancilla inits come
-    from the ``// ancilla`` annotations alone, at most one per register; the
-    magic-state preparation block must be exactly the one :func:`to_qasm3`
-    writes for them.  ``bit[k] c;`` is declared at most once.  The parsed
-    registers, gates and ``bit[k] c;`` count go to
+    Lines break at ``\\n`` only (one ``\\r`` before it is dropped, so CRLF text
+    loads), and tokens are separated by ASCII spaces or tabs only.  Ancilla
+    inits come from the ``// ancilla`` annotations alone, at most one per
+    register; the magic-state preparation block must be exactly the one
+    :func:`to_qasm3` writes for them.  ``bit[k] c;`` is declared at most once.
+    The parsed registers, gates and ``bit[k] c;`` count go to
     :func:`qcla.ir.load_circuit`, which applies the circuit rules
     (CircuitError).
     """
-    lines = [ln.strip(_BLANK) for ln in text.splitlines() if ln.strip(_BLANK)]
+    lines = [ln.removesuffix("\r").strip(_BLANK) for ln in text.split("\n")]
+    lines = [ln for ln in lines if ln]
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise QasmError("missing OPENQASM 3.0 header")
     registers: list[Register] = []  # inits stay None for data registers
@@ -167,20 +166,11 @@ def parse_qasm3(text: str) -> Circuit:
                 raise QasmError("bare measurement without preceding h (not in emitted subset)")
             gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
             continue
-        m = _RE_ONE.match(ln)
-        if m:
-            gates.append(Gate(_NAME_TO_KIND[m.group(1)], (_ref(m.group(2)),)))
-            continue
-        m = _RE_TWO.match(ln)
-        if m:
-            kind = GateKind.CNOT if m.group(1) == "cx" else GateKind.CZ
-            gates.append(Gate(kind, (_ref(m.group(2)), _ref(m.group(3)))))
-            continue
-        m = _RE_IF.match(ln)
-        if m:
-            kind = GateKind.CC_Z if m.group(2) == "cz" else GateKind.CC_X
-            qubits = tuple(_ref(p) for p in m.group(3).split(","))
-            gates.append(Gate(kind, qubits, int(m.group(1))))
+        m = _RE_GATE.match(ln)
+        kind = m and _KIND_OF.get((m[2], m[1] is not None))
+        if kind is not None:
+            qubits = tuple(map(_ref, m[3].split(",")))
+            gates.append(Gate(kind, qubits, None if m[1] is None else int(m[1])))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
     if in_prep:

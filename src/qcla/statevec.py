@@ -129,14 +129,14 @@ def initial_vector(circ: Circuit, register_values: dict[str, int]) -> State:
 
 
 def _readout(circ: Circuit, state: State, positions: dict[QubitRef, int]) -> dict[str, int]:
-    """Classical readout of every labeled (non-free/spent) qubit.
+    """Classical readout of every labeled qubit but the spent ancillae.
 
     A labeled output whose marginal is not within NORM_TOL of a basis state is
     an error: the adders must be deterministic on their declared outputs.
     """
     out: dict[str, int] = {}
     for q, label in circ.labels.items():
-        if label in ("free", "spent"):
+        if label == "spent":
             continue
         p1 = _prob_one(state, 1 << positions[q])
         if NORM_TOL <= p1 <= 1 - NORM_TOL:
@@ -228,10 +228,13 @@ def simulate(
     if circ.level is not Level.CLIFFORD_T:
         raise SimulationError("statevector simulation expects a Clifford+T circuit")
     circ.labeled("s")
-    if isinstance(strategy, FixedOutcomes) and len(strategy.outcomes) != circ.num_cbits:
-        raise SimulationError(
-            f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
-        )
+    if isinstance(strategy, FixedOutcomes):
+        if len(strategy.outcomes) != circ.num_cbits:
+            raise SimulationError(
+                f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
+            )
+        if not all(isinstance(o, int) and o in (0, 1) for o in strategy.outcomes):
+            raise SimulationError("forced outcomes must each be 0 or 1")
     positions = circ.qubit_positions()
     branches = _run_branches(
         circ.gates,

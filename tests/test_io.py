@@ -110,6 +110,11 @@ def test_golden_qasm_files():
         assert to_qasm3(lower(build(design, 2))) == path.read_text()
 
 
+def test_qasm_crlf_golden_file_round_trips():
+    text = (GOLDEN / "in1_n2.qasm").read_text()
+    assert to_qasm3(parse_qasm3(text.replace("\n", "\r\n"))) == text
+
+
 def test_golden_json_file():
     path = GOLDEN / "out1_n2.json"
     assert to_json(lower(build(Design.OUT_FT_QCLA1, 2))) == path.read_text()
@@ -217,6 +222,7 @@ def test_qasm_parser_rejects_bad_register_names(body):
 
 
 _PREP = "// begin magic-state preparation\n{}// end magic-state preparation\n"
+_NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
 
 
 @pytest.mark.parametrize(
@@ -237,12 +243,15 @@ _PREP = "// begin magic-state preparation\n{}// end magic-state preparation\n"
         "qubit[1] q;\nbit[1] c;\nbit[0] c;\n",
         "qubit[1] q;\nx\u3000q[0];\n",
         "qubit[2] q;\ncx q[0],\u3000q[1];\n",
+        # str.splitlines() breaks lines at each of these; the parser breaks at \n only
+        *(f"qubit[2] q;\nx q[0];{sep}x q[1];\n" for sep in _NOT_LINE_BREAKS),
     ],
     ids=["non-ascii-qubit-count", "non-ascii-measure-bit", "non-ascii-condition-bit",
          "leading-zero-index", "non-ascii-index", "prologue-contradicts-annotation",
          "prologue-only-t", "magic-annotation-without-prologue", "prologue-out-of-order",
          "prologue-twice", "ancilla-annotation-twice", "bit-declaration-twice",
-         "non-ascii-space-between-tokens", "non-ascii-space-before-operand"],
+         "non-ascii-space-between-tokens", "non-ascii-space-before-operand",
+         *(f"line-break-{ord(sep):02x}" for sep in _NOT_LINE_BREAKS)],
 )
 def test_qasm_parser_rejects_outside_the_emitted_subset(body):
     with pytest.raises(QasmError):

@@ -4,13 +4,14 @@ Random well-formed Clifford+T circuits round-trip byte-identically, and a
 document with one field or line changed either loads into a circuit that
 serializes again or raises one of the loaders' documented errors.
 ``Circuit.extend``, which both loaders end in, accepts a random gate batch
-exactly when appending its gates one at a time does.
+exactly when appending its gates one at a time does, and otherwise raises the
+same error.
 """
 
 import json
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcla.ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level, QubitRef
 from qcla.jsonio import JsonIrError, from_json, to_json
@@ -182,23 +183,35 @@ def gate_batches(draw):
     return make, batch
 
 
+def _toffoli_circuit() -> Circuit:
+    circ = Circuit(level=Level.TOFFOLI)
+    circ.add_register("d", 3)
+    circ.add_register("m", 3, [AncillaInit.ZERO] * 3)
+    return circ
+
+
 @SETTINGS
 @given(gate_batches())
+# the first gate repeats an operand and the second names no register: each
+# gate on its own breaks a different rule, and the first gate's error wins
+@example((_toffoli_circuit, [Gate(GateKind.CNOT, (QubitRef("d", 0), QubitRef("d", 0))),
+                             Gate(GateKind.CNOT, (QubitRef("d", 1), QubitRef("x", 9)))]))
 def test_extend_accepts_a_batch_exactly_when_append_accepts_each_gate(case):
     make, batch = case
     one_by_one, whole = make(), make()
     try:
         for gate in batch:
             one_by_one.append(gate)
-    except CircuitError:
-        appended = False
+    except CircuitError as error:
+        appended, message = False, str(error)
     else:
         appended = True
     before = whole.structural_key()
     try:
         whole.extend(batch)
-    except CircuitError:
+    except CircuitError as error:
         assert not appended
+        assert str(error) == message  # the batch raises what one-at-a-time appends raise
         assert whole.structural_key() == before  # gates and num_cbits untouched
         return
     assert appended

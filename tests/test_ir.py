@@ -24,7 +24,7 @@ from qcla.ir import (
 )
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower
-from qcla.qasm import _SIMPLE
+from qcla.qasm import _SPELLING
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import _PHASE, SeededRandom, simulate
 
@@ -128,7 +128,7 @@ def test_gate_kinds_hash_by_identity():
         assert hash(kind) == object.__hash__(kind)
     assert {k for k in GateKind if k in T_KINDS} == {GateKind.T, GateKind.TDG}
     assert {k: k.value for k in GateKind}[GateKind.CC_X] == "cc_x"
-    assert _SIMPLE[GateKind.SDG] == "sdg" and GateKind.CNOT not in _SIMPLE
+    assert _SPELLING[GateKind.SDG] == ("sdg", False) and GateKind.MEASURE_X not in _SPELLING
     assert GateKind.TDG in _PHASE and GateKind.H not in _PHASE
 
 

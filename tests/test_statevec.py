@@ -130,6 +130,13 @@ def test_fixed_outcomes_single_branch():
     assert forced.labeled_int("s") == 6
 
 
+@pytest.mark.parametrize("value", [2, -1, 1.0])
+def test_fixed_outcomes_must_be_bits(value):
+    circ = lower(build(Design.OUT_FT_QCLA1, 2))
+    with pytest.raises(SimulationError, match="must each be 0 or 1"):
+        simulate(circ, {"A": 3, "B": 3}, FixedOutcomes((value,) * circ.num_cbits))
+
+
 def test_two_labels_spelling_one_index_raise():
     """``simulate`` reads the sum-bit map as ``Circuit.labeled`` does: an ``s01``
     next to an ``s1`` is an error, not two bits ORed into one."""
