@@ -18,34 +18,61 @@ class JsonIrError(ValueError):
     pass
 
 
-def to_json_dict(circ: Circuit) -> dict:
-    return {
-        "schema": SCHEMA,
-        "level": circ.level.value,
-        "registers": [
-            {
-                "name": reg.name,
-                "size": reg.size,
-                "inits": None if reg.inits is None else [i.value for i in reg.inits],
-            }
-            for reg in circ.registers.values()
-        ],
-        "num_cbits": circ.num_cbits,
-        "ancilla_register": circ.ancilla_register,
-        "labels": {str(q): label for q, label in circ.labels.items()},
-        "gates": [
-            {
-                "kind": g.kind.value,
-                "qubits": [[q.reg, q.index] for q in g.qubits],
-                **({"cbit": g.cbit} if g.cbit is not None else {}),
-            }
-            for g in circ.gates
-        ],
-    }
+# each kind's gate object up to its operand list, at the depth of a gate
+_OPEN = {
+    kind: f'    {{\n      "kind": {json.dumps(kind.value)},\n      "qubits": ' for kind in GateKind
+}
 
 
 def to_json(circ: Circuit) -> str:
-    return json.dumps(to_json_dict(circ), indent=2) + "\n"
+    """The ``qcla-ir/1`` document of a circuit, indented by two spaces.
+
+    The bytes are those ``json.dumps(..., indent=2) + "\\n"`` writes for the
+    same document.  json's C encoder only runs without an indent, so the
+    fields before ``"gates"`` go through ``json.dumps`` and the gate list is
+    written here: each qubit's ``[reg, index]`` block and each kind's opening
+    lines are spelled once, then every gate is one join of them.
+    """
+    head = json.dumps(
+        {
+            "schema": SCHEMA,
+            "level": circ.level.value,
+            "registers": [
+                {
+                    "name": reg.name,
+                    "size": reg.size,
+                    "inits": None if reg.inits is None else [i.value for i in reg.inits],
+                }
+                for reg in circ.registers.values()
+            ],
+            "num_cbits": circ.num_cbits,
+            "ancilla_register": circ.ancilla_register,
+            "labels": {str(q): label for q, label in circ.labels.items()},
+            "gates": [],
+        },
+        indent=2,
+    )
+    if not circ.gates:
+        return head + "\n"
+    blocks = {}  # qubit -> its [reg, index] block at the depth of a gate's operands
+    for reg in circ.registers.values():
+        name = json.dumps(reg.name)
+        for i in range(reg.size):
+            blocks[QubitRef(reg.name, i)] = (
+                f"        [\n          {name},\n          {i}\n        ]"
+            )
+    gates = []
+    for kind, qubits, cbit in circ.gates:
+        operands = ",\n".join(map(blocks.__getitem__, qubits))
+        operands = f"[\n{operands}\n      ]" if operands else "[]"
+        close = "\n    }" if cbit is None else f',\n      "cbit": {cbit}\n    }}'
+        gates.append(f"{_OPEN[kind]}{operands}{close}")
+    return head.removesuffix("[]\n}") + "[\n" + ",\n".join(gates) + "\n  ]\n}\n"
+
+
+def to_json_dict(circ: Circuit) -> dict:
+    """The document :func:`to_json` writes, as read back by ``json.loads``."""
+    return json.loads(to_json(circ))
 
 
 def _typed(value, typ: type):
@@ -61,10 +88,29 @@ def _register(reg: dict) -> tuple[str, int, list[AncillaInit] | None]:
     return _typed(reg["name"], str), _typed(reg["size"], int), inits
 
 
-def _gate(g: dict) -> Gate:
-    qubits = tuple(QubitRef(_typed(r, str), _typed(i, int)) for r, i in g["qubits"])
+_KIND_OF = {kind.value: kind for kind in GateKind}
+
+
+class _Refs(dict):
+    """``(reg, index)`` -> its QubitRef, made at the first lookup, so each
+    qubit of a document is one shared QubitRef."""
+
+    def __missing__(self, key: tuple[str, int]) -> QubitRef:
+        ref = self[key] = QubitRef(*key)
+        return ref
+
+
+def _gate(g: dict, refs: _Refs) -> Gate:
+    # the types are checked on every occurrence and before the lookup, as
+    # ("A", True) and ("A", 1.0) are keys equal to ("A", 1)
+    qubits = tuple([refs[_typed(r, str), _typed(i, int)] for r, i in g["qubits"]])
+    value = g["kind"]
+    try:
+        kind = _KIND_OF[value]
+    except (KeyError, TypeError):
+        kind = GateKind(value)  # not a kind's value: raises the Enum's ValueError
     cbit = g.get("cbit")
-    return Gate(GateKind(g["kind"]), qubits, None if cbit is None else _typed(cbit, int))
+    return Gate(kind, qubits, None if cbit is None else _typed(cbit, int))
 
 
 def from_json_dict(data: dict) -> Circuit:
@@ -82,7 +128,8 @@ def from_json_dict(data: dict) -> Circuit:
     try:
         level = Level(data["level"])
         registers = [_register(reg) for reg in data["registers"]]
-        gates = [_gate(g) for g in data["gates"]]
+        refs = _Refs()
+        gates = [_gate(g, refs) for g in data["gates"]]
         labels = {QubitRef.parse(k): _typed(v, str) for k, v in data["labels"].items()}
         num_cbits = _typed(data["num_cbits"], int)
         ancilla_register = _typed(data.get("ancilla_register", "anc"), str)

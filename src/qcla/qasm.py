@@ -2,9 +2,11 @@
 
 The emitter covers exactly the Clifford+T constructs this package produces;
 the parser accepts that subset back.  Ancilla-register init annotations ride
-in structured comments so the round trip preserves the full register table,
-and magic-state ancillae (if any survive lowering) get an explicit H-then-T
-preparation prologue, making exported files runnable on stock simulators.
+in structured comments so the round trip preserves the full register table;
+wire labels and the ancilla register name are not carried (the JSON IR of
+:mod:`qcla.jsonio` carries both).  Magic-state ancillae (if any survive
+lowering) get an explicit H-then-T preparation prologue, making exported
+files runnable on stock simulators.
 
 Byte output is deterministic for a given circuit.
 """
@@ -102,6 +104,17 @@ def _ref(text: str) -> QubitRef:
         raise QasmError(f"bad qubit reference {text!r}") from None
 
 
+class _Refs(dict):
+    """Operand text -> its QubitRef, each text parsed at its first lookup.
+    The QubitRefs are interned in the same dict, so texts that spell one
+    qubit (``A[0]`` and `` A[0]`` after a comma) share one QubitRef."""
+
+    def __missing__(self, text: str) -> QubitRef:
+        ref = _ref(text)
+        ref = self[text] = self.setdefault(ref, ref)
+        return ref
+
+
 def parse_qasm3(text: str) -> Circuit:
     """Parse text produced by :func:`to_qasm3` back into a circuit.
 
@@ -126,6 +139,7 @@ def parse_qasm3(text: str) -> Circuit:
     prologue: list[str] = []
     num_cbits: int | None = None
     in_prep = False
+    refs = _Refs()
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
         i += 1
@@ -161,7 +175,7 @@ def parse_qasm3(text: str) -> Circuit:
             continue
         m = _RE_MEASURE.match(ln)
         if m:
-            q = _ref(m.group(2))
+            q = refs[m.group(2)]
             if not gates or gates[-1] != Gate(GateKind.H, (q,)):
                 raise QasmError("bare measurement without preceding h (not in emitted subset)")
             gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
@@ -169,7 +183,7 @@ def parse_qasm3(text: str) -> Circuit:
         m = _RE_GATE.match(ln)
         kind = m and _KIND_OF.get((m[2], m[1] is not None))
         if kind is not None:
-            qubits = tuple(map(_ref, m[3].split(",")))
+            qubits = tuple(map(refs.__getitem__, m[3].split(",")))
             gates.append(Gate(kind, qubits, None if m[1] is None else int(m[1])))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")

@@ -75,9 +75,12 @@ def _run_masks(
     """
     if circ.level is not Level.TOFFOLI:
         raise ValueError("the reversible simulator executes Toffoli-level circuits only")
+    # an Enum class attribute is slow to look up, so read each one once
+    NOT, CNOT, TOFFOLI = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
+    TEMP_AND, UNCOMPUTE = GateKind.TEMP_AND, GateKind.UNCOMPUTE
     for idx, gate in enumerate(circ.gates):
         kind = gate.kind
-        if kind is GateKind.TEMP_AND:
+        if kind is TEMP_AND:
             c1, c2, tgt = gate.qubits
             for q in (c1, c2):
                 if q in spent:
@@ -96,15 +99,15 @@ def _run_masks(
             if q in spent:
                 failures.append(SpentQubitUseError(idx, q))
                 return False
-        if kind is GateKind.NOT:
+        if kind is NOT:
             bits[gate.qubits[0]] ^= full
-        elif kind is GateKind.CNOT:
+        elif kind is CNOT:
             c, tq = gate.qubits
             bits[tq] ^= bits[c]
-        elif kind is GateKind.TOFFOLI:
+        elif kind is TOFFOLI:
             c1, c2, tq = gate.qubits
             bits[tq] ^= bits[c1] & bits[c2]
-        elif kind is GateKind.UNCOMPUTE:
+        elif kind is UNCOMPUTE:
             c1, c2, tq = gate.qubits
             bad = bits[tq] ^ (bits[c1] & bits[c2])
             if bad:

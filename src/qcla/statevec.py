@@ -164,6 +164,9 @@ def _run_branches(
     # branch: (gate index to resume at, state, probability, classical bits)
     stack = [(0, state, 1.0, list(cbits))]
     results: list[tuple[State, float, tuple[int, ...]]] = []
+    # an Enum class attribute is slow to look up, so read each one once
+    H, NOT, CNOT, CZ = GateKind.H, GateKind.NOT, GateKind.CNOT, GateKind.CZ
+    MEASURE_X, CC_X, CC_Z = GateKind.MEASURE_X, GateKind.CC_X, GateKind.CC_Z
     while stack:
         gi, state, prob, cbits = stack.pop()
         for gi in range(gi, len(gates)):
@@ -173,17 +176,17 @@ def _run_branches(
             if kind in _PHASE:
                 phase = _PHASE[kind]
                 state = {k: v * phase if k & m else v for k, v in state.items()}
-            elif kind is GateKind.H:
+            elif kind is H:
                 state = _hadamard(state, m)
-            elif kind is GateKind.NOT or (kind is GateKind.CC_X and cbits[gate.cbit]):
+            elif kind is NOT or (kind is CC_X and cbits[gate.cbit]):
                 state = {k ^ m: v for k, v in state.items()}
-            elif kind is GateKind.CNOT:
+            elif kind is CNOT:
                 t = masks[gate.qubits[1]]
                 state = {k ^ t if k & m else k: v for k, v in state.items()}
-            elif kind is GateKind.CZ or (kind is GateKind.CC_Z and cbits[gate.cbit]):
+            elif kind is CZ or (kind is CC_Z and cbits[gate.cbit]):
                 both = m | masks[gate.qubits[1]]
                 state = {k: -v if k & both == both else v for k, v in state.items()}
-            elif kind is GateKind.MEASURE_X:
+            elif kind is MEASURE_X:
                 state = _hadamard(state, m)
                 p1 = _prob_one(state, m)
                 p = (max(1 - p1, 0.0), max(p1, 0.0))
@@ -207,7 +210,7 @@ def _run_branches(
                 state = _project(state, m, outcome)
                 prob *= p[outcome]
                 cbits[gate.cbit] = outcome
-            elif kind not in (GateKind.CC_X, GateKind.CC_Z):
+            elif kind not in (CC_X, CC_Z):
                 raise SimulationError(f"unsupported gate kind {kind}")
         results.append((state, prob, tuple(cbits)))
     return results

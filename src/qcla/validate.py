@@ -11,6 +11,7 @@ ledger and do not fail verification.
 
 from __future__ import annotations
 
+import json
 import platform
 import sys
 import time
@@ -400,6 +401,8 @@ def _check_roundtrip(report: ValidationReport, widths: tuple[int, ...]) -> None:
             js1, js2 = to_json(circ), to_json(lower(build(design, n)))
             if js1 != js2:
                 ok, detail = False, f"{design.value} n={n}: JSON bytes unstable"
+            if json.dumps(json.loads(js1), indent=2) + "\n" != js1:
+                ok, detail = False, f"{design.value} n={n}: JSON bytes not json.dumps(indent=2)'s"
             jback = from_json(js1)
             if jback.structural_key() != circ.structural_key():
                 ok, detail = False, f"{design.value} n={n}: JSON round-trip mismatch"

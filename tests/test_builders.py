@@ -17,6 +17,7 @@ from qcla.builders import (
 from qcla.ir import Circuit, CircuitError, GateKind, QubitRef, temp_and
 from qcla.jsonio import to_json
 from qcla.lowering import lower
+from qcla.qasm import to_qasm3
 from qcla.resources import floor_log2, hamming_weight
 
 
@@ -276,4 +277,15 @@ def test_emitted_streams_digest():
             digest.update(to_json(lower(circ)).encode())
     assert digest.hexdigest() == (
         "4abde2c55d621fc5d52752b333f87c15af1d1a053e0c384661a52784a0c5717a"
+    )
+
+
+def test_emitted_qasm_digest():
+    """Pins the OpenQASM bytes of every lowered circuit at n = 1..16."""
+    digest = hashlib.sha256()
+    for design in Design:
+        for n in range(1, 17):
+            digest.update(to_qasm3(lower(build(design, n))).encode())
+    assert digest.hexdigest() == (
+        "f930ff00c81570e989f6d26c6d6c11443fa1b9b54e68261a496c4aab0ebf930f"
     )

@@ -1,6 +1,7 @@
 """OpenQASM 3 and JSON IR: emission, parsing, round-trips, golden files."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -269,3 +270,76 @@ def test_json_label_key_is_a_qubit_reference(key):
     data["labels"][key] = "s9"
     with pytest.raises(JsonIrError):
         from_json(json.dumps(data))
+
+
+def _canonical(text: str) -> str:
+    """The bytes json.dumps(indent=2) writes for the document in ``text``."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_json_bytes_are_json_dumps_bytes(design):
+    """to_json writes the gate list itself; its bytes are json.dumps(indent=2)'s."""
+    for n in [*range(1, 33), 64]:
+        circ = build(design, n)
+        for c in (circ, lower(circ)):
+            text = to_json(c)
+            assert text == _canonical(text), (design, n, c.level)
+            assert to_json(from_json(text)) == text, (design, n, c.level)
+
+
+def _toffoli_doc(gates: list) -> str:
+    return json.dumps({
+        "schema": "qcla-ir/1", "level": "toffoli",
+        "registers": [{"name": "A", "size": 2, "inits": None}],
+        "num_cbits": 0, "ancilla_register": "anc", "labels": {},
+        "gates": [{"kind": "not", "qubits": qubits} for qubits in gates],
+    })
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("index, spelled", [(True, "True"), (1.0, "1.0"), (0.0, "0.0")])
+def test_json_loader_types_every_occurrence_of_a_qubit(first, index, spelled):
+    """A qubit read once is not looked up by a later index that only equals it:
+    ("A", True) and ("A", 1.0) are keys equal to ("A", 1)."""
+    text = _toffoli_doc([[["A", first]], [["A", index]]])
+    with pytest.raises(JsonIrError, match=re.escape(f"(TypeError: expected int, got {spelled})")):
+        from_json(text)
+
+
+@pytest.mark.parametrize("kind, spelled", [("rx", "'rx'"), (["h"], "['h']"), (3, "3"),
+                                           (None, "None"), ({"a": 1}, "{'a': 1}")])
+def test_json_loader_names_an_unknown_kind(kind, spelled):
+    data = json.loads(_toffoli_doc([[["A", 0]]]))
+    data["gates"][0]["kind"] = kind
+    message = f"(ValueError: {spelled} is not a valid GateKind)"
+    with pytest.raises(JsonIrError, match=re.escape(message)):
+        from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "body, operand",
+    [
+        ("qubit[2] q;\nx q[01];\ncx q[0], q[01];\n", "q[01]"),
+        ("qubit[2] q;\ncx q[1], q[01];\nx q[01];\n", " q[01]"),
+        ("qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[01];\nx q[01];\n", "q[01]"),
+    ],
+    ids=["gate-then-gate", "second-operand-then-gate", "measure-then-gate"],
+)
+def test_qasm_parser_names_the_first_bad_operand(body, operand):
+    """An operand text read once raises at its first occurrence, as it spells it."""
+    with pytest.raises(QasmError, match=re.escape(f"bad qubit reference {operand!r}")):
+        parse_qasm3(_QASM_HEAD + body)
+
+
+def _shares_one_ref_per_qubit(circ: Circuit) -> bool:
+    seen: dict[QubitRef, QubitRef] = {}
+    return all(seen.setdefault(q, q) is q for g in circ.gates for q in g.qubits)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_loaders_share_one_ref_per_qubit(design):
+    low = lower(build(design, 8))
+    assert _shares_one_ref_per_qubit(from_json(to_json(low)))
+    assert _shares_one_ref_per_qubit(parse_qasm3(to_qasm3(low)))
+    assert _shares_one_ref_per_qubit(from_json(to_json(build(design, 8))))

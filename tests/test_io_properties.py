@@ -23,7 +23,9 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=N
 ONE_QUBIT = [GateKind.NOT, GateKind.H, GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG,
              GateKind.Z, GateKind.MEASURE_X, GateKind.CC_X]
 TWO_QUBIT = [GateKind.CNOT, GateKind.CZ, GateKind.CC_Z]
-NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(lambda s: s != "c")
+# identifiers, some of them non-ASCII, which JSON writes as \u escapes
+NAMES = (st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+         | st.sampled_from(["Ω", "é_1", "ßq", "Ωé"])).filter(lambda s: s != "c")
 
 
 @st.composite
@@ -70,6 +72,43 @@ def test_qasm_round_trip_is_byte_identical(circ):
     back = parse_qasm3(text)
     assert to_qasm3(back) == text
     assert back.gates == circ.gates and back.num_cbits == circ.num_cbits
+
+
+def _omega_circuit() -> Circuit:
+    """Gates on a non-ASCII register, an empty register and a measured bit."""
+    circ = Circuit(level=Level.CLIFFORD_T, ancilla_register="é_1")
+    circ.add_register("Ω", 2, None)
+    circ.add_register("é_1", 0, [])
+    q0, q1 = QubitRef("Ω", 0), QubitRef("Ω", 1)
+    circ.extend([Gate(GateKind.CNOT, (q0, q1)), Gate(GateKind.MEASURE_X, (q1,)),
+                 Gate(GateKind.CC_Z, (q1, q0), 0)])
+    circ.labels[q0] = "ω"
+    return circ
+
+
+def _gateless_circuit() -> Circuit:
+    circ = Circuit(level=Level.CLIFFORD_T)
+    circ.add_register("q", 2, None)
+    circ.add_register("anc", 0, [])
+    return circ
+
+
+def test_json_escapes_non_ascii_register_names():
+    text = to_json(_omega_circuit())
+    assert '"\\u03a9"' in text and "Ω" not in text
+    assert from_json(text).structural_key() == _omega_circuit().structural_key()
+
+
+@SETTINGS
+@given(clifford_t_circuits())
+@example(_omega_circuit())
+@example(_gateless_circuit())
+@example(Circuit(level=Level.CLIFFORD_T))
+def test_json_bytes_are_json_dumps_bytes(circ):
+    """to_json writes the gate list itself; its bytes are json.dumps(indent=2)'s."""
+    text = to_json(circ)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert to_json(from_json(text)) == text
 
 
 def _paths(node, prefix=()):

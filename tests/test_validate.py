@@ -12,6 +12,7 @@ import pytest
 import qcla
 from qcla import validate
 from qcla.builders import Design
+from qcla.jsonio import to_json_dict
 
 
 def test_cost_checks_carry_their_own_detail(monkeypatch):
@@ -67,3 +68,12 @@ def test_qubit_deltas_match_the_golden_file():
     path = Path(__file__).resolve().parent.parent / "golden" / "qubit_deltas.json"
     golden = json.loads(path.read_text())
     assert {design.value: delta for design, delta in validate.QUBIT_DELTAS.items()} == golden
+
+
+def test_roundtrip_check_requires_json_dumps_bytes(monkeypatch):
+    """Stable JSON that loads back but is not json.dumps(indent=2)'s fails the check."""
+    monkeypatch.setattr(validate, "to_json", lambda circ: json.dumps(to_json_dict(circ)) + "\n")
+    report = validate.ValidationReport()
+    validate._check_roundtrip(report, widths=(1,))
+    [(name, ok, detail, _)] = report.checks
+    assert not ok and detail.endswith("JSON bytes not json.dumps(indent=2)'s")
