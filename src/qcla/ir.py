@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class CircuitError(ValueError):
@@ -107,52 +107,29 @@ class Gate(NamedTuple):
     cbit: int | None = None
 
 
-def not_(q: QubitRef) -> Gate:
-    return Gate(GateKind.NOT, (q,))
+def _maker(kind: GateKind) -> Callable[..., Gate]:
+    """Return ``make(*qubits)``: ``Gate(kind, qubits)`` built as :func:`qcla.lowering.lower`
+    builds gates.  :meth:`Circuit.extend` checks the operand count."""
+    new = tuple.__new__
+
+    def make(*qubits: QubitRef) -> Gate:
+        return new(Gate, (kind, qubits, None))
+
+    return make
 
 
-def cnot(control: QubitRef, target: QubitRef) -> Gate:
-    return Gate(GateKind.CNOT, (control, target))
-
-
-def toffoli(c1: QubitRef, c2: QubitRef, target: QubitRef) -> Gate:
-    return Gate(GateKind.TOFFOLI, (c1, c2, target))
-
-
-def temp_and(c1: QubitRef, c2: QubitRef, target: QubitRef) -> Gate:
-    return Gate(GateKind.TEMP_AND, (c1, c2, target))
-
-
-def uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef) -> Gate:
-    return Gate(GateKind.UNCOMPUTE, (c1, c2, target))
-
-
-def h(q: QubitRef) -> Gate:
-    return Gate(GateKind.H, (q,))
-
-
-def t(q: QubitRef) -> Gate:
-    return Gate(GateKind.T, (q,))
-
-
-def tdg(q: QubitRef) -> Gate:
-    return Gate(GateKind.TDG, (q,))
-
-
-def s(q: QubitRef) -> Gate:
-    return Gate(GateKind.S, (q,))
-
-
-def sdg(q: QubitRef) -> Gate:
-    return Gate(GateKind.SDG, (q,))
-
-
-def z(q: QubitRef) -> Gate:
-    return Gate(GateKind.Z, (q,))
-
-
-def cz(q1: QubitRef, q2: QubitRef) -> Gate:
-    return Gate(GateKind.CZ, (q1, q2))
+not_ = _maker(GateKind.NOT)
+cnot = _maker(GateKind.CNOT)  # (control, target)
+toffoli = _maker(GateKind.TOFFOLI)  # (c1, c2, target)
+temp_and = _maker(GateKind.TEMP_AND)  # (c1, c2, target)
+uncompute = _maker(GateKind.UNCOMPUTE)  # (c1, c2, target)
+h = _maker(GateKind.H)
+t = _maker(GateKind.T)
+tdg = _maker(GateKind.TDG)
+s = _maker(GateKind.S)
+sdg = _maker(GateKind.SDG)
+z = _maker(GateKind.Z)
+cz = _maker(GateKind.CZ)
 
 
 def measure_x(q: QubitRef, cbit: int | None = None) -> Gate:
@@ -264,8 +241,9 @@ class Circuit:
         return None if reg.inits is None else reg.inits[q.index]
 
     def resolves(self, q: QubitRef) -> bool:
+        """Whether ``q``'s index equals one of its register's (1.5 does not)."""
         reg = self.registers.get(q.reg)
-        return reg is not None and 0 <= q.index < reg.size
+        return reg is not None and q.index in range(reg.size)
 
     def add_register(self, name: str, size: int, inits: list[AncillaInit] | None = None) -> None:
         """Add a register.  Its name must be an identifier other than ``c``, the
@@ -293,7 +271,7 @@ class Circuit:
         writes bit ``num_cbits`` (assigned when its cbit is None), so
         classical bits are written once in program order and a ``cc_z`` /
         ``cc_x`` condition bit in ``[0, num_cbits)`` was measured earlier; no
-        other gate carries a bit.
+        other gate carries a bit.  A bit given is an ``int``.
 
         The batch is atomic: on a :class:`CircuitError` nothing is appended and
         ``num_cbits`` is unchanged.  The error is the one that appending the
@@ -333,13 +311,13 @@ class Circuit:
             if kind is measure_kind:
                 if cbit is None:
                     assigned.append((i, num_cbits))
-                elif cbit != num_cbits:
+                elif type(cbit) is not int or cbit != num_cbits:
                     raise CircuitError(
                         f"measure_x writes bit {cbit}; the next classical bit is {num_cbits}"
                     )
                 num_cbits += 1
             elif kind in conditional_kinds:
-                if cbit is None or not 0 <= cbit < num_cbits:
+                if type(cbit) is not int or not 0 <= cbit < num_cbits:
                     raise CircuitError(f"{kind.value} references unknown classical bit")
             elif cbit is not None:
                 raise CircuitError(f"{kind.value} carries classical bit {cbit}")

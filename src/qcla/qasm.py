@@ -148,6 +148,13 @@ def parse_qasm3(text: str) -> Circuit:
             prologue.append(ln)
             in_prep = ln != _END_PREP
             continue
+        # most lines are gates, and no declaration, comment or measurement matches a gate kind
+        m = _RE_GATE.match(ln)
+        kind = m and _KIND_OF.get((m[2], m[1] is not None))
+        if kind is not None:
+            qubits = tuple(map(refs.__getitem__, m[3].split(",")))
+            gates.append(Gate(kind, qubits, None if m[1] is None else int(m[1])))
+            continue
         m = _RE_ANC.match(ln)
         if m:
             name, inits = m.group(1), m.group(2)
@@ -179,12 +186,6 @@ def parse_qasm3(text: str) -> Circuit:
             if not gates or gates[-1] != Gate(GateKind.H, (q,)):
                 raise QasmError("bare measurement without preceding h (not in emitted subset)")
             gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
-            continue
-        m = _RE_GATE.match(ln)
-        kind = m and _KIND_OF.get((m[2], m[1] is not None))
-        if kind is not None:
-            qubits = tuple(map(refs.__getitem__, m[3].split(",")))
-            gates.append(Gate(kind, qubits, None if m[1] is None else int(m[1])))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
     if in_prep:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .builders import Design, floor_log2
-from .ir import Circuit, GateKind, Level
+from .ir import T_KINDS, Circuit, GateKind, Level
 
 
 def hamming_weight(n: int) -> int:
@@ -99,7 +99,8 @@ def schedule(circ: Circuit) -> tuple[int, int]:
 def count(circ: Circuit) -> ResourceReport:
     """Gate histogram (keys in order of first occurrence) plus the depths of
     :func:`schedule`: two walks over the gate list."""
-    hist = {kind.value: k for kind, k in Counter(map(itemgetter(0), circ.gates)).items()}
+    kinds = Counter(map(itemgetter(0), circ.gates))
+    hist = {kind.value: k for kind, k in kinds.items()}
     total_depth, t_depth = schedule(circ)
     report = ResourceReport(
         level=circ.level.value,
@@ -110,7 +111,7 @@ def count(circ: Circuit) -> ResourceReport:
         total_depth=total_depth,
     )
     if circ.level is Level.CLIFFORD_T:
-        report.t_count = hist.get("t", 0) + hist.get("tdg", 0)
+        report.t_count = sum(kinds[kind] for kind in T_KINDS)
         report.t_depth = t_depth
     return report
 

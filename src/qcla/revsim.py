@@ -290,9 +290,12 @@ def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
 
 
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
-    """Check ``pairs`` random operand pairs at width n in one bit-parallel pass."""
+    """Check ``pairs`` random operand pairs at width n in one bit-parallel pass;
+    ``pairs`` must be at least 1 (ValueError)."""
     import random as _random
 
+    if pairs <= 0:
+        raise ValueError(f"random check needs at least one pair, got {pairs}")
     rng = _random.Random(seed)
     samples = [(rng.randrange(2**n), rng.randrange(2**n)) for _ in range(pairs)]
     a_values, b_values = [a for a, _ in samples], [b for _, b in samples]

@@ -21,7 +21,7 @@ from itertools import product
 from math import pi, sqrt
 from typing import Sequence
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, label_index
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, cnot, label_index
 from .lowering import lower_temporary_and, lower_toffoli, lower_uncompute
 
 _T_PHASE = cmath.exp(1j * pi / 4)
@@ -325,13 +325,11 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         return GadgetCheck(gadget, worst < tol, worst, len(pairs))
 
     if gadget == "and":
-        from .ir import h as _h, t as _t
-
         full = lower_temporary_and(q[0], q[1], q[2])
-        core = full[2:]  # after the H, T magic-state preparation
-        # preparation reproduces the magic resource state exactly
-        (st, _, _), = _run_branches([_h(q[0]), _t(q[0])], pos, _basis(0), [])
-        prep = max(abs(st.get(b, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
+        # the preparation the gadget emits takes q[2] from |0> to the magic resource state
+        (st, _, _), = _run_branches(full[:2], pos, _basis(0), [])
+        prep = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
+        core = full[2:]  # after that preparation
         full_pairs, core_pairs = [], []
         for x, y in product((0, 1), repeat=2):
             want = _basis(x, y, x & y)
@@ -344,11 +342,9 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         return GadgetCheck(gadget, worst < tol, worst, 1 + len(full_pairs) + len(core_pairs))
 
     if gadget == "and_uncompute_pair":
-        from .ir import cnot as _cnot
-
         gates = (
             lower_temporary_and(q[0], q[1], q[3])
-            + [_cnot(q[3], q[2])]
+            + [cnot(q[3], q[2])]
             + lower_uncompute(q[0], q[1], q[3], cbit=0)
         )
         worst = 0.0

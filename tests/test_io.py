@@ -54,6 +54,11 @@ def test_qasm_rejects_unknown_gate():
         parse_qasm3('OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] q;\nrx(0.5) q[0];\n')
 
 
+def test_qasm_rejects_a_second_include():
+    with pytest.raises(QasmError, match="unsupported OpenQASM construct"):
+        parse_qasm3('OPENQASM 3.0;\ninclude "stdgates.inc";\ninclude "stdgates.inc";\n')
+
+
 def test_qasm_rejects_missing_header():
     with pytest.raises(QasmError, match="header"):
         parse_qasm3("qubit[1] q;\n")

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from qcla import ir
 from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
@@ -14,6 +15,8 @@ from qcla.ir import (
     Level,
     QubitRef,
     T_KINDS,
+    cc_x,
+    cc_z,
     cnot,
     h,
     label_index,
@@ -24,7 +27,7 @@ from qcla.ir import (
 )
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower
-from qcla.qasm import _SPELLING
+from qcla.qasm import _SPELLING, to_qasm3
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import _PHASE, SeededRandom, simulate
 
@@ -132,10 +135,76 @@ def test_gate_kinds_hash_by_identity():
     assert GateKind.TDG in _PHASE and GateKind.H not in _PHASE
 
 
+# The plain helper of each kind, by its name in qcla.ir.  No source file uses
+# sdg, z or cz, so only this table checks what those three are bound to.
+PLAIN_HELPERS = {
+    "not_": GateKind.NOT, "cnot": GateKind.CNOT, "toffoli": GateKind.TOFFOLI,
+    "temp_and": GateKind.TEMP_AND, "uncompute": GateKind.UNCOMPUTE, "h": GateKind.H,
+    "t": GateKind.T, "tdg": GateKind.TDG, "s": GateKind.S, "sdg": GateKind.SDG,
+    "z": GateKind.Z, "cz": GateKind.CZ,
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_HELPERS))
+def test_plain_helper_builds_the_gate_of_its_kind(name):
+    kind = PLAIN_HELPERS[name]
+    qs = tuple(QubitRef("q", i) for i in range(kind.arity))
+    g = getattr(ir, name)(*qs)
+    assert type(g) is Gate
+    assert g == Gate(kind, qs) and hash(g) == hash(Gate(kind, qs))
+    assert g.kind is kind and g.qubits == qs and g.cbit is None
+
+
+def test_every_kind_but_the_classical_bit_kinds_has_a_plain_helper():
+    bit_kinds = {GateKind.MEASURE_X, GateKind.CC_Z, GateKind.CC_X}
+    assert len(set(PLAIN_HELPERS.values())) == len(PLAIN_HELPERS)
+    assert set(PLAIN_HELPERS.values()) == set(GateKind) - bit_kinds
+
+
+def test_plain_helper_with_the_wrong_operand_count_is_refused_by_extend():
+    circ = new_circuit([("A", 3, None)])
+    with pytest.raises(CircuitError, match="cnot takes 2 qubit operands, got 3"):
+        circ.append(cnot(QubitRef("A", 0), QubitRef("A", 1), QubitRef("A", 2)))
+    assert circ.gates == []
+
+
 def test_append_unresolved_operand():
     circ = new_circuit([("A", 1, None)])
     with pytest.raises(CircuitError, match="does not resolve"):
         circ.append(cnot(QubitRef("A", 0), QubitRef("B", 0)))
+
+
+def test_index_equal_to_no_register_index_does_not_resolve():
+    circ = new_circuit([("A", 2, None)])
+    with pytest.raises(CircuitError, match=re.escape("operand A[1.5] does not resolve")):
+        circ.append(cnot(QubitRef("A", 1.5), QubitRef("A", 0)))
+    assert circ.gates == []
+
+
+def test_index_equal_to_a_register_index_is_written_as_that_index():
+    circ = new_circuit([("A", 2, None)], level=Level.CLIFFORD_T)
+    circ.extend([cnot(QubitRef("A", True), QubitRef("A", 0)), h(QubitRef("A", 1.0))])
+    assert to_qasm3(circ).endswith("cx A[1], A[0];\nh A[1];\n")
+    assert from_json(to_json(circ)).gates == circ.gates
+
+
+@pytest.mark.parametrize("bit", [False, 0.0])
+def test_measurement_bit_must_be_an_int(bit):
+    circ = new_circuit([("A", 1, None)], level=Level.CLIFFORD_T)
+    msg = f"measure_x writes bit {bit}; the next classical bit is 0"
+    with pytest.raises(CircuitError, match=re.escape(msg)):
+        circ.append(measure_x(QubitRef("A", 0), bit))
+    assert circ.gates == [] and circ.num_cbits == 0
+
+
+@pytest.mark.parametrize("bit", [False, 0.0])
+def test_condition_bit_must_be_an_int(bit):
+    circ = new_circuit([("A", 3, None)], level=Level.CLIFFORD_T)
+    circ.append(measure_x(QubitRef("A", 2)))
+    for gate in (cc_z(bit, QubitRef("A", 0), QubitRef("A", 1)), cc_x(bit, QubitRef("A", 0))):
+        with pytest.raises(CircuitError, match=f"{gate.kind.value} references unknown classical bit"):
+            circ.append(gate)
+    assert len(circ.gates) == 1
 
 
 def test_temp_and_target_must_be_magic():

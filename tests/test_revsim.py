@@ -238,3 +238,9 @@ def test_dropped_uncompute_leaves_a_dirty_ancilla(monkeypatch, design, which, ch
         report = random_check(design, 4, pairs=256)
     assert not report.passed
     assert any(" not clean on " in f or " not fresh " in f for f in report.assertion_failures)
+
+
+@pytest.mark.parametrize("pairs", [0, -1])
+def test_random_check_needs_at_least_one_pair(pairs):
+    with pytest.raises(ValueError, match=f"at least one pair, got {pairs}"):
+        random_check(Design.OUT_FT_QCLA1, 8, pairs)
