@@ -237,8 +237,9 @@ class Circuit:
         return bits
 
     def init_of(self, q: QubitRef) -> AncillaInit | None:
+        """The init of the register slot ``q`` resolves to (``True`` and ``1.0`` are 1)."""
         reg = self.registers[q.reg]
-        return None if reg.inits is None else reg.inits[q.index]
+        return None if reg.inits is None else reg.inits[range(reg.size).index(q.index)]
 
     def resolves(self, q: QubitRef) -> bool:
         """Whether ``q``'s index equals one of its register's (1.5 does not)."""

@@ -9,15 +9,17 @@ temporary-AND target.
 
 One executor serves single inputs and batches: it carries one bitmask per
 qubit (bit i of the mask = that qubit's value on input number i), so gates
-become bitwise integer operations.  ``run_basis`` runs it on one input;
-``exhaustive_check`` evaluates all 2^(2n) operand pairs and ``random_check``
-a random sample, each in one pass checked against the bit-sliced oracle
-``cla_masks``; both also require every ancilla to end spent or 0.
+become bitwise integer operations.  ``run_basis`` runs it on one input.  The
+batch check takes a circuit and a list of packed inputs (a << n) | b and runs
+them in one pass against the bit-sliced oracle ``cla_masks``; it also requires
+every ancilla to end spent or 0.  ``exhaustive_check`` hands it all 2^(2n)
+operand pairs of the built adder and ``random_check`` a random sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .builders import Design, build, cla_masks
 from .ir import Circuit, GateKind, Level, QubitRef
@@ -191,37 +193,33 @@ def _transpose(rows: list[int], width: int) -> list[int]:
 
 
 def _check_batch(
-    design: Design,
-    n: int,
-    a_values: list[int],
-    b_values: list[int],
-    a_masks: list[int],
-    b_masks: list[int],
-    exhaustive: bool,
+    circ: Circuit, name: str, inputs: Sequence[int], exhaustive: bool
 ) -> CheckReport:
-    """Run operand pair (a_values[i], b_values[i]) on slot i, all in one pass.
+    """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
 
-    ``a_masks`` and ``b_masks`` hold the same operands transposed: bit i of
-    a_masks[k] is bit k of a_values[i].  The sum-bit masks are compared with
-    the bit-sliced oracle ``cla_masks`` and with native a + b; the first 8
-    wrong slots become (a, b, a + b, got) rows in slot order.  With
-    ``exhaustive`` an oracle that disagrees with native addition raises
-    AssertionError, and a truncated list ends in a (-1, -1, -1, -1) marker.
-    Contract violations that stop the run, failed uncomputes and ancillae
-    left dirty are assertion failures; both operands (only A for in-place
-    designs) must come back.
+    n is the size of register A.  The sum-bit masks are compared with the
+    bit-sliced oracle ``cla_masks`` and with native a + b; the first 8 wrong
+    slots become (a, b, a + b, got) rows in slot order.  With ``exhaustive``
+    an oracle that disagrees with native addition raises AssertionError, and
+    a truncated list ends in a (-1, -1, -1, -1) marker.  Contract violations
+    that stop the run, failed uncomputes and ancillae left dirty are
+    assertion failures.  A must come back, and so must B unless the ``s``
+    labels sit on register B.
     """
-    total = len(a_values)
+    n = circ.registers["A"].size
+    low = (1 << n) - 1
+    total = len(inputs)
+    masks = _transpose(inputs, 2 * n)
+    a_masks, b_masks = masks[n:], masks[:n]
     expected = cla_masks(a_masks, b_masks)
-    native = _transpose([a + b for a, b in zip(a_values, b_values)], n + 1)
+    native = _transpose([(i >> n) + (i & low) for i in inputs], n + 1)
     oracle_bad = 0
     for want, nat in zip(expected, native):
         oracle_bad |= want ^ nat
     if exhaustive and oracle_bad:
-        i = (oracle_bad & -oracle_bad).bit_length() - 1
-        raise AssertionError(f"oracle self-check failed at a={a_values[i]} b={b_values[i]}")
+        i = inputs[(oracle_bad & -oracle_bad).bit_length() - 1]
+        raise AssertionError(f"oracle self-check failed at a={i >> n} b={i & low}")
 
-    circ = build(design, n)
     bits = dict.fromkeys(circ.qubits(), 0)
     for i in range(n):
         bits[QubitRef("A", i)] = a_masks[i]
@@ -240,12 +238,14 @@ def _check_batch(
                     f"ancilla {q} ({circ.labels.get(q, 'unlabelled')}) not clean on "
                     f"{mask.bit_count()} inputs"
                 )
-    restored = {"A": a_masks} if design.in_place else {"A": a_masks, "B": b_masks}
+    restored = {"A": a_masks}
+    if all(q.reg != "B" for q in sums.values()):
+        restored["B"] = b_masks
     restoration = [
         f"{reg}[{i}] not restored"
-        for reg, masks in restored.items()
+        for reg, reg_masks in restored.items()
         for i in range(n)
-        if bits[QubitRef(reg, i)] != masks[i]
+        if bits[QubitRef(reg, i)] != reg_masks[i]
     ]
     labels_ok = set(sums) == set(range(n + 1))
     mismatches: list[tuple[int, int, int, int]] = []
@@ -256,14 +256,14 @@ def _check_batch(
             bad |= mask ^ want
         got_values = _transpose(got, total) if bad else []
         while bad and len(mismatches) < 8:
-            i = (bad & -bad).bit_length() - 1
-            a, b = a_values[i], b_values[i]
-            mismatches.append((a, b, a + b, got_values[i]))
+            slot = (bad & -bad).bit_length() - 1
+            a, b = inputs[slot] >> n, inputs[slot] & low
+            mismatches.append((a, b, a + b, got_values[slot]))
             bad &= bad - 1
         if exhaustive and bad:
             mismatches.append((-1, -1, -1, -1))  # truncated marker
     return CheckReport(
-        design=design.value,
+        design=name,
         n=n,
         total=total,
         mismatches=mismatches,
@@ -282,11 +282,7 @@ def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
     """
     if n > max_n:
         raise ValueError(f"exhaustive check capped at n = {max_n}")
-    indices = range(1 << (2 * n))  # input index = (a << n) | b
-    low = (1 << n) - 1
-    masks = _transpose(indices, 2 * n)
-    a_values, b_values = [i >> n for i in indices], [i & low for i in indices]
-    return _check_batch(design, n, a_values, b_values, masks[n:], masks[:n], True)
+    return _check_batch(build(design, n), design.value, range(4**n), True)
 
 
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
@@ -297,7 +293,6 @@ def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckRep
     if pairs <= 0:
         raise ValueError(f"random check needs at least one pair, got {pairs}")
     rng = _random.Random(seed)
-    samples = [(rng.randrange(2**n), rng.randrange(2**n)) for _ in range(pairs)]
-    a_values, b_values = [a for a, _ in samples], [b for _, b in samples]
-    a_masks, b_masks = _transpose(a_values, n), _transpose(b_values, n)
-    return _check_batch(design, n, a_values, b_values, a_masks, b_masks, False)
+    # a, then b, for each pair: a seed keeps its samples
+    inputs = [rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
+    return _check_batch(build(design, n), design.value, inputs, False)

@@ -273,13 +273,6 @@ def _basis(*bits: int) -> State:
     return {sum(b << i for i, b in enumerate(bits)): 1 + 0j}
 
 
-def _heavier_half(state: State, mask: int) -> State:
-    """The part of ``state`` on the likelier value of one qubit, that qubit's
-    bit cleared (not renormalised)."""
-    keep = mask if _prob_one(state, mask) > 0.5 else 0
-    return {k & ~mask: v for k, v in state.items() if k & mask == keep}
-
-
 def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
     """Max amplitude deviation over (got, want) cases after removing one
     global phase, fixed from the first case and shared by all of them: a
@@ -296,6 +289,32 @@ def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
     )
 
 
+def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> tuple[float, int]:
+    """Run every (start, want) case through every measurement branch of ``gates``,
+    with qubit q[i] on bit i.  Each start's branch probabilities must sum to 1,
+    and every branch must equal ``want`` up to one global phase per
+    measurement record.  A measured-out qubit must hold one value on every
+    input of a record: ``want`` leaves it at 0, and the record's first branch
+    sets it.  Returns the worst deviation and the number of branches compared.
+    """
+    pos = {q: q.index for g in gates for q in g.qubits}
+    measured = sum({1 << g.qubits[0].index for g in gates if g.kind is GateKind.MEASURE_X})
+    cbits = [0] * (1 + max((g.cbit for g in gates if g.cbit is not None), default=-1))
+    worst = 0.0
+    by_record: dict[tuple[int, ...], list[tuple[State, State]]] = {}
+    for start, want in cases:
+        branches = _run_branches(gates, pos, start, cbits)
+        worst = max(worst, abs(sum(pr for _st, pr, _cb in branches) - 1.0))
+        for st, _pr, cb in branches:
+            by_record.setdefault(cb, []).append((st, want))
+    for record in by_record.values():
+        first = record[0][0]
+        held = max(first, key=lambda k: abs(first[k])) & measured
+        held_wants = [(st, {k | held: v for k, v in want.items()}) for st, want in record]
+        worst = max(worst, _max_dev_mod_phase(held_wants))
+    return worst, sum(map(len, by_record.values()))
+
+
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
     """Certify one lowering gadget against its truth action.
 
@@ -305,60 +324,38 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
       on |x, y, x AND y>; the preparation must produce the resource state.
     * "and_uncompute_pair": AND, CNOT onto a fourth qubit, uncompute; checked
       against the Toffoli action on the three logical qubits in every
-      measurement branch.
+      measurement branch, the measured-out ancilla holding one value per record.
 
-    Each gadget sequence is compared up to one global phase shared by all its
-    basis inputs (one per measurement record for the pair), so a relative
-    phase between inputs fails the check.
+    Each gate list goes through :func:`_certify`, so a relative phase between
+    the basis inputs of one measurement record fails the check.
     """
     q = [QubitRef("q", i) for i in range(4)]
-    pos = {qi: i for i, qi in enumerate(q)}
-    tol = 1e-10
-
+    # the Toffoli action on three logical qubits: |x, y, z> -> |x, y, z XOR xy>
+    table = [((x, y, z), _basis(x, y, z ^ (x & y))) for x, y, z in product((0, 1), repeat=3)]
     if gadget == "toffoli":
-        gates = lower_toffoli(q[0], q[1], q[2])
-        pairs = []
-        for x, y, z in product((0, 1), repeat=3):
-            (out, _, _), = _run_branches(gates, pos, _basis(x, y, z), [])
-            pairs.append((out, _basis(x, y, z ^ (x & y))))
-        worst = _max_dev_mod_phase(pairs)
-        return GadgetCheck(gadget, worst < tol, worst, len(pairs))
-
-    if gadget == "and":
+        cases = [(_basis(*xyz), want) for xyz, want in table]
+        worst, compared = _certify(lower_toffoli(q[0], q[1], q[2]), cases)
+    elif gadget == "and":
         full = lower_temporary_and(q[0], q[1], q[2])
         # the preparation the gadget emits takes q[2] from |0> to the magic resource state
-        (st, _, _), = _run_branches(full[:2], pos, _basis(0), [])
+        (st, _, _), = _run_branches(full[:2], {qi: i for i, qi in enumerate(q)}, _basis(0), [])
         prep = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
-        core = full[2:]  # after that preparation
-        full_pairs, core_pairs = [], []
+        from_zero, from_magic = [], []
         for x, y in product((0, 1), repeat=2):
             want = _basis(x, y, x & y)
-            (out, _, _), = _run_branches(full, pos, _basis(x, y, 0), [])
-            full_pairs.append((out, want))
-            magic_in = {x | y << 1 | b << 2: MAGIC_A_STATE[b] for b in (0, 1)}
-            (out2, _, _), = _run_branches(core, pos, magic_in, [])
-            core_pairs.append((out2, want))
-        worst = max(prep, _max_dev_mod_phase(full_pairs), _max_dev_mod_phase(core_pairs))
-        return GadgetCheck(gadget, worst < tol, worst, 1 + len(full_pairs) + len(core_pairs))
-
-    if gadget == "and_uncompute_pair":
+            from_zero.append((_basis(x, y, 0), want))
+            from_magic.append(({x | y << 1 | b << 2: MAGIC_A_STATE[b] for b in (0, 1)}, want))
+        full_dev, n_full = _certify(full, from_zero)
+        core_dev, n_core = _certify(full[2:], from_magic)  # after the preparation
+        worst, compared = max(prep, full_dev, core_dev), 1 + n_full + n_core
+    elif gadget == "and_uncompute_pair":
         gates = (
             lower_temporary_and(q[0], q[1], q[3])
             + [cnot(q[3], q[2])]
             + lower_uncompute(q[0], q[1], q[3], cbit=0)
         )
-        worst = 0.0
-        by_record: dict[tuple[int, ...], list[tuple[State, State]]] = {}
-        for x, y, z in product((0, 1), repeat=3):
-            branches = _run_branches(gates, pos, _basis(x, y, z, 0), [0])  # ancilla q3 at |0>
-            want = _basis(x, y, z ^ (x & y))
-            for st, _pr, cb in branches:
-                # compare the three logical qubits; ancilla is classical post-measure
-                by_record.setdefault(cb, []).append((_heavier_half(st, 1 << 3), want))
-            worst = max(worst, abs(sum(pr for _st, pr, _cb in branches) - 1.0))
-        for pairs in by_record.values():
-            worst = max(worst, _max_dev_mod_phase(pairs))
-        cases = sum(len(pairs) for pairs in by_record.values())
-        return GadgetCheck(gadget, worst < tol, worst, cases)
-
-    raise ValueError(f"unknown gadget {gadget!r}")
+        cases = [(_basis(*xyz, 0), want) for xyz, want in table]  # ancilla q3 at |0>
+        worst, compared = _certify(gates, cases)
+    else:
+        raise ValueError(f"unknown gadget {gadget!r}")
+    return GadgetCheck(gadget, worst < 1e-10, worst, compared)

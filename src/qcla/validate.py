@@ -255,18 +255,13 @@ def _check_costs(report: ValidationReport, n_max: int) -> None:
 
 
 def _check_functional(report: ValidationReport, n_max: int) -> None:
-    ok, detail = True, ""
+    fail = ""  # the last failure, "" while the check passes (as in the checks below)
     for design in Design:
-        for n in range(1, n_max + 1):
-            rep = exhaustive_check(design, n)
+        reports = [exhaustive_check(design, n) for n in range(1, n_max + 1)]
+        for rep in reports + [random_check(design, 64, 200)]:
             if not rep.passed:
-                ok = False
-                detail = rep.summary()
-        rrep = random_check(design, 64, 200)
-        if not rrep.passed:
-            ok = False
-            detail = rrep.summary()
-    report.check(f"functional correctness (exhaustive n <= {n_max}, random n = 64)", ok, detail)
+                fail = rep.summary()
+    report.check(f"functional correctness (exhaustive n <= {n_max}, random n = 64)", not fail, fail)
 
 
 def _check_gadgets(report: ValidationReport) -> None:
@@ -291,7 +286,7 @@ def _check_statevector(report: ValidationReport, widths: tuple[int, ...], inputs
     import random as _random
 
     rng = _random.Random(42)
-    ok, detail = True, ""
+    fail = ""
     for design in Design:
         for n in widths:
             circ = lower(build(design, n))
@@ -303,20 +298,19 @@ def _check_statevector(report: ValidationReport, widths: tuple[int, ...], inputs
                 sums = {o.labeled_int("s") for o in outs}
                 ptot = sum(o.probability for o in outs)
                 if sums != {a + b} or (every and abs(ptot - 1) > 1e-9):
-                    ok = False
-                    detail = f"{design.value} n={n} a={a} b={b}: sums={sums} ptot={ptot}"
+                    fail = f"{design.value} n={n} a={a} b={b}: sums={sums} ptot={ptot}"
     every_n = ", ".join(str(n) for n in widths if n <= ALL_BRANCHES_MAX_N)
     seeded_n = ", ".join(str(n) for n in widths if n > ALL_BRANCHES_MAX_N)
     report.check(
         f"statevector sum on every branch (all branches at n = {every_n}; "
         f"one seeded branch at n = {seeded_n})",
-        ok,
-        detail,
+        not fail,
+        fail,
     )
 
 
 def _check_depth(report: ValidationReport, top: int) -> None:
-    ok, detail = True, ""
+    fail = ""
     sizes = [4 << i for i in range(0, (top // 4).bit_length())]
     sizes = [s for s in sizes if s <= top]
     for design in Design:
@@ -330,18 +324,15 @@ def _check_depth(report: ValidationReport, top: int) -> None:
             prev = 0
             for n in sizes:
                 if depths[n] < prev:
-                    ok, detail = False, f"{design.value} {label} decreases at n={n}"
+                    fail = f"{design.value} {label} decreases at n={n}"
                 prev = depths[n]
                 if depths[n] > alpha * floor_log2(n) + beta:
-                    ok, detail = (
-                        False,
-                        f"{design.value} {label} at n={n}: {depths[n]} > {alpha}*log+{beta}",
-                    )
-    report.check(f"logarithmic depth growth up to n={sizes[-1]}", ok, detail)
+                    fail = f"{design.value} {label} at n={n}: {depths[n]} > {alpha}*log+{beta}"
+    report.check(f"logarithmic depth growth up to n={sizes[-1]}", not fail, fail)
 
 
 def _check_savings(report: ValidationReport) -> None:
-    ok, detail = True, ""
+    fail = ""
     for design_label, baseline, quoted in QUOTED_SAVINGS:
         fig = savings(Design(design_label), baseline)
         delta = abs(fig.percent - Fraction(quoted))
@@ -354,13 +345,11 @@ def _check_savings(report: ValidationReport) -> None:
             }
         )
         if delta > Fraction(1, 100):
-            ok = False
-            detail = f"{design_label} vs {baseline}: computed {fig.display}, published {quoted}"
+            fail = f"{design_label} vs {baseline}: computed {fig.display}, published {quoted}"
     for design_label, quoted in QUOTED_AVERAGES.items():
         avg = savings_average(Design(design_label))
         if abs(avg - Fraction(quoted)) > Fraction(1, 100):
-            ok = False
-            detail = f"{design_label} average: computed {round_half_up(avg)}, published {quoted}"
+            fail = f"{design_label} average: computed {round_half_up(avg)}, published {quoted}"
         report.savings_table.append(
             {"design": design_label, "baseline": "average", "computed": round_half_up(avg),
              "published": quoted}
@@ -375,7 +364,7 @@ def _check_savings(report: ValidationReport) -> None:
             "published": UNREPRODUCED_AVERAGE[1] + " (unreproduced)",
         }
     )
-    report.check("published savings percentages and averages (+-0.01)", ok, detail)
+    report.check("published savings percentages and averages (+-0.01)", not fail, fail)
 
     dominance_ok = all(
         savings(d, "Cheng").kind == "asymptotic-dominance"
@@ -385,31 +374,32 @@ def _check_savings(report: ValidationReport) -> None:
 
 
 def _check_roundtrip(report: ValidationReport, widths: tuple[int, ...]) -> None:
-    ok, detail = True, ""
+    fail = ""
     for design in Design:
         for n in widths:
-            circ = lower(build(design, n))
-            text1, text2 = to_qasm3(circ), to_qasm3(lower(build(design, n)))
-            if text1 != text2:
-                ok, detail = False, f"{design.value} n={n}: QASM bytes unstable"
-            back = parse_qasm3(text1)
+            where = f"{design.value} n={n}"
+            tcirc = build(design, n)
+            circ = lower(tcirc)
+            again = lower(build(design, n))  # an independent rebuild, for determinism
+            text = to_qasm3(circ)
+            if text != to_qasm3(again):
+                fail = f"{where}: QASM bytes unstable"
+            back = parse_qasm3(text)
             same_regs = [
                 (r.name, r.size, r.inits) for r in back.registers.values()
             ] == [(r.name, r.size, r.inits) for r in circ.registers.values()]
             if not (same_regs and back.gates == circ.gates):
-                ok, detail = False, f"{design.value} n={n}: QASM round-trip mismatch"
-            js1, js2 = to_json(circ), to_json(lower(build(design, n)))
-            if js1 != js2:
-                ok, detail = False, f"{design.value} n={n}: JSON bytes unstable"
-            if json.dumps(json.loads(js1), indent=2) + "\n" != js1:
-                ok, detail = False, f"{design.value} n={n}: JSON bytes not json.dumps(indent=2)'s"
-            jback = from_json(js1)
-            if jback.structural_key() != circ.structural_key():
-                ok, detail = False, f"{design.value} n={n}: JSON round-trip mismatch"
-            tcirc = build(design, n)
+                fail = f"{where}: QASM round-trip mismatch"
+            js = to_json(circ)
+            if js != to_json(again):
+                fail = f"{where}: JSON bytes unstable"
+            if json.dumps(json.loads(js), indent=2) + "\n" != js:
+                fail = f"{where}: JSON bytes not json.dumps(indent=2)'s"
+            if from_json(js).structural_key() != circ.structural_key():
+                fail = f"{where}: JSON round-trip mismatch"
             if from_json(to_json(tcirc)).structural_key() != tcirc.structural_key():
-                ok, detail = False, f"{design.value} n={n}: Toffoli JSON round-trip mismatch"
-    report.check("export determinism and round-trips (QASM3, JSON)", ok, detail)
+                fail = f"{where}: Toffoli JSON round-trip mismatch"
+    report.check("export determinism and round-trips (QASM3, JSON)", not fail, fail)
 
 
 def run_validation(full: bool = False) -> ValidationReport:

@@ -213,6 +213,22 @@ def test_temp_and_target_must_be_magic():
         circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 0)))
 
 
+def test_float_temp_and_target_reads_the_init_of_its_register_index():
+    """X[1.0] is the magic X[1]: accepted, and both writers spell it 1; X[0.0]
+    is the zero-init X[0] and refused with the circuit rule's own message."""
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    a0, a1 = QubitRef("A", 0), QubitRef("A", 1)
+    circ.append(temp_and(a0, a1, QubitRef("X", 1.0)))
+    assert circ.init_of(QubitRef("X", 1.0)) is MAGIC
+    assert json.loads(to_json(circ))["gates"][0]["qubits"][2] == ["X", 1]
+    assert "cx A[0], X[1];\n" in to_qasm3(lower(circ))
+    assert from_json(to_json(circ)).gates == circ.gates
+    msg = "temporary-AND target X[0.0] is not a magic-state ancilla"
+    with pytest.raises(CircuitError, match=re.escape(msg)):
+        circ.append(temp_and(a0, a1, QubitRef("X", 0.0)))
+    assert len(circ.gates) == 1
+
+
 def test_allocate_fresh_extends_register():
     circ = new_circuit([])
     for _ in range(3):

@@ -1,5 +1,7 @@
 """Reversible simulator: semantics, contract enforcement, exhaustive checks."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ MAGIC = AncillaInit.MAGIC_A
 from qcla.revsim import (
     SpentQubitUseError,
     UncomputeAssertionError,
+    _check_batch,
     _transpose,
     exhaustive_check,
     initial_state,
@@ -56,6 +59,25 @@ def test_uncompute_assertion_fires_on_violation():
     with pytest.raises(UncomputeAssertionError) as info:
         run_basis(circ, initial_state(circ, {"q": 0b11}))
     assert info.value.gate_index == 2
+
+
+def test_and_on_a_spent_control_ends_the_run():
+    """A temporary AND whose control was measured out raises at that gate, and
+    the batch check reports it as the one failure of a run that stops there."""
+    circ = new_circuit([("q", 2, None), ("anc", 2, [MAGIC, MAGIC])])
+    q0, q1, anc0, anc1 = QubitRef("q", 0), QubitRef("q", 1), QubitRef("anc", 0), QubitRef("anc", 1)
+    circ.extend([temp_and(q0, q1, anc0), uncompute(q0, q1, anc0), temp_and(anc0, q1, anc1)])
+    with pytest.raises(SpentQubitUseError) as info:
+        run_basis(circ, initial_state(circ, {"q": 0b11}))
+    assert info.value.gate_index == 2 and info.value.qubit == anc0
+
+    built = build(Design.OUT_FT_QCLA1, 3)
+    spent = next(q for q, label in built.labels.items() if label == "spent")
+    built.append(temp_and(spent, QubitRef("A", 0), built.allocate_ancilla(MAGIC)))
+    report = _check_batch(built, "Out-FT-QCLA1", range(4**3), True)
+    assert report.assertion_failures == [
+        f"spent qubit {spent} used at gate {len(built.gates) - 1}"
+    ]
 
 
 def test_spent_qubit_use_rejected():
@@ -244,3 +266,29 @@ def test_dropped_uncompute_leaves_a_dirty_ancilla(monkeypatch, design, which, ch
 def test_random_check_needs_at_least_one_pair(pairs):
     with pytest.raises(ValueError, match=f"at least one pair, got {pairs}"):
         random_check(Design.OUT_FT_QCLA1, 8, pairs)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("design", list(Design))
+def test_every_single_gate_deletion_fails_the_batch_check(design, n):
+    """Each Toffoli-level gate matters: deleting any one fails the exhaustive
+    check of the circuit handed to the core."""
+    circ = build(design, n)
+    assert _check_batch(circ, design.value, range(4**n), True).passed
+    for i in range(len(circ.gates)):
+        mutant = replace(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
+        report = _check_batch(mutant, design.value, range(4**n), True)
+        assert not report.passed, f"deleting gate {i} ({circ.gates[i]}) goes unseen"
+
+
+def test_b_must_come_back_unless_the_sums_sit_on_it():
+    """An out-of-place adder that leaves B changed fails restoration; the
+    in-place adder, whose sum labels sit on B, is not asked for B."""
+    circ = build(Design.OUT_FT_QCLA1, 3)
+    circ.append(not_(QubitRef("B", 2)))
+    report = _check_batch(circ, "Out-FT-QCLA1", range(4**3), True)
+    assert report.restoration_failures == ["B[2] not restored"]
+    assert not report.mismatches and not report.assertion_failures
+    in_place = build(Design.IN_FT_QCLA1, 3)
+    assert {q.reg for q in in_place.labeled("s").values()} >= {"B"}
+    assert _check_batch(in_place, "In-FT-QCLA1", range(4**3), True).passed

@@ -21,11 +21,18 @@ from qcla.statevec import (
     SeededRandom,
     SimulationError,
     _basis,
-    _heavier_half,
     _run_branches,
     gadget_unitary_check,
     simulate,
 )
+
+
+def _heavier_half(state, mask):
+    """The part of ``state`` on the likelier value of one qubit, that qubit's
+    bit cleared (not renormalised)."""
+    p1 = sum(abs(v) ** 2 for k, v in state.items() if k & mask)
+    keep = mask if p1 > 0.5 else 0
+    return {k & ~mask: v for k, v in state.items() if k & mask == keep}
 
 
 @pytest.mark.parametrize("gadget", ["toffoli", "and", "and_uncompute_pair"])
@@ -49,6 +56,46 @@ def test_gadget_certification_sees_relative_phase(monkeypatch, gadget, patched):
     monkeypatch.setattr(statevec, patched, lambda c1, c2, t: real(c1, c2, t) + [z(c1)])
     chk = gadget_unitary_check(gadget)
     assert not chk.passed, f"{gadget}: max deviation {chk.max_deviation}"
+
+
+# (gadget, lowering function, its gate count): every gadget gate list that
+# gadget_unitary_check certifies, 16 + 13 + 13 + 2 = 44 single-gate deletions
+GADGET_GATES = [
+    ("toffoli", "lower_toffoli", 16),
+    ("and", "lower_temporary_and", 13),
+    ("and_uncompute_pair", "lower_temporary_and", 13),
+    ("and_uncompute_pair", "lower_uncompute", 2),
+]
+
+
+@pytest.mark.parametrize("gadget, patched, size", GADGET_GATES)
+def test_every_single_gate_deletion_fails_the_gadget_check(monkeypatch, gadget, patched, size):
+    from qcla import statevec
+
+    real = getattr(statevec, patched)
+    assert len(real(*(QubitRef("q", i) for i in range(3)))) == size
+    for i in range(size):
+
+        def deleted(*qubits, i=i, **kw):
+            gates = real(*qubits, **kw)
+            return gates[:i] + gates[i + 1 :]
+
+        monkeypatch.setattr(statevec, patched, deleted)
+        chk = gadget_unitary_check(gadget)
+        assert not chk.passed, f"{gadget}: deleting gate {i} of {patched} goes unseen"
+
+
+def test_pair_without_its_measurement_leaves_the_ancilla_entangled(monkeypatch):
+    """Without measure_x the ancilla keeps x AND y and the cc_z never fires:
+    the ancilla must hold one value per record, so the check fails outright."""
+    from qcla import statevec
+
+    def unmeasured(c1, c2, target, cbit):
+        return lower_uncompute(c1, c2, target, cbit)[1:]
+
+    monkeypatch.setattr(statevec, "lower_uncompute", unmeasured)
+    chk = gadget_unitary_check("and_uncompute_pair")
+    assert (chk.passed, chk.max_deviation, chk.cases) == (False, 1.0, 8)
 
 
 def test_and_gadget_truth_table():

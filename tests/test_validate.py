@@ -1,18 +1,29 @@
 """Verification suite: each check reports its own failure; report provenance."""
 
+import itertools
 import json
 import platform
 import re
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qcla
 from qcla import validate
-from qcla.builders import Design
-from qcla.jsonio import to_json_dict
+from qcla.builders import Design, build
+from qcla.ir import Level, QubitRef, not_
+from qcla.jsonio import from_json, to_json_dict
+from qcla.lowering import lower
+from qcla.qasm import parse_qasm3, to_qasm3
+from qcla.resources import count, formula_tcount
+from qcla.revsim import _check_batch
+
+
+def _checks(report):
+    return {name.split(" (")[0]: (ok, detail) for name, ok, detail, _ in report.checks}
 
 
 def test_cost_checks_carry_their_own_detail(monkeypatch):
@@ -77,3 +88,156 @@ def test_roundtrip_check_requires_json_dumps_bytes(monkeypatch):
     validate._check_roundtrip(report, widths=(1,))
     [(name, ok, detail, _)] = report.checks
     assert not ok and detail.endswith("JSON bytes not json.dumps(indent=2)'s")
+
+
+def test_t_count_check_reports_a_measured_mismatch(monkeypatch):
+    """One extra T gate in every count fails only the T-count check."""
+    def one_more_t(circ):
+        rep = count(circ)
+        return replace(rep, t_count=rep.t_count + 1)
+
+    monkeypatch.setattr(validate, "count", one_more_t)
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=4)
+    stage_sum = formula_tcount(Design.IN_FT_QCLA2, 4, "per_step")
+    assert [ok for _, ok, _, _ in report.checks] == [False, True, True, True]
+    assert report.checks[0][2] == (
+        f"In-FT-QCLA2 n=4: measured {stage_sum + 1} != stage sum {stage_sum}"
+    )
+
+
+def test_closed_form_check_reports_a_closed_form_off_the_stage_sum(monkeypatch):
+    def table_off_by_one(design, n, kind):
+        off = kind == "table" and design is Design.OUT_FT_QCLA2
+        return formula_tcount(design, n, kind) + off
+
+    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=4)
+    stage_sum = formula_tcount(Design.OUT_FT_QCLA2, 4, "per_step")
+    assert [ok for _, ok, _, _ in report.checks] == [True, False, True, True]
+    assert report.checks[1][2] == (
+        f"Out-FT-QCLA2 n=4: stage sum {stage_sum} != closed form {stage_sum + 1}"
+    )
+
+
+def test_functional_check_reports_the_failing_batch(monkeypatch):
+    """A circuit with its last gate deleted fails with that batch's summary."""
+
+    def exhaustive(design, n):
+        circ = build(design, n)
+        if design is Design.IN_FT_QCLA2 and n == 2:
+            del circ.gates[-1]
+        return _check_batch(circ, design.value, range(4**n), True)
+
+    monkeypatch.setattr(validate, "exhaustive_check", exhaustive)
+    report = validate.ValidationReport()
+    validate._check_functional(report, n_max=2)
+    [(name, ok, detail, _)] = report.checks
+    assert not ok and re.fullmatch(r"In-FT-QCLA2 n=2: \d+/16 FAIL", detail), detail
+
+
+def test_statevector_check_reports_a_wrong_sum(monkeypatch):
+    """A NOT on s0 after the lowered adder flips bit 0 of every sum it reads."""
+
+    def flipped(circ):
+        out = lower(circ)
+        return out.append(not_(out.labeled("s")[0]))
+
+    monkeypatch.setattr(validate, "lower", flipped)
+    report = validate.ValidationReport()
+    validate._check_statevector(report, widths=(2,), inputs=1)
+    [(name, ok, detail, _)] = report.checks
+    match = re.fullmatch(r"In-FT-QCLA2 n=2 a=(\d+) b=(\d+): sums=\{(\d+)\} ptot=.*", detail)
+    a, b, got = map(int, match.groups())
+    assert not ok and got == (a + b) ^ 1
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("bound", r"In-FT-QCLA2 t-depth at n=16: \d+ > 0\*log\+0"),
+    ("decrease", r"In-FT-QCLA2 logical depth decreases at n=16"),
+])
+def test_depth_check_reports_its_failure(monkeypatch, fault, detail):
+    if fault == "bound":
+        monkeypatch.setattr(validate, "depth_bound_fit", lambda depths: (0, 0))
+    else:  # the Toffoli-level depth falls with n, along a line the fit still bounds
+        def falling(circ):
+            return replace(count(circ), total_depth=99 - circ.registers["A"].size)
+
+        monkeypatch.setattr(validate, "count", falling)
+    report = validate.ValidationReport()
+    validate._check_depth(report, top=16)
+    [(name, ok, got, _)] = report.checks
+    assert not ok and re.fullmatch(detail, got), got
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("figure", "Out-FT-QCLA1 vs Babu-out: computed 70.37, published 70.00"),
+    ("average", "In-FT-QCLA1 average: computed 72.12, published 72.00"),
+])
+def test_savings_check_reports_a_published_figure_it_misses(monkeypatch, fault, detail):
+    if fault == "figure":
+        quoted = [("Out-FT-QCLA1", "Babu-out", "70.00")] + validate.QUOTED_SAVINGS[1:]
+        monkeypatch.setattr(validate, "QUOTED_SAVINGS", quoted)
+    else:
+        monkeypatch.setitem(validate.QUOTED_AVERAGES, "In-FT-QCLA1", "72.00")
+    report = validate.ValidationReport()
+    validate._check_savings(report)
+    checks = _checks(report)
+    assert checks["published savings percentages and averages"] == (False, detail)
+    assert checks["superlinear baseline reported as asymptotic dominance"] == (True, "")
+
+
+def _unstable_qasm(monkeypatch):
+    calls = itertools.count()
+    monkeypatch.setattr(validate, "to_qasm3", lambda circ: to_qasm3(circ) + f"// {next(calls)}\n")
+
+
+def _lossy_qasm(monkeypatch):
+    def parse(text):
+        back = parse_qasm3(text)
+        back.gates.pop()
+        return back
+
+    monkeypatch.setattr(validate, "parse_qasm3", parse)
+
+
+def _unstable_labels(monkeypatch):
+    # every second build relabels A[0]: OpenQASM drops labels, qcla-ir/1 keeps them
+    calls = itertools.count()
+
+    def rebuild(design, n):
+        circ = build(design, n)
+        if next(calls) % 2:
+            circ.labels[QubitRef("A", 0)] = "relabelled"
+        return circ
+
+    monkeypatch.setattr(validate, "build", rebuild)
+
+
+def _lossy_json(level):
+    def inject(monkeypatch):
+        def load(text):
+            back = from_json(text)
+            if back.level is level:
+                back.labels.clear()
+            return back
+
+        monkeypatch.setattr(validate, "from_json", load)
+
+    return inject
+
+
+@pytest.mark.parametrize("fault, detail", [
+    (_unstable_qasm, "QASM bytes unstable"),
+    (_lossy_qasm, "QASM round-trip mismatch"),
+    (_unstable_labels, "JSON bytes unstable"),
+    (_lossy_json(Level.CLIFFORD_T), "JSON round-trip mismatch"),
+    (_lossy_json(Level.TOFFOLI), "Toffoli JSON round-trip mismatch"),
+])
+def test_roundtrip_check_reports_each_failure(monkeypatch, fault, detail):
+    fault(monkeypatch)
+    report = validate.ValidationReport()
+    validate._check_roundtrip(report, widths=(1, 2))
+    [(name, ok, got, _)] = report.checks
+    assert (ok, got) == (False, f"In-FT-QCLA2 n=2: {detail}")
