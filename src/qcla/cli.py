@@ -6,9 +6,10 @@ resources), ``sim`` (add two numbers on a simulator backend), ``compare``
 suite with the known-discrepancy ledger).
 
 Usage errors exit 2 (argparse, bad input values including a non-integer
-QCLA_SEED, or a statevector simulation past its branch cap); verification or
-formula-mismatch failures exit 1.  The environment variable QCLA_SEED
-overrides the default simulation seed of 42.
+QCLA_SEED, or a statevector simulation past its branch cap); verification
+failures exit 1, and so does ``cost --check-formulas`` on any cost check
+``verify`` would fail.  The environment variable QCLA_SEED overrides the
+default simulation seed of 42.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from .resources import (
     OUT_OF_PLACE_BASELINES,
     catalog_cost,
     count,
-    formula_qubits,
-    formula_tcount,
     round_half_up,
     savings,
     savings_average,
 )
 from .revsim import initial_state, read_labeled, run_basis
 from .statevec import AllBranches, SeededRandom, SimulationError, simulate
-from .validate import UNREPRODUCED_AVERAGE, run_validation
+from .validate import UNREPRODUCED_AVERAGE, judge_costs, run_validation
 
 DESIGN_KEYS = [d.key for d in Design]
 
@@ -75,28 +74,19 @@ def _cmd_gen(args) -> int:
 def _cmd_cost(args) -> int:
     design = design_from_key(args.design)
     rows = []
-    mismatch = False
+    failures = []  # every failed cost check, as qcla verify would report it
     start = max(args.n_from, DESIGN_COSTS[design].min_n)
     for n in range(start, args.n_to + 1):
-        rep = count(lower(build(design, n)))
-        row = {
-            "design": design.value,
-            "n": n,
-            "t_count": rep.t_count,
-            "t_depth": rep.t_depth,
-            "total_depth": rep.total_depth,
-            "qubits": rep.qubit_count,
-            "cnots": rep.cnot_count,
-            "measurements": rep.measurement_count,
-        }
+        rep, cost, fails = judge_costs(design, n)
+        row = {"design": design.value, "n": n, "t_count": rep.t_count, "t_depth": rep.t_depth,
+               "total_depth": rep.total_depth, "qubits": rep.qubit_count,
+               "cnots": rep.cnot_count, "measurements": rep.measurement_count}
         if args.check_formulas:
-            row["stage_sum_t"] = formula_tcount(design, n, "per_step")
-            row["closed_form_t"] = formula_tcount(design, n, "table")
-            row["closed_form_qubits"] = formula_qubits(design, n)
-            row["t_delta"] = row["t_count"] - row["stage_sum_t"]
-            row["qubit_delta"] = row["qubits"] - row["closed_form_qubits"]
-            if row["t_delta"] != 0:
-                mismatch = True
+            row.update(stage_sum_t=cost.per_step_t, closed_form_t=cost.table_t,
+                       closed_form_qubits=cost.formula_qubits,
+                       t_delta=rep.t_count - cost.per_step_t,
+                       qubit_delta=rep.qubit_count - cost.formula_qubits)
+            failures += filter(None, fails)
         rows.append(row)
     if not rows:
         print("error: empty width range", file=sys.stderr)
@@ -105,12 +95,11 @@ def _cmd_cost(args) -> int:
         _write(json.dumps(rows, indent=2) + "\n", args.output)
     else:
         sep = "," if args.format == "csv" else "  "
-        keys = list(rows[0].keys())
-        lines = [sep.join(keys)]
-        for row in rows:
-            lines.append(sep.join(str(row[k]) for k in keys))
+        lines = [sep.join(rows[0])] + [sep.join(map(str, row.values())) for row in rows]
         _write("\n".join(lines) + "\n", args.output)
-    return 1 if mismatch else 0
+    for failure in failures:
+        print(f"formula mismatch: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_sim(args) -> int:
@@ -157,10 +146,7 @@ def _cmd_compare(args) -> int:
         lines.append(f"{label:<18}{t_str:>14}{str(cost.qubits):>10}{approx}")
     for design in designs:
         rep = count(lower(build(design, n)))
-        parts = []
-        for label in baselines:
-            fig = savings(design, label)
-            parts.append(f"{label}: {fig.display}")
+        parts = [f"{label}: {savings(design, label).display}" for label in baselines]
         avg = round_half_up(savings_average(design), 2)
         note = ""
         if design.value == UNREPRODUCED_AVERAGE[0]:

@@ -154,8 +154,8 @@ class Register:
     inits: list[AncillaInit] | None = None
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise CircuitError(f"register {self.name!r} has negative length")
+        if type(self.size) is not int or self.size < 0:
+            raise CircuitError(f"register {self.name!r} size {self.size!r} is not an int >= 0")
         if self.inits is not None and len(self.inits) != self.size:
             raise CircuitError(
                 f"register {self.name!r}: {len(self.inits)} inits for {self.size} qubits"
@@ -224,12 +224,15 @@ class Circuit:
     def basis_input(self, register_values: dict[str, int]) -> dict[QubitRef, int]:
         """One input bit per qubit, in register-table order: bit i of a register's
         value on its qubit i, 0 on ancilla registers given no value.  Raises
-        ValueError for a data register with no value or a value that does not fit."""
+        ValueError for a data register with no value, or a value that is not an
+        ``int`` (a ``bool`` is not) or does not fit."""
         bits: dict[QubitRef, int] = {}
         for reg in self.registers.values():
             value = register_values.get(reg.name)
             if reg.inits is None and value is None:
                 raise ValueError(f"data register {reg.name!r} needs an input value")
+            if value is not None and type(value) is not int:
+                raise ValueError(f"value {value!r} for register {reg.name!r} is not an int")
             if value is not None and not 0 <= value < 2**reg.size:
                 raise ValueError(f"value {value} does not fit register {reg.name!r}[{reg.size}]")
             for i in range(reg.size):

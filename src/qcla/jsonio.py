@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, load_circuit
+from .ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level, QubitRef, load_circuit
 
 SCHEMA = "qcla-ir/1"
 
@@ -22,6 +22,13 @@ class JsonIrError(ValueError):
 _OPEN = {
     kind: f'    {{\n      "kind": {json.dumps(kind.value)},\n      "qubits": ' for kind in GateKind
 }
+
+
+def _spelled(circ: Circuit, q: QubitRef) -> str:
+    # a label key is spelled by register index, as its operand is (X[1.0] is X[1])
+    if not circ.resolves(q):
+        raise CircuitError(f"label {circ.labels[q]!r} is on unknown qubit {q}")
+    return f"{q.reg}[{range(circ.registers[q.reg].size).index(q.index)}]"
 
 
 def to_json(circ: Circuit) -> str:
@@ -47,7 +54,7 @@ def to_json(circ: Circuit) -> str:
             ],
             "num_cbits": circ.num_cbits,
             "ancilla_register": circ.ancilla_register,
-            "labels": {str(q): label for q, label in circ.labels.items()},
+            "labels": {_spelled(circ, q): label for q, label in circ.labels.items()},
             "gates": [],
         },
         indent=2,

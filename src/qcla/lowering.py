@@ -159,26 +159,13 @@ def lower(circ: Circuit) -> Circuit:
     if circ.level is not Level.TOFFOLI:
         raise CircuitError("lower expects a Toffoli-level circuit")
 
-    and_targets = {g.qubits[2] for g in circ.gates if g.kind is GateKind.TEMP_AND}
-
     out = Circuit(level=Level.CLIFFORD_T, ancilla_register=circ.ancilla_register)
-    for reg in circ.registers.values():
-        inits = None
-        if reg.inits is not None:
-            inits = [
-                AncillaInit.ZERO
-                if init is AncillaInit.MAGIC_A and QubitRef(reg.name, i) in and_targets
-                else init
-                for i, init in enumerate(reg.inits)
-            ]
-        out.add_register(reg.name, reg.size, inits)
-    out.labels = dict(circ.labels)
-
     NOT, CNOT = GateKind.NOT, GateKind.CNOT
     TEMP_AND, UNCOMPUTE = GateKind.TEMP_AND, GateKind.UNCOMPUTE
     new = tuple.__new__
     gates = out.gates
     outcome_bit: dict[QubitRef, int] = {}  # spent ancilla -> its measurement bit
+    and_targets: set[QubitRef] = set()  # the magic-state ancillae the stream prepares
     for gate in circ.gates:
         kind = gate.kind
         if kind is NOT or kind is CNOT:
@@ -194,12 +181,24 @@ def lower(circ: Circuit) -> Circuit:
         if kind is UNCOMPUTE:
             cbit = outcome_bit[c3] = out.num_cbits
             out.num_cbits += 1
-        elif kind is TEMP_AND and c3 in outcome_bit:
-            gates.append(cc_x(outcome_bit.pop(c3), c3))
+        elif kind is TEMP_AND:
+            and_targets.add(c3)
+            if c3 in outcome_bit:
+                gates.append(cc_x(outcome_bit.pop(c3), c3))
         refs = (c1, c2, c3, (c1,), (c2,), (c3,))
         built = [
             new(Gate, (k, get(refs), cbit if reads else None))
             for k, get, reads in template.distinct
         ]
         gates += template.order(built)
+
+    # lowering prepares each consumed magic state inline, so its ancilla starts in |0>
+    for reg in circ.registers.values():
+        inits = None if reg.inits is None else [
+            AncillaInit.ZERO if init is AncillaInit.MAGIC_A and QubitRef(reg.name, i) in and_targets
+            else init
+            for i, init in enumerate(reg.inits)
+        ]
+        out.add_register(reg.name, reg.size, inits)
+    out.labels = dict(circ.labels)
     return out

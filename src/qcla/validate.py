@@ -4,7 +4,7 @@
 exact T-count conformance of built circuits against the closed forms, qubit
 conformance within a per-design constant, functional correctness against the
 classical oracle, gadget unitary certification, statevector determinism,
-logarithmic depth growth, and export round-trips.  Five discrepancies in the
+logarithmic depth growth, and export round-trips.  Six discrepancies in the
 published cost data are reproduced deliberately; they are reported in the
 ledger and do not fail verification.
 """
@@ -26,6 +26,7 @@ from .lowering import lower, lower_temporary_and
 from .qasm import parse_qasm3, to_qasm3
 from .resources import (
     DESIGN_COSTS,
+    ResourceReport,
     count,
     depth_bound_fit,
     floor_log2,
@@ -98,6 +99,7 @@ def known_discrepancies() -> list[Discrepancy]:
     table8 = formula_tcount(in1, 8, "table")
     step8 = formula_tcount(in1, 8, "per_step")
     computed_avg = round_half_up(savings_average(Design.IN_FT_QCLA2), 2)
+    in1_avg = savings_average(in1)
     out1_qubits8 = formula_qubits(Design.OUT_FT_QCLA1, 8)
     # T-type flags of the temporary-AND gadget; its first two gates prepare the magic state
     and_t = [g.kind in T_KINDS for g in lower_temporary_and(*(QubitRef("q", i) for i in range(3)))]
@@ -132,6 +134,15 @@ def known_discrepancies() -> list[Discrepancy]:
             "In-FT-QCLA2's published average T-gate savings is not reproduced by "
             "averaging the per-baseline figures; the computed average is reported.",
             {"published": UNREPRODUCED_AVERAGE[1], "computed": computed_avg},
+        ),
+        Discrepancy(
+            "in1-average-savings-rounding",
+            "In-FT-QCLA1's published average T-gate savings is 0.0055 below the exact "
+            "average 72.1155..., which rounds half-up to 72.12; the +-0.01 savings check "
+            "passes it.  The paper does not simply truncate: Out-FT-QCLA1's 54.3378... "
+            "is published as 54.34.",
+            {"published": QUOTED_AVERAGES[in1.value], "exact": str(in1_avg),
+             "half_up": round_half_up(in1_avg, 2)},
         ),
         Discrepancy(
             "and-gadget-t-count-accounting",
@@ -222,35 +233,44 @@ class ValidationReport:
         }
 
 
+COST_CHECKS = (
+    "t-count conformance (measured == stage sum)",
+    "closed form == stage sum (except In-FT-QCLA1)",
+    "qubit conformance (constant per-design delta, |delta| <= 1)",
+)
+
+
+def judge_costs(design: Design, n: int) -> tuple[ResourceReport, CostRow, tuple[str, ...]]:
+    """The one cost rule, of ``qcla verify`` and ``qcla cost --check-formulas``:
+    the count of the lowered ``build(design, n)``, its cost row, and its
+    failure of each of :data:`COST_CHECKS` in order ("" where it passes)."""
+    rep = count(lower(build(design, n)))
+    step, table = formula_tcount(design, n, "per_step"), formula_tcount(design, n, "table")
+    qf = formula_qubits(design, n)
+    row = CostRow(design.value, n, rep.t_count, step, table, rep.qubit_count, qf)
+    where, q_delta = f"{design.value} n={n}", rep.qubit_count - qf
+    return rep, row, (
+        "" if rep.t_count == step else f"{where}: measured {rep.t_count} != stage sum {step}",
+        "" if design is Design.IN_FT_QCLA1 or step == table
+        else f"{where}: stage sum {step} != closed form {table}",
+        "" if q_delta == QUBIT_DELTAS[design] else f"{where}: qubit delta {q_delta}",
+    )
+
+
 def _check_costs(report: ValidationReport, n_max: int) -> None:
-    # each check's last failure, "" while it passes
-    t_fail = table_fail = q_fail = ""
+    fails = ("", "", "")  # each check's last failure, "" while it passes
+    delta_ok = True  # In-FT-QCLA1's closed form is off its stage sum by a known delta
     for design in Design:
         for n in range(DESIGN_COSTS[design].min_n, n_max + 1):
-            rep = count(lower(build(design, n)))
-            per_step = formula_tcount(design, n, "per_step")
-            table = formula_tcount(design, n, "table")
-            qf = formula_qubits(design, n)
+            _, row, judged = judge_costs(design, n)
             if n in (8, 16, 32, 64) or n <= 4:
-                report.rows.append(
-                    CostRow(design.value, n, rep.t_count, per_step, table, rep.qubit_count, qf)
-                )
-            if rep.t_count != per_step:
-                t_fail = f"{design.value} n={n}: measured {rep.t_count} != stage sum {per_step}"
-            if design is not Design.IN_FT_QCLA1 and per_step != table:
-                table_fail = f"{design.value} n={n}: stage sum {per_step} != closed form {table}"
-            if rep.qubit_count - qf != QUBIT_DELTAS[design]:
-                q_fail = f"{design.value} n={n}: qubit delta {rep.qubit_count - qf}"
-    report.check("t-count conformance (measured == stage sum)", not t_fail, t_fail)
-    report.check("closed form == stage sum (except In-FT-QCLA1)", not table_fail, table_fail)
-    report.check("qubit conformance (constant per-design delta, |delta| <= 1)", not q_fail, q_fail)
-
-    in1 = Design.IN_FT_QCLA1
-    delta_ok = all(
-        formula_tcount(in1, n, "per_step") - formula_tcount(in1, n, "table")
-        == 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12
-        for n in range(DESIGN_COSTS[in1].min_n, n_max + 1)
-    )
+                report.rows.append(row)
+            fails = tuple(new or old for new, old in zip(judged, fails))
+            if design is Design.IN_FT_QCLA1:
+                delta = 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12
+                delta_ok &= row.per_step_t - row.table_t == delta
+    for name, fail in zip(COST_CHECKS, fails):
+        report.check(name, not fail, fail)
     report.check("In-FT-QCLA1 closed-form/stage-sum delta identity", delta_ok)
 
 
@@ -265,13 +285,10 @@ def _check_functional(report: ValidationReport, n_max: int) -> None:
 
 
 def _check_gadgets(report: ValidationReport) -> None:
-    worst = 0.0
-    ok = True
-    for gadget in ("toffoli", "and", "and_uncompute_pair"):
-        chk = gadget_unitary_check(gadget)
-        worst = max(worst, chk.max_deviation)
-        ok = ok and chk.passed
-    report.check("gadget unitary certification", ok, f"max deviation {worst:.2e}")
+    checks = [gadget_unitary_check(g) for g in ("toffoli", "and", "and_uncompute_pair")]
+    worst = max(chk.max_deviation for chk in checks)
+    report.check("gadget unitary certification", all(chk.passed for chk in checks),
+                 f"max deviation {worst:.2e}")
 
 
 # Widths whose statevector check explores every measurement branch; wider
@@ -311,8 +328,7 @@ def _check_statevector(report: ValidationReport, widths: tuple[int, ...], inputs
 
 def _check_depth(report: ValidationReport, top: int) -> None:
     fail = ""
-    sizes = [4 << i for i in range(0, (top // 4).bit_length())]
-    sizes = [s for s in sizes if s <= top]
+    sizes = [4 << i for i in range((top // 4).bit_length())]  # 4, 8, ..., at most top
     for design in Design:
         toffoli_depths, t_depths = {}, {}
         for n in sizes:
@@ -332,38 +348,21 @@ def _check_depth(report: ValidationReport, top: int) -> None:
 
 
 def _check_savings(report: ValidationReport) -> None:
+    # (design, what the figure is of, its exact value, the published figure)
+    published = [(d, f"vs {b}", savings(Design(d), b).percent, q) for d, b, q in QUOTED_SAVINGS]
+    published += [(d, "average", savings_average(Design(d)), q) for d, q in QUOTED_AVERAGES.items()]
     fail = ""
-    for design_label, baseline, quoted in QUOTED_SAVINGS:
-        fig = savings(Design(design_label), baseline)
-        delta = abs(fig.percent - Fraction(quoted))
-        report.savings_table.append(
-            {
-                "design": design_label,
-                "baseline": baseline,
-                "computed": fig.display,
-                "published": quoted,
-            }
-        )
-        if delta > Fraction(1, 100):
-            fail = f"{design_label} vs {baseline}: computed {fig.display}, published {quoted}"
-    for design_label, quoted in QUOTED_AVERAGES.items():
-        avg = savings_average(Design(design_label))
-        if abs(avg - Fraction(quoted)) > Fraction(1, 100):
-            fail = f"{design_label} average: computed {round_half_up(avg)}, published {quoted}"
-        report.savings_table.append(
-            {"design": design_label, "baseline": "average", "computed": round_half_up(avg),
-             "published": quoted}
-        )
+    for label, of, exact, quoted in published:
+        computed = round_half_up(exact)
+        report.savings_table.append({"design": label, "baseline": of.removeprefix("vs "),
+                                     "computed": computed, "published": quoted})
+        if abs(exact - Fraction(quoted)) > Fraction(1, 100):
+            fail = f"{label} {of}: computed {computed}, published {quoted}"
     # the unreproduced average is recorded, not asserted
-    avg2 = savings_average(Design.IN_FT_QCLA2)
-    report.savings_table.append(
-        {
-            "design": UNREPRODUCED_AVERAGE[0],
-            "baseline": "average",
-            "computed": round_half_up(avg2),
-            "published": UNREPRODUCED_AVERAGE[1] + " (unreproduced)",
-        }
-    )
+    label, quoted = UNREPRODUCED_AVERAGE
+    report.savings_table.append({"design": label, "baseline": "average",
+                                 "computed": round_half_up(savings_average(Design(label))),
+                                 "published": quoted + " (unreproduced)"})
     report.check("published savings percentages and averages (+-0.01)", not fail, fail)
 
     dominance_ok = all(

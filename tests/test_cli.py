@@ -7,7 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcla import validate
+from qcla.builders import Design
 from qcla.cli import DESIGN_KEYS, cli
+from qcla.resources import formula_tcount
 
 
 def test_sim_reversible(capsys):
@@ -30,6 +33,47 @@ def test_cost_check_formulas(capsys):
     out = capsys.readouterr().out
     row = out.splitlines()[1].split()
     assert "92" in row and "40" in row
+
+
+def _judged_cost(argv, capsys):
+    """Run ``qcla cost`` with and without ``--check-formulas``: the exit code
+    of each, the JSON rows of the checked run and its stderr."""
+    plain = cli(argv + ["--format", "json"])
+    capsys.readouterr()
+    checked = cli(argv + ["--check-formulas", "--format", "json"])
+    out, err = capsys.readouterr()
+    return plain, checked, json.loads(out), err
+
+
+def test_cost_check_formulas_fails_a_qubit_count_off_the_golden_delta(monkeypatch, capsys):
+    """A qubit count that qcla verify fails exits 1 here too."""
+    monkeypatch.setitem(validate.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
+    plain, checked, rows, err = _judged_cost(
+        ["cost", "--design", "in2", "--n-from", "4", "--n-to", "5"], capsys)
+    assert (plain, checked) == (0, 1)
+    assert [row["qubit_delta"] for row in rows] == [-1, -1]
+    assert err == ("formula mismatch: In-FT-QCLA2 n=4: qubit delta -1\n"
+                   "formula mismatch: In-FT-QCLA2 n=5: qubit delta -1\n")
+
+
+def test_cost_check_formulas_fails_a_closed_form_off_the_stage_sum(monkeypatch, capsys):
+    def table_off_by_one(design, n, kind):
+        return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA2)
+
+    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    plain, checked, [row], err = _judged_cost(
+        ["cost", "--design", "in2", "--n-from", "8", "--n-to", "8"], capsys)
+    assert (plain, checked) == (0, 1)
+    assert (row["stage_sum_t"], row["closed_form_t"], row["t_delta"]) == (189, 190, 0)
+    assert err == "formula mismatch: In-FT-QCLA2 n=8: stage sum 189 != closed form 190\n"
+
+
+def test_cost_check_formulas_passes_in1_closed_form_off_the_stage_sum(capsys):
+    """In-FT-QCLA1's closed form is off its stage sum (a ledger entry), as in qcla verify."""
+    plain, checked, [row], err = _judged_cost(
+        ["cost", "--design", "in1", "--n-from", "8", "--n-to", "8"], capsys)
+    assert (plain, checked, err) == (0, 0, "")
+    assert (row["stage_sum_t"], row["closed_form_t"]) == (132, 100)
 
 
 def test_cost_starts_at_the_closed_form_domain(capsys):
@@ -79,7 +123,7 @@ def test_verify_writes_report(tmp_path, capsys):
     assert cli(["verify", "-o", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["passed"] is True
-    assert len(data["discrepancies"]) == 5
+    assert len(data["discrepancies"]) == 6
     out = capsys.readouterr().out
     assert out.count("pass") >= 10
     # each check carries its own run time, in the report and on its line

@@ -229,6 +229,32 @@ def test_float_temp_and_target_reads_the_init_of_its_register_index():
     assert len(circ.gates) == 1
 
 
+def test_label_key_is_spelled_by_register_index():
+    """A label on X[1.0] is a label on X[1]: JSON spells its key as the
+    operand is spelled, and the document loads back."""
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    circ.labels[QubitRef("X", 1.0)] = "s1"
+    circ.labels[QubitRef("A", True)] = "a1"
+    assert json.loads(to_json(circ))["labels"] == {"X[1]": "s1", "A[1]": "a1"}
+    back = from_json(to_json(circ))
+    assert back.labels == circ.labels and back.labeled("s") == {1: QubitRef("X", 1)}
+
+
+@pytest.mark.parametrize("where", [QubitRef("X", 1.5), QubitRef("X", 2), QubitRef("B", 0)])
+def test_label_on_an_unresolved_qubit_is_not_written(where):
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    circ.labels[where] = "s0"
+    with pytest.raises(CircuitError, match=re.escape(f"label 's0' is on unknown qubit {where}")):
+        to_json(circ)
+
+
+@pytest.mark.parametrize("size", [2.0, "2", True, None, -1])
+def test_register_size_must_be_an_int_of_at_least_zero(size):
+    msg = f"register 'A' size {size!r} is not an int >= 0"
+    with pytest.raises(CircuitError, match=re.escape(msg)):
+        new_circuit([("A", size, None)])
+
+
 def test_allocate_fresh_extends_register():
     circ = new_circuit([])
     for _ in range(3):
@@ -293,6 +319,16 @@ def test_basis_input_in_register_order():
         circ.basis_input({"A": 4, "B": 0})
     with pytest.raises(ValueError, match="data register 'B' needs an input value"):
         circ.basis_input({"A": 0})
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", 1 + 0j])
+def test_basis_input_refuses_a_value_that_is_not_an_int(value):
+    circ = new_circuit([("A", 2, None), ("X", 1, [ZERO])])
+    msg = f"value {value!r} for register 'A' is not an int"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        circ.basis_input({"A": value})
+    with pytest.raises(ValueError, match="is not an int"):
+        initial_state(circ, {"A": 1, "X": value})
 
 
 def test_qubit_ref_parse_inverts_str():

@@ -83,6 +83,25 @@ def test_lower_preserves_qubits_and_flips_and_target_inits():
             assert all(i is AncillaInit.ZERO for i in reg.inits)
 
 
+def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
+    """One pass over the gates; a magic ancilla no temporary AND consumes
+    keeps its annotation, as lowering prepares no state for it."""
+
+    class Walked(list):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    circ = new_circuit([("A", 2, None), ("X", 3, [AncillaInit.MAGIC_A] * 3)])
+    circ.extend([temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 2.0))])
+    circ.gates = Walked(circ.gates)
+    lowered = lower(circ)
+    assert Walked.walks == 1
+    assert lowered.registers["X"].inits == [AncillaInit.MAGIC_A] * 2 + [AncillaInit.ZERO]
+
+
 def test_lower_requires_toffoli_level():
     with pytest.raises(CircuitError):
         lower(new_circuit([("q", 1, None)], level=Level.CLIFFORD_T))

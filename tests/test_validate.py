@@ -1,5 +1,6 @@
 """Verification suite: each check reports its own failure; report provenance."""
 
+import hashlib
 import itertools
 import json
 import platform
@@ -7,6 +8,7 @@ import re
 import sys
 import types
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from qcla.ir import Level, QubitRef, not_
 from qcla.jsonio import from_json, to_json_dict
 from qcla.lowering import lower
 from qcla.qasm import parse_qasm3, to_qasm3
-from qcla.resources import count, formula_tcount
+from qcla.resources import count, formula_tcount, round_half_up, savings_average
 from qcla.revsim import _check_batch
 
 
@@ -121,6 +123,16 @@ def test_closed_form_check_reports_a_closed_form_off_the_stage_sum(monkeypatch):
     )
 
 
+def test_in1_closed_form_off_its_known_delta_fails_only_the_delta_identity(monkeypatch):
+    def in1_table_off_by_one(design, n, kind):
+        return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA1)
+
+    monkeypatch.setattr(validate, "formula_tcount", in1_table_off_by_one)
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=4)
+    assert [ok for _, ok, _, _ in report.checks] == [True, True, True, False]
+
+
 def test_functional_check_reports_the_failing_batch(monkeypatch):
     """A circuit with its last gate deleted fails with that batch's summary."""
 
@@ -186,6 +198,32 @@ def test_savings_check_reports_a_published_figure_it_misses(monkeypatch, fault, 
     checks = _checks(report)
     assert checks["published savings percentages and averages"] == (False, detail)
     assert checks["superlinear baseline reported as asymptotic dominance"] == (True, "")
+
+
+def test_cost_and_savings_judgements_are_pinned():
+    """The savings table, the cost rows and every (name, passed, detail) of the
+    cost and savings checks hash to the values these checks have always
+    produced, so an edit to either check that changes a figure shows here."""
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=16)
+    validate._check_savings(report)
+    judged = [
+        report.savings_table,
+        [vars(row) for row in report.rows],
+        [[name, ok, detail] for name, ok, detail, _ in report.checks],
+    ]
+    digest = hashlib.sha256(json.dumps(judged, sort_keys=True).encode()).hexdigest()
+    assert digest == "017176b9263de1b4b50709690b1b5823c0a2b135c8302990535bf2b532750af1"
+
+
+def test_in1_average_is_in_the_ledger_as_rounded_half_up_past_its_published_figure():
+    [entry] = [d for d in validate.known_discrepancies() if d.id == "in1-average-savings-rounding"]
+    assert entry.values == {"published": "72.11", "exact": "2152000/29841", "half_up": "72.12"}
+    assert Fraction(entry.values["exact"]) == savings_average(Design.IN_FT_QCLA1)
+    # the paper does not simply truncate: Out-FT-QCLA1's 54.3378... is published as 54.34
+    out1 = savings_average(Design.OUT_FT_QCLA1)
+    assert validate.QUOTED_AVERAGES["Out-FT-QCLA1"] == round_half_up(out1) == "54.34"
+    assert out1 < Fraction("54.34")
 
 
 def _unstable_qasm(monkeypatch):
