@@ -27,6 +27,7 @@ from .ir import (
     CircuitError,
     Gate,
     QubitRef,
+    _gc_paused,
     cnot,
     new_circuit,
     not_,
@@ -346,12 +347,14 @@ def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     return circ, gates
 
 
+@_gc_paused
 def build(design: Design, n: int) -> Circuit:
     """Construct the requested adder at Toffoli level for n-bit operands.
 
     Deterministic: identical (design, n) produce structurally identical
     circuits.  n = 1 takes the degenerate path (every carry-network round is
-    empty).
+    empty).  Pauses the cyclic garbage collector while it runs and restores
+    it (see :func:`qcla.ir._gc_paused`).
     """
     if n < 1:
         raise CircuitError("operand width must be >= 1")

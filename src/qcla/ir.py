@@ -12,10 +12,40 @@ registers where every qubit carries an :class:`AncillaInit` annotation.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def _gc_paused(fn: _F) -> _F:
+    """Run ``fn`` with the cyclic garbage collector paused, for a function that
+    builds a whole gate list.
+
+    Gates are tuples of a ``GateKind`` and ``QubitRef`` tuples, which the
+    collector tracks but which never form a cycle: reference counting frees
+    them, and a collection during the build only re-walks the growing list.
+    The collector is re-enabled on exit only if it was enabled on entry, so a
+    nested call changes nothing and a caller that turned it off keeps it off.
+    The ``gc`` switch is process-wide: if another thread turns the collector
+    off while the call runs, the call turns it back on when it returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class CircuitError(ValueError):
@@ -344,13 +374,23 @@ class Circuit:
         reg.size += 1
         return QubitRef(reg.name, reg.size - 1)
 
+    def label_key(self, q: QubitRef) -> str:
+        """The labelled qubit ``q`` spelled ``reg[i]`` by the register index it
+        resolves to (``X[1.0]`` is ``X[1]``, as its operand is written): the key
+        of its label in JSON and in :meth:`structural_key`.  Raises
+        :class:`CircuitError` when ``q`` does not resolve."""
+        if not self.resolves(q):
+            raise CircuitError(f"label {self.labels[q]!r} is on unknown qubit {q}")
+        return f"{q.reg}[{range(self.registers[q.reg].size).index(q.index)}]"
+
     def structural_key(self) -> tuple:
-        """Hashable key for structural equality (registers, gates, level, labels)."""
+        """Hashable key for structural equality (registers, gates, level, labels).
+        Label keys are spelled by :meth:`label_key`."""
         regs = tuple(
             (r.name, r.size, None if r.inits is None else tuple(i.value for i in r.inits))
             for r in self.registers.values()
         )
-        labels = tuple(sorted((str(q), lab) for q, lab in self.labels.items()))
+        labels = tuple(sorted((self.label_key(q), lab) for q, lab in self.labels.items()))
         return (self.level.value, regs, self.num_cbits, tuple(self.gates), labels)
 
 

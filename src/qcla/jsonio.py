@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ir import AncillaInit, Circuit, CircuitError, Gate, GateKind, Level, QubitRef, load_circuit
+from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, _gc_paused, load_circuit
 
 SCHEMA = "qcla-ir/1"
 
@@ -22,13 +22,6 @@ class JsonIrError(ValueError):
 _OPEN = {
     kind: f'    {{\n      "kind": {json.dumps(kind.value)},\n      "qubits": ' for kind in GateKind
 }
-
-
-def _spelled(circ: Circuit, q: QubitRef) -> str:
-    # a label key is spelled by register index, as its operand is (X[1.0] is X[1])
-    if not circ.resolves(q):
-        raise CircuitError(f"label {circ.labels[q]!r} is on unknown qubit {q}")
-    return f"{q.reg}[{range(circ.registers[q.reg].size).index(q.index)}]"
 
 
 def to_json(circ: Circuit) -> str:
@@ -54,7 +47,7 @@ def to_json(circ: Circuit) -> str:
             ],
             "num_cbits": circ.num_cbits,
             "ancilla_register": circ.ancilla_register,
-            "labels": {_spelled(circ, q): label for q, label in circ.labels.items()},
+            "labels": {circ.label_key(q): label for q, label in circ.labels.items()},
             "gates": [],
         },
         indent=2,
@@ -120,6 +113,7 @@ def _gate(g: dict, refs: _Refs) -> Gate:
     return Gate(kind, qubits, None if cbit is None else _typed(cbit, int))
 
 
+@_gc_paused
 def from_json_dict(data: dict) -> Circuit:
     """Rebuild a circuit through :func:`qcla.ir.load_circuit`.
 
@@ -127,7 +121,8 @@ def from_json_dict(data: dict) -> Circuit:
     types raises JsonIrError.  A well-formed document that breaks a circuit
     rule (a gate or label on a qubit that does not exist, a conditional gate
     reading a bit no earlier measurement wrote, a ``num_cbits`` that differs
-    from the measured bits) raises CircuitError.
+    from the measured bits) raises CircuitError.  Pauses the cyclic garbage
+    collector while it runs and restores it (see :func:`qcla.ir._gc_paused`).
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != SCHEMA:
@@ -145,7 +140,11 @@ def from_json_dict(data: dict) -> Circuit:
     return load_circuit(level, registers, gates, num_cbits, labels, ancilla_register)
 
 
+@_gc_paused
 def from_json(text: str) -> Circuit:
+    """Parse a ``qcla-ir/1`` document and rebuild it by :func:`from_json_dict`;
+    text that is not JSON raises JsonIrError.  Pauses the cyclic garbage
+    collector while it runs and restores it (see :func:`qcla.ir._gc_paused`)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

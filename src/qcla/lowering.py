@@ -31,6 +31,7 @@ from .ir import (
     GateKind,
     Level,
     QubitRef,
+    _gc_paused,
     cc_x,
     cc_z,
     cnot,
@@ -141,6 +142,7 @@ _TEMPLATES = {
 }
 
 
+@_gc_paused
 def lower(circ: Circuit) -> Circuit:
     """Gate-by-gate, in-order rewrite to a Clifford+T circuit.
 
@@ -154,7 +156,9 @@ def lower(circ: Circuit) -> Circuit:
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.extend`: the input gates were checked when they were
     built or loaded, a repeated gadget operand raises the gadget's own
-    error, and classical bits are numbered here in program order.
+    error, and classical bits are numbered here in program order.  Pauses
+    the cyclic garbage collector while it runs and restores it (see
+    :func:`qcla.ir._gc_paused`).
     """
     if circ.level is not Level.TOFFOLI:
         raise CircuitError("lower expects a Toffoli-level circuit")

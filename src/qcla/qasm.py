@@ -15,7 +15,17 @@ from __future__ import annotations
 
 import re
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, Register, load_circuit
+from .ir import (
+    AncillaInit,
+    Circuit,
+    Gate,
+    GateKind,
+    Level,
+    QubitRef,
+    Register,
+    _gc_paused,
+    load_circuit,
+)
 
 
 class QasmError(ValueError):
@@ -115,6 +125,7 @@ class _Refs(dict):
         return ref
 
 
+@_gc_paused
 def parse_qasm3(text: str) -> Circuit:
     """Parse text produced by :func:`to_qasm3` back into a circuit.
 
@@ -128,7 +139,8 @@ def parse_qasm3(text: str) -> Circuit:
     :func:`to_qasm3` writes for them.  ``bit[k] c;`` is declared at most once.
     The parsed registers, gates and ``bit[k] c;`` count go to
     :func:`qcla.ir.load_circuit`, which applies the circuit rules
-    (CircuitError).
+    (CircuitError).  Pauses the cyclic garbage collector while it runs and
+    restores it (see :func:`qcla.ir._gc_paused`).
     """
     lines = [ln.removesuffix("\r").strip(_BLANK) for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]

@@ -238,6 +238,7 @@ def test_label_key_is_spelled_by_register_index():
     assert json.loads(to_json(circ))["labels"] == {"X[1]": "s1", "A[1]": "a1"}
     back = from_json(to_json(circ))
     assert back.labels == circ.labels and back.labeled("s") == {1: QubitRef("X", 1)}
+    assert back.structural_key() == circ.structural_key()
 
 
 @pytest.mark.parametrize("where", [QubitRef("X", 1.5), QubitRef("X", 2), QubitRef("B", 0)])
@@ -246,6 +247,18 @@ def test_label_on_an_unresolved_qubit_is_not_written(where):
     circ.labels[where] = "s0"
     with pytest.raises(CircuitError, match=re.escape(f"label 's0' is on unknown qubit {where}")):
         to_json(circ)
+    with pytest.raises(CircuitError, match=re.escape(f"label 's0' is on unknown qubit {where}")):
+        circ.structural_key()
+
+
+def test_unresolved_label_is_not_keyed_as_the_qubit_it_prints_as():
+    """A label on A['0'] prints as A[0] but is not on A[0]: the structural key
+    refuses it rather than putting it next to a real A[0] label."""
+    circ = new_circuit([("A", 2, None)])
+    circ.labels[QubitRef("A", 0)] = "a0"
+    circ.labels[QubitRef("A", "0")] = "s0"
+    with pytest.raises(CircuitError, match=re.escape("label 's0' is on unknown qubit A[0]")):
+        circ.structural_key()
 
 
 @pytest.mark.parametrize("size", [2.0, "2", True, None, -1])
