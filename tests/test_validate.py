@@ -216,6 +216,25 @@ def test_cost_and_savings_judgements_are_pinned():
     assert digest == "017176b9263de1b4b50709690b1b5823c0a2b135c8302990535bf2b532750af1"
 
 
+def test_the_whole_discrepancy_ledger_is_pinned():
+    """Every ledger entry in order, with its values: the reverse span bounds
+    still read 4 (width n) and 2 (width n - 1) at n = 8."""
+    assert [(d.id, d.values) for d in validate.known_discrepancies()] == [
+        ("in1-closed-form-vs-stage-sum", {"closed_form_at_n8": 100, "stage_sum_at_n8": 132}),
+        ("out-of-place-qubit-off-by-one", {"register_sum_at_n8": 41, "closed_form_at_n8": 40}),
+        (
+            "reverse-span-loop-bounds",
+            {"literal_recompute_count_at_n8": 4, "stage_count_at_n8": 2},
+        ),
+        ("in2-average-savings-unreproduced", {"published": "35.87", "computed": "44.23"}),
+        (
+            "in1-average-savings-rounding",
+            {"published": "72.11", "exact": "2152000/29841", "half_up": "72.12"},
+        ),
+        ("and-gadget-t-count-accounting", {"explicit_body_t_gates": 3, "counted_t_gates": 4}),
+    ]
+
+
 def test_in1_average_is_in_the_ledger_as_rounded_half_up_past_its_published_figure():
     [entry] = [d for d in validate.known_discrepancies() if d.id == "in1-average-savings-rounding"]
     assert entry.values == {"published": "72.11", "exact": "2152000/29841", "half_up": "72.12"}
