@@ -68,10 +68,6 @@ class RoundKind(Enum):
     G = "g"
     C = "c"
     P_ERASE = "p_erase"
-    REVERSE_P_ERASE = "reverse_p_erase"
-    REVERSE_C = "reverse_c"
-    REVERSE_G = "reverse_g"
-    REVERSE_P = "reverse_p"
 
 
 class RoundTriple(NamedTuple):
@@ -123,35 +119,20 @@ def _c_rounds(n: int, descending: bool) -> list[RoundTriple]:
 _P_SPANS = partial(_span_rounds, first_m=1)
 _G_SPANS = partial(_span_rounds, first_m=0)
 
-# kind -> (width reduction, enumerator, descending).  The reverse rounds undo
-# the network at width n - 1 with the level order flipped.
-_ROUNDS = {
-    RoundKind.P: (0, _P_SPANS, False),
-    RoundKind.G: (0, _G_SPANS, False),
-    RoundKind.C: (0, _c_rounds, True),
-    RoundKind.P_ERASE: (0, _P_SPANS, True),
-    RoundKind.REVERSE_P_ERASE: (1, _P_SPANS, False),
-    RoundKind.REVERSE_C: (1, _c_rounds, False),
-    RoundKind.REVERSE_G: (1, _G_SPANS, True),
-    RoundKind.REVERSE_P: (1, _P_SPANS, True),
-}
-
 
 def round_indices(kind: RoundKind, n: int) -> list[RoundTriple]:
     """Enumerate the carry-network gate indices for one round kind at width n.
 
-    Forward rounds (P, G, C, P_ERASE) run at width n.  Reverse rounds belong to
-    the in-place designs' uncomputation half, which operates on the (n-1)-bit
-    network over operand A and the complemented sum; they enumerate the
-    corresponding forward sets at width n-1 with the outer loop direction
-    flipped.
+    The in-place designs' uncomputation half runs the same rounds backwards
+    over operand A and the complemented sum, at width n - 1 with the level
+    order flipped (see ``_ROUNDS``).
     """
     if kind not in _ROUNDS:
         raise ValueError(f"unknown round kind {kind}")
-    reduction, rounds, descending = _ROUNDS[kind]
-    if n < 1 + reduction:
-        raise ValueError("reverse rounds require n >= 2" if reduction else "rounds require n >= 1")
-    return rounds(n - reduction, descending)
+    if n < 1:
+        raise ValueError("rounds require n >= 1")
+    rounds, descending, _, _ = _ROUNDS[kind]
+    return rounds(n, descending)
 
 
 def cla_masks(a_masks: list[int], b_masks: list[int]) -> list[int]:
@@ -254,10 +235,24 @@ class _Net:
         for i in range(first_p, n):
             self.gates.append(cnot(A[i], B[i]))
             self.p[(i, i + 1)] = B[i]
-        self.p_round(round_indices(RoundKind.P, n))
-        self.merge_round(round_indices(RoundKind.G, n))
-        self.merge_round(round_indices(RoundKind.C, n))
-        self.p_erase(round_indices(RoundKind.P_ERASE, n))
+        self.rounds(n)
+
+    def rounds(self, n: int, backwards: bool = False) -> None:
+        """The rounds of ``_ROUNDS`` at width n; ``backwards`` undoes them:
+        rounds in reverse order, level order flipped, inverse emitters."""
+        rows = reversed(_ROUNDS.values()) if backwards else _ROUNDS.values()
+        for indices, descending, emit, undo in rows:
+            (undo if backwards else emit)(self, indices(n, descending != backwards))
+
+
+# The carry network's rounds in forward order: kind -> (enumerator, descending
+# level order, emitter, the emitter's inverse).
+_ROUNDS = {
+    RoundKind.P: (_P_SPANS, False, _Net.p_round, _Net.p_erase),
+    RoundKind.G: (_G_SPANS, False, _Net.merge_round, _Net.unmerge_round),
+    RoundKind.C: (_c_rounds, True, _Net.merge_round, _Net.unmerge_round),
+    RoundKind.P_ERASE: (_P_SPANS, True, _Net.p_erase, _Net.p_round),
+}
 
 
 def _adder_circuit(
@@ -326,11 +321,8 @@ def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
         # forward half, one slot per gate, matching the published register sizing.
         net.pool, net.spent = net.spent, []
         net.p = {(i, i + 1): B[i] for i in range(1, n - 1)}
-        # Steps 10-13: recompute spans, unmerge carries, erase spans (width n-1).
-        net.p_round(round_indices(RoundKind.REVERSE_P_ERASE, n))
-        net.unmerge_round(round_indices(RoundKind.REVERSE_C, n))
-        net.unmerge_round(round_indices(RoundKind.REVERSE_G, n))
-        net.p_erase(round_indices(RoundKind.REVERSE_P, n))
+        # Steps 10-13: the carry network undone at width n-1.
+        net.rounds(n - 1, backwards=True)
         # Step 14: back to complemented sum bits.
         for i in range(1, n - 1):
             gates.append(cnot(A[i], B[i]))

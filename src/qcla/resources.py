@@ -257,21 +257,16 @@ IN_PLACE_BASELINES = [
 
 
 def _per_step_counts(design: Design, n: int) -> list[tuple[str, int, int]]:
-    """(stage, gadget count, T per gadget) per T-consuming stage of a design."""
-    w, lg = hamming_weight(n), floor_log2(n)
+    """(stage, gadget count, T per gadget) per T-consuming stage of a design.
+    The in-place designs undo the carry network at width n - 1."""
     merge_t = 4 if design.uses_and_pairs else 7
-    steps = [
-        ("initial generate bits", n, 4),
-        ("propagate spans", max(n - w - lg, 0), 4),
-        ("carry merges", max(n - w, 0), merge_t),
-        ("completed carries", max(n - lg - 1, 0), merge_t),
-    ]
-    if design.in_place:
-        w1, lg1 = hamming_weight(n - 1), floor_log2(n - 1)
+    steps = [("initial generate bits", n, 4)]
+    for m in (n, n - 1) if design.in_place else (n,):
+        w, lg, tag = hamming_weight(m), floor_log2(m), "" if m == n else "reverse "
         steps += [
-            ("reverse propagate spans", max(n - 1 - w1 - lg1, 0), 4),
-            ("reverse completed carries", max(n - lg1 - 2, 0), merge_t),
-            ("reverse carry merges", max(n - 1 - w1, 0), merge_t),
+            (tag + "propagate spans", max(m - w - lg, 0), 4),
+            (tag + "carry merges", max(m - w, 0), merge_t),
+            (tag + "completed carries", max(m - lg - 1, 0), merge_t),
         ]
     return steps
 
@@ -345,13 +340,14 @@ class SavingsFigure:
     design: str
     baseline: str
     percent: Fraction | None  # None for asymptotic-dominance baselines
-    kind: str = "ratio"  # or "asymptotic-dominance"
+
+    @property
+    def kind(self) -> str:
+        return "ratio" if self.percent is not None else "asymptotic-dominance"
 
     @property
     def display(self) -> str:
-        if self.percent is None:
-            return "asymptotic-dominance"
-        return round_half_up(self.percent, 2)
+        return self.kind if self.percent is None else round_half_up(self.percent, 2)
 
 
 def savings(design: Design, baseline: str) -> SavingsFigure:
@@ -362,17 +358,15 @@ def savings(design: Design, baseline: str) -> SavingsFigure:
     """
     new = DESIGN_COSTS[design].t_form
     base = CATALOG[baseline].t_form
-    if base.superlinear:
-        return SavingsFigure(DESIGN_COSTS[design].label, baseline, None, "asymptotic-dominance")
-    percent = 100 * (1 - new.n / base.n)
+    percent = None if base.superlinear else 100 * (1 - new.n / base.n)
     return SavingsFigure(DESIGN_COSTS[design].label, baseline, percent)
 
 
 def savings_average(design: Design) -> Fraction:
-    """Arithmetic mean of per-baseline savings (superlinear baselines excluded)."""
+    """Arithmetic mean of the per-baseline savings; neither baseline list
+    holds the superlinear catalog row."""
     baselines = IN_PLACE_BASELINES if design.in_place else OUT_OF_PLACE_BASELINES
-    figures = [savings(design, b) for b in baselines]
-    values = [f.percent for f in figures if f.percent is not None]
+    values = [savings(design, b).percent for b in baselines]
     return sum(values, Fraction(0)) / len(values)
 
 

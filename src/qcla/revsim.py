@@ -156,6 +156,7 @@ class CheckReport:
     design: str
     n: int
     total: int
+    wrong: int  # input slots whose sum was wrong; mismatches shows at most 8
     mismatches: list[tuple[int, int, int, int]]  # (a, b, expected, got)
     assertion_failures: list[str]
     restoration_failures: list[str]
@@ -172,7 +173,7 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"{self.design} n={self.n}: {self.total - len(self.mismatches)}/{self.total} {status}"
+        return f"{self.design} n={self.n}: {self.total - self.wrong}/{self.total} {status}"
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -198,10 +199,10 @@ def _check_batch(
     """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
 
     n is the size of register A.  The sum-bit masks are compared with the
-    bit-sliced oracle ``cla_masks`` and with native a + b; the first 8 wrong
-    slots become (a, b, a + b, got) rows in slot order.  With ``exhaustive``
-    an oracle that disagrees with native addition raises AssertionError, and
-    a truncated list ends in a (-1, -1, -1, -1) marker.  Contract violations
+    bit-sliced oracle ``cla_masks`` and with native a + b; every wrong slot
+    is counted, and the first 8 become (a, b, a + b, got) rows in slot order.
+    With ``exhaustive`` an oracle that disagrees with native addition raises
+    AssertionError, and a truncated list ends in a (-1, -1, -1, -1) marker.  Contract violations
     that stop the run, failed uncomputes and ancillae left dirty are
     assertion failures.  A must come back, and so must B unless the ``s``
     labels sit on register B.
@@ -249,11 +250,13 @@ def _check_batch(
     ]
     labels_ok = set(sums) == set(range(n + 1))
     mismatches: list[tuple[int, int, int, int]] = []
+    wrong = 0
     if labels_ok:
         got = [bits[sums[j]] for j in range(n + 1)]
         bad = oracle_bad
         for mask, want in zip(got, expected):
             bad |= mask ^ want
+        wrong = bad.bit_count()
         got_values = _transpose(got, total) if bad else []
         while bad and len(mismatches) < 8:
             slot = (bad & -bad).bit_length() - 1
@@ -266,6 +269,7 @@ def _check_batch(
         design=name,
         n=n,
         total=total,
+        wrong=wrong,
         mismatches=mismatches,
         assertion_failures=assertions,
         restoration_failures=restoration,

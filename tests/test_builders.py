@@ -9,12 +9,13 @@ import pytest
 from qcla.builders import (
     Design,
     RoundKind,
+    _Net,
     build,
     cla_reference,
     design_from_key,
     round_indices,
 )
-from qcla.ir import Circuit, CircuitError, GateKind, QubitRef, temp_and
+from qcla.ir import Circuit, CircuitError, GateKind, QubitRef, new_circuit, temp_and
 from qcla.jsonio import to_json
 from qcla.lowering import lower
 from qcla.qasm import to_qasm3
@@ -57,54 +58,60 @@ def test_p_rounds_empty_for_n2():
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_round_counts_match_stage_formulas(n):
+    """The forward stage counts at width n and the paper's reverse-stage
+    counts, which are the forward rounds at width n - 1."""
     w, lg = hamming_weight(n), floor_log2(n)
     assert len(round_indices(RoundKind.P, n)) == max(n - w - lg, 0)
     assert len(round_indices(RoundKind.G, n)) == max(n - w, 0)
     assert len(round_indices(RoundKind.C, n)) == max(n - lg - 1, 0)
     if n >= 2:
         w1, lg1 = hamming_weight(n - 1), floor_log2(n - 1)
-        assert len(round_indices(RoundKind.REVERSE_P_ERASE, n)) == max(n - 1 - w1 - lg1, 0)
-        assert len(round_indices(RoundKind.REVERSE_C, n)) == max(n - lg1 - 2, 0)
-        assert len(round_indices(RoundKind.REVERSE_G, n)) == max(n - 1 - w1, 0)
+        assert len(round_indices(RoundKind.P, n - 1)) == max(n - 1 - w1 - lg1, 0)
+        assert len(round_indices(RoundKind.C, n - 1)) == max(n - lg1 - 2, 0)
+        assert len(round_indices(RoundKind.G, n - 1)) == max(n - 1 - w1, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 40))
 def test_erase_rounds_cover_compute_rounds(n):
-    """Every computed propagate span has a matching erase; reverse halves agree."""
-    assert set(round_indices(RoundKind.P_ERASE, n)) == set(round_indices(RoundKind.P, n))
-    assert set(round_indices(RoundKind.REVERSE_P, n)) == set(
-        round_indices(RoundKind.REVERSE_P_ERASE, n)
-    )
-    assert set(round_indices(RoundKind.REVERSE_C, n)) == set(round_indices(RoundKind.C, n - 1))
-    assert set(round_indices(RoundKind.REVERSE_G, n)) == set(round_indices(RoundKind.G, n - 1))
+    """Every computed propagate span has a matching erase, at the forward
+    width n and at the reverse width n - 1; erasure runs the levels in the
+    opposite order."""
+    for width in (n, n - 1):
+        spans, erase = round_indices(RoundKind.P, width), round_indices(RoundKind.P_ERASE, width)
+        assert set(erase) == set(spans)
+        assert [tr.t for tr in erase] == sorted((tr.t for tr in spans), reverse=True)
 
 
 def test_triple_ordering_invariant():
-    for n in (3, 8, 21, 64):
+    for n in (1, 3, 8, 21, 64):
         for kind in RoundKind:
-            if kind in (RoundKind.REVERSE_P, RoundKind.REVERSE_P_ERASE) and n < 2:
-                continue
             for tr in round_indices(kind, n):
                 assert 0 <= tr.j < tr.l < tr.k <= n
 
 
 def test_literal_reverse_bounds_differ():
     # the printed width-n recompute bound, the forward span set, leaves spans
-    # unerased; kept for the report
+    # unerased; the reverse half runs the network at width n - 1
     literal = round_indices(RoundKind.P, 8)
-    fixed = round_indices(RoundKind.REVERSE_P_ERASE, 8)
+    fixed = round_indices(RoundKind.P, 7)
     assert len(literal) == 4 and len(fixed) == 2
     assert set(fixed) < set(literal)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [RoundKind.REVERSE_P_ERASE, RoundKind.REVERSE_C, RoundKind.REVERSE_G, RoundKind.REVERSE_P],
-)
-def test_reverse_rounds_need_two_bits(kind):
-    with pytest.raises(ValueError, match=r"^reverse rounds require n >= 2$"):
-        round_indices(kind, 1)
-    assert round_indices(kind, 2) == []
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+@pytest.mark.parametrize("use_pairs", [True, False])
+def test_backwards_rounds_undo_the_forward_rounds(n, use_pairs):
+    """The network run forwards leaves carry g[0, k] for every k and no
+    propagate span; run backwards at the same width it restores the per-bit
+    wire maps it started from."""
+    net = _Net(new_circuit([("A", n, None), ("B", n, None)], ancilla_register="X"), use_pairs)
+    net.g = {(i, i + 1): QubitRef("A", i) for i in range(n)}
+    net.p = {(i, i + 1): QubitRef("B", i) for i in range(1, n)}
+    start = (dict(net.g), dict(net.p))
+    net.rounds(n)
+    assert sorted(net.g) == [(0, k) for k in range(1, n + 1)] and net.p == start[1]
+    net.rounds(n, backwards=True)
+    assert (net.g, net.p) == start
 
 
 @pytest.mark.parametrize("kind", [RoundKind.P, RoundKind.G, RoundKind.C, RoundKind.P_ERASE])

@@ -3,12 +3,13 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcla import validate
-from qcla.builders import Design
+from qcla.builders import Design, build
 from qcla.cli import DESIGN_KEYS, cli
 from qcla.resources import formula_tcount
 
@@ -24,6 +25,20 @@ def test_sim_statevector_all_branches(capsys):
                 "--backend", "statevector", "--branches", "all"]) == 0
     out = capsys.readouterr().out
     assert "deterministic, correct (3 + 2 = 5)" in out
+
+
+def test_sim_statevector_mismatch_exits_1(monkeypatch, capsys):
+    """Without its last gate (A[0] -> X[0]) Out-FT-QCLA2 reads s0 = b0."""
+
+    def short_build(design, n):
+        circ = build(design, n)
+        return replace(circ, gates=circ.gates[:-1])
+
+    monkeypatch.setattr("qcla.cli.build", short_build)
+    assert cli(["sim", "--design", "out2", "--n", "2", "--a", "1", "--b", "0",
+                "--backend", "statevector", "--branches", "all"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "verdict: MISMATCH (expected 1, read [0])"
 
 
 def test_cost_check_formulas(capsys):

@@ -25,6 +25,8 @@ from qcla.lowering import lower, lower_temporary_and, lower_toffoli, lower_uncom
 from qcla.resources import (
     CATALOG,
     DESIGN_COSTS,
+    IN_PLACE_BASELINES,
+    OUT_OF_PLACE_BASELINES,
     catalog_cost,
     count,
     floor_log2,
@@ -256,7 +258,15 @@ def test_savings_quoted_figures():
 
 def test_savings_cheng_sentinel():
     fig = savings(Design.IN_FT_QCLA1, "Cheng")
-    assert fig.kind == "asymptotic-dominance" and fig.percent is None
+    assert fig.kind == fig.display == "asymptotic-dominance" and fig.percent is None
+
+
+def test_savings_averages_have_no_superlinear_baseline():
+    """savings_average sums every figure of its list: each one is a ratio."""
+    for design in Design:
+        for baseline in OUT_OF_PLACE_BASELINES + IN_PLACE_BASELINES:
+            assert not CATALOG[baseline].t_form.superlinear
+            assert savings(design, baseline).kind == "ratio"
 
 
 def test_savings_averages():

@@ -1,5 +1,6 @@
 """Reversible simulator: semantics, contract enforcement, exhaustive checks."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -229,6 +230,23 @@ def test_exhaustive_rows_come_in_input_order(monkeypatch):
     report = exhaustive_check(Design.OUT_FT_QCLA1, 3)
     indices = [(a << 3) | b for a, b, _, _ in report.mismatches[:8]]
     assert indices == sorted(indices) and report.mismatches[-1] == (-1, -1, -1, -1)
+
+
+def test_summary_counts_every_wrong_sum(monkeypatch):
+    """Without the last CNOT (A[0] -> X[0]) s0 is wrong whenever a0 = 1: the
+    summary counts every such input, not the at most 8 reported rows."""
+    circ = build(Design.OUT_FT_QCLA2, 4)
+    assert circ.gates[-1] == cnot(QubitRef("A", 0), QubitRef("X", 0))
+    circ = replace(circ, gates=circ.gates[:-1])
+    monkeypatch.setattr("qcla.revsim.build", lambda design, n: circ)
+    report = exhaustive_check(Design.OUT_FT_QCLA2, 4)
+    assert report.wrong == 128 and len(report.mismatches) == 9
+    assert report.summary() == "Out-FT-QCLA2 n=4: 128/256 FAIL"
+    report = random_check(Design.OUT_FT_QCLA2, 4, pairs=256, seed=1)
+    rng = random.Random(1)
+    wrong = sum(a & 1 for a, _ in [(rng.randrange(16), rng.randrange(16)) for _ in range(256)])
+    assert report.wrong == wrong and len(report.mismatches) == 8
+    assert report.summary() == f"Out-FT-QCLA2 n=4: {256 - wrong}/256 FAIL"
 
 
 def test_corrupted_oracle_is_caught(monkeypatch):

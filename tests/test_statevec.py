@@ -193,6 +193,35 @@ def test_two_labels_spelling_one_index_raise():
         simulate(circ, {"A": 0, "B": 2}, SeededRandom(1))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_fixed_outcomes_must_cover_every_measurement(extra):
+    circ = lower(build(Design.OUT_FT_QCLA1, 2))
+    k = circ.num_cbits + extra
+    message = f"^{k} forced outcomes for {circ.num_cbits} measurements$"
+    with pytest.raises(SimulationError, match=message):
+        simulate(circ, {"A": 3, "B": 3}, FixedOutcomes((0,) * k))
+
+
+def test_simulate_rejects_a_toffoli_level_circuit():
+    message = r"^statevector simulation expects a Clifford\+T circuit$"
+    with pytest.raises(SimulationError, match=message):
+        simulate(build(Design.OUT_FT_QCLA1, 2), {"A": 1, "B": 2})
+
+
+def test_a_labelled_output_left_in_superposition_is_not_classical():
+    from qcla.ir import h as h_gate
+
+    circ = Circuit(level=Level.CLIFFORD_T)
+    circ.add_register("q", 1, None)
+    q = QubitRef("q", 0)
+    circ.append(h_gate(q))
+    circ.labels[q] = "s0"
+    message = r"^labeled output s0 on q\[0\] is not classical"
+    with pytest.raises(SimulationError, match=message) as err:
+        simulate(circ, {"q": 0})
+    assert float(str(err.value).split("p1=")[1].rstrip(")")) == pytest.approx(0.5)
+
+
 def test_fixed_outcomes_rejects_impossible_record():
     # a lone X-basis measurement of |0> yields both outcomes, but forcing an
     # outcome on a qubit held in a basis state after H is fine; instead force
