@@ -75,7 +75,8 @@ def _cmd_cost(args) -> int:
     design = design_from_key(args.design)
     rows = []
     failures = []  # every failed cost check, as qcla verify would report it
-    start = max(args.n_from, DESIGN_COSTS[design].min_n)
+    # a range wholly below the closed-form domain ends in its domain error
+    start = max(args.n_from, min(DESIGN_COSTS[design].min_n, args.n_to))
     for n in range(start, args.n_to + 1):
         rep, cost, fails = judge_costs(design, n)
         row = {"design": design.value, "n": n, "t_count": rep.t_count, "t_depth": rep.t_depth,
@@ -111,12 +112,13 @@ def _cmd_sim(args) -> int:
         print(total)
         return 0 if total == args.a + args.b else 1
     lowered = lower(circ)
+    seed = args.branches.removeprefix("seed:")
     if args.branches == "all":
         strategy = AllBranches()
     elif args.branches == "seed":
         strategy = SeededRandom(_default_seed())
-    elif args.branches.startswith("seed:"):
-        strategy = SeededRandom(int(args.branches.split(":", 1)[1]))
+    elif seed != args.branches and seed.removeprefix("-").isdecimal():
+        strategy = SeededRandom(int(seed))
     else:
         print(f"error: --branches must be 'all', 'seed' or 'seed:S', got {args.branches!r}",
               file=sys.stderr)

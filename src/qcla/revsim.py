@@ -160,20 +160,16 @@ class CheckReport:
     mismatches: list[tuple[int, int, int, int]]  # (a, b, expected, got)
     assertion_failures: list[str]
     restoration_failures: list[str]
-    labels_ok: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.mismatches
-            and not self.assertion_failures
-            and not self.restoration_failures
-            and self.labels_ok
-        )
+        return not (self.wrong or self.assertion_failures or self.restoration_failures)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"{self.design} n={self.n}: {self.total - self.wrong}/{self.total} {status}"
+        first = (self.assertion_failures + self.restoration_failures)[:1]
+        detail = f" ({first[0]})" if first else ""
+        return f"{self.design} n={self.n}: {self.total - self.wrong}/{self.total} {status}{detail}"
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -193,18 +189,16 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return [int("".join(col), 2) for col in columns][::-1]
 
 
-def _check_batch(
-    circ: Circuit, name: str, inputs: Sequence[int], exhaustive: bool
-) -> CheckReport:
+def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport:
     """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
 
-    n is the size of register A.  The sum-bit masks are compared with the
-    bit-sliced oracle ``cla_masks`` and with native a + b; every wrong slot
-    is counted, and the first 8 become (a, b, a + b, got) rows in slot order.
-    With ``exhaustive`` an oracle that disagrees with native addition raises
-    AssertionError, and a truncated list ends in a (-1, -1, -1, -1) marker.  Contract violations
-    that stop the run, failed uncomputes and ancillae left dirty are
-    assertion failures.  A must come back, and so must B unless the ``s``
+    n is the size of register A.  The bit-sliced oracle ``cla_masks`` must
+    agree with native a + b (else AssertionError).  The sum-bit masks are
+    compared with it; every wrong slot is counted, and the first 8 become
+    (a, b, a + b, got) rows in slot order.  ``s`` labels that do not spell
+    bits 0..n, contract violations that stop the run, failed uncomputes and
+    ancillae left dirty are assertion failures; with unreadable sums every
+    slot counts as wrong.  A must come back, and so must B unless the ``s``
     labels sit on register B.
     """
     n = circ.registers["A"].size
@@ -217,10 +211,13 @@ def _check_batch(
     oracle_bad = 0
     for want, nat in zip(expected, native):
         oracle_bad |= want ^ nat
-    if exhaustive and oracle_bad:
+    if oracle_bad:
         i = inputs[(oracle_bad & -oracle_bad).bit_length() - 1]
         raise AssertionError(f"oracle self-check failed at a={i >> n} b={i & low}")
 
+    sums = circ.labeled("s")
+    readable = set(sums) == set(range(n + 1))
+    assertions = [] if readable else [f"sum labels cover bits {sorted(sums)}, not 0..{n}"]
     bits = dict.fromkeys(circ.qubits(), 0)
     for i in range(n):
         bits[QubitRef("A", i)] = a_masks[i]
@@ -229,8 +226,7 @@ def _check_batch(
     failures: list[Exception] = []
     finished = _run_masks(circ, bits, spent, (1 << total) - 1, failures)
 
-    sums = circ.labeled("s")
-    assertions = [str(f) for f in failures]
+    assertions += [str(f) for f in failures]
     if finished:  # every ancilla not holding a sum bit must end spent or 0
         outputs = set(sums.values())
         for q, mask in bits.items():
@@ -248,12 +244,11 @@ def _check_batch(
         for i in range(n)
         if bits[QubitRef(reg, i)] != reg_masks[i]
     ]
-    labels_ok = set(sums) == set(range(n + 1))
     mismatches: list[tuple[int, int, int, int]] = []
-    wrong = 0
-    if labels_ok:
+    wrong = total
+    if readable:
         got = [bits[sums[j]] for j in range(n + 1)]
-        bad = oracle_bad
+        bad = 0
         for mask, want in zip(got, expected):
             bad |= mask ^ want
         wrong = bad.bit_count()
@@ -263,18 +258,7 @@ def _check_batch(
             a, b = inputs[slot] >> n, inputs[slot] & low
             mismatches.append((a, b, a + b, got_values[slot]))
             bad &= bad - 1
-        if exhaustive and bad:
-            mismatches.append((-1, -1, -1, -1))  # truncated marker
-    return CheckReport(
-        design=name,
-        n=n,
-        total=total,
-        wrong=wrong,
-        mismatches=mismatches,
-        assertion_failures=assertions,
-        restoration_failures=restoration,
-        labels_ok=labels_ok,
-    )
+    return CheckReport(name, n, total, wrong, mismatches, assertions, restoration)
 
 
 def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
@@ -286,7 +270,7 @@ def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
     """
     if n > max_n:
         raise ValueError(f"exhaustive check capped at n = {max_n}")
-    return _check_batch(build(design, n), design.value, range(4**n), True)
+    return _check_batch(build(design, n), design.value, range(4**n))
 
 
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
@@ -299,4 +283,4 @@ def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckRep
     rng = _random.Random(seed)
     # a, then b, for each pair: a seed keeps its samples
     inputs = [rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
-    return _check_batch(build(design, n), design.value, inputs, False)
+    return _check_batch(build(design, n), design.value, inputs)

@@ -238,6 +238,7 @@ COST_CHECKS = (
     "t-count conformance (measured == stage sum)",
     "closed form == stage sum (except In-FT-QCLA1)",
     "qubit conformance (constant per-design delta, |delta| <= 1)",
+    "In-FT-QCLA1 closed-form/stage-sum delta identity",
 )
 
 
@@ -250,29 +251,28 @@ def judge_costs(design: Design, n: int) -> tuple[ResourceReport, CostRow, tuple[
     qf = formula_qubits(design, n)
     row = CostRow(design.value, n, rep.t_count, step, table, rep.qubit_count, qf)
     where, q_delta = f"{design.value} n={n}", rep.qubit_count - qf
+    in1 = design is Design.IN_FT_QCLA1
+    # In-FT-QCLA1's closed form is off its stage sum by a known delta
+    delta = 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12 if in1 else 0
     return rep, row, (
         "" if rep.t_count == step else f"{where}: measured {rep.t_count} != stage sum {step}",
-        "" if design is Design.IN_FT_QCLA1 or step == table
-        else f"{where}: stage sum {step} != closed form {table}",
+        "" if in1 or step == table else f"{where}: stage sum {step} != closed form {table}",
         "" if q_delta == QUBIT_DELTAS[design] else f"{where}: qubit delta {q_delta}",
+        "" if not in1 or step - table == delta
+        else f"{where}: stage sum - closed form {step - table} != delta {delta}",
     )
 
 
 def _check_costs(report: ValidationReport, n_max: int) -> None:
-    fails = ("", "", "")  # each check's last failure, "" while it passes
-    delta_ok = True  # In-FT-QCLA1's closed form is off its stage sum by a known delta
+    fails = ("",) * len(COST_CHECKS)  # each check's last failure, "" while it passes
     for design in Design:
         for n in range(DESIGN_COSTS[design].min_n, n_max + 1):
             _, row, judged = judge_costs(design, n)
             if n in (8, 16, 32, 64) or n <= 4:
                 report.rows.append(row)
             fails = tuple(new or old for new, old in zip(judged, fails))
-            if design is Design.IN_FT_QCLA1:
-                delta = 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12
-                delta_ok &= row.per_step_t - row.table_t == delta
     for name, fail in zip(COST_CHECKS, fails):
         report.check(name, not fail, fail)
-    report.check("In-FT-QCLA1 closed-form/stage-sum delta identity", delta_ok)
 
 
 def _check_functional(report: ValidationReport, n_max: int) -> None:

@@ -155,6 +155,13 @@ def test_cla_reference_rejects_out_of_range():
         cla_reference(4, 0, 2)
     with pytest.raises(ValueError):
         cla_reference(0, -1, 2)
+    with pytest.raises(ValueError, match=r"^width must be >= 1$"):
+        cla_reference(0, 0, 0)
+
+
+def test_round_indices_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown round kind p$"):
+        round_indices("p", 4)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

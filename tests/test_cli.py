@@ -91,6 +91,34 @@ def test_cost_check_formulas_passes_in1_closed_form_off_the_stage_sum(capsys):
     assert (row["stage_sum_t"], row["closed_form_t"]) == (132, 100)
 
 
+def test_cost_check_formulas_fails_in1_closed_form_off_its_known_delta(monkeypatch, capsys):
+    """A wrong In-FT-QCLA1 closed form fails the delta identity, as in qcla verify."""
+    def table_off_by_one(design, n, kind):
+        return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA1)
+
+    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    plain, checked, [row], err = _judged_cost(
+        ["cost", "--design", "in1", "--n-from", "8", "--n-to", "8"], capsys)
+    assert (plain, checked) == (0, 1)
+    assert (row["stage_sum_t"], row["closed_form_t"]) == (132, 101)
+    assert err == "formula mismatch: In-FT-QCLA1 n=8: stage sum - closed form 31 != delta 32\n"
+
+
+def test_cost_below_the_closed_form_domain_is_a_domain_error(capsys):
+    assert cli(["cost", "--design", "in1", "--n-from", "1", "--n-to", "1"]) == 2
+    assert capsys.readouterr().err == "error: In-FT-QCLA1 cost form needs n >= 2\n"
+    assert cli(["cost", "--design", "in1", "--n-from", "3", "--n-to", "2"]) == 2
+    assert capsys.readouterr().err == "error: empty width range\n"
+
+
+@pytest.mark.parametrize("branches", ["seed:x", "seed:", "seed:--5", "seeds:5"])
+def test_sim_rejects_a_malformed_branch_seed(branches, capsys):
+    assert cli(["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2",
+                "--backend", "statevector", "--branches", branches]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --branches must be 'all', 'seed' or 'seed:S', got {branches!r}\n")
+
+
 def test_cost_starts_at_the_closed_form_domain(capsys):
     assert cli(["cost", "--design", "in1", "--n-from", "1", "--n-to", "3",
                 "--format", "json"]) == 0

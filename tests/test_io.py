@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qcla.builders import Design, build
-from qcla.ir import Circuit, CircuitError, Level, QubitRef, cnot
+from qcla.ir import Circuit, CircuitError, Level, QubitRef, cnot, toffoli
 from qcla.jsonio import JsonIrError, from_json, to_json
 from qcla.lowering import lower, lower_uncompute
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
@@ -41,6 +41,14 @@ def test_uncompute_emits_measure_and_conditional():
 def test_qasm_requires_clifford_t_level():
     with pytest.raises(QasmError, match="lower first"):
         to_qasm3(build(Design.OUT_FT_QCLA1, 2))
+
+
+def test_qasm_rejects_a_gate_kind_it_cannot_spell():
+    circ = Circuit(level=Level.CLIFFORD_T)
+    circ.add_register("q", 3, None)
+    circ.gates.append(toffoli(*(QubitRef("q", i) for i in range(3))))  # past append's level check
+    with pytest.raises(QasmError, match="^gate kind GateKind.TOFFOLI has no OpenQASM form$"):
+        to_qasm3(circ)
 
 
 def test_qasm_round_trip_empty():

@@ -18,6 +18,7 @@ from qcla.ir import (
     temp_and,
     uncompute,
 )
+from qcla.lowering import lower
 
 MAGIC = AncillaInit.MAGIC_A
 from qcla.revsim import (
@@ -75,7 +76,7 @@ def test_and_on_a_spent_control_ends_the_run():
     built = build(Design.OUT_FT_QCLA1, 3)
     spent = next(q for q, label in built.labels.items() if label == "spent")
     built.append(temp_and(spent, QubitRef("A", 0), built.allocate_ancilla(MAGIC)))
-    report = _check_batch(built, "Out-FT-QCLA1", range(4**3), True)
+    report = _check_batch(built, "Out-FT-QCLA1", range(4**3))
     assert report.assertion_failures == [
         f"spent qubit {spent} used at gate {len(built.gates) - 1}"
     ]
@@ -171,6 +172,17 @@ def test_transpose_and_bit_sliced_oracle(width, slots, rng):
     assert cla_masks(a_masks, b_masks) == _transpose([x + y for x, y in zip(a, b)], width + 1)
 
 
+def test_transpose_of_no_rows_or_no_bits_is_all_zero():
+    assert _transpose([], 3) == [0, 0, 0]
+    assert _transpose([0, 0], 0) == []
+
+
+def test_run_basis_rejects_a_clifford_t_circuit():
+    circ = lower(build(Design.OUT_FT_QCLA1, 2))
+    with pytest.raises(ValueError, match="executes Toffoli-level circuits only"):
+        run_basis(circ, initial_state(circ, {"A": 1, "B": 2}))
+
+
 @pytest.mark.parametrize("rows, width", [([4], 2), ([1, 2, 8], 3), ([-1], 4), ([1], 0)])
 def test_transpose_rejects_rows_wider_than_width(rows, width):
     with pytest.raises(ValueError, match="does not fit"):
@@ -214,12 +226,9 @@ def test_fault_reports_match_single_input_runs(monkeypatch, corrupt, check):
     else:
         report = random_check(Design.OUT_FT_QCLA2, 64, pairs=256, seed=3)
     assert not report.passed and not report.assertion_failures
-    rows = [row for row in report.mismatches if row[0] >= 0]
-    assert rows and len(rows) <= 8
-    if check == "random":
-        assert len(rows) == len(report.mismatches)  # no truncation marker
+    assert 0 < len(report.mismatches) <= 8
     circ, = circuits
-    for a, b, expected, got in rows:
+    for a, b, expected, got in report.mismatches:
         assert expected == a + b
         assert got != a + b
         assert got == read_labeled(circ, run_basis(circ, initial_state(circ, {"A": a, "B": b})))
@@ -228,8 +237,8 @@ def test_fault_reports_match_single_input_runs(monkeypatch, corrupt, check):
 def test_exhaustive_rows_come_in_input_order(monkeypatch):
     _corrupted(monkeypatch, _wrong_cnot_target)
     report = exhaustive_check(Design.OUT_FT_QCLA1, 3)
-    indices = [(a << 3) | b for a, b, _, _ in report.mismatches[:8]]
-    assert indices == sorted(indices) and report.mismatches[-1] == (-1, -1, -1, -1)
+    indices = [(a << 3) | b for a, b, _, _ in report.mismatches]
+    assert indices == sorted(indices) and report.wrong > 8 == len(indices)
 
 
 def test_summary_counts_every_wrong_sum(monkeypatch):
@@ -240,7 +249,7 @@ def test_summary_counts_every_wrong_sum(monkeypatch):
     circ = replace(circ, gates=circ.gates[:-1])
     monkeypatch.setattr("qcla.revsim.build", lambda design, n: circ)
     report = exhaustive_check(Design.OUT_FT_QCLA2, 4)
-    assert report.wrong == 128 and len(report.mismatches) == 9
+    assert report.wrong == 128 and len(report.mismatches) == 8
     assert report.summary() == "Out-FT-QCLA2 n=4: 128/256 FAIL"
     report = random_check(Design.OUT_FT_QCLA2, 4, pairs=256, seed=1)
     rng = random.Random(1)
@@ -256,10 +265,10 @@ def test_corrupted_oracle_is_caught(monkeypatch):
     monkeypatch.setattr("qcla.revsim.cla_masks", off_on_slot_0)
     with pytest.raises(AssertionError, match="oracle self-check failed at a=0 b=0"):
         exhaustive_check(Design.OUT_FT_QCLA1, 3)
-    report = random_check(Design.OUT_FT_QCLA1, 16, pairs=32, seed=5)
-    assert not report.passed
-    (a, b, expected, got), = report.mismatches  # slot 0 only; the circuit is right
-    assert expected == got == a + b
+    rng = random.Random(5)
+    a, b = rng.randrange(2**16), rng.randrange(2**16)  # slot 0
+    with pytest.raises(AssertionError, match=f"oracle self-check failed at a={a} b={b}$"):
+        random_check(Design.OUT_FT_QCLA1, 16, pairs=32, seed=5)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -292,10 +301,10 @@ def test_every_single_gate_deletion_fails_the_batch_check(design, n):
     """Each Toffoli-level gate matters: deleting any one fails the exhaustive
     check of the circuit handed to the core."""
     circ = build(design, n)
-    assert _check_batch(circ, design.value, range(4**n), True).passed
+    assert _check_batch(circ, design.value, range(4**n)).passed
     for i in range(len(circ.gates)):
         mutant = replace(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
-        report = _check_batch(mutant, design.value, range(4**n), True)
+        report = _check_batch(mutant, design.value, range(4**n))
         assert not report.passed, f"deleting gate {i} ({circ.gates[i]}) goes unseen"
 
 
@@ -304,9 +313,61 @@ def test_b_must_come_back_unless_the_sums_sit_on_it():
     in-place adder, whose sum labels sit on B, is not asked for B."""
     circ = build(Design.OUT_FT_QCLA1, 3)
     circ.append(not_(QubitRef("B", 2)))
-    report = _check_batch(circ, "Out-FT-QCLA1", range(4**3), True)
+    report = _check_batch(circ, "Out-FT-QCLA1", range(4**3))
     assert report.restoration_failures == ["B[2] not restored"]
     assert not report.mismatches and not report.assertion_failures
     in_place = build(Design.IN_FT_QCLA1, 3)
     assert {q.reg for q in in_place.labeled("s").values()} >= {"B"}
-    assert _check_batch(in_place, "In-FT-QCLA1", range(4**3), True).passed
+    assert _check_batch(in_place, "In-FT-QCLA1", range(4**3)).passed
+
+
+def test_unreadable_sums_fail_every_input():
+    """Sum labels that do not spell bits 0..n leave no sum to compare: every
+    input counts as wrong and the summary names the labels."""
+    circ = build(Design.OUT_FT_QCLA1, 3)
+    circ.labels[circ.labeled("s")[3]] = "spent"
+    report = _check_batch(circ, "Out-FT-QCLA1", range(4**3))
+    assert not report.passed and report.wrong == 64 and not report.mismatches
+    assert report.summary() == (
+        "Out-FT-QCLA1 n=3: 0/64 FAIL (sum labels cover bits [0, 1, 2], not 0..3)"
+    )
+
+
+def test_every_control_swap_fails_unless_the_and_is_unchanged():
+    """Swap each control of each gate at n = 3 (the CNOT control; c1 or c2 of a
+    Toffoli, temporary AND or uncompute) for every qubit outside the gate.
+    Every mutant fails the batch check except five, and in each of those the
+    swapped-in qubit differs from the one it replaces, but the AND of the
+    controls is the original's on all 64 inputs: the temporary AND writes the
+    same value and the uncompute's cc_z phase is the same, so the mutant is
+    an equivalent circuit."""
+    mutants, survivors = 0, []
+    for design in Design:
+        circ = build(design, 3)
+        for i, (kind, ops, _) in enumerate(circ.gates):
+            for pos in range(kind.arity - 1):
+                for q in circ.qubits():
+                    if q in ops:
+                        continue
+                    swapped = ops[:pos] + (q,) + ops[pos + 1 :]
+                    gates = circ.gates[:i] + [Gate(kind, swapped)] + circ.gates[i + 1 :]
+                    mutants += 1
+                    if _check_batch(replace(circ, gates=gates), design.value, range(64)).passed:
+                        survivors.append((design, circ, i, ops, swapped))
+    assert mutants == 771
+    assert sorted((d.key, c.gates[i].kind.name) for d, c, i, _, _ in survivors) == [
+        ("in1", "TEMP_AND"),
+        ("in1", "UNCOMPUTE"),
+        ("in1", "UNCOMPUTE"),
+        ("out1", "UNCOMPUTE"),
+        ("out1", "UNCOMPUTE"),
+    ]
+    for _, circ, i, ops, swapped in survivors:
+        prefix = replace(circ, gates=circ.gates[:i])
+        differs = False
+        for a in range(8):
+            for b in range(8):
+                bits = run_basis(prefix, initial_state(prefix, {"A": a, "B": b})).bits
+                assert bits[ops[0]] & bits[ops[1]] == bits[swapped[0]] & bits[swapped[1]]
+                differs |= any(bits[x] != bits[y] for x, y in zip(ops, swapped))
+        assert differs

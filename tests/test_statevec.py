@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qcla.builders import Design, build, cla_reference
-from qcla.ir import Circuit, CircuitError, Level, QubitRef
+from qcla.ir import Circuit, CircuitError, Level, QubitRef, toffoli
 from qcla.lowering import lower, lower_temporary_and, lower_uncompute
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import (
@@ -312,3 +312,14 @@ def test_import_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import qcla, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def test_gadget_unitary_check_rejects_an_unknown_gadget():
+    with pytest.raises(ValueError, match="^unknown gadget 'bogus'$"):
+        gadget_unitary_check("bogus")
+
+
+def test_branching_executor_rejects_a_toffoli_level_gate():
+    q = [QubitRef("q", i) for i in range(3)]
+    with pytest.raises(SimulationError, match="^unsupported gate kind GateKind.TOFFOLI$"):
+        _run_branches([toffoli(*q)], {qi: i for i, qi in enumerate(q)}, _basis(1, 1, 0), [])

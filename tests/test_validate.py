@@ -140,7 +140,7 @@ def test_functional_check_reports_the_failing_batch(monkeypatch):
         circ = build(design, n)
         if design is Design.IN_FT_QCLA2 and n == 2:
             del circ.gates[-1]
-        return _check_batch(circ, design.value, range(4**n), True)
+        return _check_batch(circ, design.value, range(4**n))
 
     monkeypatch.setattr(validate, "exhaustive_check", exhaustive)
     report = validate.ValidationReport()
