@@ -1,21 +1,10 @@
 """Rewriting Toffoli-level circuits into the Clifford+T gate set.
 
-Three gadgets cover the logical gates:
-
-* Toffoli: the 7-T decomposition (H sandwich around a T/T-dagger ladder
-  interleaved with CNOTs).
-* Temporary AND: the 4-T gadget writing x AND y onto a magic-state ancilla.
-  The magic resource state (|0> + e^{i pi/4}|1>)/sqrt(2) is prepared inline
-  from |0> with H then T, so the emitted sequence is self-contained and its
-  measured T-count matches the gadget's 4-T cost; the ancilla's annotation
-  becomes ZERO in the lowered circuit.
-* Uncompute: X-basis measurement of the target plus a classically controlled
-  CZ on the controls; zero T gates.
-
-When a spent ancilla is re-initialized for a later temporary AND (the
-in-place designs reuse their forward-half ancillae), a classically
-controlled X conditioned on that ancilla's measurement outcome resets it to
-|0> first.
+Three gadgets cover the Toffoli-level gates: the 7-T Toffoli, the 4-T
+temporary AND, which prepares its magic resource state
+(|0> + e^{i pi/4}|1>)/sqrt(2) inline from |0> with H then T, and the zero-T
+measurement-based uncompute.  :data:`GADGETS` holds one row per gadget: its
+gate list, template, declared T cost and truth action.
 """
 
 from __future__ import annotations
@@ -67,9 +56,18 @@ def lower_toffoli(c1: QubitRef, c2: QubitRef, target: QubitRef) -> list[Gate]:
     ]
 
 
-def _and_core(c1: QubitRef, c2: QubitRef, anc: QubitRef) -> list[Gate]:
-    # maps |x, y> (x) magic-A on anc to |x, y, x AND y>; 3 explicit T gates
+def lower_temporary_and(c1: QubitRef, c2: QubitRef, anc: QubitRef) -> list[Gate]:
+    """4-T temporary-AND gadget including inline magic-state preparation.
+
+    The ancilla starts in |0>; H then T put it in the magic resource state the
+    gadget consumes.  Counting that preparation T gives the gadget its 4-T
+    cost; the rest maps |x, y> and the resource state to |x, y, x AND y>.
+    """
+    if len({c1, c2, anc}) != 3:
+        raise CircuitError("temporary-AND operands must be distinct")
     return [
+        h(anc),
+        t(anc),
         cnot(c1, anc),
         cnot(c2, anc),
         cnot(anc, c1),
@@ -84,18 +82,6 @@ def _and_core(c1: QubitRef, c2: QubitRef, anc: QubitRef) -> list[Gate]:
     ]
 
 
-def lower_temporary_and(c1: QubitRef, c2: QubitRef, anc: QubitRef) -> list[Gate]:
-    """4-T temporary-AND gadget including inline magic-state preparation.
-
-    The ancilla starts in |0>; H then T put it in the magic resource state the
-    gadget consumes.  Counting that preparation T gives the gadget its 4-T
-    cost.
-    """
-    if len({c1, c2, anc}) != 3:
-        raise CircuitError("temporary-AND operands must be distinct")
-    return [h(anc), t(anc)] + _and_core(c1, c2, anc)
-
-
 def lower_uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef, cbit: int = 0) -> list[Gate]:
     """Measurement-based erasure: X-basis measure, then CZ on the controls
     when the outcome is 1.  Zero T gates; one classical bit.
@@ -105,22 +91,33 @@ def lower_uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef, cbit: int = 0)
     return [measure_x(target, cbit), cc_z(cbit, c1, c2)]
 
 
-class _Template(NamedTuple):
-    """One gadget's gate list over operand slots 0, 1, 2 (c1, c2, target).
+class Gadget(NamedTuple):
+    """One row of :data:`GADGETS`: a Toffoli-level kind's gadget and its facts.
 
-    ``distinct`` holds each distinct gate once as (kind, operand getter,
-    reads cbit): the getter picks from ``(c1, c2, target, (c1,), (c2,),
-    (target,))``, so a single-qubit gate gets the shared ``(q,)`` tuple and a
-    two-qubit gate a fresh one.  ``order`` maps the list of built distinct
-    gates to the full gate list.
+    ``gadget`` builds the gate list on (c1, c2, target); it costs ``t_cost``
+    T gates, and its first ``prep`` gates take the target from |0> to the
+    magic resource state.  On a basis input (x, y, t) it keeps the controls
+    and leaves ``action(x, y, t)`` on the target (None: the precondition
+    fails).  ``name`` names its certificate.  The template, read once from
+    the gate list: ``distinct`` holds each distinct gate once as (kind,
+    operand getter over ``(c1, c2, target, (c1,), (c2,), (target,))``, reads
+    cbit); ``order`` maps the built distinct gates to the gate list;
+    ``measures`` says a gate reads the gadget's classical bit.
     """
 
+    name: str
     gadget: Callable[..., list[Gate]]
+    t_cost: int
+    prep: int
+    action: Callable[[int, int, int], int | None]
+    measures: bool
     distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
-    order: itemgetter
+    order: Callable[[list[Gate]], tuple[Gate, ...]]
 
 
-def _template(gadget: Callable[..., list[Gate]]) -> _Template:
+def _gadget_row(
+    name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep: int, action: Callable
+) -> Gadget:
     # Placeholder qubits stand for the operand slots; the gadget's optional
     # classical bit keeps its default, and any gate carrying a bit reads it.
     slots = tuple(QubitRef("slot", i) for i in range(3))
@@ -131,14 +128,22 @@ def _template(gadget: Callable[..., list[Gate]]) -> _Template:
         at = [slots.index(q) for q in gate.qubits]
         get = itemgetter(3 + at[0]) if len(at) == 1 else itemgetter(*at)
         entries.append((gate.kind, get, gate.cbit is not None))
-    # every gadget has at least two gates, so ``order`` returns a tuple
-    return _Template(gadget, tuple(entries), itemgetter(*map(distinct.index, gates)))
+    index = [distinct.index(gate) for gate in gates]
+    # ``order`` returns a tuple, which an itemgetter of one index does not
+    order = itemgetter(*index) if len(index) > 1 else lambda built: (built[index[0]],)
+    measures = any(reads for _kind, _get, reads in entries)
+    return Gadget(name, gadget, t_cost, prep, action, measures, tuple(entries), order)
 
 
-_TEMPLATES = {
-    GateKind.TOFFOLI: _template(lower_toffoli),
-    GateKind.TEMP_AND: _template(lower_temporary_and),
-    GateKind.UNCOMPUTE: _template(lower_uncompute),
+# the temporary AND and its measurement-based uncompute: Gidney, arXiv:1709.06648
+GADGETS = {
+    GateKind.TOFFOLI: _gadget_row("toffoli", lower_toffoli, 7, 0, lambda x, y, t: t ^ (x & y)),
+    GateKind.TEMP_AND: _gadget_row(
+        "and", lower_temporary_and, 4, 2, lambda x, y, t: x & y if t == 0 else None
+    ),
+    GateKind.UNCOMPUTE: _gadget_row(
+        "and_uncompute_pair", lower_uncompute, 0, 0, lambda x, y, t: 0 if t == x & y else None
+    ),
 }
 
 
@@ -146,12 +151,13 @@ _TEMPLATES = {
 def lower(circ: Circuit) -> Circuit:
     """Gate-by-gate, in-order rewrite to a Clifford+T circuit.
 
-    NOT and CNOT pass through.  Each Toffoli, temporary AND and uncompute is
-    instantiated from its gadget's template, so within one gadget a repeated
-    gate is one object and single-qubit gates on one qubit share one operand
-    tuple; gates are immutable, so sharing is safe.  The qubit set is
-    unchanged; measured T-count of the output is 7 per Toffoli plus 4 per
-    temporary AND.
+    NOT and CNOT pass through.  Every other gate is instantiated from the
+    template of its :data:`GADGETS` row: a repeated gate is one object, and
+    single-qubit gates on one qubit share one operand tuple (gates are
+    immutable, so sharing is safe).  A gadget that measures its target takes
+    the next classical bit; one that prepares its target first resets a
+    reused target by ``cc_x`` and turns its MAGIC_A init to ZERO.  The qubit
+    set is unchanged; the output's T-count is the sum of the rows' costs.
 
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.extend`: the input gates were checked when they were
@@ -165,41 +171,40 @@ def lower(circ: Circuit) -> Circuit:
 
     out = Circuit(level=Level.CLIFFORD_T, ancilla_register=circ.ancilla_register)
     NOT, CNOT = GateKind.NOT, GateKind.CNOT
-    TEMP_AND, UNCOMPUTE = GateKind.TEMP_AND, GateKind.UNCOMPUTE
     new = tuple.__new__
     gates = out.gates
-    outcome_bit: dict[QubitRef, int] = {}  # spent ancilla -> its measurement bit
-    and_targets: set[QubitRef] = set()  # the magic-state ancillae the stream prepares
+    outcome_bit: dict[QubitRef, int] = {}  # measured target -> its measurement bit
+    prepared: set[QubitRef] = set()  # the targets whose magic state the stream prepares
     for gate in circ.gates:
         kind = gate.kind
         if kind is NOT or kind is CNOT:
             gates.append(gate)
             continue
-        template = _TEMPLATES.get(kind)
-        if template is None:
+        row = GADGETS.get(kind)
+        if row is None:
             raise CircuitError(f"cannot lower gate kind {kind}")
         c1, c2, c3 = gate.qubits
         if c1 == c2 or c1 == c3 or c2 == c3:
-            template.gadget(c1, c2, c3)  # raises the gadget's own CircuitError
-        cbit = None
-        if kind is UNCOMPUTE:
-            cbit = outcome_bit[c3] = out.num_cbits
-            out.num_cbits += 1
-        elif kind is TEMP_AND:
-            and_targets.add(c3)
+            row.gadget(c1, c2, c3)  # raises the gadget's own CircuitError
+        if row.prep:
+            prepared.add(c3)
             if c3 in outcome_bit:
                 gates.append(cc_x(outcome_bit.pop(c3), c3))
+        cbit = None
+        if row.measures:
+            cbit = outcome_bit[c3] = out.num_cbits
+            out.num_cbits += 1
         refs = (c1, c2, c3, (c1,), (c2,), (c3,))
         built = [
             new(Gate, (k, get(refs), cbit if reads else None))
-            for k, get, reads in template.distinct
+            for k, get, reads in row.distinct
         ]
-        gates += template.order(built)
+        gates += row.order(built)
 
-    # lowering prepares each consumed magic state inline, so its ancilla starts in |0>
+    # each prepared target starts in |0>
     for reg in circ.registers.values():
         inits = None if reg.inits is None else [
-            AncillaInit.ZERO if init is AncillaInit.MAGIC_A and QubitRef(reg.name, i) in and_targets
+            AncillaInit.ZERO if init is AncillaInit.MAGIC_A and QubitRef(reg.name, i) in prepared
             else init
             for i, init in enumerate(reg.inits)
         ]

@@ -1,6 +1,6 @@
 """Sparse statevector simulation of Clifford+T circuits with measurement branching.
 
-Certifies the gadget lowerings (unitary checks against truth tables) and the
+Certifies the lowering gadgets (each against its table row's truth action) and the
 end-to-end determinism of the adders: every measurement branch of a built
 circuit must read out the same sum.
 
@@ -21,8 +21,8 @@ from itertools import product
 from math import pi, sqrt
 from typing import Sequence
 
-from .ir import AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, cnot, label_index
-from .lowering import lower_temporary_and, lower_toffoli, lower_uncompute
+from .ir import T_KINDS, AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, label_index
+from .lowering import GADGETS
 
 _T_PHASE = cmath.exp(1j * pi / 4)
 # phase gates: the factor applied to the amplitudes whose qubit bit is set
@@ -316,46 +316,37 @@ def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> tup
 
 
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
-    """Certify one lowering gadget against its truth action.
+    """Certify the row of :data:`qcla.lowering.GADGETS` named ``gadget``.
 
-    * "toffoli": 8 basis inputs against the Toffoli permutation.
-    * "and": the 4 control basis states; the full 4-T sequence from |0> and
-      its post-preparation core from the magic resource state must both land
-      on |x, y, x AND y>; the preparation must produce the resource state.
-    * "and_uncompute_pair": AND, CNOT onto a fourth qubit, uncompute; checked
-      against the Toffoli action on the three logical qubits in every
-      measurement branch, the measured-out ancilla holding one value per record.
-
-    Each gate list goes through :func:`_certify`, so a relative phase between
-    the basis inputs of one measurement record fails the check.
+    Its gate list on (x, y, t) = (q[0], q[1], q[2]) goes through
+    :func:`_certify` from every basis input that meets the row's
+    precondition, against the row's truth action: a relative phase between
+    the inputs of one measurement record fails, and a measured-out target
+    must hold one value per record.  Its T count must equal the row's
+    declared cost.  A row that prepares its target also checks that the
+    preparation takes |0> to the magic resource state and that the rest acts
+    the same from that state.
     """
-    q = [QubitRef("q", i) for i in range(4)]
-    # the Toffoli action on three logical qubits: |x, y, z> -> |x, y, z XOR xy>
-    table = [((x, y, z), _basis(x, y, z ^ (x & y))) for x, y, z in product((0, 1), repeat=3)]
-    if gadget == "toffoli":
-        cases = [(_basis(*xyz), want) for xyz, want in table]
-        worst, compared = _certify(lower_toffoli(q[0], q[1], q[2]), cases)
-    elif gadget == "and":
-        full = lower_temporary_and(q[0], q[1], q[2])
-        # the preparation the gadget emits takes q[2] from |0> to the magic resource state
-        (st, _, _), = _run_branches(full[:2], {qi: i for i, qi in enumerate(q)}, _basis(0), [])
-        prep = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
-        from_zero, from_magic = [], []
-        for x, y in product((0, 1), repeat=2):
-            want = _basis(x, y, x & y)
-            from_zero.append((_basis(x, y, 0), want))
-            from_magic.append(({x | y << 1 | b << 2: MAGIC_A_STATE[b] for b in (0, 1)}, want))
-        full_dev, n_full = _certify(full, from_zero)
-        core_dev, n_core = _certify(full[2:], from_magic)  # after the preparation
-        worst, compared = max(prep, full_dev, core_dev), 1 + n_full + n_core
-    elif gadget == "and_uncompute_pair":
-        gates = (
-            lower_temporary_and(q[0], q[1], q[3])
-            + [cnot(q[3], q[2])]
-            + lower_uncompute(q[0], q[1], q[3], cbit=0)
-        )
-        cases = [(_basis(*xyz, 0), want) for xyz, want in table]  # ancilla q3 at |0>
-        worst, compared = _certify(gates, cases)
-    else:
+    row = next((r for r in GADGETS.values() if r.name == gadget), None)
+    if row is None:
         raise ValueError(f"unknown gadget {gadget!r}")
-    return GadgetCheck(gadget, worst < 1e-10, worst, compared)
+    pos = {QubitRef("q", i): i for i in range(3)}
+    gates = row.gadget(*pos)
+    cases = [
+        (_basis(x, y, t), _basis(x, y, after))
+        for x, y, t in product((0, 1), repeat=3)
+        if (after := row.action(x, y, t)) is not None
+    ]
+    worst, compared = _certify(gates, cases)
+    if row.prep:
+        (st, _, _), = _run_branches(gates[: row.prep], pos, _basis(0), [])
+        prep_dev = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
+        # a prepared target starts at 0; the core starts from the resource state in its place
+        from_magic = [
+            ({k | b << 2: v * MAGIC_A_STATE[b] for k, v in start.items() for b in (0, 1)}, want)
+            for start, want in cases
+        ]
+        core_dev, n_core = _certify(gates[row.prep :], from_magic)
+        worst, compared = max(worst, prep_dev, core_dev), compared + 1 + n_core
+    t_count = sum(g.kind in T_KINDS for g in gates)
+    return GadgetCheck(gadget, worst < 1e-10 and t_count == row.t_cost, worst, compared)

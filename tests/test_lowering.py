@@ -19,7 +19,7 @@ from qcla.ir import (
     toffoli,
     uncompute,
 )
-from qcla.lowering import _TEMPLATES, lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.lowering import GADGETS, lower, lower_temporary_and, lower_toffoli, lower_uncompute
 
 Q = [QubitRef("q", i) for i in range(4)]
 
@@ -192,12 +192,12 @@ def test_lower_matches_the_gadget_functions(design):
     [(GateKind.TOFFOLI, 16, 10, 7), (GateKind.TEMP_AND, 13, 9, 4), (GateKind.UNCOMPUTE, 2, 2, 0)],
 )
 def test_gadget_templates(kind, size, distinct, t_gates):
-    """Each template spells its gadget's gate list from its distinct gates."""
-    template = _TEMPLATES[kind]
-    gates = template.gadget(*Q[:3])
-    assert len(gates) == size and _t_count(gates) == t_gates
-    assert len(template.distinct) == distinct == len(set(gates))
-    assert len(template.order(range(distinct))) == size
+    """Each row's template spells its gadget's gate list from its distinct gates."""
+    row = GADGETS[kind]
+    gates = row.gadget(*Q[:3])
+    assert len(gates) == size and _t_count(gates) == t_gates == row.t_cost
+    assert len(row.distinct) == distinct == len(set(gates))
+    assert len(row.order(range(distinct))) == size
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,29 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from qcla.builders import Design, build, cla_reference
-from qcla.ir import Circuit, CircuitError, Level, QubitRef, toffoli
-from qcla.lowering import lower, lower_temporary_and, lower_uncompute
+from qcla.ir import (
+    AncillaInit,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    Level,
+    QubitRef,
+    cc_x,
+    t,
+    tdg,
+    temp_and,
+    toffoli,
+    uncompute,
+    z,
+)
+from qcla.lowering import GADGETS, _gadget_row, lower, lower_temporary_and, lower_uncompute
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import (
     AllBranches,
@@ -21,10 +37,19 @@ from qcla.statevec import (
     SeededRandom,
     SimulationError,
     _basis,
+    _max_dev_mod_phase,
     _run_branches,
     gadget_unitary_check,
     simulate,
 )
+
+Q = [QubitRef("q", i) for i in range(3)]
+POS = {q: i for i, q in enumerate(Q)}
+
+
+def _row_named(name):
+    """(kind, row) of the gadget table row with certificate name ``name``."""
+    return next((kind, row) for kind, row in GADGETS.items() if row.name == name)
 
 
 def _heavier_half(state, mask):
@@ -42,60 +67,112 @@ def test_gadget_certification(gadget):
     assert chk.max_deviation < 1e-10
 
 
+def _lower_one(kind):
+    """The gates ``lower`` emits for one gate of ``kind`` on q[0], q[1], q[2]."""
+    circ = Circuit(level=Level.TOFFOLI)
+    circ.add_register("q", 3, [AncillaInit.MAGIC_A] * 3)
+    circ.append(Gate(kind, tuple(Q)))
+    return lower(circ).gates
+
+
+def _plant(monkeypatch, name, mutate):
+    """Plant in the table row named ``name`` the gate list that
+    ``mutate(gates, operands)`` makes of the real one, check that ``lower``
+    emits it, and return the row's check."""
+    kind, row = _row_named(name)
+
+    def planted(*operands):
+        return mutate(row.gadget(*operands), operands)
+
+    monkeypatch.setitem(GADGETS, kind, _gadget_row(name, planted, row.t_cost, row.prep, row.action))
+    assert _lower_one(kind) == planted(*Q)
+    return gadget_unitary_check(name)
+
+
 @pytest.mark.parametrize("gadget, patched", [
     ("toffoli", "lower_toffoli"),
     ("and", "lower_temporary_and"),
-    ("and_uncompute_pair", "lower_temporary_and"),
+    ("and_uncompute_pair", "lower_uncompute"),
 ])
 def test_gadget_certification_sees_relative_phase(monkeypatch, gadget, patched):
     """A Z on a control gives the inputs different phases; the check fails."""
-    from qcla import statevec
-    from qcla.ir import z
-
-    real = getattr(statevec, patched)
-    monkeypatch.setattr(statevec, patched, lambda c1, c2, t: real(c1, c2, t) + [z(c1)])
-    chk = gadget_unitary_check(gadget)
+    assert _row_named(gadget)[1].gadget.__name__ == patched
+    chk = _plant(monkeypatch, gadget, lambda gates, q: gates + [z(q[0])])
     assert not chk.passed, f"{gadget}: max deviation {chk.max_deviation}"
 
 
-# (gadget, lowering function, its gate count): every gadget gate list that
-# gadget_unitary_check certifies, 16 + 13 + 13 + 2 = 44 single-gate deletions
+# (row name, its gadget function, its gate count): every gate list in the
+# gadget table, 16 + 13 + 2 = 31 single-gate deletions
 GADGET_GATES = [
     ("toffoli", "lower_toffoli", 16),
     ("and", "lower_temporary_and", 13),
-    ("and_uncompute_pair", "lower_temporary_and", 13),
     ("and_uncompute_pair", "lower_uncompute", 2),
 ]
 
 
 @pytest.mark.parametrize("gadget, patched, size", GADGET_GATES)
 def test_every_single_gate_deletion_fails_the_gadget_check(monkeypatch, gadget, patched, size):
-    from qcla import statevec
-
-    real = getattr(statevec, patched)
-    assert len(real(*(QubitRef("q", i) for i in range(3)))) == size
+    _kind, row = _row_named(gadget)
+    assert row.gadget.__name__ == patched and len(row.gadget(*Q)) == size
     for i in range(size):
-
-        def deleted(*qubits, i=i, **kw):
-            gates = real(*qubits, **kw)
-            return gates[:i] + gates[i + 1 :]
-
-        monkeypatch.setattr(statevec, patched, deleted)
-        chk = gadget_unitary_check(gadget)
+        chk = _plant(monkeypatch, gadget, lambda gates, _q, i=i: gates[:i] + gates[i + 1 :])
         assert not chk.passed, f"{gadget}: deleting gate {i} of {patched} goes unseen"
+
+
+@pytest.mark.parametrize("gadget", ["toffoli", "and", "and_uncompute_pair"])
+def test_a_t_count_off_the_declared_cost_fails_the_gadget_check(monkeypatch, gadget):
+    """T then T-dagger on a control changes no amplitude but adds two T gates;
+    a declared cost one off the gate list's fails as well."""
+    chk = _plant(monkeypatch, gadget, lambda gates, q: gates + [t(q[0]), tdg(q[0])])
+    assert (chk.passed, chk.max_deviation < 1e-10) == (False, True)
+    kind, row = _row_named(gadget)
+    for cost in (row.t_cost - 1, row.t_cost + 1):
+        monkeypatch.setitem(GADGETS, kind, row._replace(t_cost=cost))
+        chk = gadget_unitary_check(gadget)
+        assert (chk.passed, chk.max_deviation < 1e-10) == (False, True)
 
 
 def test_pair_without_its_measurement_leaves_the_ancilla_entangled(monkeypatch):
     """Without measure_x the ancilla keeps x AND y and the cc_z never fires:
-    the ancilla must hold one value per record, so the check fails outright."""
-    from qcla import statevec
+    the ancilla must end at 0, so the check fails outright on all 4 inputs."""
+    chk = _plant(monkeypatch, "and_uncompute_pair", lambda gates, _q: gates[1:])
+    assert (chk.passed, chk.max_deviation, chk.cases) == (False, 1.0, 4)
 
-    def unmeasured(c1, c2, target, cbit):
-        return lower_uncompute(c1, c2, target, cbit)[1:]
 
-    monkeypatch.setattr(statevec, "lower_uncompute", unmeasured)
-    chk = gadget_unitary_check("and_uncompute_pair")
-    assert (chk.passed, chk.max_deviation, chk.cases) == (False, 1.0, 8)
+def test_the_certificate_names_are_the_row_names():
+    """Acceptance criterion 5 and the benchmark pass these three names."""
+    names = [row.name for row in GADGETS.values()]
+    assert sorted(names) == ["and", "and_uncompute_pair", "toffoli"]
+    assert all(gadget_unitary_check(name).passed for name in names)
+    for other in ("temp_and", "uncompute", "Toffoli"):
+        with pytest.raises(ValueError, match=f"^unknown gadget '{other}'$"):
+            gadget_unitary_check(other)
+
+
+def _reset_deviation(gates):
+    """Worst deviation of ``gates`` from |x, y, x AND y> to |x, y, 0>, under one
+    phase per measurement record, every branch compared as it stands."""
+    by_record = {}
+    for x, y in product((0, 1), repeat=2):
+        for state, _prob, cbits in _run_branches(gates, POS, _basis(x, y, x & y), [0, 0]):
+            by_record.setdefault(cbits, []).append((state, _basis(x, y, 0)))
+    return max(_max_dev_mod_phase(cases) for cases in by_record.values())
+
+
+def test_the_reset_before_a_reused_and_target_returns_it_to_zero():
+    """``lower`` resets a reused AND target by ``cc_x`` on the bit of its last
+    uncompute; the reset left out or on the wrong bit leaves the target at 1
+    in the outcome-1 branches."""
+    circ = Circuit(level=Level.TOFFOLI)
+    circ.add_register("q", 3, [AncillaInit.MAGIC_A] * 3)
+    circ.append(uncompute(*Q))
+    circ.append(temp_and(*Q))
+    gates = lower(circ).gates
+    assert gates[:3] == lower_uncompute(*Q) + [cc_x(0, Q[2])]
+    assert _reset_deviation(gates[:3]) == 0.0
+    assert _reset_deviation(gates[:2]) == 1.0
+    assert _reset_deviation(gates[:2] + [cc_x(1, Q[2])]) == 1.0  # a bit never measured
+    assert _reset_deviation(gates[:2] + [cc_x(0, Q[0])]) == 1.0  # a control, not the target
 
 
 def test_and_gadget_truth_table():
@@ -239,14 +316,12 @@ def test_fixed_outcomes_rejects_impossible_record():
 
 def test_magic_annotated_ancilla_drives_and_core():
     """A circuit relying on the declared magic init (no inline prep) still ANDs."""
-    from qcla.ir import AncillaInit
-    from qcla.lowering import lower_temporary_and
-
     circ = Circuit(level=Level.CLIFFORD_T)
     circ.add_register("q", 2, None)
     circ.add_register("anc", 1, [AncillaInit.MAGIC_A])
     anc = QubitRef("anc", 0)
-    core = lower_temporary_and(QubitRef("q", 0), QubitRef("q", 1), anc)[2:]
+    row = GADGETS[GateKind.TEMP_AND]
+    core = row.gadget(QubitRef("q", 0), QubitRef("q", 1), anc)[row.prep :]
     for g in core:
         circ.append(g)
     circ.labels[anc] = "s0"

@@ -16,9 +16,9 @@ import pytest
 import qcla
 from qcla import validate
 from qcla.builders import Design, build
-from qcla.ir import Level, QubitRef, not_
+from qcla.ir import GateKind, Level, QubitRef, not_, t, tdg
 from qcla.jsonio import from_json, to_json_dict
-from qcla.lowering import lower
+from qcla.lowering import GADGETS, _gadget_row, lower
 from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import count, formula_tcount, round_half_up, savings_average
 from qcla.revsim import _check_batch
@@ -163,6 +163,20 @@ def test_statevector_check_reports_a_wrong_sum(monkeypatch):
     match = re.fullmatch(r"In-FT-QCLA2 n=2 a=(\d+) b=(\d+): sums=\{(\d+)\} ptot=.*", detail)
     a, b, got = map(int, match.groups())
     assert not ok and got == (a + b) ^ 1
+
+
+def test_gadget_check_reports_a_row_off_its_declared_t_cost(monkeypatch):
+    """T then T-dagger appended to the Toffoli row's gate list change no
+    amplitude, but its T count is then 9 against a declared 7."""
+    row = GADGETS[GateKind.TOFFOLI]
+    planted = _gadget_row(
+        row.name, lambda *q: row.gadget(*q) + [t(q[0]), tdg(q[0])], row.t_cost, row.prep, row.action
+    )
+    monkeypatch.setitem(GADGETS, GateKind.TOFFOLI, planted)
+    report = validate.ValidationReport()
+    validate._check_gadgets(report)
+    (ok, detail), = _checks(report).values()
+    assert not ok and re.fullmatch(r"max deviation \d\.\d\de-1\d; toffoli fails", detail), detail
 
 
 @pytest.mark.parametrize("fault, detail", [
