@@ -5,8 +5,9 @@ the parser accepts that subset back.  Ancilla-register init annotations ride
 in structured comments so the round trip preserves the full register table;
 wire labels and the ancilla register name are not carried (the JSON IR of
 :mod:`qcla.jsonio` carries both).  Magic-state ancillae (if any survive
-lowering) get an explicit H-then-T preparation prologue, making exported
-files runnable on stock simulators.
+lowering) get an explicit preparation prologue, the temporary-AND gadget's
+own preparation prefix (H then T), making exported files runnable on stock
+simulators.
 
 Byte output is deterministic for a given circuit.
 """
@@ -26,6 +27,7 @@ from .ir import (
     _gc_paused,
     load_circuit,
 )
+from .lowering import GADGETS
 
 
 class QasmError(ValueError):
@@ -52,17 +54,23 @@ _SPELLING = {
 }
 _KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
+# the gates that take a magic-state ancilla from |0> to its resource state:
+# the first ``prep`` gates of the AND row's template, spelled
+_AND = GADGETS[GateKind.TEMP_AND]
+_PREP_OPS = tuple(_SPELLING[kind][0] for kind, _, _ in _AND.order(_AND.distinct)[: _AND.prep])
+
 
 def _magic_prologue(circ: Circuit) -> list[str]:
-    """The H-then-T preparation of every magic-state ancilla, in register
-    order, between its two marker comments; empty when there is none."""
+    """The preparation (:data:`_PREP_OPS`) of every magic-state ancilla, in
+    register order, between its two marker comments; empty when there is
+    none."""
     lines = [
         f"{op} {QubitRef(reg.name, i)};"
         for reg in circ.registers.values()
         if reg.inits is not None
         for i, init in enumerate(reg.inits)
         if init is AncillaInit.MAGIC_A
-        for op in ("h", "t")
+        for op in _PREP_OPS
     ]
     return [_BEGIN_PREP, *lines, _END_PREP] if lines else []
 

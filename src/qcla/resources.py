@@ -59,47 +59,75 @@ def schedule(circ: Circuit) -> tuple[int, int]:
     operands (the usual T-depth with free Clifford gates).
 
     One walk over the gates keeps a (layer, cone) pair per qubit and per
-    measured classical bit; gate kinds are compared by identity.
+    measured classical bit, and branches on the gate's shape: ``cc_z`` and
+    ``cc_x`` also read their bit's pair; a one-qubit gate reads and writes
+    one pair (only T and T-dagger grow the cone, and ``measure_x`` also sets
+    its bit's pair); a two- or three-qubit gate compares its operands'
+    pairs inline.  Gate kinds are compared by identity.  Each gate writes
+    its pair to every qubit it acts on and a qubit's pair never decreases,
+    so both depths are the maxima over the final qubit pairs, read once at
+    the end.
     """
     T, TDG = GateKind.T, GateKind.TDG
     CC_Z, CC_X, MEASURE_X = GateKind.CC_Z, GateKind.CC_X, GateKind.MEASURE_X
     wire: dict = {}
     cwire: dict[int, tuple[int, int]] = {}
+    get = wire.get
     unset = (0, 0)
-    total = 0
-    t_depth = 0
     for kind, qubits, cbit in circ.gates:
-        layer = cone = 0
-        for q in qubits:
-            q_layer, q_cone = wire.get(q, unset)
-            if q_layer > layer:
-                layer = q_layer
-            if q_cone > cone:
-                cone = q_cone
         if kind is CC_Z or kind is CC_X:
-            c_layer, c_cone = cwire.get(cbit, unset)
+            layer, cone = cwire.get(cbit, unset)
+            for q in qubits:
+                q_layer, q_cone = get(q, unset)
+                if q_layer > layer:
+                    layer = q_layer
+                if q_cone > cone:
+                    cone = q_cone
+            state = (layer + 1, cone)
+            for q in qubits:
+                wire[q] = state
+            continue
+        width = len(qubits)
+        if width == 1:
+            (a,) = qubits
+            layer, cone = get(a, unset)
+            if kind is T or kind is TDG:
+                wire[a] = (layer + 1, cone + 1)
+            else:
+                state = wire[a] = (layer + 1, cone)
+                if kind is MEASURE_X:
+                    cwire[cbit] = state
+        elif width == 2:
+            a, b = qubits
+            layer, cone = get(a, unset)
+            b_layer, b_cone = get(b, unset)
+            if b_layer > layer:
+                layer = b_layer
+            if b_cone > cone:
+                cone = b_cone
+            wire[a] = wire[b] = (layer + 1, cone)
+        else:
+            a, b, c = qubits
+            layer, cone = get(a, unset)
+            b_layer, b_cone = get(b, unset)
+            c_layer, c_cone = get(c, unset)
+            if b_layer > layer:
+                layer = b_layer
             if c_layer > layer:
                 layer = c_layer
+            if b_cone > cone:
+                cone = b_cone
             if c_cone > cone:
                 cone = c_cone
-        layer += 1
-        if kind is T or kind is TDG:
-            cone += 1
-        state = (layer, cone)
-        for q in qubits:
-            wire[q] = state
-        if kind is MEASURE_X:
-            cwire[cbit] = state
-        if layer > total:
-            total = layer
-        if cone > t_depth:
-            t_depth = cone
-    return total, t_depth
+            wire[a] = wire[b] = wire[c] = (layer + 1, cone)
+    states = wire.values()
+    return max(map(itemgetter(0), states), default=0), max(map(itemgetter(1), states), default=0)
 
 
 def count(circ: Circuit) -> ResourceReport:
     """Gate histogram (keys in order of first occurrence) plus the depths of
-    :func:`schedule`: two walks over the gate list."""
+    :func:`schedule`: one ``Counter`` pass over the gate kinds, then the
+    scheduling walk."""
     kinds = Counter(map(itemgetter(0), circ.gates))
     hist = {kind.value: k for kind, k in kinds.items()}
     total_depth, t_depth = schedule(circ)

@@ -101,6 +101,32 @@ def test_magic_prologue_round_trip():
     assert back.gates == circ.gates
 
 
+def test_magic_prologue_is_the_and_rows_preparation_prefix():
+    """Per magic qubit, the prologue writes the AND row's first ``prep`` gates
+    on it, spelled as the emitter spells those gates in the gate stream."""
+    from qcla.ir import AncillaInit, GateKind
+    from qcla.lowering import GADGETS
+
+    row = GADGETS[GateKind.TEMP_AND]
+    slots = [QubitRef("slot", i) for i in range(3)]
+    prefix = row.gadget(*slots)[: row.prep]
+    assert len(prefix) == 2 and all(gate.qubits == (slots[2],) for gate in prefix)
+
+    def emitted(gates):
+        circ = Circuit(level=Level.CLIFFORD_T)
+        circ.add_register("anc", 3, [AncillaInit.MAGIC_A, AncillaInit.ZERO, AncillaInit.MAGIC_A])
+        circ.extend(gates)
+        lines = to_qasm3(circ).splitlines()
+        begin = lines.index("// begin magic-state preparation")
+        end = lines.index("// end magic-state preparation")
+        return lines[begin + 1:end], lines[end + 1:]
+
+    prologue, _ = emitted([])
+    magic = [QubitRef("anc", 0), QubitRef("anc", 2)]
+    _, statements = emitted([gate._replace(qubits=(q,)) for q in magic for gate in prefix])
+    assert prologue == statements and len(prologue) == 2 * len(magic)
+
+
 @pytest.mark.parametrize("design", list(Design))
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_json_round_trip_both_levels(design, n):

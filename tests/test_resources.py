@@ -21,7 +21,9 @@ from qcla.ir import (
     new_circuit,
     t as t_gate,
 )
+from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import (
     CATALOG,
     DESIGN_COSTS,
@@ -130,6 +132,24 @@ def test_schedule_orders_a_gate_after_the_cc_gate_sharing_its_qubit():
     assert schedule(circ) == (4, 0)
 
 
+def test_schedule_of_the_empty_circuit_is_zero():
+    for level in Level:
+        assert schedule(new_circuit([], level=level)) == (0, 0)
+        assert schedule(new_circuit([("q", 3, None)], level=level)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in GateKind if k not in (GateKind.CC_Z, GateKind.CC_X)], ids=str
+)
+def test_schedule_of_one_gate(kind):
+    """One gate on fresh qubits is one layer deep; only T and T-dagger start
+    a T cone.  Both depths are read off the final qubit states."""
+    for level in Level if kind.level is None else (kind.level,):
+        circ = new_circuit([("q", 3, [AncillaInit.MAGIC_A] * 3)], level=level)
+        circ.append(Gate(kind, tuple(QubitRef("q", i) for i in range(kind.arity))))
+        assert schedule(circ) == ((1, 1) if kind in T_KINDS else (1, 0))
+
+
 def _reference_schedule(circ):
     """The ``max()``-based scheduler that :func:`schedule` replaced, verbatim."""
     qubit_layer: dict = {}
@@ -212,6 +232,49 @@ def test_count_matches_the_reference_on_all_designs():
                 assert rep.measurement_count == hist.get("measure_x", 0)
                 if circ.level is Level.CLIFFORD_T:
                     assert rep.t_count == hist.get("t", 0) + hist.get("tdg", 0)
+
+
+@pytest.mark.parametrize("design", list(Design), ids=str)
+def test_count_is_unchanged_by_a_reload(design):
+    """The loaders intern their QubitRefs apart from ``lower``'s, so the walk
+    keys qubits by value: a reloaded stream counts the same."""
+    low = lower(build(design, 64))
+    rep = count(low)
+    for back in (from_json(to_json(low)), parse_qasm3(to_qasm3(low))):
+        assert back.gates == low.gates
+        reloaded = count(back)
+        assert reloaded == rep
+        assert list(reloaded.gate_histogram) == list(rep.gate_histogram)
+
+
+_TOFFOLI_LEVEL_KINDS = (
+    GateKind.TOFFOLI, GateKind.TEMP_AND, GateKind.UNCOMPUTE, GateKind.CNOT, GateKind.NOT
+)
+
+
+@st.composite
+def _random_toffoli_level_circuits(draw):
+    """Toffoli-level circuits of 3 to 5 magic-state ancillae and up to 40 gates;
+    few qubits make a temporary AND on a measured target, which ``lower``
+    resets by ``cc_x``, common."""
+    nq = draw(st.integers(3, 5))
+    circ = new_circuit([("q", nq, [AncillaInit.MAGIC_A] * nq)])
+    qubits = list(circ.qubits())
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(_TOFFOLI_LEVEL_KINDS))
+        operands = draw(st.lists(st.sampled_from(qubits), min_size=kind.arity,
+                                 max_size=kind.arity, unique=True))
+        circ.append(Gate(kind, tuple(operands)))
+    return circ
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_random_toffoli_level_circuits())
+def test_schedule_matches_the_reference_on_lowered_streams(circ):
+    """The streams ``lower`` emits: measure_x -> cc_z chains and the cc_x
+    reset before a reused AND target."""
+    low = lower(circ)
+    assert schedule(low) == _reference_schedule(low)
 
 
 def test_lowered_in_place_histogram_keeps_first_occurrence_order():
