@@ -55,8 +55,10 @@ class CircuitError(ValueError):
 class AncillaInit(Enum):
     """Initial state annotation for ancilla qubits.
 
-    ZERO is |0>.  MAGIC_A is the magic resource state
-    (|0> + e^{i pi/4}|1>)/sqrt(2) consumed by the 4-T logical-AND gadget.
+    ZERO is |0>.  MAGIC_A, a Toffoli-level init only, marks an ancilla that a
+    temporary AND may target: the 4-T AND gadget consumes the magic resource
+    state (|0> + e^{i pi/4}|1>)/sqrt(2), which :func:`qcla.lowering.lower`
+    prepares inline from |0>, so every Clifford+T ancilla starts in |0>.
     """
 
     ZERO = "zero"
@@ -286,7 +288,14 @@ class Circuit:
             raise CircuitError(f"register name {name!r} is not an identifier other than 'c'")
         if name in self.registers:
             raise CircuitError(f"duplicate register name {name!r}")
+        self._check_inits(name, inits or ())
         self.registers[name] = Register(name, size, inits)
+
+    def _check_inits(self, name: str, inits: Sequence[AncillaInit]) -> None:
+        """The one rule on inits: a Clifford+T circuit holds no MAGIC_A ancilla
+        (see :class:`AncillaInit`)."""
+        if self.level is Level.CLIFFORD_T and AncillaInit.MAGIC_A in inits:
+            raise CircuitError(f"register {name!r}: a Clifford+T ancilla is zero, not magic_a")
 
     # -- gate appends ---------------------------------------------------------------
 
@@ -366,6 +375,7 @@ class Circuit:
 
     def allocate_ancilla(self, init: AncillaInit) -> QubitRef:
         """Extend the ancilla register by one qubit of the requested initial state."""
+        self._check_inits(self.ancilla_register, (init,))
         if self.ancilla_register not in self.registers:
             self.add_register(self.ancilla_register, 0, [])
         reg = self.registers[self.ancilla_register]

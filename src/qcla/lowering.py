@@ -156,8 +156,10 @@ def lower(circ: Circuit) -> Circuit:
     single-qubit gates on one qubit share one operand tuple (gates are
     immutable, so sharing is safe).  A gadget that measures its target takes
     the next classical bit; one that prepares its target first resets a
-    reused target by ``cc_x`` and turns its MAGIC_A init to ZERO.  The qubit
-    set is unchanged; the output's T-count is the sum of the rows' costs.
+    reused target by ``cc_x``.  Every ancilla init is written as ZERO, since
+    the stream prepares each magic state it consumes (a Clifford+T circuit
+    holds no MAGIC_A ancilla).  The qubit set is unchanged; the output's
+    T-count is the sum of the rows' costs.
 
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.extend`: the input gates were checked when they were
@@ -174,7 +176,6 @@ def lower(circ: Circuit) -> Circuit:
     new = tuple.__new__
     gates = out.gates
     outcome_bit: dict[QubitRef, int] = {}  # measured target -> its measurement bit
-    prepared: set[QubitRef] = set()  # the targets whose magic state the stream prepares
     for gate in circ.gates:
         kind = gate.kind
         if kind is NOT or kind is CNOT:
@@ -186,10 +187,8 @@ def lower(circ: Circuit) -> Circuit:
         c1, c2, c3 = gate.qubits
         if c1 == c2 or c1 == c3 or c2 == c3:
             row.gadget(c1, c2, c3)  # raises the gadget's own CircuitError
-        if row.prep:
-            prepared.add(c3)
-            if c3 in outcome_bit:
-                gates.append(cc_x(outcome_bit.pop(c3), c3))
+        if row.prep and c3 in outcome_bit:
+            gates.append(cc_x(outcome_bit.pop(c3), c3))
         cbit = None
         if row.measures:
             cbit = outcome_bit[c3] = out.num_cbits
@@ -201,13 +200,9 @@ def lower(circ: Circuit) -> Circuit:
         ]
         gates += row.order(built)
 
-    # each prepared target starts in |0>
+    # every ancilla starts in |0>: each magic state is prepared inline
     for reg in circ.registers.values():
-        inits = None if reg.inits is None else [
-            AncillaInit.ZERO if init is AncillaInit.MAGIC_A and QubitRef(reg.name, i) in prepared
-            else init
-            for i, init in enumerate(reg.inits)
-        ]
+        inits = None if reg.inits is None else [AncillaInit.ZERO] * reg.size
         out.add_register(reg.name, reg.size, inits)
     out.labels = dict(circ.labels)
     return out

@@ -4,10 +4,9 @@ The emitter covers exactly the Clifford+T constructs this package produces;
 the parser accepts that subset back.  Ancilla-register init annotations ride
 in structured comments so the round trip preserves the full register table;
 wire labels and the ancilla register name are not carried (the JSON IR of
-:mod:`qcla.jsonio` carries both).  Magic-state ancillae (if any survive
-lowering) get an explicit preparation prologue, the temporary-AND gadget's
-own preparation prefix (H then T), making exported files runnable on stock
-simulators.
+:mod:`qcla.jsonio` carries both).  Every Clifford+T ancilla starts in |0>
+and the gate stream prepares each magic state it consumes, so an exported
+file runs on stock simulators as written.
 
 Byte output is deterministic for a given circuit.
 """
@@ -27,15 +26,11 @@ from .ir import (
     _gc_paused,
     load_circuit,
 )
-from .lowering import GADGETS
 
 
 class QasmError(ValueError):
     pass
 
-
-_BEGIN_PREP = "// begin magic-state preparation"
-_END_PREP = "// end magic-state preparation"
 
 # the OpenQASM statement of every gate kind but measure_x (written as h then
 # measure): the gate name, and whether it runs under ``if (c[k] == 1) { ... }``
@@ -54,26 +49,6 @@ _SPELLING = {
 }
 _KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
-# the gates that take a magic-state ancilla from |0> to its resource state:
-# the first ``prep`` gates of the AND row's template, spelled
-_AND = GADGETS[GateKind.TEMP_AND]
-_PREP_OPS = tuple(_SPELLING[kind][0] for kind, _, _ in _AND.order(_AND.distinct)[: _AND.prep])
-
-
-def _magic_prologue(circ: Circuit) -> list[str]:
-    """The preparation (:data:`_PREP_OPS`) of every magic-state ancilla, in
-    register order, between its two marker comments; empty when there is
-    none."""
-    lines = [
-        f"{op} {QubitRef(reg.name, i)};"
-        for reg in circ.registers.values()
-        if reg.inits is not None
-        for i, init in enumerate(reg.inits)
-        if init is AncillaInit.MAGIC_A
-        for op in _PREP_OPS
-    ]
-    return [_BEGIN_PREP, *lines, _END_PREP] if lines else []
-
 
 def to_qasm3(circ: Circuit) -> str:
     """Serialize a Clifford+T circuit to OpenQASM 3 text."""
@@ -87,7 +62,6 @@ def to_qasm3(circ: Circuit) -> str:
             lines.append(f"// ancilla {reg.name}: {inits}")
     if circ.num_cbits:
         lines.append(f"bit[{circ.num_cbits}] c;")
-    lines += _magic_prologue(circ)
     names = {q: str(q) for q in circ.qubits()}  # each qubit is spelled once
     for kind, qubits, cbit in circ.gates:
         spelling = _SPELLING.get(kind)
@@ -143,12 +117,12 @@ def parse_qasm3(text: str) -> Circuit:
     Lines break at ``\\n`` only (one ``\\r`` before it is dropped, so CRLF text
     loads), and tokens are separated by ASCII spaces or tabs only.  Ancilla
     inits come from the ``// ancilla`` annotations alone, at most one per
-    register; the magic-state preparation block must be exactly the one
-    :func:`to_qasm3` writes for them.  ``bit[k] c;`` is declared at most once.
-    The parsed registers, gates and ``bit[k] c;`` count go to
+    register; every other comment is skipped.  ``bit[k] c;`` is declared at
+    most once.  The parsed registers, gates and ``bit[k] c;`` count go to
     :func:`qcla.ir.load_circuit`, which applies the circuit rules
-    (CircuitError).  Pauses the cyclic garbage collector while it runs and
-    restores it (see :func:`qcla.ir._gc_paused`).
+    (CircuitError; a ``magic_a`` ancilla is one of them).  Pauses the
+    cyclic garbage collector while it runs and restores it (see
+    :func:`qcla.ir._gc_paused`).
     """
     lines = [ln.removesuffix("\r").strip(_BLANK) for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
@@ -156,18 +130,12 @@ def parse_qasm3(text: str) -> Circuit:
         raise QasmError("missing OPENQASM 3.0 header")
     registers: list[Register] = []  # inits stay None for data registers
     gates: list[Gate] = []
-    prologue: list[str] = []
     num_cbits: int | None = None
-    in_prep = False
     refs = _Refs()
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
         i += 1
     for ln in lines[i:]:
-        if in_prep or ln == _BEGIN_PREP:
-            prologue.append(ln)
-            in_prep = ln != _END_PREP
-            continue
         # most lines are gates, and no declaration, comment or measurement matches a gate kind
         m = _RE_GATE.match(ln)
         kind = m and _KIND_OF.get((m[2], m[1] is not None))
@@ -208,10 +176,5 @@ def parse_qasm3(text: str) -> Circuit:
             gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
-    if in_prep:
-        raise QasmError("magic-state preparation is not terminated")
     specs = [(r.name, r.size, r.inits) for r in registers]
-    circ = load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits or 0)
-    if prologue != _magic_prologue(circ):
-        raise QasmError("magic-state preparation does not match the ancilla annotations")
-    return circ
+    return load_circuit(Level.CLIFFORD_T, specs, gates, num_cbits or 0)

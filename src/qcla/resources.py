@@ -211,66 +211,73 @@ class CostModel:
         return self.t_form.evaluate(n), self.qubit_form.evaluate(n)
 
 
-# T-count and qubit closed forms of the four generated designs.
+# T-count and qubit closed forms of the four generated designs, each row
+# labelled with its design's label.
 DESIGN_COSTS: dict[Design, CostModel] = {
-    Design.OUT_FT_QCLA1: CostModel(
-        "Out-FT-QCLA1", _expr(n=16, w=-8, log=-8, const=-4), _expr(n=6, w=-2, log=-2)
-    ),
-    Design.OUT_FT_QCLA2: CostModel(
-        "Out-FT-QCLA2", _expr(n=22, w=-11, log=-11, const=-7), _expr(n=4, w=-1, log=-1, const=1)
-    ),
-    # The T closed form disagrees with the per-stage sum; see the discrepancy report.
-    Design.IN_FT_QCLA1: CostModel(
-        "In-FT-QCLA1",
-        _expr(n=20, w=-8, w1=-8, log=-4, log1=-4, const=-8),
-        _expr(n=6, w=-2, log=-2),
-    ),
-    Design.IN_FT_QCLA2: CostModel(
-        "In-FT-QCLA2",
-        _expr(n=40, w=-11, log=-11, w1=-11, log1=-11, const=-32),
-        _expr(n=4, w=-1, log=-1, const=1),
-    ),
+    design: CostModel(design.value, t_form, qubit_form)
+    for design, t_form, qubit_form in (
+        (Design.OUT_FT_QCLA1, _expr(n=16, w=-8, log=-8, const=-4), _expr(n=6, w=-2, log=-2)),
+        (
+            Design.OUT_FT_QCLA2,
+            _expr(n=22, w=-11, log=-11, const=-7),
+            _expr(n=4, w=-1, log=-1, const=1),
+        ),
+        # The T closed form disagrees with the per-stage sum; see the discrepancy report.
+        (
+            Design.IN_FT_QCLA1,
+            _expr(n=20, w=-8, w1=-8, log=-4, log1=-4, const=-8),
+            _expr(n=6, w=-2, log=-2),
+        ),
+        (
+            Design.IN_FT_QCLA2,
+            _expr(n=40, w=-11, log=-11, w1=-11, log1=-11, const=-32),
+            _expr(n=4, w=-1, log=-1, const=1),
+        ),
+    )
 }
 
 # Published prior-work cost catalog (closed forms only; constructions are out
-# of scope).  "-out" rows are out-of-place baselines; the rest are in-place.
+# of scope), keyed by row label.  "-out" rows are out-of-place baselines; the
+# rest are in-place.
 CATALOG: dict[str, CostModel] = {
-    "Draper-out": CostModel(
-        "Draper-out", _expr(n=35, w=-21, log=-21, const=-7), _expr(n=4, w=-1, log=-1, const=1)
-    ),
-    "Trisetyarso-out": CostModel(
-        "Trisetyarso-out", _expr(n=35, w=-21, log=-21, const=-7), _expr(n=4, w=-1, log=-1, const=1)
-    ),
-    "Thapliyal-out": CostModel("Thapliyal-out", _expr(n=35, const=-14), _expr(n=4, const=1)),
-    "Babu-out": CostModel("Babu-out", _expr(n=54), _expr(n=12, const=1)),
-    "Lisa-out": CostModel("Lisa-out", _expr(n=26), _expr(n=6, const=1)),
-    "Draper-in": CostModel(
-        "Draper-in",
-        _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
-        _expr(n=4, w=-1, log=-1, const=1),
-    ),
-    "Trisetyarso-in": CostModel(
-        "Trisetyarso-in",
-        _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
-        _expr(n=4, w=-1, log=-1, const=1),
-    ),
-    "Thapliyal-in": CostModel(
-        "Thapliyal-in", _expr(n=Fraction(203, 4), const=-28), _expr(n=4, const=1)
-    ),
-    "Takahashi08": CostModel("Takahashi08", _expr(n=196), _expr(n=5), approximate=True),
-    "Takahashi10": CostModel("Takahashi10", _expr(n=49), _expr(n=5), approximate=True),
-    "Cheng": CostModel(
-        "Cheng",
-        _expr(n3=Fraction(14, 6), n2=Fraction(21, 6), n=Fraction(-49, 6)),
-        _expr(n=3, const=1),
-    ),
-    "Mogensen1": CostModel(
-        "Mogensen1", _expr(n=84, const=-56), _expr(n=3, const=-1), approximate=True
-    ),
-    # The qubit form is printed without a floor on the log term; evaluated with floor(log2 n).
-    "Mogensen2": CostModel(
-        "Mogensen2", _expr(n=84, const=-56), _expr(n=3, log=-1, const=-1), approximate=True
-    ),
+    model.label: model
+    for model in (
+        CostModel(
+            "Draper-out", _expr(n=35, w=-21, log=-21, const=-7), _expr(n=4, w=-1, log=-1, const=1)
+        ),
+        CostModel(
+            "Trisetyarso-out",
+            _expr(n=35, w=-21, log=-21, const=-7),
+            _expr(n=4, w=-1, log=-1, const=1),
+        ),
+        CostModel("Thapliyal-out", _expr(n=35, const=-14), _expr(n=4, const=1)),
+        CostModel("Babu-out", _expr(n=54), _expr(n=12, const=1)),
+        CostModel("Lisa-out", _expr(n=26), _expr(n=6, const=1)),
+        CostModel(
+            "Draper-in",
+            _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
+            _expr(n=4, w=-1, log=-1, const=1),
+        ),
+        CostModel(
+            "Trisetyarso-in",
+            _expr(n=70, w=-21, log=-21, w1=-21, log1=-21, const=-49),
+            _expr(n=4, w=-1, log=-1, const=1),
+        ),
+        CostModel("Thapliyal-in", _expr(n=Fraction(203, 4), const=-28), _expr(n=4, const=1)),
+        CostModel("Takahashi08", _expr(n=196), _expr(n=5), approximate=True),
+        CostModel("Takahashi10", _expr(n=49), _expr(n=5), approximate=True),
+        CostModel(
+            "Cheng",
+            _expr(n3=Fraction(14, 6), n2=Fraction(21, 6), n=Fraction(-49, 6)),
+            _expr(n=3, const=1),
+        ),
+        CostModel("Mogensen1", _expr(n=84, const=-56), _expr(n=3, const=-1), approximate=True),
+        # The qubit form is printed without a floor on the log term; evaluated with
+        # floor(log2 n).
+        CostModel(
+            "Mogensen2", _expr(n=84, const=-56), _expr(n=3, log=-1, const=-1), approximate=True
+        ),
+    )
 }
 
 OUT_OF_PLACE_BASELINES = ["Babu-out", "Lisa-out", "Draper-out", "Trisetyarso-out", "Thapliyal-out"]

@@ -1,8 +1,9 @@
 """Classical basis-state execution of Toffoli-level circuits.
 
-Magic-state ancillae are modeled as 0 at this level: every such qubit is
-first written by a temporary-AND, which overwrites it with the AND of its
-controls.  Uncompute gates assert that their target equals the AND of the
+Magic-state ancillae are modeled as 0 at this level, as the stream
+:func:`qcla.lowering.lower` emits starts every ancilla in |0>; a
+temporary-AND overwrites its target with the AND of its controls.
+Uncompute gates assert that their target equals the AND of the
 two controls and then mark the target spent (a classical qubit); later use
 of a spent qubit is an error unless it is re-initialized as a fresh
 temporary-AND target.

@@ -21,7 +21,7 @@ from itertools import product
 from math import pi, sqrt
 from typing import Sequence
 
-from .ir import T_KINDS, AncillaInit, Circuit, Gate, GateKind, Level, QubitRef, label_index
+from .ir import T_KINDS, Circuit, Gate, GateKind, Level, QubitRef, label_index
 from .lowering import GADGETS
 
 _T_PHASE = cmath.exp(1j * pi / 4)
@@ -58,7 +58,8 @@ class SeededRandom:
 
 @dataclass(frozen=True)
 class FixedOutcomes:
-    """Force the listed measurement outcomes (must have nonzero probability)."""
+    """Force the listed measurement outcomes, each an ``int`` 0 or 1 (a ``bool``
+    is not) with nonzero probability."""
 
     outcomes: tuple[int, ...]
 
@@ -115,17 +116,15 @@ def _project(state: State, mask: int, outcome: int) -> State:
     return {k: v / norm for k, v in kept.items()}
 
 
+def _basis(*bits: int) -> State:
+    """The basis state with qubit i (bit i of the index) set to ``bits[i]``."""
+    return {sum(b << i for i, b in enumerate(bits)): 1 + 0j}
+
+
 def initial_vector(circ: Circuit, register_values: dict[str, int]) -> State:
-    """Tensor product of data-register basis states and ancilla init states."""
-    state: State = {0: 1 + 0j}
-    for pos, (q, bit) in enumerate(circ.basis_input(register_values).items()):
-        if circ.init_of(q) is AncillaInit.MAGIC_A:
-            state = _check_size(
-                {k | b << pos: v * MAGIC_A_STATE[b] for k, v in state.items() for b in (0, 1)}
-            )
-        elif bit:
-            state = {k | 1 << pos: v for k, v in state.items()}
-    return state
+    """The basis state of the inputs (:meth:`Circuit.basis_input`): a Clifford+T
+    ancilla starts in |0>, and the stream prepares any magic state it uses."""
+    return _basis(*circ.basis_input(register_values).values())
 
 
 def _readout(circ: Circuit, state: State, positions: dict[QubitRef, int]) -> dict[str, int]:
@@ -236,7 +235,7 @@ def simulate(
             raise SimulationError(
                 f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
             )
-        if not all(isinstance(o, int) and o in (0, 1) for o in strategy.outcomes):
+        if not all(type(o) is int and o in (0, 1) for o in strategy.outcomes):
             raise SimulationError("forced outcomes must each be 0 or 1")
     positions = circ.qubit_positions()
     branches = _run_branches(
@@ -266,11 +265,6 @@ class GadgetCheck:
     passed: bool
     max_deviation: float
     cases: int
-
-
-def _basis(*bits: int) -> State:
-    """The basis state with qubit i (bit i of the index) set to ``bits[i]``."""
-    return {sum(b << i for i, b in enumerate(bits)): 1 + 0j}
 
 
 def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:

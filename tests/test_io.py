@@ -86,47 +86,6 @@ def test_qasm_round_trip_lowered_designs(design, n):
     assert back.num_cbits == circ.num_cbits
 
 
-def test_magic_prologue_round_trip():
-    """A Clifford+T circuit that still carries a magic ancilla gets a prologue."""
-    from qcla.ir import AncillaInit
-
-    circ = Circuit(level=Level.CLIFFORD_T)
-    circ.add_register("q", 1, None)
-    circ.add_register("anc", 1, [AncillaInit.MAGIC_A])
-    circ.append(cnot(QubitRef("anc", 0), QubitRef("q", 0)))
-    text = to_qasm3(circ)
-    assert "// begin magic-state preparation" in text
-    back = parse_qasm3(text)
-    assert back.registers["anc"].inits == [AncillaInit.MAGIC_A]
-    assert back.gates == circ.gates
-
-
-def test_magic_prologue_is_the_and_rows_preparation_prefix():
-    """Per magic qubit, the prologue writes the AND row's first ``prep`` gates
-    on it, spelled as the emitter spells those gates in the gate stream."""
-    from qcla.ir import AncillaInit, GateKind
-    from qcla.lowering import GADGETS
-
-    row = GADGETS[GateKind.TEMP_AND]
-    slots = [QubitRef("slot", i) for i in range(3)]
-    prefix = row.gadget(*slots)[: row.prep]
-    assert len(prefix) == 2 and all(gate.qubits == (slots[2],) for gate in prefix)
-
-    def emitted(gates):
-        circ = Circuit(level=Level.CLIFFORD_T)
-        circ.add_register("anc", 3, [AncillaInit.MAGIC_A, AncillaInit.ZERO, AncillaInit.MAGIC_A])
-        circ.extend(gates)
-        lines = to_qasm3(circ).splitlines()
-        begin = lines.index("// begin magic-state preparation")
-        end = lines.index("// end magic-state preparation")
-        return lines[begin + 1:end], lines[end + 1:]
-
-    prologue, _ = emitted([])
-    magic = [QubitRef("anc", 0), QubitRef("anc", 2)]
-    _, statements = emitted([gate._replace(qubits=(q,)) for q in magic for gate in prefix])
-    assert prologue == statements and len(prologue) == 2 * len(magic)
-
-
 @pytest.mark.parametrize("design", list(Design))
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_json_round_trip_both_levels(design, n):
@@ -235,11 +194,10 @@ _QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
         "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[0] == 1) { cz q[1]; }\n",
         "qubit[1] a;\n// ancilla a: bogus\n",
         "qubit[2] q;\nbit[2] c;\nh q[0];\nc[1] = measure q[0];\nif (c[0] == 1) { x q[1]; }\n",
-        "qubit[1] a;\n// ancilla a: zero\n// begin magic-state preparation\nh a[0];\nt a[0];\n",
     ],
     ids=["conditional-without-measurement", "declared-bits-exceed-measured",
          "magic-prologue-unknown-register", "conditional-cz-one-operand", "unknown-ancilla-init",
-         "measure-skips-bit", "unterminated-magic-prologue"],
+         "measure-skips-bit"],
 )
 def test_qasm_parser_validates(body):
     with pytest.raises((QasmError, CircuitError)):
@@ -266,35 +224,37 @@ _NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, error",
     [
-        "qubit[٣] q;\nx q[0];\n",
-        "qubit[1] q;\nbit[1] c;\nh q[0];\nc[٠] = measure q[0];\n",
-        "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[٠] == 1) { x q[1]; }\n",
-        "qubit[2] q;\nx q[01];\n",
-        "qubit[2] q;\nx q[١];\n",
-        "qubit[2] a;\n// ancilla a: zero,zero\n" + _PREP.format("h a[1];\nt a[1];\n"),
-        "qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("t a[0];\n"),
-        "qubit[1] a;\n// ancilla a: magic_a\n",
-        "qubit[2] a;\n// ancilla a: magic_a,magic_a\n"
-        + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"),
-        "qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("h a[0];\nt a[0];\n") * 2,
-        "qubit[1] a;\n// ancilla a: magic_a\n// ancilla a: zero\n",
-        "qubit[1] q;\nbit[1] c;\nbit[0] c;\n",
-        "qubit[1] q;\nx\u3000q[0];\n",
-        "qubit[2] q;\ncx q[0],\u3000q[1];\n",
+        ("qubit[٣] q;\nx q[0];\n", QasmError),
+        ("qubit[1] q;\nbit[1] c;\nh q[0];\nc[٠] = measure q[0];\n", QasmError),
+        ("qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[٠] == 1) { x q[1]; }\n",
+         QasmError),
+        ("qubit[2] q;\nx q[01];\n", QasmError),
+        ("qubit[2] q;\nx q[١];\n", QasmError),
+        # a Clifford+T ancilla starts in |0>: the circuit rules refuse magic_a
+        ("qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("t a[0];\n"), CircuitError),
+        ("qubit[1] a;\n// ancilla a: magic_a\n", CircuitError),
+        ("qubit[2] a;\n// ancilla a: magic_a,magic_a\n"
+         + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"), CircuitError),
+        ("qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("h a[0];\nt a[0];\n") * 2,
+         CircuitError),
+        ("qubit[1] a;\n// ancilla a: magic_a\n// ancilla a: zero\n", QasmError),
+        ("qubit[1] q;\nbit[1] c;\nbit[0] c;\n", QasmError),
+        ("qubit[1] q;\nx\u3000q[0];\n", QasmError),
+        ("qubit[2] q;\ncx q[0],\u3000q[1];\n", QasmError),
         # str.splitlines() breaks lines at each of these; the parser breaks at \n only
-        *(f"qubit[2] q;\nx q[0];{sep}x q[1];\n" for sep in _NOT_LINE_BREAKS),
+        *((f"qubit[2] q;\nx q[0];{sep}x q[1];\n", QasmError) for sep in _NOT_LINE_BREAKS),
     ],
     ids=["non-ascii-qubit-count", "non-ascii-measure-bit", "non-ascii-condition-bit",
-         "leading-zero-index", "non-ascii-index", "prologue-contradicts-annotation",
+         "leading-zero-index", "non-ascii-index",
          "prologue-only-t", "magic-annotation-without-prologue", "prologue-out-of-order",
          "prologue-twice", "ancilla-annotation-twice", "bit-declaration-twice",
          "non-ascii-space-between-tokens", "non-ascii-space-before-operand",
          *(f"line-break-{ord(sep):02x}" for sep in _NOT_LINE_BREAKS)],
 )
-def test_qasm_parser_rejects_outside_the_emitted_subset(body):
-    with pytest.raises(QasmError):
+def test_qasm_parser_rejects_outside_the_emitted_subset(body, error):
+    with pytest.raises(error):
         parse_qasm3(_QASM_HEAD + body)
 
 

@@ -33,8 +33,8 @@ def clifford_t_circuits(draw) -> Circuit:
     circ = Circuit(level=Level.CLIFFORD_T, ancilla_register=draw(NAMES))
     for name in draw(st.lists(NAMES, max_size=3, unique=True)):
         size = draw(st.integers(0, 4))
-        inits = draw(st.none() | st.lists(st.sampled_from(AncillaInit), min_size=size,
-                                          max_size=size))
+        # a Clifford+T ancilla starts in |0>
+        inits = draw(st.none() | st.just([AncillaInit.ZERO] * size))
         circ.add_register(name, size, inits)
     qubits = list(circ.qubits())
     if not qubits:
@@ -194,7 +194,9 @@ def gate_batches(draw):
     earlier measurement may or may not have written.  At most one gate is
     drawn with any kind, operands and classical bit instead."""
     level = draw(st.sampled_from(Level))
-    inits = draw(st.lists(st.sampled_from(AncillaInit), min_size=3, max_size=3))
+    # MAGIC_A is a Toffoli-level init only
+    init_choices = AncillaInit if level is Level.TOFFOLI else [AncillaInit.ZERO]
+    inits = draw(st.lists(st.sampled_from(init_choices), min_size=3, max_size=3))
     measured = draw(st.integers(0, 2)) if level is Level.CLIFFORD_T else 0
 
     def make() -> Circuit:

@@ -9,6 +9,7 @@ from qcla import ir
 from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
+    Circuit,
     CircuitError,
     Gate,
     GateKind,
@@ -27,7 +28,7 @@ from qcla.ir import (
 )
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower
-from qcla.qasm import _SPELLING, to_qasm3
+from qcla.qasm import _SPELLING, parse_qasm3, to_qasm3
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import _PHASE, SeededRandom, simulate
 
@@ -105,7 +106,9 @@ CLIFFORD_T_ONLY = {"h", "t", "tdg", "s", "sdg", "z", "cz", "measure_x", "cc_z", 
 def test_gate_kind_arity_and_level(kind, level):
     """A gate of the right arity appends only at its legal level; one operand
     too many is refused at either level."""
-    circ = new_circuit([("M", 4, [MAGIC] * 4), ("C", 1, [ZERO])], level=level)
+    # a magic-state ancilla only at the Toffoli level, where a temporary AND may target it
+    init = MAGIC if level is Level.TOFFOLI else ZERO
+    circ = new_circuit([("M", 4, [init] * 4), ("C", 1, [ZERO])], level=level)
     if level is Level.CLIFFORD_T:
         circ.append(measure_x(QubitRef("C", 0)))  # bit 0 for the classically controlled kinds
     qs = [QubitRef("M", i) for i in range(4)]
@@ -211,6 +214,33 @@ def test_temp_and_target_must_be_magic():
     circ = new_circuit([("A", 2, None), ("X", 1, [ZERO])])
     with pytest.raises(CircuitError, match="magic-state"):
         circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 0)))
+
+
+_MAGIC_ENTRIES = {
+    "new_circuit": lambda level: new_circuit([("A", 1, None), ("X", 2, [ZERO, MAGIC])], level),
+    "add_register": lambda level: Circuit(level=level).add_register("X", 2, [ZERO, MAGIC]),
+    "allocate_ancilla": lambda level: Circuit(level=level).allocate_ancilla(MAGIC),
+    "from_json": lambda level: from_json(
+        to_json(new_circuit([("X", 1, [MAGIC])])).replace('"toffoli"', f'"{level.value}"')
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MAGIC_ENTRIES))
+def test_a_magic_ancilla_is_refused_at_the_clifford_t_level_only(entry):
+    """MAGIC_A is a Toffoli-level init: every way in to a Clifford+T circuit
+    refuses it with the one rule of ``ir``, and the Toffoli level keeps it."""
+    _MAGIC_ENTRIES[entry](Level.TOFFOLI)
+    with pytest.raises(CircuitError, match="a Clifford\\+T ancilla is zero, not magic_a"):
+        _MAGIC_ENTRIES[entry](Level.CLIFFORD_T)
+
+
+def test_qasm_refuses_a_magic_ancilla():
+    """OpenQASM text is Clifford+T, so a magic_a annotation is always refused."""
+    text = 'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] a;\n// ancilla a: magic_a\n'
+    with pytest.raises(CircuitError, match="'a': a Clifford\\+T ancilla is zero, not magic_a"):
+        parse_qasm3(text)
+    assert parse_qasm3(text.replace("magic_a", "zero")).registers["a"].inits == [ZERO]
 
 
 def test_float_temp_and_target_reads_the_init_of_its_register_index():

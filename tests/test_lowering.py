@@ -1,6 +1,7 @@
 """Lowering: gadget gate sequences, T-count arithmetic, structural preservation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcla.builders import Design, build
 from qcla.ir import (
@@ -12,6 +13,7 @@ from qcla.ir import (
     QubitRef,
     T_KINDS,
     cc_x,
+    cnot,
     h,
     load_circuit,
     new_circuit,
@@ -20,6 +22,8 @@ from qcla.ir import (
     uncompute,
 )
 from qcla.lowering import GADGETS, lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.revsim import SpentQubitUseError, UncomputeAssertionError, initial_state, run_basis
+from qcla.statevec import AllBranches, simulate
 
 Q = [QubitRef("q", i) for i in range(4)]
 
@@ -84,8 +88,8 @@ def test_lower_preserves_qubits_and_flips_and_target_inits():
 
 
 def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
-    """One pass over the gates; a magic ancilla no temporary AND consumes
-    keeps its annotation, as lowering prepares no state for it."""
+    """One pass over the gates; every ancilla of the output starts in |0>,
+    the magic ancilla no temporary AND consumes too."""
 
     class Walked(list):
         walks = 0
@@ -99,7 +103,69 @@ def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
     circ.gates = Walked(circ.gates)
     lowered = lower(circ)
     assert Walked.walks == 1
-    assert lowered.registers["X"].inits == [AncillaInit.MAGIC_A] * 2 + [AncillaInit.ZERO]
+    assert lowered.registers["X"].inits == [AncillaInit.ZERO] * 3
+
+
+def _agrees_with_revsim(circ, values):
+    """Label every qubit by its ``run_basis`` result (``spent`` for the
+    measured-out ones) and check each branch of the lowered stream reads the
+    same; False when ``run_basis`` breaks a gadget contract on ``values``."""
+    try:
+        final = run_basis(circ, initial_state(circ, values))
+    except (SpentQubitUseError, UncomputeAssertionError):
+        return False
+    circ.labels = {q: "spent" if q in final.spent else f"w{i}" for i, q in enumerate(circ.qubits())}
+    want = {circ.labels[q]: bit for q, bit in final.bits.items() if q not in final.spent}
+    for branch in simulate(lower(circ), values, AllBranches()):
+        assert branch.readout == want
+    return True
+
+
+def test_a_never_anded_magic_ancilla_lowers_to_zero():
+    """A magic ancilla no temporary AND targets is 0 at the Toffoli level, so
+    its lowered stream starts it in |0>, not in the magic state."""
+    circ = new_circuit([("A", 1, None), ("X", 1, [AncillaInit.MAGIC_A])])
+    circ.append(cnot(QubitRef("A", 0), QubitRef("X", 0)))
+    circ.labels[QubitRef("X", 0)] = "s0"
+    out, = simulate(lower(circ), {"A": 1}, AllBranches())
+    assert out.readout == {"s0": 1}
+    assert _agrees_with_revsim(circ, {"A": 1})
+
+
+_LOGICAL_KINDS = [k for k in GateKind if k.level in (None, Level.TOFFOLI)]
+
+
+@st.composite
+def _small_toffoli_level_circuits(draw):
+    """1-3 data qubits, 1-3 magic-state ancillae and up to 10 logical gates;
+    a temporary AND targets an ancilla.  Returns the circuit and an input."""
+    data, magic = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    circ = new_circuit([("D", data, None), ("M", magic, [AncillaInit.MAGIC_A] * magic)])
+    qubits = list(circ.qubits())
+    ancillae = qubits[data:]
+    kinds = [k for k in _LOGICAL_KINDS if k.arity <= len(qubits)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind is GateKind.TEMP_AND:
+            target = draw(st.sampled_from(ancillae))
+            rest = [q for q in qubits if q != target]
+            controls = draw(st.lists(st.sampled_from(rest), min_size=2, max_size=2, unique=True))
+            operands = [*controls, target]
+        else:
+            operands = draw(st.lists(st.sampled_from(qubits), min_size=kind.arity,
+                                     max_size=kind.arity, unique=True))
+        circ.append(Gate(kind, tuple(operands)))
+    return circ, {"D": draw(st.integers(0, 2**data - 1))}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_small_toffoli_level_circuits())
+def test_lowering_agrees_with_the_toffoli_level(case):
+    """On an input where ``run_basis`` keeps every gadget contract, every
+    measurement branch of the lowered stream reads each qubit that is not
+    measured out as ``run_basis`` does."""
+    circ, values = case
+    _agrees_with_revsim(circ, values)
 
 
 def test_lower_requires_toffoli_level():

@@ -145,7 +145,8 @@ def test_schedule_of_one_gate(kind):
     """One gate on fresh qubits is one layer deep; only T and T-dagger start
     a T cone.  Both depths are read off the final qubit states."""
     for level in Level if kind.level is None else (kind.level,):
-        circ = new_circuit([("q", 3, [AncillaInit.MAGIC_A] * 3)], level=level)
+        init = AncillaInit.MAGIC_A if level is Level.TOFFOLI else AncillaInit.ZERO
+        circ = new_circuit([("q", 3, [init] * 3)], level=level)
         circ.append(Gate(kind, tuple(QubitRef("q", i) for i in range(kind.arity))))
         assert schedule(circ) == ((1, 1) if kind in T_KINDS else (1, 0))
 
@@ -193,11 +194,12 @@ def _reference_histogram(circ):
 @st.composite
 def _random_circuits(draw):
     """Circuits of up to 8 qubits and 60 gates, built through ``Circuit.append``.
-    Every qubit is a magic-state ancilla, so any qubit may be a temporary-AND
-    target."""
+    At the Toffoli level every qubit is a magic-state ancilla, so any qubit
+    may be a temporary-AND target; a Clifford+T ancilla starts in |0>."""
     level = draw(st.sampled_from(Level))
     nq = draw(st.integers(1, 8))
-    circ = new_circuit([("q", nq, [AncillaInit.MAGIC_A] * nq)], level=level)
+    init = AncillaInit.MAGIC_A if level is Level.TOFFOLI else AncillaInit.ZERO
+    circ = new_circuit([("q", nq, [init] * nq)], level=level)
     qubits = list(circ.qubits())
     kinds = [k for k in GateKind if k.level in (None, level) and k.arity <= nq]
     for _ in range(draw(st.integers(0, 60))):

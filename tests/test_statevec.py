@@ -17,7 +17,6 @@ from qcla.ir import (
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
     Level,
     QubitRef,
     cc_x,
@@ -254,8 +253,10 @@ def test_fixed_outcomes_single_branch():
     assert forced.labeled_int("s") == 6
 
 
-@pytest.mark.parametrize("value", [2, -1, 1.0])
+@pytest.mark.parametrize("value", [2, -1, 1.0, True, False])
 def test_fixed_outcomes_must_be_bits(value):
+    """Each outcome is an ``int`` 0 or 1; a ``bool`` is not, so no record
+    comes back holding ``True`` for a bit."""
     circ = lower(build(Design.OUT_FT_QCLA1, 2))
     with pytest.raises(SimulationError, match="must each be 0 or 1"):
         simulate(circ, {"A": 3, "B": 3}, FixedOutcomes((value,) * circ.num_cbits))
@@ -312,22 +313,6 @@ def test_fixed_outcomes_rejects_impossible_record():
     circ.append(measure_x(q))
     with pytest.raises(SimulationError, match="zero probability"):
         simulate(circ, {"q": 0}, FixedOutcomes((1,)))
-
-
-def test_magic_annotated_ancilla_drives_and_core():
-    """A circuit relying on the declared magic init (no inline prep) still ANDs."""
-    circ = Circuit(level=Level.CLIFFORD_T)
-    circ.add_register("q", 2, None)
-    circ.add_register("anc", 1, [AncillaInit.MAGIC_A])
-    anc = QubitRef("anc", 0)
-    row = GADGETS[GateKind.TEMP_AND]
-    core = row.gadget(QubitRef("q", 0), QubitRef("q", 1), anc)[row.prep :]
-    for g in core:
-        circ.append(g)
-    circ.labels[anc] = "s0"
-    for q_val, want in ((0b11, 1), (0b01, 0), (0b10, 0), (0b00, 0)):
-        out, = simulate(circ, {"q": q_val}, AllBranches())
-        assert out.readout["s0"] == want
 
 
 def test_branch_cap_enforced():
