@@ -19,7 +19,7 @@ from .ir import (
     load_circuit,
     new_circuit,
 )
-from .lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from .lowering import lift, lower, lower_temporary_and, lower_toffoli, lower_uncompute
 from .resources import (
     CostModel,
     ResourceReport,
@@ -67,6 +67,7 @@ __all__ = [
     "gadget_unitary_check",
     "hamming_weight",
     "initial_state",
+    "lift",
     "load_circuit",
     "lower",
     "lower_temporary_and",

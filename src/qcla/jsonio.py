@@ -31,8 +31,13 @@ def to_json(circ: Circuit) -> str:
     same document.  json's C encoder only runs without an indent, so the
     fields before ``"gates"`` go through ``json.dumps`` and the gate list is
     written here: each qubit's ``[reg, index]`` block and each kind's opening
-    lines are spelled once, then every gate is one join of them.
+    lines are spelled once, then every gate is one join of them.  A register
+    whose inits break :meth:`Circuit._check_inits` (a ``magic_a`` ancilla of a
+    Clifford+T circuit, which :func:`from_json` refuses) raises
+    :class:`~qcla.ir.CircuitError`.
     """
+    for reg in circ.registers.values():
+        circ._check_inits(reg.name, reg.inits or ())
     head = json.dumps(
         {
             "schema": SCHEMA,

@@ -4,11 +4,13 @@ Three gadgets cover the Toffoli-level gates: the 7-T Toffoli, the 4-T
 temporary AND, which prepares its magic resource state
 (|0> + e^{i pi/4}|1>)/sqrt(2) inline from |0> with H then T, and the zero-T
 measurement-based uncompute.  :data:`GADGETS` holds one row per gadget: its
-gate list, template, declared T cost and truth action.
+gate list, template, declared T cost and truth action.  :func:`lower`
+instantiates the rows and :func:`lift`, its inverse, recognises them.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -25,6 +27,7 @@ from .ir import (
     cc_z,
     cnot,
     h,
+    load_circuit,
     measure_x,
     s,
     t,
@@ -102,7 +105,9 @@ class Gadget(NamedTuple):
     the gate list: ``distinct`` holds each distinct gate once as (kind,
     operand getter over ``(c1, c2, target, (c1,), (c2,), (target,))``, reads
     cbit); ``order`` maps the built distinct gates to the gate list;
-    ``measures`` says a gate reads the gadget's classical bit.
+    ``measures`` says a gate reads the gadget's classical bit.  ``heads``
+    gives, per slot, the (gate, operand) position of its first use in the
+    gate list (None if unused), where :func:`lift` reads the operands.
     """
 
     name: str
@@ -113,6 +118,7 @@ class Gadget(NamedTuple):
     measures: bool
     distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
     order: Callable[[list[Gate]], tuple[Gate, ...]]
+    heads: tuple[tuple[int, int], ...]
 
 
 def _gadget_row(
@@ -132,7 +138,11 @@ def _gadget_row(
     # ``order`` returns a tuple, which an itemgetter of one index does not
     order = itemgetter(*index) if len(index) > 1 else lambda built: (built[index[0]],)
     measures = any(reads for _kind, _get, reads in entries)
-    return Gadget(name, gadget, t_cost, prep, action, measures, tuple(entries), order)
+    heads = tuple(
+        next(((i, g.qubits.index(slot)) for i, g in enumerate(gates) if slot in g.qubits), None)
+        for slot in slots
+    )
+    return Gadget(name, gadget, t_cost, prep, action, measures, tuple(entries), order, heads)
 
 
 # the temporary AND and its measurement-based uncompute: Gidney, arXiv:1709.06648
@@ -205,4 +215,83 @@ def lower(circ: Circuit) -> Circuit:
         inits = None if reg.inits is None else [AncillaInit.ZERO] * reg.size
         out.add_register(reg.name, reg.size, inits)
     out.labels = dict(circ.labels)
+    return out
+
+
+def _match(row: Gadget, stream: list[Gate], k: int) -> tuple[tuple[QubitRef, ...], int] | None:
+    """(operands, end) where ``row``'s gadget on the operands is ``stream[k:end]``,
+    classical bits aside; None where no window of ``row`` starts at gate k."""
+    if None in row.heads:  # a slot the gadget never uses cannot be read back
+        return None
+    try:
+        operands = tuple(stream[k + i].qubits[j] for i, j in row.heads)
+    except IndexError:
+        return None
+    if len(set(operands)) != len(operands):
+        return None
+    gadget = row.gadget(*operands)
+    end = k + len(gadget)
+    if [g[:2] for g in stream[k:end]] != [g[:2] for g in gadget]:
+        return None
+    return operands, end
+
+
+@_gc_paused
+def lift(circ: Circuit) -> Circuit:
+    """The inverse of :func:`lower`: the Toffoli-level circuit that lowers to ``circ``.
+
+    NOT and CNOT pass through, and ``cc_x`` is skipped, as ``lower``
+    re-derives it.  Every other gate must start the window of one
+    :data:`GADGETS` row: the operands are read where the row's gate list
+    first uses each slot, and the window must equal the row's gadget on
+    them.  The result goes through :func:`qcla.ir.load_circuit`; each
+    temporary-AND target gets its MAGIC_A init back and every other ancilla
+    is ZERO, so the result is the canonical preimage.  ``lower`` of it must
+    equal ``circ`` structurally, so the resets, the classical bits and the
+    register table are compared, not trusted.  Raises :class:`CircuitError`
+    for a Toffoli-level input, a gate that starts no gadget, or a stream
+    that is not the lowering of its lift.  Pauses the cyclic garbage
+    collector while it runs and restores it (see :func:`qcla.ir._gc_paused`).
+    """
+    if circ.level is not Level.CLIFFORD_T:
+        raise CircuitError("lift expects a Clifford+T circuit")
+    NOT, CNOT, CC_X, TEMP_AND = GateKind.NOT, GateKind.CNOT, GateKind.CC_X, GateKind.TEMP_AND
+    stream = circ.gates
+    gates: list[Gate] = []
+    and_targets: set[QubitRef] = set()
+    k = 0
+    while k < len(stream):
+        kind = stream[k].kind
+        if kind is NOT or kind is CNOT:
+            gates.append(stream[k])
+            k += 1
+            continue
+        if kind is CC_X:
+            k += 1
+            continue
+        for lifted, row in GADGETS.items():
+            match = _match(row, stream, k)
+            if match is not None:
+                break
+        else:
+            raise CircuitError(f"gate {k} ({kind.value}) starts no gadget")
+        operands, k = match
+        gates.append(Gate(lifted, operands))
+        if lifted is TEMP_AND:
+            and_targets.add(operands[2])
+
+    registers = [
+        (reg.name, reg.size, None if reg.inits is None else [
+            AncillaInit.MAGIC_A if QubitRef(reg.name, i) in and_targets else AncillaInit.ZERO
+            for i in range(reg.size)
+        ])
+        for reg in circ.registers.values()
+    ]
+    out = load_circuit(Level.TOFFOLI, registers, gates, 0, circ.labels, circ.ancilla_register)
+    again = lower(out)
+    if again.structural_key() != circ.structural_key():
+        pairs = enumerate(zip_longest(again.gates, circ.gates))
+        first = next((i for i, (want, got) in pairs if want != got), None)
+        where = "in its registers or classical bits" if first is None else f"at gate {first}"
+        raise CircuitError(f"the stream differs from the lowering of its lift {where}")
     return out

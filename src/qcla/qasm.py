@@ -51,11 +51,14 @@ _KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
 
 def to_qasm3(circ: Circuit) -> str:
-    """Serialize a Clifford+T circuit to OpenQASM 3 text."""
+    """Serialize a Clifford+T circuit to OpenQASM 3 text.  A register whose
+    inits break :meth:`Circuit._check_inits` (a ``magic_a`` ancilla, which
+    :func:`parse_qasm3` refuses) raises :class:`~qcla.ir.CircuitError`."""
     if circ.level is not Level.CLIFFORD_T:
         raise QasmError("OpenQASM export requires a Clifford+T circuit (lower first)")
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
     for reg in circ.registers.values():
+        circ._check_inits(reg.name, reg.inits or ())
         lines.append(f"qubit[{reg.size}] {reg.name};")
         if reg.inits is not None:
             inits = ",".join(i.value for i in reg.inits)

@@ -243,6 +243,28 @@ def test_qasm_refuses_a_magic_ancilla():
     assert parse_qasm3(text.replace("magic_a", "zero")).registers["a"].inits == [ZERO]
 
 
+def _magic_by_constructor():
+    return Circuit(level=Level.CLIFFORD_T, registers={"X": ir.Register("X", 2, [ZERO, MAGIC])})
+
+
+def _magic_by_reassigned_level():
+    circ = new_circuit([("A", 1, None), ("X", 2, [ZERO, MAGIC])])
+    circ.level = Level.CLIFFORD_T
+    return circ
+
+
+@pytest.mark.parametrize("write", [to_json, to_qasm3])
+@pytest.mark.parametrize("make", [_magic_by_constructor, _magic_by_reassigned_level])
+def test_writers_refuse_a_magic_ancilla_their_loaders_would_refuse(write, make):
+    """The dataclass constructor and a reassigned ``level`` skip the init rule;
+    both writers apply it, so neither writes a document its loader refuses."""
+    with pytest.raises(CircuitError, match="'X': a Clifford\\+T ancilla is zero, not magic_a"):
+        write(make())
+    circ = make()
+    circ.registers["X"].inits = [ZERO, ZERO]
+    assert write(circ)
+
+
 def test_float_temp_and_target_reads_the_init_of_its_register_index():
     """X[1.0] is the magic X[1]: accepted, and both writers spell it 1; X[0.0]
     is the zero-init X[0] and refused with the circuit rule's own message."""

@@ -1,4 +1,7 @@
-"""Lowering: gadget gate sequences, T-count arithmetic, structural preservation."""
+"""Lowering: gadget gate sequences, T-count arithmetic, structural preservation,
+and ``lift``, its inverse."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +20,21 @@ from qcla.ir import (
     h,
     load_circuit,
     new_circuit,
+    t,
     temp_and,
     toffoli,
     uncompute,
 )
-from qcla.lowering import GADGETS, lower, lower_temporary_and, lower_toffoli, lower_uncompute
-from qcla.revsim import SpentQubitUseError, UncomputeAssertionError, initial_state, run_basis
+from qcla.jsonio import from_json, to_json
+from qcla.lowering import GADGETS, lift, lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.qasm import parse_qasm3, to_qasm3
+from qcla.revsim import (
+    SpentQubitUseError,
+    UncomputeAssertionError,
+    _check_batch,
+    initial_state,
+    run_basis,
+)
 from qcla.statevec import AllBranches, simulate
 
 Q = [QubitRef("q", i) for i in range(4)]
@@ -166,6 +178,114 @@ def test_lowering_agrees_with_the_toffoli_level(case):
     measured out as ``run_basis`` does."""
     circ, values = case
     _agrees_with_revsim(circ, values)
+
+
+def _canonical(circ):
+    """``circ`` with every magic ancilla that no temporary AND targets set to
+    ZERO: the preimage ``lift`` returns."""
+    targets = {g.qubits[2] for g in circ.gates if g.kind is GateKind.TEMP_AND}
+    return dataclasses.replace(circ, registers={
+        name: dataclasses.replace(reg, inits=None if reg.inits is None else [
+            AncillaInit.MAGIC_A if QubitRef(name, i) in targets else AncillaInit.ZERO
+            for i in range(reg.size)
+        ])
+        for name, reg in circ.registers.items()
+    })
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_small_toffoli_level_circuits())
+def test_lift_inverts_lower_on_random_circuits(case):
+    """``lower(lift(s)) == s`` on every lowered random circuit, and the lift is
+    the canonical preimage: a never-ANDed magic ancilla comes back ZERO."""
+    circ, _values = case
+    stream = lower(circ)
+    lifted = lift(stream)
+    assert lower(lifted).structural_key() == stream.structural_key()
+    assert lifted.structural_key() == _canonical(circ).structural_key()
+
+
+def test_lift_returns_a_never_anded_magic_ancilla_as_zero():
+    circ = new_circuit([("A", 2, None), ("X", 2, [AncillaInit.MAGIC_A] * 2)])
+    circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 1)))
+    assert lift(lower(circ)).registers["X"].inits == [AncillaInit.ZERO, AncillaInit.MAGIC_A]
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_lift_inverts_lower_on_the_adders(design):
+    for n in [*range(1, 17), 64, 256]:
+        circ = build(design, n)
+        assert lift(lower(circ)).structural_key() == circ.structural_key(), n
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_lift_reads_a_reloaded_stream(design):
+    """A JSON reload of a lowered adder lifts to the built adder; an OpenQASM
+    reload, which carries no labels, lifts to it without its labels."""
+    circ = build(design, 5)
+    stream = lower(circ)
+    assert lift(from_json(to_json(stream))).structural_key() == circ.structural_key()
+    bare = dataclasses.replace(circ, labels={})
+    assert lift(parse_qasm3(to_qasm3(stream))).structural_key() == bare.structural_key()
+
+
+def _edited(stream, edit):
+    gates = list(stream.gates)
+    edit(gates)
+    return dataclasses.replace(stream, gates=gates)
+
+
+def _first(gates, kind):
+    return next(i for i, g in enumerate(gates) if g.kind is kind)
+
+
+def _swap_bits(gates, kind):
+    """Swap the classical bits of the first two gates of ``kind``."""
+    i, j = [k for k, g in enumerate(gates) if g.kind is kind][:2]
+    gates[i], gates[j] = gates[i]._replace(cbit=gates[j].cbit), gates[j]._replace(cbit=gates[i].cbit)
+
+
+_IN1 = lower(build(Design.IN_FT_QCLA1, 4))
+_RESET = _first(_IN1.gates, GateKind.CC_X)
+# just after the uncompute whose bit the first reset reads
+_EARLY = 2 + next(i for i, g in enumerate(_IN1.gates)
+                  if g.kind is GateKind.MEASURE_X and g.cbit == _IN1.gates[_RESET].cbit)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g.insert(0, t(QubitRef("A", 0))), r"gate 0 \(t\) starts no gadget"),
+    (lambda g: g.pop(1), r"gate 0 \(h\) starts no gadget"),
+    (lambda g: g.pop(_RESET), rf"lowering of its lift at gate {_RESET}$"),
+    (lambda g: g.insert(_EARLY, g.pop(_RESET)), rf"lowering of its lift at gate {_EARLY}$"),
+    (lambda g: _swap_bits(g, GateKind.MEASURE_X), r"lowering of its lift at gate \d+$"),
+    (lambda g: _swap_bits(g, GateKind.CC_Z), r"lowering of its lift at gate \d+$"),
+], ids=["stray-t", "gadget-gate-deleted", "reset-removed", "reset-moved",
+        "measure-bits-swapped", "cc-z-bits-swapped"])
+def test_lift_refuses_what_lower_does_not_emit(edit, message):
+    with pytest.raises(CircuitError, match=message):
+        lift(_edited(_IN1, edit))
+
+
+def test_lift_refuses_a_toffoli_level_circuit():
+    with pytest.raises(CircuitError, match="lift expects a Clifford\\+T circuit"):
+        lift(build(Design.OUT_FT_QCLA1, 2))
+
+
+def test_every_single_gate_deletion_is_caught():
+    """Each deletion of one gate from a lowered adder at n = 3 is refused by
+    ``lift`` or makes the lifted circuit fail the batch check on all 64 inputs."""
+    caught = total = 0
+    for design in Design:
+        stream = lower(build(design, 3))
+        for k in range(len(stream.gates)):
+            total += 1
+            try:
+                lifted = lift(_edited(stream, lambda g: g.pop(k)))
+            except CircuitError:
+                caught += 1
+                continue
+            caught += not _check_batch(lifted, design.value, range(64)).passed
+    assert caught == total == 363
 
 
 def test_lower_requires_toffoli_level():

@@ -165,6 +165,36 @@ def test_statevector_check_reports_a_wrong_sum(monkeypatch):
     assert not ok and got == (a + b) ^ 1
 
 
+def test_stream_check_reports_a_wrong_sum(monkeypatch):
+    """A NOT on s0 after the lowered adder lifts as a NOT, and the batch check
+    of the lifted circuit then reads bit 0 of every sum wrong."""
+
+    def flipped(circ):
+        out = lower(circ)
+        return out.append(not_(out.labeled("s")[0]))
+
+    monkeypatch.setattr(validate, "lower", flipped)
+    report = validate.ValidationReport()
+    validate._check_stream(report)
+    [(name, ok, detail, _)] = report.checks
+    assert not ok and detail == "In-FT-QCLA2 n=64: 0/256 FAIL", detail
+
+
+def test_stream_check_reports_a_stream_lift_refuses(monkeypatch):
+    """A deleted T leaves a window that starts no gadget."""
+
+    def deleted(circ):
+        out = lower(circ)
+        del out.gates[next(i for i, g in enumerate(out.gates) if g.kind is GateKind.T)]
+        return out
+
+    monkeypatch.setattr(validate, "lower", deleted)
+    report = validate.ValidationReport()
+    validate._check_stream(report)
+    [(name, ok, detail, _)] = report.checks
+    assert not ok and re.fullmatch(r"In-FT-QCLA2 n=64: gate \d+ \(h\) starts no gadget", detail), detail
+
+
 def test_gadget_check_reports_a_row_off_its_declared_t_cost(monkeypatch):
     """T then T-dagger appended to the Toffoli row's gate list change no
     amplitude, but its T count is then 9 against a declared 7."""
