@@ -4,8 +4,10 @@ Three gadgets cover the Toffoli-level gates: the 7-T Toffoli, the 4-T
 temporary AND, which prepares its magic resource state
 (|0> + e^{i pi/4}|1>)/sqrt(2) inline from |0> with H then T, and the zero-T
 measurement-based uncompute.  :data:`GADGETS` holds one row per gadget: its
-gate list, template, declared T cost and truth action.  :func:`lower`
-instantiates the rows and :func:`lift`, its inverse, recognises them.
+gate list, template and declared T cost.  :func:`lower` instantiates the rows
+and :func:`lift`, its inverse, recognises them.  What each Toffoli-level gate
+does is stated once, by the executor of :mod:`qcla.revsim`; each row's
+certificate (:func:`qcla.statevec.gadget_unitary_check`) reads it there.
 """
 
 from __future__ import annotations
@@ -99,31 +101,27 @@ class Gadget(NamedTuple):
 
     ``gadget`` builds the gate list on (c1, c2, target); it costs ``t_cost``
     T gates, and its first ``prep`` gates take the target from |0> to the
-    magic resource state.  On a basis input (x, y, t) it keeps the controls
-    and leaves ``action(x, y, t)`` on the target (None: the precondition
-    fails).  ``name`` names its certificate.  The template, read once from
-    the gate list: ``distinct`` holds each distinct gate once as (kind,
-    operand getter over ``(c1, c2, target, (c1,), (c2,), (target,))``, reads
-    cbit); ``order`` maps the built distinct gates to the gate list;
-    ``measures`` says a gate reads the gadget's classical bit.  ``heads``
-    gives, per slot, the (gate, operand) position of its first use in the
-    gate list (None if unused), where :func:`lift` reads the operands.
+    magic resource state.  ``name`` names its certificate, which holds the
+    gate list to what :mod:`qcla.revsim` executes for the row's kind.  The
+    template, read once from the gate list: ``distinct`` holds each distinct
+    gate once as (kind, operand getter over ``(c1, c2, target, (c1,), (c2,),
+    (target,))``, reads cbit); ``order`` maps the built distinct gates to the
+    gate list; ``measures`` says a gate reads the gadget's classical bit.
+    ``heads`` gives, per slot, the (gate, operand) position of its first use
+    in the gate list (None if unused), where :func:`lift` reads the operands.
     """
 
     name: str
     gadget: Callable[..., list[Gate]]
     t_cost: int
     prep: int
-    action: Callable[[int, int, int], int | None]
     measures: bool
     distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
     order: Callable[[list[Gate]], tuple[Gate, ...]]
     heads: tuple[tuple[int, int], ...]
 
 
-def _gadget_row(
-    name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep: int, action: Callable
-) -> Gadget:
+def _gadget_row(name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep: int) -> Gadget:
     # Placeholder qubits stand for the operand slots; the gadget's optional
     # classical bit keeps its default, and any gate carrying a bit reads it.
     slots = tuple(QubitRef("slot", i) for i in range(3))
@@ -142,18 +140,14 @@ def _gadget_row(
         next(((i, g.qubits.index(slot)) for i, g in enumerate(gates) if slot in g.qubits), None)
         for slot in slots
     )
-    return Gadget(name, gadget, t_cost, prep, action, measures, tuple(entries), order, heads)
+    return Gadget(name, gadget, t_cost, prep, measures, tuple(entries), order, heads)
 
 
 # the temporary AND and its measurement-based uncompute: Gidney, arXiv:1709.06648
 GADGETS = {
-    GateKind.TOFFOLI: _gadget_row("toffoli", lower_toffoli, 7, 0, lambda x, y, t: t ^ (x & y)),
-    GateKind.TEMP_AND: _gadget_row(
-        "and", lower_temporary_and, 4, 2, lambda x, y, t: x & y if t == 0 else None
-    ),
-    GateKind.UNCOMPUTE: _gadget_row(
-        "and_uncompute_pair", lower_uncompute, 0, 0, lambda x, y, t: 0 if t == x & y else None
-    ),
+    GateKind.TOFFOLI: _gadget_row("toffoli", lower_toffoli, 7, 0),
+    GateKind.TEMP_AND: _gadget_row("and", lower_temporary_and, 4, 2),
+    GateKind.UNCOMPUTE: _gadget_row("and_uncompute_pair", lower_uncompute, 0, 0),
 }
 
 

@@ -1,12 +1,13 @@
 """Classical basis-state execution of Toffoli-level circuits.
 
-Magic-state ancillae are modeled as 0 at this level, as the stream
-:func:`qcla.lowering.lower` emits starts every ancilla in |0>; a
-temporary-AND overwrites its target with the AND of its controls.
-Uncompute gates assert that their target equals the AND of the
-two controls and then mark the target spent (a classical qubit); later use
-of a spent qubit is an error unless it is re-initialized as a fresh
-temporary-AND target.
+The executor is the one statement of what a Toffoli-level gate does; the
+gadget certificates (:func:`qcla.statevec.gadget_unitary_check`) are checked
+against it.  Magic-state ancillae are modeled as 0 at this level, as the
+stream :func:`qcla.lowering.lower` emits starts every ancilla in |0>; a
+temporary-AND overwrites its target with the AND of its controls.  Uncompute
+gates assert that their target equals the AND of the two controls and then
+mark the target spent (a classical qubit); later use of a spent qubit is an
+error unless it is re-initialized as a fresh temporary-AND target.
 
 One executor serves single inputs and batches: it carries one bitmask per
 qubit (bit i of the mask = that qubit's value on input number i), so gates

@@ -1,8 +1,9 @@
 """Sparse statevector simulation of Clifford+T circuits with measurement branching.
 
-Certifies the lowering gadgets (each against its table row's truth action) and the
-end-to-end determinism of the adders: every measurement branch of a built
-circuit must read out the same sum.
+Certifies the lowering gadgets, each against what the executor of
+:mod:`qcla.revsim` does with its Toffoli-level gate, and the end-to-end
+determinism of the adders: every measurement branch of a built circuit must
+read out the same sum.
 
 The state is a dict from basis index to complex amplitude; bit i of an index
 is qubit position i in register-table order.  Only H creates new terms, and
@@ -23,6 +24,7 @@ from typing import Sequence
 
 from .ir import T_KINDS, Circuit, Gate, GateKind, Level, QubitRef, label_index
 from .lowering import GADGETS
+from .revsim import _run_masks
 
 _T_PHASE = cmath.exp(1j * pi / 4)
 # phase gates: the factor applied to the amplitudes whose qubit bit is set
@@ -312,25 +314,30 @@ def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> tup
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
     """Certify the row of :data:`qcla.lowering.GADGETS` named ``gadget``.
 
-    Its gate list on (x, y, t) = (q[0], q[1], q[2]) goes through
-    :func:`_certify` from every basis input that meets the row's
-    precondition, against the row's truth action: a relative phase between
-    the inputs of one measurement record fails, and a measured-out target
-    must hold one value per record.  Its T count must equal the row's
-    declared cost.  A row that prepares its target also checks that the
-    preparation takes |0> to the magic resource state and that the rest acts
-    the same from that state.
+    The cases come from :func:`qcla.revsim._run_masks`, the one statement of
+    what a Toffoli-level gate does: the row's gate on (x, y, t) = (q[0],
+    q[1], q[2]) runs from each basis input.  An input where it records a
+    contract violation is not a case; otherwise its final bits, 0 on a qubit
+    it marks spent, are the expected output.  The row's gate list goes
+    through :func:`_certify` on the cases: a relative phase between the
+    inputs of one measurement record fails, and a measured-out target must
+    hold one value per record.  A row with no case fails, as does a T count
+    other than its declared cost.  A row that prepares its target also checks
+    that the preparation takes |0> to the magic resource state and that the
+    rest acts the same from that state.
     """
-    row = next((r for r in GADGETS.values() if r.name == gadget), None)
+    kind, row = next(((k, r) for k, r in GADGETS.items() if r.name == gadget), (None, None))
     if row is None:
         raise ValueError(f"unknown gadget {gadget!r}")
     pos = {QubitRef("q", i): i for i in range(3)}
     gates = row.gadget(*pos)
-    cases = [
-        (_basis(x, y, t), _basis(x, y, after))
-        for x, y, t in product((0, 1), repeat=3)
-        if (after := row.action(x, y, t)) is not None
-    ]
+    one_gate = Circuit(gates=[Gate(kind, tuple(pos))])  # the executor reads its level and gates
+    cases = []
+    for start in product((0, 1), repeat=3):
+        bits, spent, failures = dict(zip(pos, start)), set(), []
+        _run_masks(one_gate, bits, spent, 1, failures)
+        if not failures:
+            cases.append((_basis(*start), _basis(*(0 if q in spent else bits[q] for q in pos))))
     worst, compared = _certify(gates, cases)
     if row.prep:
         (st, _, _), = _run_branches(gates[: row.prep], pos, _basis(0), [])
@@ -343,4 +350,5 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         core_dev, n_core = _certify(gates[row.prep :], from_magic)
         worst, compared = max(worst, prep_dev, core_dev), compared + 1 + n_core
     t_count = sum(g.kind in T_KINDS for g in gates)
-    return GadgetCheck(gadget, worst < 1e-10 and t_count == row.t_cost, worst, compared)
+    passed = bool(cases) and worst < 1e-10 and t_count == row.t_cost
+    return GadgetCheck(gadget, passed, worst, compared)

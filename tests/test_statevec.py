@@ -28,7 +28,8 @@ from qcla.ir import (
     z,
 )
 from qcla.lowering import GADGETS, _gadget_row, lower, lower_temporary_and, lower_uncompute
-from qcla.revsim import initial_state, read_labeled, run_basis
+from qcla import statevec
+from qcla.revsim import UncomputeAssertionError, initial_state, read_labeled, run_basis
 from qcla.statevec import (
     AllBranches,
     FixedOutcomes,
@@ -83,7 +84,7 @@ def _plant(monkeypatch, name, mutate):
     def planted(*operands):
         return mutate(row.gadget(*operands), operands)
 
-    monkeypatch.setitem(GADGETS, kind, _gadget_row(name, planted, row.t_cost, row.prep, row.action))
+    monkeypatch.setitem(GADGETS, kind, _gadget_row(name, planted, row.t_cost, row.prep))
     assert _lower_one(kind) == planted(*Q)
     return gadget_unitary_check(name)
 
@@ -136,6 +137,61 @@ def test_pair_without_its_measurement_leaves_the_ancilla_entangled(monkeypatch):
     the ancilla must end at 0, so the check fails outright on all 4 inputs."""
     chk = _plant(monkeypatch, "and_uncompute_pair", lambda gates, _q: gates[1:])
     assert (chk.passed, chk.max_deviation, chk.cases) == (False, 1.0, 4)
+
+
+def _bits(state):
+    """The (q[0], q[1], q[2]) bits of a basis state."""
+    (k,) = state
+    return tuple(k >> i & 1 for i in range(3))
+
+
+# each row's certificate cases as the revsim executor yields them, written
+# out: ((x, y, t) in, (x, y, t) expected out), a measured-out target at 0
+EXECUTOR_CASES = {
+    "toffoli": [
+        ((0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 1)), ((0, 1, 0), (0, 1, 0)),
+        ((0, 1, 1), (0, 1, 1)), ((1, 0, 0), (1, 0, 0)), ((1, 0, 1), (1, 0, 1)),
+        ((1, 1, 0), (1, 1, 1)), ((1, 1, 1), (1, 1, 0)),
+    ],
+    "and": [  # a fresh target only; it gets x AND y
+        ((0, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 1, 0)),
+        ((1, 0, 0), (1, 0, 0)), ((1, 1, 0), (1, 1, 1)),
+    ],
+    "and_uncompute_pair": [  # a target equal to x AND y only; it is measured out
+        ((0, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 1, 0)),
+        ((1, 0, 0), (1, 0, 0)), ((1, 1, 1), (1, 1, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("gadget", EXECUTOR_CASES)
+def test_the_certificate_cases_are_the_executors(monkeypatch, gadget):
+    """The cases handed to the certificate are the table above, in input order."""
+    handed = []
+    certify = statevec._certify
+
+    def recording(gates, cases):
+        handed.append(list(cases))
+        return certify(gates, cases)
+
+    monkeypatch.setattr(statevec, "_certify", recording)
+    assert gadget_unitary_check(gadget).passed
+    assert [(_bits(start), _bits(want)) for start, want in handed[0]] == EXECUTOR_CASES[gadget]
+
+
+@pytest.mark.parametrize("gadget", EXECUTOR_CASES)
+def test_a_row_with_no_case_fails(monkeypatch, gadget):
+    """An executor that refuses every input leaves no case, and the row fails;
+    only the AND row's preparation check is still compared."""
+
+    def refuse_all(circ, bits, spent, full, failures):
+        failures.append(UncomputeAssertionError(0))
+        return False
+
+    monkeypatch.setattr(statevec, "_run_masks", refuse_all)
+    chk = gadget_unitary_check(gadget)
+    prepares = _row_named(gadget)[1].prep > 0
+    assert (chk.passed, chk.max_deviation < 1e-10, chk.cases) == (False, True, int(prepares))
 
 
 def test_the_certificate_names_are_the_row_names():

@@ -133,6 +133,25 @@ def test_in1_closed_form_off_its_known_delta_fails_only_the_delta_identity(monke
     assert [ok for _, ok, _, _ in report.checks] == [True, True, True, False]
 
 
+def test_the_quick_suite_runs_these_checks_in_this_order():
+    report = validate.run_validation(full=False)
+    assert [name for name, *_ in report.checks] == [
+        "t-count conformance (measured == stage sum)",
+        "closed form == stage sum (except In-FT-QCLA1)",
+        "qubit conformance (constant per-design delta, |delta| <= 1)",
+        "In-FT-QCLA1 closed-form/stage-sum delta identity",
+        "functional correctness (exhaustive n <= 4)",
+        "gadget unitary certification",
+        "statevector sum on every branch (n = 2)",
+        "emitted stream lifts to a correct adder (n = 64, 256 random pairs)",
+        "logarithmic depth growth up to n=128",
+        "published savings percentages and averages (+-0.01)",
+        "superlinear baseline reported as asymptotic dominance",
+        "export determinism and round-trips (QASM3, JSON)",
+    ]
+    assert report.passed
+
+
 def test_functional_check_reports_the_failing_batch(monkeypatch):
     """A circuit with its last gate deleted fails with that batch's summary."""
 
@@ -158,7 +177,7 @@ def test_statevector_check_reports_a_wrong_sum(monkeypatch):
 
     monkeypatch.setattr(validate, "lower", flipped)
     report = validate.ValidationReport()
-    validate._check_statevector(report, widths=(2,), inputs=1)
+    validate._check_statevector(report, widths=(2,))
     [(name, ok, detail, _)] = report.checks
     match = re.fullmatch(r"In-FT-QCLA2 n=2 a=(\d+) b=(\d+): sums=\{(\d+)\} ptot=.*", detail)
     a, b, got = map(int, match.groups())
@@ -200,7 +219,7 @@ def test_gadget_check_reports_a_row_off_its_declared_t_cost(monkeypatch):
     amplitude, but its T count is then 9 against a declared 7."""
     row = GADGETS[GateKind.TOFFOLI]
     planted = _gadget_row(
-        row.name, lambda *q: row.gadget(*q) + [t(q[0]), tdg(q[0])], row.t_cost, row.prep, row.action
+        row.name, lambda *q: row.gadget(*q) + [t(q[0]), tdg(q[0])], row.t_cost, row.prep
     )
     monkeypatch.setitem(GADGETS, GateKind.TOFFOLI, planted)
     report = validate.ValidationReport()
