@@ -107,8 +107,10 @@ class Gadget(NamedTuple):
     gate once as (kind, operand getter over ``(c1, c2, target, (c1,), (c2,),
     (target,))``, reads cbit); ``order`` maps the built distinct gates to the
     gate list; ``measures`` says a gate reads the gadget's classical bit.
-    ``heads`` gives, per slot, the (gate, operand) position of its first use
-    in the gate list (None if unused), where :func:`lift` reads the operands.
+    ``kinds`` lists the gate list's kinds in order, by which :func:`lift`
+    picks the row for a window; ``heads`` gives, per slot, the (gate,
+    operand) position of its first use in the gate list (None if unused),
+    where ``lift`` reads the operands without building the gadget.
     """
 
     name: str
@@ -118,7 +120,8 @@ class Gadget(NamedTuple):
     measures: bool
     distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
     order: Callable[[list[Gate]], tuple[Gate, ...]]
-    heads: tuple[tuple[int, int], ...]
+    kinds: tuple[GateKind, ...]
+    heads: tuple[tuple[int, int] | None, ...]
 
 
 def _gadget_row(name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep: int) -> Gadget:
@@ -140,7 +143,8 @@ def _gadget_row(name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep:
         next(((i, g.qubits.index(slot)) for i, g in enumerate(gates) if slot in g.qubits), None)
         for slot in slots
     )
-    return Gadget(name, gadget, t_cost, prep, measures, tuple(entries), order, heads)
+    kinds = tuple(gate.kind for gate in gates)
+    return Gadget(name, gadget, t_cost, prep, measures, tuple(entries), order, kinds, heads)
 
 
 # the temporary AND and its measurement-based uncompute: Gidney, arXiv:1709.06648
@@ -212,50 +216,35 @@ def lower(circ: Circuit) -> Circuit:
     return out
 
 
-def _match(row: Gadget, stream: list[Gate], k: int) -> tuple[tuple[QubitRef, ...], int] | None:
-    """(operands, end) where ``row``'s gadget on the operands is ``stream[k:end]``,
-    classical bits aside; None where no window of ``row`` starts at gate k."""
-    if None in row.heads:  # a slot the gadget never uses cannot be read back
-        return None
-    try:
-        operands = tuple(stream[k + i].qubits[j] for i, j in row.heads)
-    except IndexError:
-        return None
-    if len(set(operands)) != len(operands):
-        return None
-    gadget = row.gadget(*operands)
-    end = k + len(gadget)
-    if [g[:2] for g in stream[k:end]] != [g[:2] for g in gadget]:
-        return None
-    return operands, end
-
-
 @_gc_paused
 def lift(circ: Circuit) -> Circuit:
     """The inverse of :func:`lower`: the Toffoli-level circuit that lowers to ``circ``.
 
     NOT and CNOT pass through, and ``cc_x`` is skipped, as ``lower``
     re-derives it.  Every other gate must start the window of one
-    :data:`GADGETS` row: the operands are read where the row's gate list
-    first uses each slot, and the window must equal the row's gadget on
-    them.  The result goes through :func:`qcla.ir.load_circuit`; each
-    temporary-AND target gets its MAGIC_A init back and every other ancilla
-    is ZERO, so the result is the canonical preimage.  ``lower`` of it must
-    equal ``circ`` structurally, so the resets, the classical bits and the
-    register table are compared, not trusted.  Raises :class:`CircuitError`
-    for a Toffoli-level input, a gate that starts no gadget, or a stream
-    that is not the lowering of its lift.  Pauses the cyclic garbage
-    collector while it runs and restores it (see :func:`qcla.ir._gc_paused`).
+    :data:`GADGETS` row, picked by the kinds of the window's gates; the
+    operands are read where the row's gate list first uses each slot.  The
+    result goes through :func:`qcla.ir.load_circuit`; each temporary-AND
+    target gets its MAGIC_A init back and every other ancilla is ZERO, so the
+    result is the canonical preimage.  ``lower`` of it must equal ``circ``
+    structurally: that comparison alone judges the operands, the resets, the
+    classical bits and the register table.  Raises :class:`CircuitError` for
+    a Toffoli-level input, a gate that starts no gadget, or a stream that is
+    not the lowering of its lift.  Pauses the cyclic garbage collector while
+    it runs and restores it (see :func:`qcla.ir._gc_paused`).
     """
     if circ.level is not Level.CLIFFORD_T:
         raise CircuitError("lift expects a Clifford+T circuit")
     NOT, CNOT, CC_X, TEMP_AND = GateKind.NOT, GateKind.CNOT, GateKind.CC_X, GateKind.TEMP_AND
     stream = circ.gates
+    kinds = [gate.kind for gate in stream]
+    # a slot the gadget never uses cannot be read back, so its row matches nothing
+    rows = [(lifted, row) for lifted, row in GADGETS.items() if None not in row.heads]
     gates: list[Gate] = []
     and_targets: set[QubitRef] = set()
     k = 0
     while k < len(stream):
-        kind = stream[k].kind
+        kind = kinds[k]
         if kind is NOT or kind is CNOT:
             gates.append(stream[k])
             k += 1
@@ -263,16 +252,17 @@ def lift(circ: Circuit) -> Circuit:
         if kind is CC_X:
             k += 1
             continue
-        for lifted, row in GADGETS.items():
-            match = _match(row, stream, k)
-            if match is not None:
+        for lifted, row in rows:
+            end = k + len(row.kinds)
+            if tuple(kinds[k:end]) == row.kinds:
                 break
         else:
             raise CircuitError(f"gate {k} ({kind.value}) starts no gadget")
-        operands, k = match
+        operands = tuple(stream[k + i].qubits[j] for i, j in row.heads)
         gates.append(Gate(lifted, operands))
         if lifted is TEMP_AND:
             and_targets.add(operands[2])
+        k = end
 
     registers = [
         (reg.name, reg.size, None if reg.inits is None else [

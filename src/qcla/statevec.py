@@ -285,13 +285,13 @@ def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
     )
 
 
-def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> tuple[float, int]:
+def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> float:
     """Run every (start, want) case through every measurement branch of ``gates``,
     with qubit q[i] on bit i.  Each start's branch probabilities must sum to 1,
     and every branch must equal ``want`` up to one global phase per
     measurement record.  A measured-out qubit must hold one value on every
     input of a record: ``want`` leaves it at 0, and the record's first branch
-    sets it.  Returns the worst deviation and the number of branches compared.
+    sets it.  Returns the worst deviation.
     """
     pos = {q: q.index for g in gates for q in g.qubits}
     measured = sum({1 << g.qubits[0].index for g in gates if g.kind is GateKind.MEASURE_X})
@@ -308,7 +308,7 @@ def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> tup
         held = max(first, key=lambda k: abs(first[k])) & measured
         held_wants = [(st, {k | held: v for k, v in want.items()}) for st, want in record]
         worst = max(worst, _max_dev_mod_phase(held_wants))
-    return worst, sum(map(len, by_record.values()))
+    return worst
 
 
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
@@ -321,8 +321,8 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
     it marks spent, are the expected output.  The row's gate list goes
     through :func:`_certify` on the cases: a relative phase between the
     inputs of one measurement record fails, and a measured-out target must
-    hold one value per record.  A row with no case fails, as does a T count
-    other than its declared cost.  A row that prepares its target also checks
+    hold one value per record.  ``cases`` counts the cases.  A row with no
+    case fails, as does a T count other than its declared cost.  A row that prepares its target also checks
     that the preparation takes |0> to the magic resource state and that the
     rest acts the same from that state.
     """
@@ -338,7 +338,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         _run_masks(one_gate, bits, spent, 1, failures)
         if not failures:
             cases.append((_basis(*start), _basis(*(0 if q in spent else bits[q] for q in pos))))
-    worst, compared = _certify(gates, cases)
+    worst = _certify(gates, cases)
     if row.prep:
         (st, _, _), = _run_branches(gates[: row.prep], pos, _basis(0), [])
         prep_dev = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
@@ -347,8 +347,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
             ({k | b << 2: v * MAGIC_A_STATE[b] for k, v in start.items() for b in (0, 1)}, want)
             for start, want in cases
         ]
-        core_dev, n_core = _certify(gates[row.prep :], from_magic)
-        worst, compared = max(worst, prep_dev, core_dev), compared + 1 + n_core
+        worst = max(worst, prep_dev, _certify(gates[row.prep :], from_magic))
     t_count = sum(g.kind in T_KINDS for g in gates)
     passed = bool(cases) and worst < 1e-10 and t_count == row.t_cost
-    return GadgetCheck(gadget, passed, worst, compared)
+    return GadgetCheck(gadget, passed, worst, len(cases))

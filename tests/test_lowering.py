@@ -245,25 +245,42 @@ def _swap_bits(gates, kind):
     gates[i], gates[j] = gates[i]._replace(cbit=gates[j].cbit), gates[j]._replace(cbit=gates[i].cbit)
 
 
+def _swap_operands(gates, i):
+    """Swap the two operands of gate i."""
+    gates[i] = gates[i]._replace(qubits=gates[i].qubits[::-1])
+
+
 _IN1 = lower(build(Design.IN_FT_QCLA1, 4))
 _RESET = _first(_IN1.gates, GateKind.CC_X)
 # just after the uncompute whose bit the first reset reads
 _EARLY = 2 + next(i for i, g in enumerate(_IN1.gates)
                   if g.kind is GateKind.MEASURE_X and g.cbit == _IN1.gates[_RESET].cbit)
+_LAST_MEASURE = max(i for i, g in enumerate(_IN1.gates) if g.kind is GateKind.MEASURE_X)
+_OUT2_TOFFOLI = build(Design.OUT_FT_QCLA2, 4)
+_OUT2 = lower(_OUT2_TOFFOLI)
+# gate 4 of the first Toffoli window, a CNOT at none of the row's heads; the
+# window starts where the lowering of the gates before its Toffoli ends
+_INNER = 4 + len(lower(dataclasses.replace(
+    _OUT2_TOFFOLI, gates=_OUT2_TOFFOLI.gates[:_first(_OUT2_TOFFOLI.gates, GateKind.TOFFOLI)]
+)).gates)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda g: g.insert(0, t(QubitRef("A", 0))), r"gate 0 \(t\) starts no gadget"),
-    (lambda g: g.pop(1), r"gate 0 \(h\) starts no gadget"),
-    (lambda g: g.pop(_RESET), rf"lowering of its lift at gate {_RESET}$"),
-    (lambda g: g.insert(_EARLY, g.pop(_RESET)), rf"lowering of its lift at gate {_EARLY}$"),
-    (lambda g: _swap_bits(g, GateKind.MEASURE_X), r"lowering of its lift at gate \d+$"),
-    (lambda g: _swap_bits(g, GateKind.CC_Z), r"lowering of its lift at gate \d+$"),
+@pytest.mark.parametrize("stream, edit, message", [
+    (_IN1, lambda g: g.insert(0, t(QubitRef("A", 0))), r"gate 0 \(t\) starts no gadget"),
+    (_IN1, lambda g: g.pop(1), r"gate 0 \(h\) starts no gadget"),
+    (_IN1, lambda g: g.pop(_RESET), rf"lowering of its lift at gate {_RESET}$"),
+    (_IN1, lambda g: g.insert(_EARLY, g.pop(_RESET)), rf"lowering of its lift at gate {_EARLY}$"),
+    (_IN1, lambda g: _swap_bits(g, GateKind.MEASURE_X), r"lowering of its lift at gate \d+$"),
+    (_IN1, lambda g: _swap_bits(g, GateKind.CC_Z), r"lowering of its lift at gate \d+$"),
+    (_OUT2, lambda g: _swap_operands(g, _INNER), r"lowering of its lift at gate 72$"),
+    (_IN1, lambda g: g.__delitem__(slice(_LAST_MEASURE + 1, None)),
+     r"gate 183 \(measure_x\) starts no gadget"),
 ], ids=["stray-t", "gadget-gate-deleted", "reset-removed", "reset-moved",
-        "measure-bits-swapped", "cc-z-bits-swapped"])
-def test_lift_refuses_what_lower_does_not_emit(edit, message):
+        "measure-bits-swapped", "cc-z-bits-swapped", "inner-gate-operands-swapped",
+        "cut-after-the-last-measure"])
+def test_lift_refuses_what_lower_does_not_emit(stream, edit, message):
     with pytest.raises(CircuitError, match=message):
-        lift(_edited(_IN1, edit))
+        lift(_edited(stream, edit))
 
 
 def test_lift_refuses_a_toffoli_level_circuit():

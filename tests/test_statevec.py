@@ -166,7 +166,8 @@ EXECUTOR_CASES = {
 
 @pytest.mark.parametrize("gadget", EXECUTOR_CASES)
 def test_the_certificate_cases_are_the_executors(monkeypatch, gadget):
-    """The cases handed to the certificate are the table above, in input order."""
+    """The cases handed to the certificate are the table above, in input order,
+    and the check reports their number."""
     handed = []
     certify = statevec._certify
 
@@ -175,14 +176,15 @@ def test_the_certificate_cases_are_the_executors(monkeypatch, gadget):
         return certify(gates, cases)
 
     monkeypatch.setattr(statevec, "_certify", recording)
-    assert gadget_unitary_check(gadget).passed
+    chk = gadget_unitary_check(gadget)
+    assert chk.passed
     assert [(_bits(start), _bits(want)) for start, want in handed[0]] == EXECUTOR_CASES[gadget]
+    assert chk.cases == len(EXECUTOR_CASES[gadget])
 
 
 @pytest.mark.parametrize("gadget", EXECUTOR_CASES)
 def test_a_row_with_no_case_fails(monkeypatch, gadget):
-    """An executor that refuses every input leaves no case, and the row fails;
-    only the AND row's preparation check is still compared."""
+    """An executor that refuses every input leaves no case, and the row fails."""
 
     def refuse_all(circ, bits, spent, full, failures):
         failures.append(UncomputeAssertionError(0))
@@ -190,8 +192,7 @@ def test_a_row_with_no_case_fails(monkeypatch, gadget):
 
     monkeypatch.setattr(statevec, "_run_masks", refuse_all)
     chk = gadget_unitary_check(gadget)
-    prepares = _row_named(gadget)[1].prep > 0
-    assert (chk.passed, chk.max_deviation < 1e-10, chk.cases) == (False, True, int(prepares))
+    assert (chk.passed, chk.max_deviation < 1e-10, chk.cases) == (False, True, 0)
 
 
 def test_the_certificate_names_are_the_row_names():
