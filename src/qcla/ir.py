@@ -3,7 +3,7 @@
 A circuit is a table of named qubit registers plus an ordered gate list.
 Circuits carry a level tag: Toffoli-level circuits use the logical gate set
 (NOT, CNOT, Toffoli, temporary-AND, uncompute) while Clifford+T circuits use
-the fault-tolerant primitive set (H, T, T{dag}, S, S{dag}, Z, CZ, X, CNOT,
+the fault-tolerant primitive set (H, T, T{dag}, S, S{dag}, Z, X, CNOT,
 X-basis measurement and classically controlled Z/X).
 
 Registers are either data registers (no declared initial state) or ancilla
@@ -107,7 +107,6 @@ class GateKind(Enum):
     S = ("s", 1, Level.CLIFFORD_T)
     SDG = ("sdg", 1, Level.CLIFFORD_T)
     Z = ("z", 1, Level.CLIFFORD_T)
-    CZ = ("cz", 2, Level.CLIFFORD_T)
     MEASURE_X = ("measure_x", 1, Level.CLIFFORD_T)
     CC_Z = ("cc_z", 2, Level.CLIFFORD_T)
     CC_X = ("cc_x", 1, Level.CLIFFORD_T)
@@ -161,7 +160,6 @@ tdg = _maker(GateKind.TDG)
 s = _maker(GateKind.S)
 sdg = _maker(GateKind.SDG)
 z = _maker(GateKind.Z)
-cz = _maker(GateKind.CZ)
 
 
 def measure_x(q: QubitRef, cbit: int | None = None) -> Gate:

@@ -43,7 +43,6 @@ _SPELLING = {
     GateKind.S: ("s", False),
     GateKind.SDG: ("sdg", False),
     GateKind.Z: ("z", False),
-    GateKind.CZ: ("cz", False),
     GateKind.CC_Z: ("cz", True),
     GateKind.CC_X: ("x", True),
 }

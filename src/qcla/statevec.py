@@ -166,7 +166,7 @@ def _run_branches(
     stack = [(0, state, 1.0, list(cbits))]
     results: list[tuple[State, float, tuple[int, ...]]] = []
     # an Enum class attribute is slow to look up, so read each one once
-    H, NOT, CNOT, CZ = GateKind.H, GateKind.NOT, GateKind.CNOT, GateKind.CZ
+    H, NOT, CNOT = GateKind.H, GateKind.NOT, GateKind.CNOT
     MEASURE_X, CC_X, CC_Z = GateKind.MEASURE_X, GateKind.CC_X, GateKind.CC_Z
     while stack:
         gi, state, prob, cbits = stack.pop()
@@ -184,7 +184,7 @@ def _run_branches(
             elif kind is CNOT:
                 t = masks[gate.qubits[1]]
                 state = {k ^ t if k & m else k: v for k, v in state.items()}
-            elif kind is CZ or (kind is CC_Z and cbits[gate.cbit]):
+            elif kind is CC_Z and cbits[gate.cbit]:
                 both = m | masks[gate.qubits[1]]
                 state = {k: -v if k & both == both else v for k, v in state.items()}
             elif kind is MEASURE_X:

@@ -194,10 +194,11 @@ _QASM_HEAD = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
         "qubit[2] q;\nbit[1] c;\nh q[0];\nc[0] = measure q[0];\nif (c[0] == 1) { cz q[1]; }\n",
         "qubit[1] a;\n// ancilla a: bogus\n",
         "qubit[2] q;\nbit[2] c;\nh q[0];\nc[1] = measure q[0];\nif (c[0] == 1) { x q[1]; }\n",
+        "qubit[2] q;\ncz q[0], q[1];\n",
     ],
     ids=["conditional-without-measurement", "declared-bits-exceed-measured",
          "magic-prologue-unknown-register", "conditional-cz-one-operand", "unknown-ancilla-init",
-         "measure-skips-bit"],
+         "measure-skips-bit", "unconditional-cz"],
 )
 def test_qasm_parser_validates(body):
     with pytest.raises((QasmError, CircuitError)):

@@ -22,7 +22,7 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=N
 
 ONE_QUBIT = [GateKind.NOT, GateKind.H, GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG,
              GateKind.Z, GateKind.MEASURE_X, GateKind.CC_X]
-TWO_QUBIT = [GateKind.CNOT, GateKind.CZ, GateKind.CC_Z]
+TWO_QUBIT = [GateKind.CNOT, GateKind.CC_Z]
 # identifiers, some of them non-ASCII, which JSON writes as \u escapes
 NAMES = (st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
          | st.sampled_from(["Ω", "é_1", "ßq", "Ωé"])).filter(lambda s: s != "c")

@@ -94,11 +94,11 @@ def test_append_level_mismatch():
 # written out: NOT and CNOT are legal at both levels.
 ARITY = {
     "not": 1, "cnot": 2, "toffoli": 3, "temp_and": 3, "uncompute": 3,
-    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1, "z": 1, "cz": 2,
+    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1, "z": 1,
     "measure_x": 1, "cc_z": 2, "cc_x": 1,
 }
 TOFFOLI_ONLY = {"toffoli", "temp_and", "uncompute"}
-CLIFFORD_T_ONLY = {"h", "t", "tdg", "s", "sdg", "z", "cz", "measure_x", "cc_z", "cc_x"}
+CLIFFORD_T_ONLY = {"h", "t", "tdg", "s", "sdg", "z", "measure_x", "cc_z", "cc_x"}
 
 
 @pytest.mark.parametrize("level", list(Level))
@@ -139,12 +139,12 @@ def test_gate_kinds_hash_by_identity():
 
 
 # The plain helper of each kind, by its name in qcla.ir.  No source file uses
-# sdg, z or cz, so only this table checks what those three are bound to.
+# sdg or z, so only this table checks what those two are bound to.
 PLAIN_HELPERS = {
     "not_": GateKind.NOT, "cnot": GateKind.CNOT, "toffoli": GateKind.TOFFOLI,
     "temp_and": GateKind.TEMP_AND, "uncompute": GateKind.UNCOMPUTE, "h": GateKind.H,
     "t": GateKind.T, "tdg": GateKind.TDG, "s": GateKind.S, "sdg": GateKind.SDG,
-    "z": GateKind.Z, "cz": GateKind.CZ,
+    "z": GateKind.Z,
 }
 
 

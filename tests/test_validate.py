@@ -21,7 +21,6 @@ from qcla.jsonio import from_json, to_json_dict
 from qcla.lowering import GADGETS, _gadget_row, lower
 from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import count, formula_tcount, round_half_up, savings_average
-from qcla.revsim import _check_batch
 
 
 def _checks(report):
@@ -140,32 +139,15 @@ def test_the_quick_suite_runs_these_checks_in_this_order():
         "closed form == stage sum (except In-FT-QCLA1)",
         "qubit conformance (constant per-design delta, |delta| <= 1)",
         "In-FT-QCLA1 closed-form/stage-sum delta identity",
-        "functional correctness (exhaustive n <= 4)",
         "gadget unitary certification",
         "statevector sum on every branch (n = 2)",
-        "emitted stream lifts to a correct adder (n = 64, 256 random pairs)",
+        "emitted stream lifts to a correct adder (every input at n <= 4; 256 random pairs at n = 64)",
         "logarithmic depth growth up to n=128",
         "published savings percentages and averages (+-0.01)",
         "superlinear baseline reported as asymptotic dominance",
         "export determinism and round-trips (QASM3, JSON)",
     ]
     assert report.passed
-
-
-def test_functional_check_reports_the_failing_batch(monkeypatch):
-    """A circuit with its last gate deleted fails with that batch's summary."""
-
-    def exhaustive(design, n):
-        circ = build(design, n)
-        if design is Design.IN_FT_QCLA2 and n == 2:
-            del circ.gates[-1]
-        return _check_batch(circ, design.value, range(4**n))
-
-    monkeypatch.setattr(validate, "exhaustive_check", exhaustive)
-    report = validate.ValidationReport()
-    validate._check_functional(report, n_max=2)
-    [(name, ok, detail, _)] = report.checks
-    assert not ok and re.fullmatch(r"In-FT-QCLA2 n=2: \d+/16 FAIL", detail), detail
 
 
 def test_statevector_check_reports_a_wrong_sum(monkeypatch):
@@ -197,6 +179,22 @@ def test_stream_check_reports_a_wrong_sum(monkeypatch):
     validate._check_stream(report)
     [(name, ok, detail, _)] = report.checks
     assert not ok and detail == "In-FT-QCLA2 n=64: 0/256 FAIL", detail
+
+
+def test_stream_check_reads_every_input_at_a_small_width(monkeypatch):
+    """At n <= 6 the lifted circuit is batch-checked on every input, so the
+    NOT on s0 fails all 16 inputs at n = 2, the last batch, by its summary."""
+
+    def flipped(circ):
+        out = lower(circ)
+        return out.append(not_(out.labeled("s")[0]))
+
+    monkeypatch.setattr(validate, "lower", flipped)
+    report = validate.ValidationReport()
+    validate._check_stream(report, widths=(1, 2))
+    [(name, ok, detail, _)] = report.checks
+    assert not ok and detail == "In-FT-QCLA2 n=2: 0/16 FAIL", detail
+    assert name == "emitted stream lifts to a correct adder (every input at n <= 2)"
 
 
 def test_stream_check_reports_a_stream_lift_refuses(monkeypatch):
