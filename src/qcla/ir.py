@@ -24,11 +24,14 @@ _F = TypeVar("_F", bound=Callable)
 
 def _gc_paused(fn: _F) -> _F:
     """Run ``fn`` with the cyclic garbage collector paused, for a function that
-    builds a whole gate list.
+    builds a whole gate list or walks one allocating state per gate.
 
     Gates are tuples of a ``GateKind`` and ``QubitRef`` tuples, which the
     collector tracks but which never form a cycle: reference counting frees
     them, and a collection during the build only re-walks the growing list.
+    A walk's per-gate tuples (the depth pairs of
+    :func:`qcla.resources.schedule`) would likewise set off collections that
+    re-walk a circuit still young from its build.
     The collector is re-enabled on exit only if it was enabled on entry, so a
     nested call changes nothing and a caller that turned it off keeps it off.
     The ``gc`` switch is process-wide: if another thread turns the collector
@@ -308,7 +311,10 @@ class Circuit:
         one, in order, and each against these rules in this order: the
         operand count of its kind, that every operand resolves, distinct
         operands, the gate set of the level, a magic-state ancilla as the
-        target of a temporary AND, and the classical bits.  A ``measure_x``
+        target of a temporary AND, and the classical bits.  :meth:`resolves`
+        runs once per distinct qubit of the batch, and the two or three
+        operands of a gate are compared with each other, so no per-gate set
+        is built.  A ``measure_x``
         writes bit ``num_cbits`` (assigned when its cbit is None), so
         classical bits are written once in program order and a ``cc_z`` /
         ``cc_x`` condition bit in ``[0, num_cbits)`` was measured earlier; no
@@ -333,8 +339,7 @@ class Circuit:
                 raise CircuitError(
                     f"{kind.value} takes {kind.arity} qubit operands, got {len(qubits)}"
                 )
-            operands = set(qubits)
-            if not operands <= resolved:
+            if not resolved.issuperset(qubits):
                 for q in qubits:
                     if q not in resolved:
                         if not self.resolves(q):
@@ -342,7 +347,11 @@ class Circuit:
                                 f"operand {q} does not resolve in the register table"
                             )
                         resolved.add(q)
-            if len(operands) != len(qubits):
+            # a kind takes at most three operands, so compare them pairwise
+            if len(qubits) > 1 and (
+                qubits[0] == qubits[1]
+                or len(qubits) == 3 and (qubits[2] == qubits[0] or qubits[2] == qubits[1])
+            ):
                 raise CircuitError(f"duplicate operands in gate {kind.value}")
             if kind.level is not None and kind.level is not level:
                 where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"

@@ -31,7 +31,8 @@ def to_json(circ: Circuit) -> str:
     same document.  json's C encoder only runs without an indent, so the
     fields before ``"gates"`` go through ``json.dumps`` and the gate list is
     written here: each qubit's ``[reg, index]`` block and each kind's opening
-    lines are spelled once, then every gate is one join of them.  A register
+    lines are spelled once, each distinct gate's block is one join of them,
+    and a gate that repeats reuses its block.  A register
     whose inits break :meth:`Circuit._check_inits` (a ``magic_a`` ancilla of a
     Clifford+T circuit, which :func:`from_json` refuses) raises
     :class:`~qcla.ir.CircuitError`.
@@ -67,11 +68,16 @@ def to_json(circ: Circuit) -> str:
                 f"        [\n          {name},\n          {i}\n        ]"
             )
     gates = []
-    for kind, qubits, cbit in circ.gates:
-        operands = ",\n".join(map(blocks.__getitem__, qubits))
-        operands = f"[\n{operands}\n      ]" if operands else "[]"
-        close = "\n    }" if cbit is None else f',\n      "cbit": {cbit}\n    }}'
-        gates.append(f"{_OPEN[kind]}{operands}{close}")
+    written: dict[Gate, str] = {}  # each distinct gate's block is written once
+    for gate in circ.gates:
+        text = written.get(gate)
+        if text is None:
+            kind, qubits, cbit = gate
+            operands = ",\n".join(map(blocks.__getitem__, qubits))
+            operands = f"[\n{operands}\n      ]" if operands else "[]"
+            close = "\n    }" if cbit is None else f',\n      "cbit": {cbit}\n    }}'
+            text = written[gate] = f"{_OPEN[kind]}{operands}{close}"
+        gates.append(text)
     return head.removesuffix("[]\n}") + "[\n" + ",\n".join(gates) + "\n  ]\n}\n"
 
 
@@ -107,15 +113,23 @@ class _Refs(dict):
 
 def _gate(g: dict, refs: _Refs) -> Gate:
     # the types are checked on every occurrence and before the lookup, as
-    # ("A", True) and ("A", 1.0) are keys equal to ("A", 1)
-    qubits = tuple([refs[_typed(r, str), _typed(i, int)] for r, i in g["qubits"]])
+    # ("A", True) and ("A", 1.0) are keys equal to ("A", 1); _typed only runs
+    # to raise for an operand that fails the inline test
+    qubits = tuple(
+        [
+            refs[r, i]
+            if type(r) is str and type(i) is int
+            else refs[_typed(r, str), _typed(i, int)]
+            for r, i in g["qubits"]
+        ]
+    )
     value = g["kind"]
     try:
         kind = _KIND_OF[value]
     except (KeyError, TypeError):
         kind = GateKind(value)  # not a kind's value: raises the Enum's ValueError
     cbit = g.get("cbit")
-    return Gate(kind, qubits, None if cbit is None else _typed(cbit, int))
+    return tuple.__new__(Gate, (kind, qubits, None if cbit is None else _typed(cbit, int)))
 
 
 @_gc_paused

@@ -50,9 +50,11 @@ _KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
 
 def to_qasm3(circ: Circuit) -> str:
-    """Serialize a Clifford+T circuit to OpenQASM 3 text.  A register whose
-    inits break :meth:`Circuit._check_inits` (a ``magic_a`` ancilla, which
-    :func:`parse_qasm3` refuses) raises :class:`~qcla.ir.CircuitError`."""
+    """Serialize a Clifford+T circuit to OpenQASM 3 text.  Each distinct gate
+    is spelled once and its text reused wherever the gate repeats.  A
+    register whose inits break :meth:`Circuit._check_inits` (a ``magic_a``
+    ancilla, which :func:`parse_qasm3` refuses) raises
+    :class:`~qcla.ir.CircuitError`."""
     if circ.level is not Level.CLIFFORD_T:
         raise QasmError("OpenQASM export requires a Clifford+T circuit (lower first)")
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
@@ -65,17 +67,24 @@ def to_qasm3(circ: Circuit) -> str:
     if circ.num_cbits:
         lines.append(f"bit[{circ.num_cbits}] c;")
     names = {q: str(q) for q in circ.qubits()}  # each qubit is spelled once
-    for kind, qubits, cbit in circ.gates:
-        spelling = _SPELLING.get(kind)
-        if spelling is not None:
-            name, conditional = spelling
-            statement = f"{name} {', '.join(map(names.__getitem__, qubits))};"
-            lines.append(f"if (c[{cbit}] == 1) {{ {statement} }}" if conditional else statement)
-        elif kind is GateKind.MEASURE_X:
-            q = names[qubits[0]]
-            lines += [f"h {q};", f"c[{cbit}] = measure {q};"]
-        else:
-            raise QasmError(f"gate kind {kind} has no OpenQASM form")
+    spelled: dict[Gate, str] = {}  # each distinct gate is spelled once
+    for gate in circ.gates:
+        text = spelled.get(gate)
+        if text is None:
+            kind, qubits, cbit = gate
+            spelling = _SPELLING.get(kind)
+            if spelling is not None:
+                name, conditional = spelling
+                text = f"{name} {', '.join(map(names.__getitem__, qubits))};"
+                if conditional:
+                    text = f"if (c[{cbit}] == 1) {{ {text} }}"
+            elif kind is GateKind.MEASURE_X:
+                q = names[qubits[0]]
+                text = f"h {q};\nc[{cbit}] = measure {q};"
+            else:
+                raise QasmError(f"gate kind {kind} has no OpenQASM form")
+            spelled[gate] = text
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -122,9 +131,10 @@ def parse_qasm3(text: str) -> Circuit:
     register; every other comment is skipped.  ``bit[k] c;`` is declared at
     most once.  The parsed registers, gates and ``bit[k] c;`` count go to
     :func:`qcla.ir.load_circuit`, which applies the circuit rules
-    (CircuitError; a ``magic_a`` ancilla is one of them).  Pauses the
-    cyclic garbage collector while it runs and restores it (see
-    :func:`qcla.ir._gc_paused`).
+    (CircuitError; a ``magic_a`` ancilla is one of them).  Each distinct
+    gate line is parsed once: a line that repeats one already read appends
+    the same (immutable) gate again.  Pauses the cyclic garbage collector
+    while it runs and restores it (see :func:`qcla.ir._gc_paused`).
     """
     lines = [ln.removesuffix("\r").strip(_BLANK) for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
@@ -134,16 +144,23 @@ def parse_qasm3(text: str) -> Circuit:
     gates: list[Gate] = []
     num_cbits: int | None = None
     refs = _Refs()
+    parsed: dict[str, Gate] = {}  # gate line -> its gate; only lines that parsed to a gate
+    new = tuple.__new__
     i = 1
     if i < len(lines) and lines[i] == 'include "stdgates.inc";':
         i += 1
     for ln in lines[i:]:
+        gate = parsed.get(ln)
+        if gate is not None:
+            gates.append(gate)
+            continue
         # most lines are gates, and no declaration, comment or measurement matches a gate kind
         m = _RE_GATE.match(ln)
         kind = m and _KIND_OF.get((m[2], m[1] is not None))
         if kind is not None:
             qubits = tuple(map(refs.__getitem__, m[3].split(",")))
-            gates.append(Gate(kind, qubits, None if m[1] is None else int(m[1])))
+            gate = parsed[ln] = new(Gate, (kind, qubits, None if m[1] is None else int(m[1])))
+            gates.append(gate)
             continue
         m = _RE_ANC.match(ln)
         if m:
@@ -175,7 +192,7 @@ def parse_qasm3(text: str) -> Circuit:
             q = refs[m.group(2)]
             if not gates or gates[-1] != Gate(GateKind.H, (q,)):
                 raise QasmError("bare measurement without preceding h (not in emitted subset)")
-            gates[-1] = Gate(GateKind.MEASURE_X, (q,), int(m.group(1)))
+            gates[-1] = new(Gate, (GateKind.MEASURE_X, (q,), int(m.group(1))))
             continue
         raise QasmError(f"unsupported OpenQASM construct: {ln!r}")
     specs = [(r.name, r.size, r.inits) for r in registers]

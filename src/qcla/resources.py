@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .builders import Design, floor_log2
-from .ir import T_KINDS, Circuit, GateKind, Level
+from .ir import T_KINDS, Circuit, GateKind, Level, _gc_paused
 from .lowering import GADGETS
 
 
@@ -49,6 +49,7 @@ class ResourceReport:
     t_depth: int | None = None
 
 
+@_gc_paused
 def schedule(circ: Circuit) -> tuple[int, int]:
     """ASAP layering: (total_depth, t_depth).
 
@@ -66,7 +67,8 @@ def schedule(circ: Circuit) -> tuple[int, int]:
     pairs inline.  Gate kinds are compared by identity.  Each gate writes
     its pair to every qubit it acts on and a qubit's pair never decreases,
     so both depths are the maxima over the final qubit pairs, read once at
-    the end.
+    the end.  Pauses the cyclic garbage collector while it runs and restores
+    it (see :func:`qcla.ir._gc_paused`).
     """
     T, TDG = GateKind.T, GateKind.TDG
     CC_Z, CC_X, MEASURE_X = GateKind.CC_Z, GateKind.CC_X, GateKind.MEASURE_X
@@ -124,10 +126,12 @@ def schedule(circ: Circuit) -> tuple[int, int]:
     return max(map(itemgetter(0), states), default=0), max(map(itemgetter(1), states), default=0)
 
 
+@_gc_paused
 def count(circ: Circuit) -> ResourceReport:
     """Gate histogram (keys in order of first occurrence) plus the depths of
     :func:`schedule`: one ``Counter`` pass over the gate kinds, then the
-    scheduling walk."""
+    scheduling walk.  Pauses the cyclic garbage collector while it runs and
+    restores it (see :func:`qcla.ir._gc_paused`)."""
     kinds = Counter(map(itemgetter(0), circ.gates))
     hist = {kind.value: k for kind, k in kinds.items()}
     total_depth, t_depth = schedule(circ)

@@ -1,5 +1,6 @@
-"""The functions that allocate a whole gate list run with the cyclic garbage
-collector paused, and leave it on or off as they found it."""
+"""The functions that allocate a whole gate list, or walk one allocating state
+per gate, run with the cyclic garbage collector paused, and leave it on or off
+as they found it."""
 
 import gc
 import json
@@ -13,8 +14,9 @@ from qcla.ir import CircuitError, _gc_paused
 from qcla.jsonio import JsonIrError, from_json, from_json_dict, to_json
 from qcla.lowering import lower
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
+from qcla.resources import count, schedule
 
-PAUSED = (build, lower, from_json, from_json_dict, parse_qasm3)
+PAUSED = (build, lower, from_json, from_json_dict, parse_qasm3, count, schedule)
 
 
 @contextmanager
@@ -43,6 +45,10 @@ CALLS = [
     (from_json_dict, ({},), JsonIrError),
     (parse_qasm3, (to_qasm3(_LOWERED),), None),
     (parse_qasm3, ("x",), QasmError),
+    (count, (_LOWERED,), None),
+    (count, (None,), AttributeError),
+    (schedule, (_LOWERED,), None),
+    (schedule, (None,), AttributeError),
 ]
 
 
@@ -105,6 +111,8 @@ def test_no_collection_starts_inside_a_gate_list_build():
         gc.callbacks.append(seen)
         try:
             circ = lower(build(Design.IN_FT_QCLA1, 256))
+            for design in Design:  # each a young circuit that count walks
+                count(lower(build(design, 256)))
             from_json(text)
             parse_qasm3(qasm)
             [[i] for i in range(10 * gc.get_threshold()[0])]  # young lists a collection finds

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qcla.builders import Design, build
-from qcla.ir import Circuit, CircuitError, Level, QubitRef, cnot, toffoli
+from qcla.ir import Circuit, CircuitError, GateKind, Level, QubitRef, cnot, h, measure_x, toffoli
 from qcla.jsonio import JsonIrError, from_json, to_json
 from qcla.lowering import lower, lower_uncompute
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
@@ -329,6 +329,44 @@ def test_json_loader_names_an_unknown_kind(kind, spelled):
 def test_qasm_parser_names_the_first_bad_operand(body, operand):
     """An operand text read once raises at its first occurrence, as it spells it."""
     with pytest.raises(QasmError, match=re.escape(f"bad qubit reference {operand!r}")):
+        parse_qasm3(_QASM_HEAD + body)
+
+
+def test_qasm_parser_reads_a_repeated_gate_line_as_one_gate():
+    """A repeated line appends its gate again; the measurement fold replaces
+    the last ``h`` with a new gate and leaves the shared ``h`` as it was."""
+    body = "qubit[1] q;\nbit[1] c;\n" + "h q[0];\n" * 3 + "c[0] = measure q[0];\nh q[0];\n"
+    gates = parse_qasm3(_QASM_HEAD + body).gates
+    q = QubitRef("q", 0)
+    assert gates == [h(q), h(q), measure_x(q, 0), h(q)]
+    assert gates[0] == gates[3] and gates[0].kind is GateKind.H
+
+
+def test_qasm_parser_reads_one_gate_spelled_with_different_blanks():
+    gates = parse_qasm3(_QASM_HEAD + "qubit[2] q;\ncx q[0],q[1];\ncx  q[0], q[1];\n").gates
+    assert gates == [cnot(QubitRef("q", 0), QubitRef("q", 1))] * 2
+    assert all(a is b for a, b in zip(*(g.qubits for g in gates)))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rx(0.5) q[0];", "unsupported OpenQASM construct: 'rx(0.5) q[0];'"),
+        ("x q[01];", "bad qubit reference 'q[01]'"),
+    ],
+    ids=["unsupported", "bad-operand"],
+)
+def test_qasm_parser_raises_at_the_first_occurrence_of_a_repeated_bad_line(line, message):
+    """Only lines that parsed to a gate are remembered, so a bad line raises
+    where it first appears, before the different bad line that follows it."""
+    body = f"qubit[1] q;\nx q[0];\n{line}\nx q[0];\ny q[0];\n{line}\n"
+    with pytest.raises(QasmError, match=f"^{re.escape(message)}$"):
+        parse_qasm3(_QASM_HEAD + body)
+
+
+def test_qasm_parser_refuses_a_second_bit_declaration_after_repeated_gates():
+    body = "qubit[1] q;\nbit[1] c;\nx q[0];\nx q[0];\nbit[1] c;\n"
+    with pytest.raises(QasmError, match="^second classical register declaration$"):
         parse_qasm3(_QASM_HEAD + body)
 
 

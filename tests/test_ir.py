@@ -81,6 +81,39 @@ def test_append_duplicate_operand():
         circ.append(toffoli(q, q, QubitRef("A", 1)))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda q, a: toffoli(q, a, q),
+        lambda q, a: toffoli(a, q, q),
+        lambda q, a: cnot(q, q),
+        lambda q, a: temp_and(q, a, q),
+    ],
+    ids=["toffoli-first-third", "toffoli-second-third", "cnot", "temp_and-first-third"],
+)
+def test_duplicate_operands_are_refused_at_each_position_pair(make):
+    circ = new_circuit([("A", 2, None)])
+    gate = make(QubitRef("A", 0), QubitRef("A", 1))
+    with pytest.raises(CircuitError, match=f"^duplicate operands in gate {gate.kind.value}$"):
+        circ.append(gate)
+    assert circ.gates == []
+
+
+def test_an_unresolved_repeated_operand_is_reported_as_unresolved():
+    """Operands must resolve before they are compared with each other."""
+    circ = new_circuit([("A", 1, None)])
+    q = QubitRef("B", 0)
+    with pytest.raises(CircuitError, match=re.escape("operand B[0] does not resolve")):
+        circ.append(cnot(q, q))
+
+
+def test_operands_equal_by_index_value_are_duplicates():
+    circ = new_circuit([("A", 2, None)])
+    with pytest.raises(CircuitError, match="duplicate operands in gate cnot"):
+        circ.append(cnot(QubitRef("A", True), QubitRef("A", 1)))
+    assert circ.gates == []
+
+
 def test_append_level_mismatch():
     circ = new_circuit([("A", 1, None)])
     with pytest.raises(CircuitError, match="not a Toffoli-level gate"):
