@@ -175,13 +175,13 @@ class _Net:
         # live wire maps: interval (lo, hi) -> qubit currently holding the value
         self.p: dict[tuple[int, int], QubitRef] = {}
         self.g: dict[tuple[int, int], QubitRef] = {}
-        # ancillae spent so far (in spend order), and the pool emit_and reuses first
+        # ancillae spent so far (in spend order), and the pool emit_and pops first
         self.spent: list[QubitRef] = []
         self.pool: list[QubitRef] = []
 
     def emit_and(self, c1: QubitRef, c2: QubitRef) -> QubitRef:
         """Temporary-AND onto a pooled or fresh magic ancilla, labelled spent."""
-        q = self.pool.pop(0) if self.pool else self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
+        q = self.pool.pop() if self.pool else self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
         self.circ.labels[q] = "spent"
         self.gates.append(temp_and(c1, c2, q))
         return q
@@ -318,8 +318,9 @@ def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
 
     if n >= 2:
         # The reverse half draws its gadget ancillae from the pool spent in the
-        # forward half, one slot per gate, matching the published register sizing.
-        net.pool, net.spent = net.spent, []
+        # forward half, one slot per gate, matching the published register sizing;
+        # reversed, so that popping its end hands them out in spend order.
+        net.pool, net.spent = net.spent[::-1], []
         net.p = {(i, i + 1): B[i] for i in range(1, n - 1)}
         # Steps 10-13: the carry network undone at width n-1.
         net.rounds(n - 1, backwards=True)

@@ -244,14 +244,21 @@ class Circuit:
 
     def labeled(self, prefix: str = "s") -> dict[int, QubitRef]:
         """The qubits labelled ``prefix<i>`` (see :func:`label_index`), keyed by i.
-        Raises :class:`CircuitError` when two qubits spell the same index."""
+        Raises :class:`CircuitError` when two qubits spell the same index.
+        Applies :func:`label_index`'s rule inline, as every batch check reads
+        all labels of its circuit."""
         out: dict[int, QubitRef] = {}
+        start = len(prefix)
         for q, label in self.labels.items():
-            i = label_index(label, prefix)
+            if not label.startswith(prefix):
+                continue
+            digits = label[start:]
+            if not (digits.isascii() and digits.isdigit()):
+                continue
+            i = int(digits)
             if i in out:
                 raise CircuitError(f"qubits {out[i]} and {q} both carry {prefix}{i}")
-            if i is not None:
-                out[i] = q
+            out[i] = q
         return out
 
     def basis_input(self, register_values: dict[str, int]) -> dict[QubitRef, int]:

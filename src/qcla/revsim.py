@@ -174,42 +174,64 @@ class CheckReport:
         return f"{self.design} n={self.n}: {self.total - self.wrong}/{self.total} {status}{detail}"
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """Transpose a bit matrix: bit j of result[i] is bit i of rows[j].
+def _pack(rows: Sequence[int], width: int) -> tuple[int, int]:
+    """Pack the rows into one integer, row j in field j: (packed, field bits).
 
-    Every row must be a non-negative integer of at most ``width`` bits.  It
-    packs operand values into per-qubit slot masks and unpacks sum-bit masks
-    into per-slot values.
+    Each field is ``width`` bits rounded up to whole bytes (at least one), so
+    the packing is one ``to_bytes`` per row and one ``int.from_bytes`` of
+    their join.  Every row must be a non-negative integer of at most
+    ``width`` bits (else ValueError).
     """
     if rows and (min(rows) < 0 or max(rows) >> width):
         raise ValueError(f"transpose row does not fit in {width} bits")
-    if not rows or not width:
+    size = (width + 7) // 8 or 1
+    data = b"".join([r.to_bytes(size, "little") for r in rows])
+    return int.from_bytes(data, "little"), 8 * size
+
+
+def _columns(packed: int, field: int, rows: int, width: int) -> list[int]:
+    """Bit k of every field of ``packed``, for k < width: bit j of result[k]
+    is bit k of field j.  Each column is one strided slice of the binary
+    text, which lists the fields from the last to the first."""
+    if not rows:
         return [0] * width
-    fmt = f"0{width}b"
-    # most significant character first, so the last row is the top bit of each column
-    columns = zip(*[format(r, fmt) for r in reversed(rows)])
-    return [int("".join(col), 2) for col in columns][::-1]
+    text = format(packed, f"0{rows * field}b")
+    return [int(text[field - 1 - k :: field], 2) for k in range(width)]
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of result[i] is bit i of rows[j].
+
+    Every row must be a non-negative integer of at most ``width`` bits.  It
+    turns sum-bit masks into per-slot values.
+    """
+    return _columns(*_pack(rows, width), len(rows), width)
 
 
 def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport:
     """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
 
-    n is the size of register A.  The bit-sliced oracle ``cla_masks`` must
-    agree with native a + b (else AssertionError).  The sum-bit masks are
-    compared with it; every wrong slot is counted, and the first 8 become
-    (a, b, a + b, got) rows in slot order.  ``s`` labels that do not spell
-    bits 0..n, contract violations that stop the run, failed uncomputes and
-    ancillae left dirty are assertion failures; with unreadable sums every
-    slot counts as wrong.  A must come back, and so must B unless the ``s``
-    labels sit on register B.
+    n is the size of register A.  The inputs are packed into one integer, a
+    field per slot, and each qubit's slot mask is one column of it.  The
+    bit-sliced oracle ``cla_masks`` must agree with native a + b, one
+    addition of the a and b views of the packed integer (else
+    AssertionError).  The sum-bit masks are compared with it; every wrong
+    slot is counted, and the first 8 become (a, b, a + b, got) rows in slot
+    order.  ``s`` labels that do not spell bits 0..n, contract violations
+    that stop the run, failed uncomputes and ancillae left dirty are
+    assertion failures; with unreadable sums every slot counts as wrong.  A
+    must come back, and so must B unless the ``s`` labels sit on register B.
     """
     n = circ.registers["A"].size
     low = (1 << n) - 1
     total = len(inputs)
-    masks = _transpose(inputs, 2 * n)
+    packed, field = _pack(inputs, 2 * n)
+    masks = _columns(packed, field, total, 2 * n)
     a_masks, b_masks = masks[n:], masks[:n]
     expected = cla_masks(a_masks, b_masks)
-    native = _transpose([(i >> n) + (i & low) for i in inputs], n + 1)
+    # a + b < 2^(n+1) <= 2^field, so no carry crosses into the next field
+    lows = int.from_bytes(low.to_bytes(field // 8, "little") * total, "little")
+    native = _columns((packed >> n & lows) + (packed & lows), field, total, n + 1)
     oracle_bad = 0
     for want, nat in zip(expected, native):
         oracle_bad |= want ^ nat
@@ -231,8 +253,9 @@ def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport
     assertions += [str(f) for f in failures]
     if finished:  # every ancilla not holding a sum bit must end spent or 0
         outputs = set(sums.values())
+        ancillae = {reg.name for reg in circ.registers.values() if reg.is_ancilla}
         for q, mask in bits.items():
-            if mask and q not in spent and q not in outputs and circ.registers[q.reg].is_ancilla:
+            if mask and q.reg in ancillae and q not in spent and q not in outputs:
                 assertions.append(
                     f"ancilla {q} ({circ.labels.get(q, 'unlabelled')}) not clean on "
                     f"{mask.bit_count()} inputs"

@@ -6,6 +6,7 @@ import gc
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -120,3 +121,28 @@ def test_no_collection_starts_inside_a_gate_list_build():
             gc.callbacks.remove(seen)
     assert inside == []
     assert starts, "no collection ran at all, so the hook saw nothing"
+
+
+class _RecordingGates(list):
+    """A gate list that records whether the collector is on each time it is
+    iterated."""
+
+    def __init__(self, gates, seen):
+        super().__init__(gates)
+        self.seen = seen
+
+    def __iter__(self):
+        self.seen.append(gc.isenabled())
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("fn", [count, schedule], ids=["count", "schedule"])
+def test_gate_walk_runs_with_the_collector_paused(fn):
+    """Each walk over the gates runs with the collector off, whatever happens
+    to trigger a collection: handed alone, each function must pause it itself."""
+    seen = []
+    circ = replace(_LOWERED, gates=_RecordingGates(_LOWERED.gates, seen))
+    with _collector(True):
+        fn(circ)
+        assert gc.isenabled()
+    assert seen and not any(seen)

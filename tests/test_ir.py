@@ -383,6 +383,9 @@ def test_cc_gate_requires_known_cbit():
 )
 def test_label_index_reads_ascii_digits_only(label, prefix, index):
     assert label_index(label, prefix) == index
+    circ = new_circuit([("A", 1, None)])
+    circ.labels[QubitRef("A", 0)] = label
+    assert circ.labeled(prefix) == ({} if index is None else {index: QubitRef("A", 0)})
 
 
 @pytest.mark.parametrize("label", ["s²", "s٣"])

@@ -1,5 +1,6 @@
 """Reversible simulator: semantics, contract enforcement, exhaustive checks."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from qcla.ir import (
     temp_and,
     uncompute,
 )
+from qcla import revsim
 from qcla.lowering import lower
 
 MAGIC = AncillaInit.MAGIC_A
@@ -371,3 +373,139 @@ def test_every_control_swap_fails_unless_the_and_is_unchanged():
                 assert bits[ops[0]] & bits[ops[1]] == bits[swapped[0]] & bits[swapped[1]]
                 differs |= any(bits[x] != bits[y] for x, y in zip(ops, swapped))
         assert differs
+
+
+def _without_gate(circ, i):
+    return replace(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "design, i, wrong, mismatches, assertions, restoration",
+    [
+        (Design.OUT_FT_QCLA1, 3, 32,
+         [(2, 0, 2, 0), (2, 1, 3, 1), (2, 2, 4, 6), (2, 3, 5, 7), (2, 4, 6, 4), (2, 5, 7, 5),
+          (2, 6, 8, 10), (2, 7, 9, 11)],
+         [], ["B[1] not restored"]),
+        (Design.OUT_FT_QCLA1, 5, 8,
+         [(1, 3, 4, 0), (1, 7, 8, 4), (3, 1, 4, 0), (3, 5, 8, 4), (5, 3, 8, 4), (5, 7, 12, 8),
+          (7, 1, 8, 4), (7, 5, 12, 8)],
+         ["gate 6: uncompute target Z[0] wrong on 8 inputs"], []),
+        (Design.OUT_FT_QCLA1, 10, 0, [], ["ancilla Z[1] (spent) not clean on 12 inputs"], []),
+        (Design.IN_FT_QCLA1, 8, 64,
+         [(0, 0, 0, 3), (0, 1, 1, 2), (0, 2, 2, 1), (0, 3, 3, 0), (0, 4, 4, 7), (0, 5, 5, 6),
+          (0, 6, 6, 5), (0, 7, 7, 4)],
+         ["AND target X[0] not fresh at gate 16"], []),
+        (Design.IN_FT_QCLA1, 17, 64,
+         [(0, 0, 0, 3), (0, 1, 1, 2), (0, 2, 2, 1), (0, 3, 3, 0), (0, 4, 4, 7), (0, 5, 5, 6),
+          (0, 6, 6, 5), (0, 7, 7, 4)],
+         ["spent qubit X[0] used at gate 17"], []),
+    ],
+)
+def test_single_gate_deletion_reports_are_pinned(
+    design, i, wrong, mismatches, assertions, restoration
+):
+    """The whole report of a deletion at n = 3 on all inputs: wrong count,
+    the first 8 rows, and every assertion and restoration message."""
+    report = _check_batch(_without_gate(build(design, 3), i), design.value, range(64))
+    assert report == revsim.CheckReport(
+        design.value, 3, 64, wrong, mismatches, assertions, restoration
+    )
+
+
+def test_random_check_report_of_a_deletion_is_pinned(monkeypatch):
+    circ = _without_gate(build(Design.IN_FT_QCLA2, 64), 100)
+    monkeypatch.setattr("qcla.revsim.build", lambda design, n: circ)
+    report = random_check(Design.IN_FT_QCLA2, 64, 256, seed=42)
+    assert report == revsim.CheckReport("In-FT-QCLA2", 64, 256, 135, [
+        (2053695854357871005, 5073395517033431291, 7127091371391302296, 7127091165232872088),
+        (10060236952204337488, 7783083932390163561, 17843320884594501049, 17843320953313977785),
+        (1728372192399379054, 10353144037217341363, 12081516229616720417, 12081516160897243681),
+        (7795859673851708282, 2868090582056735625, 10663950255908443907, 10663950324627920643),
+        (15983802509111602936, 5127707962509358039, 21111510471620960975, 21111510540340437711),
+        (15386621650891716399, 6828633547593724649, 22215255198485441048, 22215255129765964312),
+        (6999717485148024690, 10273909465475146180, 17273626950623170870, 17273626744464740662),
+        (14314671872500839116, 15159582174570800377, 29474254047071639493, 29474253978352162757),
+    ], ["gate 865: uncompute target Z[36] wrong on 135 inputs"], [])
+
+
+@pytest.mark.parametrize(
+    "design, digest",
+    [
+        (Design.OUT_FT_QCLA1, "6252fee60f50e16c6d409b28d7f2719395103e5b96a038635fd360365f38dbae"),
+        (Design.OUT_FT_QCLA2, "123c31dc0042fb4e77adfedeacb1eb82720c0cf4cbd9c2dc52691e9de606c15c"),
+        (Design.IN_FT_QCLA1, "9d3681c6c1be67e10745066abf1ff0ce2a63c6f7eed004a3a8dd13381129d54f"),
+        (Design.IN_FT_QCLA2, "0000bb98de57e1e63d27a55b7d2acbdf0501888de42a19dbb3b8dc5a2631cf12"),
+    ],
+)
+def test_single_gate_deletion_reports_digest(design, digest):
+    """sha256 over repr of the report of every single-gate deletion at n = 3,
+    in gate order, checked on all inputs."""
+    circ = build(design, 3)
+    h = hashlib.sha256()
+    for i in range(len(circ.gates)):
+        h.update(repr(_check_batch(_without_gate(circ, i), design.value, range(64))).encode())
+    assert h.hexdigest() == digest
+
+
+def test_transpose_edge_cases():
+    assert _transpose([], 0) == []
+    assert _transpose([], 2) == [0, 0]
+    assert _transpose([0, 0, 0], 0) == []
+    assert _transpose([0b111], 3) == [1, 1, 1]
+    assert _transpose([0b100, 0b011], 3) == [0b10, 0b10, 0b01]
+    assert _transpose([2**70 - 1, 2**69], 70) == [1] * 69 + [3]
+    for rows, width in [([-1], 3), ([0, 2**3], 3), ([0, -2**80], 80), ([1], 0)]:
+        with pytest.raises(ValueError) as info:
+            _transpose(rows, width)
+        assert str(info.value) == f"transpose row does not fit in {width} bits"
+
+
+def test_pack_writes_each_row_into_a_byte_aligned_field():
+    assert revsim._pack([1, 2, 3], 9) == (1 | 2 << 16 | 3 << 32, 16)
+    assert revsim._pack([0b1011], 8) == (0b1011, 8)
+    assert revsim._pack([], 0) == (0, 8)  # a field of at least one byte
+    assert revsim._columns(*revsim._pack([0b10, 0b11], 2), 2, 2) == [0b10, 0b11]
+
+
+def _bit_columns(values, width):
+    return [sum((v >> k & 1) << j for j, v in enumerate(values)) for k in range(width)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    st.integers(1, 130).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.one_of(st.just(2**n - 1), st.integers(0, 2**n - 1)),
+                    st.one_of(st.just(2**n - 1), st.integers(0, 2**n - 1)),
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+        )
+    ),
+    st.data(),
+)
+def test_native_sums_of_the_batch_are_per_input_sums(case, data):
+    """The oracle self-check compares against native a + b on every input: an
+    oracle that returns the bit columns of per-input a + b passes it, and one
+    wrong on a chosen slot is named by that slot's operands."""
+    n, pairs = case
+    pairs = pairs + [(2**n - 1, 2**n - 1)]  # the carry into bit n on every example
+    circ = new_circuit([("A", n, None), ("B", n, None)])
+    inputs = [a << n | b for a, b in pairs]
+    columns = _bit_columns([a + b for a, b in pairs], n + 1)
+    real = revsim.cla_masks  # patched by hand: hypothesis reruns the body per example
+    try:
+        revsim.cla_masks = lambda a_masks, b_masks: list(columns)
+        assert _check_batch(circ, "sum", inputs).total == len(pairs)
+        slot = data.draw(st.integers(0, len(pairs) - 1))
+        bit = data.draw(st.integers(0, n))
+        columns[bit] ^= 1 << slot
+        a, b = pairs[slot]
+        with pytest.raises(AssertionError, match=f"oracle self-check failed at a={a} b={b}$"):
+            _check_batch(circ, "sum", inputs)
+    finally:
+        revsim.cla_masks = real
