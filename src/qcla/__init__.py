@@ -5,7 +5,14 @@ lowers them to the Clifford+T gate set with the 4-T temporary-AND gadget and
 measurement-based uncomputation, measures and cross-checks resource costs
 against the published closed forms, and verifies functional correctness with
 classical and statevector simulators.
+
+``import qcla`` loads only what costing needs: ``ir``, ``builders``,
+``lowering`` and ``resources``.  The simulator names (``_LAZY``) and the
+``revsim`` and ``statevec`` submodules are bound on first access, so a caller
+that never simulates never compiles the simulators.
 """
+
+from importlib import import_module
 
 from .builders import Design, RoundKind, RoundTriple, build, cla_reference, design_from_key, round_indices
 from .ir import (
@@ -34,8 +41,13 @@ from .resources import (
     savings_average,
     schedule,
 )
-from .revsim import BasisState, exhaustive_check, initial_state, random_check, run_basis
-from .statevec import AllBranches, FixedOutcomes, SeededRandom, gadget_unitary_check, simulate
+
+# submodule -> the names qcla re-exports from it, imported on first access
+_LAZY = {
+    "revsim": ("BasisState", "exhaustive_check", "initial_state", "random_check", "run_basis"),
+    "statevec": ("AllBranches", "FixedOutcomes", "SeededRandom", "gadget_unitary_check", "simulate"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "AllBranches",
@@ -84,3 +96,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)  # binds qcla.<name> itself
+    if name not in _LAZY_OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})

@@ -176,16 +176,25 @@ class CostRow:
 
 def git_revision() -> str | None:
     """The commit the package runs from when it runs from a git checkout
-    (``src/qcla`` inside the work tree), else None."""
-    git = Path(__file__).resolve().parents[2] / ".git"
+    (``src/qcla`` inside the work tree), else None.  In a linked worktree or
+    a submodule ``.git`` is a file naming the git directory (``gitdir:``);
+    ``HEAD`` is read there and branch refs under its ``commondir``."""
+    dot_git = Path(__file__).resolve().parents[2] / ".git"
     try:
+        git = dot_git
+        if dot_git.is_file():
+            pointer = dot_git.read_text().strip()
+            if not pointer.startswith("gitdir: "):
+                return None
+            git = dot_git.parent / pointer[8:]
+        common = git / (git / "commondir").read_text().strip() if (git / "commondir").is_file() else git
         head = (git / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
             return head
         ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
+        if (common / ref).is_file():
+            return (common / ref).read_text().strip()
+        for line in (common / "packed-refs").read_text().splitlines():
             if line.endswith(" " + ref):
                 return line.split()[0]
     except OSError:

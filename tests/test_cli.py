@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +159,27 @@ def test_gen_json_default_level(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["schema"] == "qcla-ir/1"
     assert data["level"] == "toffoli"
+
+
+def test_gen_loads_no_simulator():
+    """qcla gen builds, lowers and writes: in a fresh interpreter it loads
+    neither simulator nor the verifier."""
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from qcla.cli import cli\n"
+        "with redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli(['gen', '--design', 'out1', '--n', '4'])\n"
+        "print(code, out.getvalue().startswith('{'))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qcla.')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    status, loaded = result.stdout.splitlines()
+    assert status == "0 True"
+    assert not {"qcla.revsim", "qcla.statevec", "qcla.validate"} & set(loaded.split())
 
 
 def test_usage_error_exit_2(capsys):

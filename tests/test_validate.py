@@ -76,6 +76,46 @@ def test_git_revision_reads_the_checkout(tmp_path, monkeypatch, files, revision)
     assert validate.git_revision() == revision
 
 
+WORKTREE = ".git/worktrees/wt/"
+
+
+@pytest.mark.parametrize(
+    "pointer, files, revision",
+    [
+        # a linked worktree: HEAD in its own git directory, branch refs in the common one
+        ("gitdir: {main}/.git/worktrees/wt\n",
+         {WORKTREE + "HEAD": "ref: refs/heads/topic\n", WORKTREE + "commondir": "../..\n",
+          ".git/refs/heads/topic": "d" * 40 + "\n"}, "d" * 40),
+        # the branch packed in the common directory only
+        ("gitdir: {main}/.git/worktrees/wt\n",
+         {WORKTREE + "HEAD": "ref: refs/heads/topic\n", WORKTREE + "commondir": "../..\n",
+          ".git/packed-refs": f"# pack\n{'0' * 40} refs/heads/main\n{'e' * 40} refs/heads/topic\n"},
+         "e" * 40),
+        # a detached worktree
+        ("gitdir: {main}/.git/worktrees/wt\n",
+         {WORKTREE + "HEAD": "1" * 40 + "\n", WORKTREE + "commondir": "../..\n"}, "1" * 40),
+        # a submodule: a relative gitdir with its own refs and no commondir
+        ("gitdir: ../main/.git/modules/sub\n",
+         {".git/modules/sub/HEAD": "ref: refs/heads/main\n",
+          ".git/modules/sub/refs/heads/main": "f" * 40 + "\n"}, "f" * 40),
+        ("gitdir: {main}/.git/worktrees/gone\n", {}, None),
+        ("not a pointer\n", {}, None),
+    ],
+    ids=["worktree", "worktree-packed", "worktree-detached", "submodule", "missing-gitdir", "not-a-pointer"],
+)
+def test_git_revision_follows_a_gitdir_file(tmp_path, monkeypatch, pointer, files, revision):
+    """In a worktree or a submodule ``.git`` is a file naming the git directory."""
+    main, checkout = tmp_path / "main", tmp_path / "checkout"
+    for name, text in files.items():
+        path = main / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    checkout.mkdir()
+    (checkout / ".git").write_text(pointer.format(main=main))
+    monkeypatch.setattr(validate, "__file__", str(checkout / "src" / "qcla" / "validate.py"))
+    assert validate.git_revision() == revision
+
+
 def test_qubit_deltas_match_the_golden_file():
     path = Path(__file__).resolve().parent.parent / "golden" / "qubit_deltas.json"
     golden = json.loads(path.read_text())
