@@ -81,11 +81,6 @@ def to_json(circ: Circuit) -> str:
     return head.removesuffix("[]\n}") + "[\n" + ",\n".join(gates) + "\n  ]\n}\n"
 
 
-def to_json_dict(circ: Circuit) -> dict:
-    """The document :func:`to_json` writes, as read back by ``json.loads``."""
-    return json.loads(to_json(circ))
-
-
 def _typed(value, typ: type):
     if type(value) is not typ:
         raise TypeError(f"expected {typ.__name__}, got {value!r}")

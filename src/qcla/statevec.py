@@ -47,8 +47,8 @@ BRANCH_CAP = 4096
 State = dict[int, complex]
 
 
-class SimulationError(RuntimeError):
-    pass
+class SimulationError(ValueError):
+    """A run past a simulator limit, or on an input it cannot simulate."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ stream (translation validation: :func:`qcla.lowering.lift` must invert
 and on random pairs at n = 64 and 1024), logarithmic depth growth, and
 export round-trips.  Six discrepancies in the published cost data are
 reproduced deliberately; they are reported in the ledger and do not fail
-verification.
+verification.  The cost rule (:func:`qcla.resources.judge_costs`) and the
+paper's published figures are read from :mod:`qcla.resources`.
 """
 
 from __future__ import annotations
@@ -32,64 +33,24 @@ from .ir import T_KINDS, CircuitError, GateKind
 from .lowering import GADGETS, lift, lower
 from .qasm import parse_qasm3, to_qasm3
 from .resources import (
+    COST_CHECKS,
     DESIGN_COSTS,
-    ResourceReport,
+    QUOTED_AVERAGES,
+    QUOTED_SAVINGS,
+    UNREPRODUCED_AVERAGE,
+    CostRow,
     count,
     depth_bound_fit,
     floor_log2,
     formula_qubits,
     formula_tcount,
+    judge_costs,
     round_half_up,
     savings,
     savings_average,
 )
 from .revsim import _check_batch
 from .statevec import AllBranches, gadget_unitary_check, simulate
-
-# The constant measured-minus-formula qubit deltas (golden values).
-QUBIT_DELTAS = {
-    Design.OUT_FT_QCLA1: 0,
-    Design.OUT_FT_QCLA2: 0,
-    Design.IN_FT_QCLA1: -1,
-    Design.IN_FT_QCLA2: -1,
-}
-
-# Individually published savings percentages reproduced by this artifact.
-QUOTED_SAVINGS = [
-    ("Out-FT-QCLA1", "Babu-out", "70.37"),
-    ("Out-FT-QCLA1", "Lisa-out", "38.46"),
-    ("Out-FT-QCLA1", "Draper-out", "54.29"),
-    ("Out-FT-QCLA1", "Trisetyarso-out", "54.29"),
-    ("Out-FT-QCLA1", "Thapliyal-out", "54.29"),
-    ("Out-FT-QCLA2", "Babu-out", "59.26"),
-    ("Out-FT-QCLA2", "Lisa-out", "15.38"),
-    ("Out-FT-QCLA2", "Draper-out", "37.14"),
-    ("Out-FT-QCLA2", "Trisetyarso-out", "37.14"),
-    ("Out-FT-QCLA2", "Thapliyal-out", "37.14"),
-    ("In-FT-QCLA1", "Takahashi08", "89.80"),
-    ("In-FT-QCLA1", "Takahashi10", "59.18"),
-    ("In-FT-QCLA1", "Mogensen1", "76.19"),
-    ("In-FT-QCLA1", "Mogensen2", "76.19"),
-    ("In-FT-QCLA1", "Draper-in", "71.43"),
-    ("In-FT-QCLA1", "Trisetyarso-in", "71.43"),
-    ("In-FT-QCLA1", "Thapliyal-in", "60.59"),
-    ("In-FT-QCLA2", "Takahashi08", "79.59"),
-    ("In-FT-QCLA2", "Takahashi10", "18.37"),
-    ("In-FT-QCLA2", "Mogensen1", "52.38"),
-    ("In-FT-QCLA2", "Mogensen2", "52.38"),
-    ("In-FT-QCLA2", "Draper-in", "42.86"),
-    ("In-FT-QCLA2", "Trisetyarso-in", "42.86"),
-    ("In-FT-QCLA2", "Thapliyal-in", "21.18"),
-]
-
-# Published averages; In-FT-QCLA2's is not reproduced by any natural averaging
-# of the per-baseline figures and is reported as such.
-QUOTED_AVERAGES = {
-    "Out-FT-QCLA1": "54.34",
-    "Out-FT-QCLA2": "37.21",
-    "In-FT-QCLA1": "72.11",
-}
-UNREPRODUCED_AVERAGE = ("In-FT-QCLA2", "35.87")
 
 
 @dataclass(frozen=True)
@@ -105,7 +66,7 @@ def known_discrepancies() -> list[Discrepancy]:
     in1 = Design.IN_FT_QCLA1
     table8 = formula_tcount(in1, 8, "table")
     step8 = formula_tcount(in1, 8, "per_step")
-    computed_avg = round_half_up(savings_average(Design.IN_FT_QCLA2), 2)
+    computed_avg = round_half_up(savings_average(Design.IN_FT_QCLA2))
     in1_avg = savings_average(in1)
     out1_qubits8 = formula_qubits(Design.OUT_FT_QCLA1, 8)
     and_gadget = GADGETS[GateKind.TEMP_AND]
@@ -150,7 +111,7 @@ def known_discrepancies() -> list[Discrepancy]:
             "passes it.  The paper does not simply truncate: Out-FT-QCLA1's 54.3378... "
             "is published as 54.34.",
             {"published": QUOTED_AVERAGES[in1.value], "exact": str(in1_avg),
-             "half_up": round_half_up(in1_avg, 2)},
+             "half_up": round_half_up(in1_avg)},
         ),
         Discrepancy(
             "and-gadget-t-count-accounting",
@@ -161,17 +122,6 @@ def known_discrepancies() -> list[Discrepancy]:
              "counted_t_gates": and_gadget.t_cost},
         ),
     ]
-
-
-@dataclass
-class CostRow:
-    design: str
-    n: int
-    measured_t: int
-    per_step_t: int
-    table_t: int
-    measured_qubits: int
-    formula_qubits: int
 
 
 def git_revision() -> str | None:
@@ -249,35 +199,6 @@ class ValidationReport:
             ],
             "provenance": provenance(),
         }
-
-
-COST_CHECKS = (
-    "t-count conformance (measured == stage sum)",
-    "closed form == stage sum (except In-FT-QCLA1)",
-    "qubit conformance (constant per-design delta, |delta| <= 1)",
-    "In-FT-QCLA1 closed-form/stage-sum delta identity",
-)
-
-
-def judge_costs(design: Design, n: int) -> tuple[ResourceReport, CostRow, tuple[str, ...]]:
-    """The one cost rule, of ``qcla verify`` and ``qcla cost --check-formulas``:
-    the count of the lowered ``build(design, n)``, its cost row, and its
-    failure of each of :data:`COST_CHECKS` in order ("" where it passes)."""
-    rep = count(lower(build(design, n)))
-    step, table = formula_tcount(design, n, "per_step"), formula_tcount(design, n, "table")
-    qf = formula_qubits(design, n)
-    row = CostRow(design.value, n, rep.t_count, step, table, rep.qubit_count, qf)
-    where, q_delta = f"{design.value} n={n}", rep.qubit_count - qf
-    in1 = design is Design.IN_FT_QCLA1
-    # In-FT-QCLA1's closed form is off its stage sum by a known delta
-    delta = 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12 if in1 else 0
-    return rep, row, (
-        "" if rep.t_count == step else f"{where}: measured {rep.t_count} != stage sum {step}",
-        "" if in1 or step == table else f"{where}: stage sum {step} != closed form {table}",
-        "" if q_delta == QUBIT_DELTAS[design] else f"{where}: qubit delta {q_delta}",
-        "" if not in1 or step - table == delta
-        else f"{where}: stage sum - closed form {step - table} != delta {delta}",
-    )
 
 
 def _check_costs(report: ValidationReport, n_max: int) -> None:
@@ -362,7 +283,8 @@ def _check_depth(report: ValidationReport, top: int) -> None:
 
 def _check_savings(report: ValidationReport) -> None:
     # (design, what the figure is of, its exact value, the published figure)
-    published = [(d, f"vs {b}", savings(Design(d), b).percent, q) for d, b, q in QUOTED_SAVINGS]
+    published = [(d, f"vs {b}", savings(Design(d), b).percent, q)
+                 for d, row in QUOTED_SAVINGS.items() for b, q in row.items()]
     published += [(d, "average", savings_average(Design(d)), q) for d, q in QUOTED_AVERAGES.items()]
     fail = ""
     for label, of, exact, quoted in published:

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcla import validate
+from qcla import resources, validate
 from qcla.builders import Design, build
 from qcla.cli import DESIGN_KEYS, cli
 from qcla.resources import formula_tcount
+from qcla.statevec import SimulationError
 
 
 def test_sim_reversible(capsys):
@@ -66,7 +67,7 @@ def _judged_cost(argv, capsys):
 
 def test_cost_check_formulas_fails_a_qubit_count_off_the_golden_delta(monkeypatch, capsys):
     """A qubit count that qcla verify fails exits 1 here too."""
-    monkeypatch.setitem(validate.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
+    monkeypatch.setitem(resources.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
     plain, checked, rows, err = _judged_cost(
         ["cost", "--design", "in2", "--n-from", "4", "--n-to", "5"], capsys)
     assert (plain, checked) == (0, 1)
@@ -79,7 +80,7 @@ def test_cost_check_formulas_fails_a_closed_form_off_the_stage_sum(monkeypatch, 
     def table_off_by_one(design, n, kind):
         return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA2)
 
-    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    monkeypatch.setattr(resources, "formula_tcount", table_off_by_one)
     plain, checked, [row], err = _judged_cost(
         ["cost", "--design", "in2", "--n-from", "8", "--n-to", "8"], capsys)
     assert (plain, checked) == (0, 1)
@@ -100,7 +101,7 @@ def test_cost_check_formulas_fails_in1_closed_form_off_its_known_delta(monkeypat
     def table_off_by_one(design, n, kind):
         return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA1)
 
-    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    monkeypatch.setattr(resources, "formula_tcount", table_off_by_one)
     plain, checked, [row], err = _judged_cost(
         ["cost", "--design", "in1", "--n-from", "8", "--n-to", "8"], capsys)
     assert (plain, checked) == (0, 1)
@@ -161,16 +162,27 @@ def test_gen_json_default_level(capsys):
     assert data["level"] == "toffoli"
 
 
-def test_gen_loads_no_simulator():
-    """qcla gen builds, lowers and writes: in a fresh interpreter it loads
-    neither simulator nor the verifier."""
+NO_SIMULATOR = {"qcla.revsim", "qcla.statevec", "qcla.validate"}
+NO_EXPORTER = NO_SIMULATOR | {"qcla.jsonio", "qcla.qasm"}
+
+
+@pytest.mark.parametrize("argv, head, unloaded", [
+    (["gen", "--design", "out1", "--n", "4"], "{", NO_SIMULATOR),
+    (["compare", "--table", "in", "--n", "8"], "design", NO_EXPORTER),
+    (["cost", "--design", "in1", "--n-from", "8", "--n-to", "8", "--check-formulas"], "design",
+     NO_EXPORTER),
+], ids=["gen", "compare", "cost"])
+def test_subcommand_loads_no_simulator(argv, head, unloaded):
+    """qcla gen builds, lowers and writes, and qcla cost and qcla compare
+    cost and judge: in a fresh interpreter none loads a simulator or the
+    verifier, and cost and compare load no exporter either."""
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
         "from qcla.cli import cli\n"
         "with redirect_stdout(io.StringIO()) as out:\n"
-        "    code = cli(['gen', '--design', 'out1', '--n', '4'])\n"
-        "print(code, out.getvalue().startswith('{'))\n"
+        f"    code = cli({argv!r})\n"
+        f"print(code, out.getvalue().startswith({head!r}))\n"
         "print(*sorted(m for m in sys.modules if m.startswith('qcla.')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -179,7 +191,7 @@ def test_gen_loads_no_simulator():
     assert result.returncode == 0, result.stderr
     status, loaded = result.stdout.splitlines()
     assert status == "0 True"
-    assert not {"qcla.revsim", "qcla.statevec", "qcla.validate"} & set(loaded.split())
+    assert not unloaded & set(loaded.split())
 
 
 def test_usage_error_exit_2(capsys):
@@ -208,6 +220,16 @@ def test_sim_statevector_over_branch_cap_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the cap" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_simulation_error_is_usage_error(monkeypatch, tmp_path, capsys):
+    """A simulator limit hit inside qcla verify exits 2 with one error line."""
+    def capped(*args):
+        raise SimulationError("branch count exceeds the cap of 4096")
+
+    monkeypatch.setattr(validate, "simulate", capped)
+    assert cli(["verify", "-o", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: branch count exceeds the cap of 4096\n"
 
 
 def test_sim_statevector_seeded_at_n64(capsys):

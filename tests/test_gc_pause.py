@@ -13,11 +13,11 @@ import pytest
 from qcla.builders import Design, build
 from qcla.ir import CircuitError, _gc_paused
 from qcla.jsonio import JsonIrError, from_json, from_json_dict, to_json
-from qcla.lowering import lower
+from qcla.lowering import lift, lower
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
 from qcla.resources import count, schedule
 
-PAUSED = (build, lower, from_json, from_json_dict, parse_qasm3, count, schedule)
+PAUSED = (build, lower, lift, from_json, from_json_dict, parse_qasm3, count, schedule)
 
 
 @contextmanager
@@ -40,6 +40,8 @@ CALLS = [
     (build, (Design.IN_FT_QCLA1, 3), None),
     (lower, (_TOFFOLI,), None),
     (lower, (_LOWERED,), CircuitError),
+    (lift, (_LOWERED,), None),
+    (lift, (_TOFFOLI,), CircuitError),
     (from_json, (to_json(_LOWERED),), None),
     (from_json, ("{",), JsonIrError),
     (from_json_dict, (json.loads(to_json(_LOWERED)),), None),

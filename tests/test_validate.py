@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import qcla
-from qcla import validate
+from qcla import resources, validate
 from qcla.builders import Design, build
 from qcla.ir import GateKind, Level, QubitRef, not_, t, tdg
-from qcla.jsonio import from_json, to_json_dict
+from qcla.jsonio import from_json, to_json
 from qcla.lowering import GADGETS, _gadget_row, lower
 from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import count, formula_tcount, round_half_up, savings_average
@@ -30,7 +30,7 @@ def _checks(report):
 def test_cost_checks_carry_their_own_detail(monkeypatch):
     """A wrong qubit delta fails only the qubit check, with that check's detail;
     the passing checks carry an empty detail."""
-    monkeypatch.setitem(validate.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
+    monkeypatch.setitem(resources.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     checks = {name.split(" (")[0]: (ok, detail) for name, ok, detail, _ in report.checks}
@@ -119,12 +119,12 @@ def test_git_revision_follows_a_gitdir_file(tmp_path, monkeypatch, pointer, file
 def test_qubit_deltas_match_the_golden_file():
     path = Path(__file__).resolve().parent.parent / "golden" / "qubit_deltas.json"
     golden = json.loads(path.read_text())
-    assert {design.value: delta for design, delta in validate.QUBIT_DELTAS.items()} == golden
+    assert {design.value: delta for design, delta in resources.QUBIT_DELTAS.items()} == golden
 
 
 def test_roundtrip_check_requires_json_dumps_bytes(monkeypatch):
     """Stable JSON that loads back but is not json.dumps(indent=2)'s fails the check."""
-    monkeypatch.setattr(validate, "to_json", lambda circ: json.dumps(to_json_dict(circ)) + "\n")
+    monkeypatch.setattr(validate, "to_json", lambda circ: json.dumps(json.loads(to_json(circ))) + "\n")
     report = validate.ValidationReport()
     validate._check_roundtrip(report, widths=(1,))
     [(name, ok, detail, _)] = report.checks
@@ -137,7 +137,7 @@ def test_t_count_check_reports_a_measured_mismatch(monkeypatch):
         rep = count(circ)
         return replace(rep, t_count=rep.t_count + 1)
 
-    monkeypatch.setattr(validate, "count", one_more_t)
+    monkeypatch.setattr(resources, "count", one_more_t)
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     stage_sum = formula_tcount(Design.IN_FT_QCLA2, 4, "per_step")
@@ -152,7 +152,7 @@ def test_closed_form_check_reports_a_closed_form_off_the_stage_sum(monkeypatch):
         off = kind == "table" and design is Design.OUT_FT_QCLA2
         return formula_tcount(design, n, kind) + off
 
-    monkeypatch.setattr(validate, "formula_tcount", table_off_by_one)
+    monkeypatch.setattr(resources, "formula_tcount", table_off_by_one)
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     stage_sum = formula_tcount(Design.OUT_FT_QCLA2, 4, "per_step")
@@ -166,7 +166,7 @@ def test_in1_closed_form_off_its_known_delta_fails_only_the_delta_identity(monke
     def in1_table_off_by_one(design, n, kind):
         return formula_tcount(design, n, kind) + (kind == "table" and design is Design.IN_FT_QCLA1)
 
-    monkeypatch.setattr(validate, "formula_tcount", in1_table_off_by_one)
+    monkeypatch.setattr(resources, "formula_tcount", in1_table_off_by_one)
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     assert [ok for _, ok, _, _ in report.checks] == [True, True, True, False]
@@ -290,7 +290,8 @@ def test_depth_check_reports_its_failure(monkeypatch, fault, detail):
 ])
 def test_savings_check_reports_a_published_figure_it_misses(monkeypatch, fault, detail):
     if fault == "figure":
-        quoted = [("Out-FT-QCLA1", "Babu-out", "70.00")] + validate.QUOTED_SAVINGS[1:]
+        out1 = {**validate.QUOTED_SAVINGS["Out-FT-QCLA1"], "Babu-out": "70.00"}
+        quoted = {**validate.QUOTED_SAVINGS, "Out-FT-QCLA1": out1}
         monkeypatch.setattr(validate, "QUOTED_SAVINGS", quoted)
     else:
         monkeypatch.setitem(validate.QUOTED_AVERAGES, "In-FT-QCLA1", "72.00")
