@@ -6,15 +6,16 @@ the cubic-cost entry is reported as asymptotic dominance instead of a
 percentage.
 """
 
-from qcla import Design, catalog_cost, savings, savings_average
-from qcla.resources import OUT_OF_PLACE_BASELINES, round_half_up
+from qcla import Design, savings, savings_average
+from qcla.resources import CATALOG, OUT_OF_PLACE_BASELINES, round_half_up
 
 n = 64
 print(f"out-of-place catalog at n = {n}:")
 for label in OUT_OF_PLACE_BASELINES:
-    cost = catalog_cost(label, n)
-    approx = " (approx)" if cost.approximate else ""
-    print(f"  {label:<18} T={cost.t_count!s:<8} qubits={cost.qubits}{approx}")
+    model = CATALOG[label]
+    t_count, qubits = model.evaluate(n)
+    approx = " (approx)" if model.approximate else ""
+    print(f"  {label:<18} T={t_count!s:<8} qubits={qubits}{approx}")
 
 print("\nper-baseline savings of the T-count-optimized out-of-place design:")
 for label in OUT_OF_PLACE_BASELINES:
@@ -30,5 +31,5 @@ fig = savings(Design.IN_FT_QCLA1, "Cheng")
 print(f"\nvs Cheng: {fig.display}")
 
 # The non-integer catalog value is kept as an exact rational.
-cheng = catalog_cost("Cheng", 8)
-print(f"Cheng T-count at n=8: {cheng.t_count} (integer: {cheng.t_is_integer})")
+cheng_t, _ = CATALOG["Cheng"].evaluate(8)
+print(f"Cheng T-count at n=8: {cheng_t} (integer: {cheng_t.denominator == 1})")

@@ -31,7 +31,6 @@ from .resources import (
     CostModel,
     ResourceReport,
     SavingsFigure,
-    catalog_cost,
     count,
     floor_log2,
     formula_qubits,
@@ -68,7 +67,6 @@ __all__ = [
     "SavingsFigure",
     "SeededRandom",
     "build",
-    "catalog_cost",
     "cla_reference",
     "count",
     "design_from_key",

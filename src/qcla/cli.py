@@ -17,11 +17,7 @@ Each subcommand imports only the modules it calls.  ``gen``, ``cost`` and
 ``compare`` load builders, lowering and resources (what ``import qcla``
 loads), and ``gen`` adds jsonio or qasm; ``sim`` adds revsim, or statevec
 for the statevector backend; only ``verify`` loads validate, which loads
-everything.  A fresh ``qcla compare --table in --n 8`` imports and runs in
-113 ms, against 137 ms when it loaded validate, and
-``qcla cost --design in1 --n-from 8 --n-to 8 --check-formulas`` in 110 ms
-against 138 ms (median of 31, alternating, Python 3.11.7 on a shared 2-core
-machine, no bytecode cache).
+everything.
 """
 
 from __future__ import annotations
@@ -34,11 +30,11 @@ import sys
 from .builders import Design, build, design_from_key
 from .lowering import lower
 from .resources import (
+    CATALOG,
     DESIGN_COSTS,
     IN_PLACE_BASELINES,
     OUT_OF_PLACE_BASELINES,
     UNREPRODUCED_AVERAGE,
-    catalog_cost,
     count,
     judge_costs,
     round_half_up,
@@ -155,10 +151,11 @@ def _cmd_compare(args) -> int:
     n = args.n
     lines = [f"{'design':<18}{'T-count':>14}{'qubits':>10}  savings vs baselines"]
     for label in baselines:
-        cost = catalog_cost(label, n)
-        t_str = str(cost.t_count) if cost.t_is_integer else f"{cost.t_count} (non-integer)"
-        approx = " (approx)" if cost.approximate else ""
-        lines.append(f"{label:<18}{t_str:>14}{str(cost.qubits):>10}{approx}")
+        model = CATALOG[label]
+        t_count, qubits = model.evaluate(n)
+        t_str = str(t_count) if t_count.denominator == 1 else f"{t_count} (non-integer)"
+        approx = " (approx)" if model.approximate else ""
+        lines.append(f"{label:<18}{t_str:>14}{str(qubits):>10}{approx}")
     for design in designs:
         rep = count(lower(build(design, n)))
         parts = [f"{label}: {savings(design, label).display}" for label in baselines]

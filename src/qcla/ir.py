@@ -244,18 +244,12 @@ class Circuit:
 
     def labeled(self, prefix: str = "s") -> dict[int, QubitRef]:
         """The qubits labelled ``prefix<i>`` (see :func:`label_index`), keyed by i.
-        Raises :class:`CircuitError` when two qubits spell the same index.
-        Applies :func:`label_index`'s rule inline, as every batch check reads
-        all labels of its circuit."""
+        Raises :class:`CircuitError` when two qubits spell the same index."""
         out: dict[int, QubitRef] = {}
-        start = len(prefix)
         for q, label in self.labels.items():
-            if not label.startswith(prefix):
+            i = label_index(label, prefix)
+            if i is None:
                 continue
-            digits = label[start:]
-            if not (digits.isascii() and digits.isdigit()):
-                continue
-            i = int(digits)
             if i in out:
                 raise CircuitError(f"qubits {out[i]} and {q} both carry {prefix}{i}")
             out[i] = q

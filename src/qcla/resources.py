@@ -174,8 +174,7 @@ class CostExpr:
         return 2 if self.w1 or self.log1 else 1
 
     def evaluate(self, n: int) -> Fraction:
-        if n < self.min_n:
-            raise ValueError(f"cost form needs n >= {self.min_n}")
+        """The form at width n; its row guards the domain (see :meth:`CostModel.evaluate`)."""
         value = (
             self.n * n
             + self.w * hamming_weight(n)
@@ -199,11 +198,14 @@ def _expr(n=0, w=0, log=0, w1=0, log1=0, const=0, n2=0, n3=0) -> CostExpr:
 
 @dataclass(frozen=True)
 class CostModel:
-    """One catalog row: T-count and qubit closed forms for a design."""
+    """One catalog row: T-count and qubit closed forms for a design, and the
+    offsets of a generated design's stage sum and measured qubits from them."""
 
     label: str
     t_form: CostExpr
     qubit_form: CostExpr
+    t_offset: CostExpr | None = None  # stage sum - T form, where the two disagree
+    qubit_offset: int = 0  # measured - formula qubits (golden/qubit_deltas.json)
     approximate: bool = False  # published only as an approximation
 
     @property
@@ -218,26 +220,30 @@ class CostModel:
 
 
 # T-count and qubit closed forms of the four generated designs, each row
-# labelled with its design's label.
+# labelled with its design's label; the in-place rows add their t_offset and
+# qubit_offset (see the discrepancy report and golden/qubit_deltas.json).
 DESIGN_COSTS: dict[Design, CostModel] = {
-    design: CostModel(design.value, t_form, qubit_form)
-    for design, t_form, qubit_form in (
+    design: CostModel(design.value, *row)
+    for design, *row in (
         (Design.OUT_FT_QCLA1, _expr(n=16, w=-8, log=-8, const=-4), _expr(n=6, w=-2, log=-2)),
         (
             Design.OUT_FT_QCLA2,
             _expr(n=22, w=-11, log=-11, const=-7),
             _expr(n=4, w=-1, log=-1, const=1),
         ),
-        # The T closed form disagrees with the per-stage sum; see the discrepancy report.
         (
             Design.IN_FT_QCLA1,
             _expr(n=20, w=-8, w1=-8, log=-4, log1=-4, const=-8),
             _expr(n=6, w=-2, log=-2),
+            _expr(n=8, log=-4, log1=-4, const=-12),
+            -1,
         ),
         (
             Design.IN_FT_QCLA2,
             _expr(n=40, w=-11, log=-11, w1=-11, log1=-11, const=-32),
             _expr(n=4, w=-1, log=-1, const=1),
+            None,
+            -1,
         ),
     )
 }
@@ -335,9 +341,9 @@ def formula_tcount(design: Design, n: int, source: str = "table") -> int:
     """Evaluate a design's T-count closed form.
 
     source="table" evaluates the published closed form; source="per_step" sums
-    the per-stage gadget costs.  The two agree for all designs except
-    In-FT-QCLA1, where they differ by 8n - 4*floor(log2 n) -
-    4*floor(log2(n-1)) - 12 (a known inconsistency this artifact reproduces).
+    the per-stage gadget costs.  The two differ by the ``t_offset`` of the
+    design's :data:`DESIGN_COSTS` row (a known inconsistency this artifact
+    reproduces), and agree where the row declares none.
     """
     table, _ = DESIGN_COSTS[design].evaluate(n)
     if source == "table":
@@ -356,15 +362,6 @@ def formula_qubits(design: Design, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the cost rule
-
-# The constant measured-minus-formula qubit deltas (golden values).
-QUBIT_DELTAS = {
-    Design.OUT_FT_QCLA1: 0,
-    Design.OUT_FT_QCLA2: 0,
-    Design.IN_FT_QCLA1: -1,
-    Design.IN_FT_QCLA2: -1,
-}
-
 
 class CostRow(SimpleNamespace):
     """One design at one width: measured and closed-form T-count and qubits,
@@ -392,48 +389,26 @@ COST_CHECKS = (
 def judge_costs(design: Design, n: int) -> tuple[ResourceReport, CostRow, tuple[str, ...]]:
     """The one cost rule, of ``qcla verify`` and ``qcla cost --check-formulas``:
     the count of the lowered ``build(design, n)``, its cost row, and its
-    failure of each of :data:`COST_CHECKS` in order ("" where it passes)."""
+    failure of each of :data:`COST_CHECKS` in order ("" where it passes).
+    The row's offsets are the deltas it allows: a row that declares a
+    ``t_offset`` is judged by the delta identity, every other row by its
+    closed form."""
+    model = DESIGN_COSTS[design]
     rep = count(lower(build(design, n)))
     step, table = formula_tcount(design, n, "per_step"), formula_tcount(design, n, "table")
     qf = formula_qubits(design, n)
     row = CostRow(design=design.value, n=n, measured_t=rep.t_count, per_step_t=step,
                   table_t=table, measured_qubits=rep.qubit_count, formula_qubits=qf)
     where, q_delta = f"{design.value} n={n}", rep.qubit_count - qf
-    in1 = design is Design.IN_FT_QCLA1
-    # In-FT-QCLA1's closed form is off its stage sum by a known delta
-    delta = 8 * n - 4 * floor_log2(n) - 4 * floor_log2(n - 1) - 12 if in1 else 0
+    offset = model.t_offset
+    delta = offset.evaluate(n) if offset else 0
     return rep, row, (
         "" if rep.t_count == step else f"{where}: measured {rep.t_count} != stage sum {step}",
-        "" if in1 or step == table else f"{where}: stage sum {step} != closed form {table}",
-        "" if q_delta == QUBIT_DELTAS[design] else f"{where}: qubit delta {q_delta}",
-        "" if not in1 or step - table == delta
+        "" if offset or step == table else f"{where}: stage sum {step} != closed form {table}",
+        "" if q_delta == model.qubit_offset else f"{where}: qubit delta {q_delta}",
+        "" if not offset or step - table == delta
         else f"{where}: stage sum - closed form {step - table} != delta {delta}",
     )
-
-
-@dataclass(frozen=True)
-class CatalogCost:
-    label: str
-    t_count: Fraction
-    qubits: Fraction
-    approximate: bool
-
-    @property
-    def t_is_integer(self) -> bool:
-        return self.t_count.denominator == 1
-
-
-def catalog_cost(label: str, n: int) -> CatalogCost:
-    """Exact rational evaluation of one catalog row at width n.
-
-    Non-integer values (the cubic row at some n) are returned as exact
-    rationals, never silently rounded.
-    """
-    if label not in CATALOG:
-        raise KeyError(f"unknown catalog label {label!r}")
-    model = CATALOG[label]
-    t_count, qubits = model.evaluate(n)
-    return CatalogCost(label, t_count, qubits, model.approximate)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ operand pairs of the built adder and ``random_check`` a random sample.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -286,7 +287,19 @@ def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport
     return CheckReport(name, n, total, wrong, mismatches, assertions, restoration)
 
 
-def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
+# the widest adder whose every input pair a batch check runs
+EXHAUSTIVE_MAX_N = 6
+
+
+def random_pairs(n: int, pairs: int, seed: int = 42) -> list[int]:
+    """``pairs`` packed operand pairs ``(a << n) | b`` at width n from a fresh
+    ``Random(seed)``, drawing a, then b, for each pair: a seed keeps its
+    samples."""
+    rng = random.Random(seed)
+    return [rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
+
+
+def exhaustive_check(design: Design, n: int, max_n: int = EXHAUSTIVE_MAX_N) -> CheckReport:
     """Run every (a, b) pair through the built circuit and compare with the oracle.
 
     The oracle is the bit-sliced generate/propagate recurrence, cross-checked
@@ -299,13 +312,8 @@ def exhaustive_check(design: Design, n: int, max_n: int = 6) -> CheckReport:
 
 
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
-    """Check ``pairs`` random operand pairs at width n in one bit-parallel pass;
-    ``pairs`` must be at least 1 (ValueError)."""
-    import random as _random
-
+    """Check ``pairs`` random operand pairs (:func:`random_pairs`) at width n in
+    one bit-parallel pass; ``pairs`` must be at least 1 (ValueError)."""
     if pairs <= 0:
         raise ValueError(f"random check needs at least one pair, got {pairs}")
-    rng = _random.Random(seed)
-    # a, then b, for each pair: a seed keeps its samples
-    inputs = [rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
-    return _check_batch(build(design, n), design.value, inputs)
+    return _check_batch(build(design, n), design.value, random_pairs(n, pairs, seed))

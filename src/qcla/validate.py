@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import platform
-import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ from .resources import (
     savings,
     savings_average,
 )
-from .revsim import _check_batch
+from .revsim import EXHAUSTIVE_MAX_N, _check_batch, random_pairs
 from .statevec import AllBranches, gadget_unitary_check, simulate
 
 
@@ -238,14 +237,14 @@ def _check_statevector(report: ValidationReport, widths: tuple[int, ...]) -> Non
 def _check_stream(report: ValidationReport, widths: tuple[int, ...] = (64,)) -> None:
     """Translation validation of the emitted stream at each width: ``lift``
     must invert the lowered adder, and the lifted Toffoli-level circuit must
-    pass the batch check on every input at n <= 6 (the exhaustive cap) and
-    on 256 fixed-seed random pairs above it."""
-    pairs, cap = 256, 6
-    rng = random.Random(42)  # drawn only above the cap, so small widths move no pair
+    pass the batch check on every input up to the exhaustive cap
+    (:data:`qcla.revsim.EXHAUSTIVE_MAX_N`) and, above it, on the 256 random
+    pairs :func:`qcla.revsim.random_check` draws at seed 42, so no circuit's
+    pairs depend on the others checked."""
+    pairs, cap = 256, EXHAUSTIVE_MAX_N
     fail = ""
     for n, design in product(widths, Design):
-        inputs = range(4**n) if n <= cap else [
-            rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
+        inputs = range(4**n) if n <= cap else random_pairs(n, pairs)
         try:
             lifted = lift(lower(build(design, n)))
         except CircuitError as exc:

@@ -67,7 +67,8 @@ def _judged_cost(argv, capsys):
 
 def test_cost_check_formulas_fails_a_qubit_count_off_the_golden_delta(monkeypatch, capsys):
     """A qubit count that qcla verify fails exits 1 here too."""
-    monkeypatch.setitem(resources.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
+    row = resources.DESIGN_COSTS[Design.IN_FT_QCLA2]
+    monkeypatch.setitem(resources.DESIGN_COSTS, Design.IN_FT_QCLA2, replace(row, qubit_offset=0))
     plain, checked, rows, err = _judged_cost(
         ["cost", "--design", "in2", "--n-from", "4", "--n-to", "5"], capsys)
     assert (plain, checked) == (0, 1)

@@ -29,7 +29,6 @@ from qcla.resources import (
     DESIGN_COSTS,
     IN_PLACE_BASELINES,
     OUT_OF_PLACE_BASELINES,
-    catalog_cost,
     count,
     floor_log2,
     formula_qubits,
@@ -303,14 +302,14 @@ def test_formula_domain():
 
 
 def test_catalog_values():
-    assert catalog_cost("Thapliyal-out", 8).t_count == 266
-    assert catalog_cost("Thapliyal-in", 8).t_count == Fraction(378)
-    cheng = catalog_cost("Cheng", 8)
-    assert cheng.t_count == Fraction(4060, 3)
-    assert not cheng.t_is_integer
-    assert catalog_cost("Takahashi08", 8).approximate
+    assert CATALOG["Thapliyal-out"].evaluate(8)[0] == 266
+    assert CATALOG["Thapliyal-in"].evaluate(8)[0] == Fraction(378)
+    cheng_t, _ = CATALOG["Cheng"].evaluate(8)
+    assert cheng_t == Fraction(4060, 3)
+    assert cheng_t.denominator != 1
+    assert CATALOG["Takahashi08"].approximate
     with pytest.raises(KeyError):
-        catalog_cost("nonesuch", 8)
+        CATALOG["nonesuch"]
 
 
 def test_savings_quoted_figures():
@@ -387,7 +386,7 @@ def test_each_row_raises_its_own_domain_message(label):
     message = f"^{label} cost form needs n >= {min_n}$"
     design = next((d for d in DESIGN_COSTS if d.value == label), None)
     calls = (
-        [lambda n: catalog_cost(label, n), CATALOG[label].evaluate]
+        [CATALOG[label].evaluate]
         if design is None
         else [
             lambda n: formula_tcount(design, n, "table"),

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 import qcla
-from qcla import resources, validate
+from qcla import resources, revsim, validate
 from qcla.builders import Design, build
 from qcla.ir import GateKind, Level, QubitRef, not_, t, tdg
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import GADGETS, _gadget_row, lower
 from qcla.qasm import parse_qasm3, to_qasm3
-from qcla.resources import count, formula_tcount, round_half_up, savings_average
+from qcla.resources import CostExpr, count, formula_tcount, round_half_up, savings_average
 
 
 def _checks(report):
@@ -30,7 +30,8 @@ def _checks(report):
 def test_cost_checks_carry_their_own_detail(monkeypatch):
     """A wrong qubit delta fails only the qubit check, with that check's detail;
     the passing checks carry an empty detail."""
-    monkeypatch.setitem(resources.QUBIT_DELTAS, Design.IN_FT_QCLA2, 0)
+    row = resources.DESIGN_COSTS[Design.IN_FT_QCLA2]
+    monkeypatch.setitem(resources.DESIGN_COSTS, Design.IN_FT_QCLA2, replace(row, qubit_offset=0))
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     checks = {name.split(" (")[0]: (ok, detail) for name, ok, detail, _ in report.checks}
@@ -119,7 +120,7 @@ def test_git_revision_follows_a_gitdir_file(tmp_path, monkeypatch, pointer, file
 def test_qubit_deltas_match_the_golden_file():
     path = Path(__file__).resolve().parent.parent / "golden" / "qubit_deltas.json"
     golden = json.loads(path.read_text())
-    assert {design.value: delta for design, delta in resources.QUBIT_DELTAS.items()} == golden
+    assert {row.label: row.qubit_offset for row in resources.DESIGN_COSTS.values()} == golden
 
 
 def test_roundtrip_check_requires_json_dumps_bytes(monkeypatch):
@@ -170,6 +171,40 @@ def test_in1_closed_form_off_its_known_delta_fails_only_the_delta_identity(monke
     report = validate.ValidationReport()
     validate._check_costs(report, n_max=4)
     assert [ok for _, ok, _, _ in report.checks] == [True, True, True, False]
+
+
+def test_in1_t_offset_shifted_by_one_fails_only_the_delta_identity(monkeypatch):
+    """The delta identity reads In-FT-QCLA1's declared offset from its row."""
+    row = resources.DESIGN_COSTS[Design.IN_FT_QCLA1]
+    shifted = replace(row.t_offset, const=row.t_offset.const + 1)
+    monkeypatch.setitem(resources.DESIGN_COSTS, Design.IN_FT_QCLA1, replace(row, t_offset=shifted))
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=8)
+    assert [ok for _, ok, _, _ in report.checks] == [True, True, True, False]
+    assert report.checks[3][2] == "In-FT-QCLA1 n=8: stage sum - closed form 32 != delta 33"
+
+
+@pytest.mark.parametrize("offset, table_off, verdicts, detail", [
+    (1, 0, [True, True, True, False], "Out-FT-QCLA2 n=4: stage sum - closed form 0 != delta 1"),
+    (-1, 1, [True, True, True, True], ""),
+], ids=["off-its-offset", "on-its-offset"])
+def test_a_declared_t_offset_moves_a_row_to_the_delta_identity(
+        monkeypatch, offset, table_off, verdicts, detail):
+    """Out-FT-QCLA2 given a T offset is judged like In-FT-QCLA1: by the delta
+    identity, which its closed form passes when off its stage sum by the
+    offset, and not by the closed-form check."""
+    def table_off_by(design, n, kind):
+        off = table_off if kind == "table" and design is Design.OUT_FT_QCLA2 else 0
+        return formula_tcount(design, n, kind) + off
+
+    row = resources.DESIGN_COSTS[Design.OUT_FT_QCLA2]
+    declared = replace(row, t_offset=CostExpr(const=Fraction(offset)))
+    monkeypatch.setitem(resources.DESIGN_COSTS, Design.OUT_FT_QCLA2, declared)
+    monkeypatch.setattr(resources, "formula_tcount", table_off_by)
+    report = validate.ValidationReport()
+    validate._check_costs(report, n_max=4)
+    assert [ok for _, ok, _, _ in report.checks] == verdicts
+    assert report.checks[3][2] == detail
 
 
 def test_the_quick_suite_runs_these_checks_in_this_order():
@@ -235,6 +270,25 @@ def test_stream_check_reads_every_input_at_a_small_width(monkeypatch):
     [(name, ok, detail, _)] = report.checks
     assert not ok and detail == "In-FT-QCLA2 n=2: 0/16 FAIL", detail
     assert name == "emitted stream lifts to a correct adder (every input at n <= 2)"
+
+
+@pytest.mark.parametrize("widths", [(64,), (7, 64)])
+def test_stream_check_draws_the_pairs_random_check_draws(monkeypatch, widths):
+    """At n = 64 every design is batch-checked on the pairs that
+    ``random_check(design, 64, 256, 42)`` draws, whatever widths precede it."""
+    drawn = []
+
+    def record(circ, name, inputs):
+        drawn.append((name, circ.registers["A"].size, list(inputs)))
+        return revsim.CheckReport(name, 0, 0, 0, [], [], [])
+
+    monkeypatch.setattr(revsim, "_check_batch", record)
+    for design in Design:
+        revsim.random_check(design, 64, 256, 42)
+    expected, drawn[:] = drawn[:], []
+    monkeypatch.setattr(validate, "_check_batch", record)
+    validate._check_stream(validate.ValidationReport(), widths)
+    assert [entry for entry in drawn if entry[1] == 64] == expected
 
 
 def test_stream_check_reports_a_stream_lift_refuses(monkeypatch):
