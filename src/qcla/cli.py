@@ -6,9 +6,10 @@ resources), ``sim`` (add two numbers on a simulator backend), ``compare``
 suite with the known-discrepancy ledger).
 
 Usage errors exit 2: argparse's, bad input values including a non-integer
-QCLA_SEED, and a simulator limit such as the statevector branch cap, in any
-subcommand.  A handler raises ``ValueError`` (``SimulationError`` is one),
-and :func:`cli` alone prints it as one ``error: ...`` line.  Verification
+QCLA_SEED, a simulator limit such as the statevector branch cap, and a
+width too large for memory, in any subcommand.  A handler raises
+``ValueError`` (``SimulationError`` is one) or ``MemoryError``, and
+:func:`cli` alone prints it as one ``error: ...`` line.  Verification
 failures exit 1, and so does ``cost --check-formulas`` on any cost check
 ``verify`` would fail.  The environment variable QCLA_SEED overrides the
 default simulation seed of 42.
@@ -244,6 +245,9 @@ def cli(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,9 @@
 """Sparse statevector simulation of Clifford+T circuits with measurement branching.
 
-Certifies the lowering gadgets, each against what the executor of
-:mod:`qcla.revsim` does with its Toffoli-level gate, and the end-to-end
-determinism of the adders: every measurement branch of a built circuit must
-read out the same sum.
+One certificate (:func:`_certify`) judges every Clifford+T gate list: each
+lowering gadget and each lowered adder, against what the executor of
+:mod:`qcla.revsim` does with its Toffoli-level parent, on the whole state of
+every measurement branch, up to one global phase per measurement record.
 
 The state is a dict from basis index to complex amplitude; bit i of an index
 is qubit position i in register-table order.  Only H creates new terms, and
@@ -45,6 +45,7 @@ AMPLITUDE_CAP = 1 << 20
 BRANCH_CAP = 4096
 
 State = dict[int, complex]
+Case = tuple[State, State]  # (start, want): a basis input and the state it must end in
 
 
 class SimulationError(ValueError):
@@ -269,7 +270,7 @@ class GadgetCheck:
     cases: int
 
 
-def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
+def _max_dev_mod_phase(cases: Sequence[Case]) -> float:
     """Max amplitude deviation over (got, want) cases after removing one
     global phase, fixed from the first case and shared by all of them: a
     phase that differs between basis inputs is an error of the gadget."""
@@ -285,19 +286,32 @@ def _max_dev_mod_phase(cases: Sequence[tuple[State, State]]) -> float:
     )
 
 
-def _certify(gates: Sequence[Gate], cases: Sequence[tuple[State, State]]) -> float:
-    """Run every (start, want) case through every measurement branch of ``gates``,
-    with qubit q[i] on bit i.  Each start's branch probabilities must sum to 1,
-    and every branch must equal ``want`` up to one global phase per
-    measurement record.  A measured-out qubit must hold one value on every
-    input of a record: ``want`` leaves it at 0, and the record's first branch
-    sets it.  Returns the worst deviation.
+def _executor_cases(circ: Circuit, starts: list[dict], pos: dict[QubitRef, int]) -> list[Case]:
+    """The cases :func:`qcla.revsim._run_masks` gives the Toffoli-level ``circ``,
+    qubit q on bit ``pos[q]``: want is a start's final bits, 0 on a qubit it
+    marks spent.  A start where it records a contract violation is no case."""
+    cases = []
+    for start in starts:
+        bits, spent, failures = dict(start), set(), []
+        _run_masks(circ, bits, spent, 1, failures)
+        if not failures:
+            want = sum(bits[q] << i for q, i in pos.items() if q not in spent)
+            cases.append(({sum(start[q] << i for q, i in pos.items()): 1 + 0j}, {want: 1 + 0j}))
+    return cases
+
+
+def _certify(gates: Sequence[Gate], cases: Sequence[Case], pos: dict[QubitRef, int]) -> float:
+    """The one certificate of a Clifford+T gate list, a gadget's or a lowered adder's:
+    every case runs through every measurement branch of ``gates``, qubit q on bit
+    ``pos[q]``.  Each start's branch probabilities must sum to 1, and every branch
+    must equal ``want`` up to one global phase per measurement record.  A
+    measured-out qubit must hold one value on every input of a record: ``want``
+    leaves it at 0, and the record's first branch sets it.  Returns the worst deviation.
     """
-    pos = {q: q.index for g in gates for q in g.qubits}
-    measured = sum({1 << g.qubits[0].index for g in gates if g.kind is GateKind.MEASURE_X})
+    measured = sum({1 << pos[g.qubits[0]] for g in gates if g.kind is GateKind.MEASURE_X})
     cbits = [0] * (1 + max((g.cbit for g in gates if g.cbit is not None), default=-1))
     worst = 0.0
-    by_record: dict[tuple[int, ...], list[tuple[State, State]]] = {}
+    by_record: dict[tuple[int, ...], list[Case]] = {}
     for start, want in cases:
         branches = _run_branches(gates, pos, start, cbits)
         worst = max(worst, abs(sum(pr for _st, pr, _cb in branches) - 1.0))
@@ -315,16 +329,13 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
     """Certify the row of :data:`qcla.lowering.GADGETS` named ``gadget``.
 
     The cases come from :func:`qcla.revsim._run_masks`, the one statement of
-    what a Toffoli-level gate does: the row's gate on (x, y, t) = (q[0],
-    q[1], q[2]) runs from each basis input.  An input where it records a
-    contract violation is not a case; otherwise its final bits, 0 on a qubit
-    it marks spent, are the expected output.  The row's gate list goes
-    through :func:`_certify` on the cases: a relative phase between the
-    inputs of one measurement record fails, and a measured-out target must
-    hold one value per record.  ``cases`` counts the cases.  A row with no
-    case fails, as does a T count other than its declared cost.  A row that prepares its target also checks
-    that the preparation takes |0> to the magic resource state and that the
-    rest acts the same from that state.
+    what a Toffoli-level gate does, through :func:`_executor_cases`: the
+    row's gate on (x, y, t) = (q[0], q[1], q[2]) runs from each basis input.
+    The row's gate list goes through :func:`_certify`, the certificate of the
+    lowered adders too.  ``cases`` counts the cases.  A row with no case
+    fails, as does a T count other than its declared cost.  A row that
+    prepares its target also checks that the preparation takes |0> to the
+    magic resource state and that the rest acts the same from that state.
     """
     kind, row = next(((k, r) for k, r in GADGETS.items() if r.name == gadget), (None, None))
     if row is None:
@@ -332,13 +343,8 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
     pos = {QubitRef("q", i): i for i in range(3)}
     gates = row.gadget(*pos)
     one_gate = Circuit(gates=[Gate(kind, tuple(pos))])  # the executor reads its level and gates
-    cases = []
-    for start in product((0, 1), repeat=3):
-        bits, spent, failures = dict(zip(pos, start)), set(), []
-        _run_masks(one_gate, bits, spent, 1, failures)
-        if not failures:
-            cases.append((_basis(*start), _basis(*(0 if q in spent else bits[q] for q in pos))))
-    worst = _certify(gates, cases)
+    cases = _executor_cases(one_gate, [dict(zip(pos, s)) for s in product((0, 1), repeat=3)], pos)
+    worst = _certify(gates, cases, pos)
     if row.prep:
         (st, _, _), = _run_branches(gates[: row.prep], pos, _basis(0), [])
         prep_dev = max(abs(st.get(b << 2, 0) - MAGIC_A_STATE[b]) for b in (0, 1))
@@ -347,7 +353,7 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
             ({k | b << 2: v * MAGIC_A_STATE[b] for k, v in start.items() for b in (0, 1)}, want)
             for start, want in cases
         ]
-        worst = max(worst, prep_dev, _certify(gates[row.prep :], from_magic))
+        worst = max(worst, prep_dev, _certify(gates[row.prep :], from_magic, pos))
     t_count = sum(g.kind in T_KINDS for g in gates)
     passed = bool(cases) and worst < 1e-10 and t_count == row.t_cost
     return GadgetCheck(gadget, passed, worst, len(cases))

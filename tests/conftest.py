@@ -14,3 +14,21 @@ def _collector_state_kept():
     if after != before:
         (gc.enable if before else gc.disable)()
         pytest.fail(f"the test left gc.isenabled() {after}, it was {before}")
+
+
+@pytest.fixture
+def lower_without_resets(monkeypatch):
+    """``lower`` with every ``cc_x`` reset dropped from its output, in each module
+    that calls it; ``lift`` re-lowers through it, as with a real defect of ``lower``."""
+    from qcla import lowering, resources, validate
+    from qcla.ir import GateKind
+
+    real = lowering.lower
+
+    def dropped(circ):
+        out = real(circ)
+        out.gates[:] = [g for g in out.gates if g.kind is not GateKind.CC_X]
+        return out
+
+    for module in (lowering, validate, resources):
+        monkeypatch.setattr(module, "lower", dropped)

@@ -228,9 +228,24 @@ def test_verify_simulation_error_is_usage_error(monkeypatch, tmp_path, capsys):
     def capped(*args):
         raise SimulationError("branch count exceeds the cap of 4096")
 
-    monkeypatch.setattr(validate, "simulate", capped)
+    monkeypatch.setattr(validate, "_certify", capped)
     assert cli(["verify", "-o", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == "error: branch count exceeds the cap of 4096\n"
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    """A width too large for memory exits 2 with one error line, not a traceback."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("qcla.cli.build", exhausted)
+    assert cli(["gen", "--design", "out1", "--n", "8"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_verify_fails_a_lower_that_drops_its_resets(lower_without_resets, tmp_path):
+    """A ``lower`` that drops every ``cc_x`` reset fails ``qcla verify`` (exit 1)."""
+    assert cli(["verify", "-o", str(tmp_path / "r.json")]) == 1
 
 
 def test_sim_statevector_seeded_at_n64(capsys):

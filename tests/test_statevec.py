@@ -171,9 +171,9 @@ def test_the_certificate_cases_are_the_executors(monkeypatch, gadget):
     handed = []
     certify = statevec._certify
 
-    def recording(gates, cases):
+    def recording(gates, cases, pos):
         handed.append(list(cases))
-        return certify(gates, cases)
+        return certify(gates, cases, pos)
 
     monkeypatch.setattr(statevec, "_certify", recording)
     chk = gadget_unitary_check(gadget)

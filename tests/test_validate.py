@@ -16,7 +16,7 @@ import pytest
 import qcla
 from qcla import resources, revsim, validate
 from qcla.builders import Design, build
-from qcla.ir import GateKind, Level, QubitRef, not_, t, tdg
+from qcla.ir import Gate, GateKind, Level, QubitRef, not_, t, tdg
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import GADGETS, _gadget_row, lower
 from qcla.qasm import parse_qasm3, to_qasm3
@@ -215,7 +215,7 @@ def test_the_quick_suite_runs_these_checks_in_this_order():
         "qubit conformance (constant per-design delta, |delta| <= 1)",
         "In-FT-QCLA1 closed-form/stage-sum delta identity",
         "gadget unitary certification",
-        "statevector sum on every branch (n = 2)",
+        "lowered adders certified on every branch of every input (n = 2, 3)",
         "emitted stream lifts to a correct adder (every input at n <= 4; 256 random pairs at n = 64)",
         "logarithmic depth growth up to n=128",
         "published savings percentages and averages (+-0.01)",
@@ -234,11 +234,40 @@ def test_statevector_check_reports_a_wrong_sum(monkeypatch):
 
     monkeypatch.setattr(validate, "lower", flipped)
     report = validate.ValidationReport()
-    validate._check_statevector(report, widths=(2,))
+    validate._check_statevector(report)
     [(name, ok, detail, _)] = report.checks
-    match = re.fullmatch(r"In-FT-QCLA2 n=2 a=(\d+) b=(\d+): sums=\{(\d+)\} ptot=.*", detail)
-    a, b, got = map(int, match.groups())
-    assert not ok and got == (a + b) ^ 1
+    assert not ok and detail == "In-FT-QCLA2 n=3: max deviation 1.00e+00 on 64 of 64 inputs", detail
+
+
+def test_verification_fails_a_lower_that_drops_its_resets(lower_without_resets):
+    """Without its ``cc_x`` resets the stream still reads every sum right and
+    lifts, but a reused AND target is not fresh: only the certificate fails."""
+    report = validate.run_validation(full=False)
+    assert [(name, detail) for name, ok, detail, _ in report.checks if not ok] == [
+        ("lowered adders certified on every branch of every input (n = 2, 3)",
+         "In-FT-QCLA1 n=3: max deviation 2.00e+00 on 64 of 64 inputs"),
+    ]
+
+
+def test_statevector_check_fails_an_adder_that_breaks_an_uncompute(monkeypatch):
+    """An uncompute given a wrong control breaks its contract on some inputs.
+    The stream still matches on the other inputs; the missing cases fail it."""
+
+    def wrong_control(design, n):
+        circ = build(design, n)
+        at = [i for i, g in enumerate(circ.gates) if g.kind is GateKind.UNCOMPUTE]
+        if at:
+            c1, c2, target = circ.gates[at[0]].qubits
+            other = next(q for q in circ.qubits() if q not in (c1, c2, target))
+            circ.gates[at[0]] = Gate(GateKind.UNCOMPUTE, (c1, other, target))
+        return circ
+
+    monkeypatch.setattr(validate, "build", wrong_control)
+    report = validate.ValidationReport()
+    validate._check_statevector(report)
+    [(name, ok, detail, _)] = report.checks
+    match = re.fullmatch(r"In-FT-QCLA2 n=3: max deviation (\S+) on 48 of 64 inputs", detail)
+    assert not ok and match and float(match[1]) < 1e-10, detail
 
 
 def test_stream_check_reports_a_wrong_sum(monkeypatch):
