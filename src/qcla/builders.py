@@ -131,7 +131,7 @@ def round_indices(kind: RoundKind, n: int) -> list[RoundTriple]:
         raise ValueError(f"unknown round kind {kind}")
     if n < 1:
         raise ValueError("rounds require n >= 1")
-    rounds, descending, _, _ = _ROUNDS[kind]
+    rounds, descending, _ = _ROUNDS[kind]
     return rounds(n, descending)
 
 
@@ -165,16 +165,18 @@ class _Net:
     """Shared carry-network emission helpers for one build.
 
     Gates are collected in ``gates``; :func:`build` validates and appends
-    them in one :meth:`Circuit.extend`.
+    them in one :meth:`Circuit.extend`.  A merge writes G[j, k] over G[l, k]
+    on the same line, so G[j, k] always sits on ``gen[k - 1]``, the generate
+    qubit of bit k - 1; only the propagate spans need a wire map.
     """
 
-    def __init__(self, circ: Circuit, use_pairs: bool):
+    def __init__(self, circ: Circuit, use_pairs: bool, gen: list[QubitRef]):
         self.circ = circ
         self.use_pairs = use_pairs
+        self.gen = gen  # the generate qubits, one per bit
         self.gates: list[Gate] = []
-        # live wire maps: interval (lo, hi) -> qubit currently holding the value
+        # live propagate spans: interval (lo, hi) -> qubit holding P[lo, hi]
         self.p: dict[tuple[int, int], QubitRef] = {}
-        self.g: dict[tuple[int, int], QubitRef] = {}
         # ancillae spent so far (in spend order), and the pool emit_and pops first
         self.spent: list[QubitRef] = []
         self.pool: list[QubitRef] = []
@@ -186,52 +188,38 @@ class _Net:
         self.gates.append(temp_and(c1, c2, q))
         return q
 
-    def emit_carry_merge(self, c1: QubitRef, c2: QubitRef, target: QubitRef) -> None:
-        """Toffoli action onto target, via AND pair or a plain Toffoli."""
-        if self.use_pairs:
-            tmp = self.emit_and(c1, c2)
-            self.gates.append(cnot(tmp, target))
-            self.gates.append(uncompute(c1, c2, tmp))
-            self.spent.append(tmp)
-        else:
-            self.gates.append(toffoli(c1, c2, target))
-
-    def p_round(self, triples: list[RoundTriple]) -> None:
+    def span_round(self, triples: list[RoundTriple]) -> None:
+        # P[j,k] = P[j,l] & P[l,k]: computed when absent, erased when present
         for tr in triples:
             src1, src2 = self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)]
-            self.p[(tr.j, tr.k)] = self.emit_and(src1, src2)
+            tgt = self.p.pop((tr.j, tr.k), None)
+            if tgt is None:
+                self.p[(tr.j, tr.k)] = self.emit_and(src1, src2)
+            else:
+                self.gates.append(uncompute(src1, src2, tgt))
+                self.spent.append(tgt)
 
     def merge_round(self, triples: list[RoundTriple]) -> None:
-        # G and C merges (C triples have j = 0): g[l,k] becomes g[j,k]
+        # G and C merges (C triples have j = 0): G[l,k] ^= G[j,l] & P[l,k] on
+        # gen[k-1], which makes it G[j,k]; run again, the same gates undo it
         for tr in triples:
-            tgt = self.g.pop((tr.l, tr.k))
-            self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
-            self.g[(tr.j, tr.k)] = tgt
+            c1, c2, target = self.gen[tr.l - 1], self.p[(tr.l, tr.k)], self.gen[tr.k - 1]
+            if self.use_pairs:
+                tmp = self.emit_and(c1, c2)
+                self.gates.append(cnot(tmp, target))
+                self.gates.append(uncompute(c1, c2, tmp))
+                self.spent.append(tmp)
+            else:
+                self.gates.append(toffoli(c1, c2, target))
 
-    def unmerge_round(self, triples: list[RoundTriple]) -> None:
-        # inverse of merge_round: g[j,k] reverts to g[l,k]
-        for tr in triples:
-            tgt = self.g.pop((tr.j, tr.k))
-            self.emit_carry_merge(self.g[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt)
-            self.g[(tr.l, tr.k)] = tgt
-
-    def p_erase(self, triples: list[RoundTriple]) -> None:
-        for tr in triples:
-            tgt = self.p.pop((tr.j, tr.k))
-            self.gates.append(uncompute(self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)], tgt))
-            self.spent.append(tgt)
-
-    def forward(
-        self, A: list[QubitRef], B: list[QubitRef], gen: list[QubitRef], first_p: int
-    ) -> None:
+    def forward(self, A: list[QubitRef], B: list[QubitRef], first_p: int) -> None:
         """Steps 1-6 at width n: generate bits onto ``gen``, propagate bits in
         place on B from bit ``first_p`` up, then propagate spans, carry merges,
-        completed carries and span erasure."""
-        n = len(A)
+        completed carries and span erasure.  Carry c_k ends on ``gen[k - 1]``."""
+        n, gen = len(A), self.gen
         for i in range(n):
             self.circ.labels[gen[i]] = "spent"
             self.gates.append(temp_and(A[i], B[i], gen[i]))
-            self.g[(i, i + 1)] = gen[i]
         for i in range(first_p, n):
             self.gates.append(cnot(A[i], B[i]))
             self.p[(i, i + 1)] = B[i]
@@ -239,19 +227,19 @@ class _Net:
 
     def rounds(self, n: int, backwards: bool = False) -> None:
         """The rounds of ``_ROUNDS`` at width n; ``backwards`` undoes them:
-        rounds in reverse order, level order flipped, inverse emitters."""
+        rounds in reverse order, level order flipped."""
         rows = reversed(_ROUNDS.values()) if backwards else _ROUNDS.values()
-        for indices, descending, emit, undo in rows:
-            (undo if backwards else emit)(self, indices(n, descending != backwards))
+        for indices, descending, emit in rows:
+            emit(self, indices(n, descending != backwards))
 
 
 # The carry network's rounds in forward order: kind -> (enumerator, descending
-# level order, emitter, the emitter's inverse).
+# level order, emitter).  Each emitter undoes its own gates when run again.
 _ROUNDS = {
-    RoundKind.P: (_P_SPANS, False, _Net.p_round, _Net.p_erase),
-    RoundKind.G: (_G_SPANS, False, _Net.merge_round, _Net.unmerge_round),
-    RoundKind.C: (_c_rounds, True, _Net.merge_round, _Net.unmerge_round),
-    RoundKind.P_ERASE: (_P_SPANS, True, _Net.p_erase, _Net.p_round),
+    RoundKind.P: (_P_SPANS, False, _Net.span_round),
+    RoundKind.G: (_G_SPANS, False, _Net.merge_round),
+    RoundKind.C: (_c_rounds, True, _Net.merge_round),
+    RoundKind.P_ERASE: (_P_SPANS, True, _Net.span_round),
 }
 
 
@@ -276,15 +264,15 @@ def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     circ, A, B = _adder_circuit(n, ("X", n + 1, x_inits), ancilla_register="Z")
     X = [QubitRef("X", i) for i in range(n + 1)]
 
-    net = _Net(circ, design.uses_and_pairs)
+    net = _Net(circ, design.uses_and_pairs, X[1:])
     gates = net.gates
     # Steps 1-6: generate bits onto the magic ancillae X[1..n]; propagate bits
     # from bit 1 (bit 0 is never needed); the carry network.
-    net.forward(A, B, X[1:], first_p=1)
-    # Step 7: fold propagate bits into the carries to form sum bits 1..n-1;
-    # X[0] picks up b0.
+    net.forward(A, B, first_p=1)
+    # Step 7: fold propagate bits into the carries c_i on X[i] to form sum
+    # bits 1..n-1; X[0] picks up b0.
     for i in range(1, n):
-        gates.append(cnot(B[i], net.g[(0, i)]))
+        gates.append(cnot(B[i], X[i]))
     gates.append(cnot(B[0], X[0]))
     # Step 8: restore B to b, complete s0 = a0 xor b0 on X[0].
     for i in range(1, n):
@@ -300,15 +288,15 @@ def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.MAGIC_A] * n), ancilla_register="X")
     Z = [QubitRef("Z", i) for i in range(n)]
 
-    net = _Net(circ, design.uses_and_pairs)
+    net = _Net(circ, design.uses_and_pairs, Z)
     gates = net.gates
     # Steps 1-6: generate bits onto the Z register; propagate bits from bit 0
     # (its complement seeds the uncomputation network and the final sum bit
     # s0); the carry network.
-    net.forward(A, B, Z, first_p=0)
-    # Step 7: sum bits into B (carries stay intact on Z for uncomputation).
+    net.forward(A, B, first_p=0)
+    # Step 7: sum bits into B from the carries c_i on Z[i-1], kept for uncomputation.
     for i in range(1, n):
-        gates.append(cnot(net.g[(0, i)], B[i]))
+        gates.append(cnot(Z[i - 1], B[i]))
     # Steps 8-9: complement sum bits 0..n-2 and rebuild propagate bits of the
     # (n-1)-wide network over (a, not-s), whose carry chain equals the original.
     for i in range(n - 1):
@@ -321,8 +309,8 @@ def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
         # forward half, one slot per gate, matching the published register sizing;
         # reversed, so that popping its end hands them out in spend order.
         net.pool, net.spent = net.spent[::-1], []
-        net.p = {(i, i + 1): B[i] for i in range(1, n - 1)}
-        # Steps 10-13: the carry network undone at width n-1.
+        # Steps 10-13: the carry network undone at width n-1; its propagate
+        # bits are the unit spans the forward half left on B[1..n-2].
         net.rounds(n - 1, backwards=True)
         # Step 14: back to complemented sum bits.
         for i in range(1, n - 1):

@@ -111,7 +111,18 @@ def _cmd_cost(args) -> int:
     return 1 if failures else 0
 
 
+def _branch_seed(text: str) -> int | None:
+    """The ``--branches`` option: None for "all", else the seed to follow."""
+    seed = text.removeprefix("seed:")
+    if seed != text and seed.removeprefix("-").isdecimal():
+        return int(seed)
+    if text in ("all", "seed"):
+        return None if text == "all" else _default_seed()
+    raise ValueError(f"--branches must be 'all', 'seed' or 'seed:S', got {text!r}")
+
+
 def _cmd_sim(args) -> int:
+    seed = _branch_seed(args.branches)  # checked on either backend
     design = design_from_key(args.design)
     circ = build(design, args.n)
     if args.backend == "reversible":
@@ -124,15 +135,7 @@ def _cmd_sim(args) -> int:
     from .statevec import AllBranches, SeededRandom, simulate
 
     lowered = lower(circ)
-    seed = args.branches.removeprefix("seed:")
-    if args.branches == "all":
-        strategy = AllBranches()
-    elif args.branches == "seed":
-        strategy = SeededRandom(_default_seed())
-    elif seed != args.branches and seed.removeprefix("-").isdecimal():
-        strategy = SeededRandom(int(seed))
-    else:
-        raise ValueError(f"--branches must be 'all', 'seed' or 'seed:S', got {args.branches!r}")
+    strategy = AllBranches() if seed is None else SeededRandom(seed)
     outcomes = simulate(lowered, {"A": args.a, "B": args.b}, strategy)
     sums = {o.labeled_int("s") for o in outcomes}
     for o in outcomes:

@@ -323,16 +323,17 @@ IN_PLACE_BASELINES = list(QUOTED_SAVINGS[Design.IN_FT_QCLA1.value])
 
 def _per_step_counts(design: Design, n: int) -> list[tuple[str, int, int]]:
     """(stage, gadget count, T per gadget) per T-consuming stage of a design.
-    The in-place designs undo the carry network at width n - 1."""
+    The in-place designs undo the carry network at width n - 1 (n >= 2 by the
+    cost form's domain guard, so no count is negative)."""
     and_t, toffoli_t = GADGETS[GateKind.TEMP_AND].t_cost, GADGETS[GateKind.TOFFOLI].t_cost
     merge_t = and_t if design.uses_and_pairs else toffoli_t
     steps = [("initial generate bits", n, and_t)]
     for m in (n, n - 1) if design.in_place else (n,):
         w, lg, tag = hamming_weight(m), floor_log2(m), "" if m == n else "reverse "
         steps += [
-            (tag + "propagate spans", max(m - w - lg, 0), and_t),
-            (tag + "carry merges", max(m - w, 0), merge_t),
-            (tag + "completed carries", max(m - lg - 1, 0), merge_t),
+            (tag + "propagate spans", m - w - lg, and_t),
+            (tag + "carry merges", m - w, merge_t),
+            (tag + "completed carries", m - lg - 1, merge_t),
         ]
     return steps
 

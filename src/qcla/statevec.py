@@ -40,6 +40,7 @@ _R = 1 / sqrt(2)
 MAGIC_A_STATE = (complex(_R), _T_PHASE * _R)
 
 NORM_TOL = 1e-9
+CERTIFY_TOL = 1e-10  # the largest worst deviation a certificate passes
 PRUNE_AMPLITUDE = 1e-12
 AMPLITUDE_CAP = 1 << 20
 BRANCH_CAP = 4096
@@ -325,6 +326,11 @@ def _certify(gates: Sequence[Gate], cases: Sequence[Case], pos: dict[QubitRef, i
     return worst
 
 
+def certified(worst: float) -> bool:
+    """The verdict on a :func:`_certify` deviation: NaN and above CERTIFY_TOL fail."""
+    return worst <= CERTIFY_TOL
+
+
 def gadget_unitary_check(gadget: str) -> GadgetCheck:
     """Certify the row of :data:`qcla.lowering.GADGETS` named ``gadget``.
 
@@ -355,5 +361,5 @@ def gadget_unitary_check(gadget: str) -> GadgetCheck:
         ]
         worst = max(worst, prep_dev, _certify(gates[row.prep :], from_magic, pos))
     t_count = sum(g.kind in T_KINDS for g in gates)
-    passed = bool(cases) and worst < 1e-10 and t_count == row.t_cost
+    passed = bool(cases) and certified(worst) and t_count == row.t_cost
     return GadgetCheck(gadget, passed, worst, len(cases))

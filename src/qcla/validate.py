@@ -50,7 +50,7 @@ from .resources import (
     savings_average,
 )
 from .revsim import EXHAUSTIVE_MAX_N, _check_batch, random_pairs
-from .statevec import _certify, _executor_cases, gadget_unitary_check
+from .statevec import _certify, _executor_cases, certified, gadget_unitary_check
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _check_statevector(report: ValidationReport) -> None:
         starts = [circ.basis_input({"A": a, "B": b}) for a, b in product(range(2**n), repeat=2)]
         cases = _executor_cases(circ, starts, pos)
         worst = _certify(lower(circ).gates, cases, pos)
-        if worst > 1e-10 or len(cases) < 4**n:
+        if not certified(worst) or len(cases) < 4**n:
             fail = f"{design.value} n={n}: max deviation {worst:.2e} on {len(cases)} of {4**n} inputs"
     report.check("lowered adders certified on every branch of every input (n = 2, 3)", not fail, fail)
 

@@ -20,6 +20,7 @@ from qcla.jsonio import to_json
 from qcla.lowering import lower
 from qcla.qasm import to_qasm3
 from qcla.resources import floor_log2, hamming_weight
+from qcla.revsim import _run_masks
 
 
 def test_p_rounds_n8():
@@ -56,19 +57,22 @@ def test_p_rounds_empty_for_n2():
     assert round_indices(RoundKind.P, 2) == []
 
 
-@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.parametrize(
+    "n", [*range(1, 65), *(2**k + d for k in range(7, 13) for d in (-1, 0, 1))]
+)
 def test_round_counts_match_stage_formulas(n):
     """The forward stage counts at width n and the paper's reverse-stage
-    counts, which are the forward rounds at width n - 1."""
+    counts, which are the forward rounds at width n - 1.  No form is ever
+    negative, so ``resources`` sums them unclamped."""
     w, lg = hamming_weight(n), floor_log2(n)
-    assert len(round_indices(RoundKind.P, n)) == max(n - w - lg, 0)
-    assert len(round_indices(RoundKind.G, n)) == max(n - w, 0)
-    assert len(round_indices(RoundKind.C, n)) == max(n - lg - 1, 0)
+    assert len(round_indices(RoundKind.P, n)) == n - w - lg
+    assert len(round_indices(RoundKind.G, n)) == n - w
+    assert len(round_indices(RoundKind.C, n)) == n - lg - 1
     if n >= 2:
         w1, lg1 = hamming_weight(n - 1), floor_log2(n - 1)
-        assert len(round_indices(RoundKind.P, n - 1)) == max(n - 1 - w1 - lg1, 0)
-        assert len(round_indices(RoundKind.C, n - 1)) == max(n - lg1 - 2, 0)
-        assert len(round_indices(RoundKind.G, n - 1)) == max(n - 1 - w1, 0)
+        assert len(round_indices(RoundKind.P, n - 1)) == n - 1 - w1 - lg1
+        assert len(round_indices(RoundKind.C, n - 1)) == n - lg1 - 2
+        assert len(round_indices(RoundKind.G, n - 1)) == n - 1 - w1
 
 
 @pytest.mark.parametrize("n", range(2, 40))
@@ -101,17 +105,40 @@ def test_literal_reverse_bounds_differ():
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
 @pytest.mark.parametrize("use_pairs", [True, False])
 def test_backwards_rounds_undo_the_forward_rounds(n, use_pairs):
-    """The network run forwards leaves carry g[0, k] for every k and no
-    propagate span; run backwards at the same width it restores the per-bit
-    wire maps it started from."""
-    net = _Net(new_circuit([("A", n, None), ("B", n, None)], ancilla_register="X"), use_pairs)
-    net.g = {(i, i + 1): QubitRef("A", i) for i in range(n)}
-    net.p = {(i, i + 1): QubitRef("B", i) for i in range(1, n)}
-    start = (dict(net.g), dict(net.p))
+    """Through the executor, on 64 random slots: the network run forwards
+    over generate bits on A and propagate bits on B leaves carry c_k on
+    A[k - 1]; run backwards at the same width its gates give every A and B
+    qubit back and leave every ancilla clean, and the span map is as it was."""
+    circ = new_circuit([("A", n, None), ("B", n, None)], ancilla_register="X")
+    A = [QubitRef("A", i) for i in range(n)]
+    B = [QubitRef("B", i) for i in range(n)]
+    net = _Net(circ, use_pairs, A)
+    net.p = {(i, i + 1): B[i] for i in range(1, n)}
+    start = dict(net.p)
     net.rounds(n)
-    assert sorted(net.g) == [(0, k) for k in range(1, n + 1)] and net.p == start[1]
+    assert net.p == start
+    halfway = len(net.gates)
     net.rounds(n, backwards=True)
-    assert (net.g, net.p) == start
+    assert net.p == start
+    circ.extend(net.gates)
+
+    rng = random.Random(n)
+    a = [rng.getrandbits(64) for _ in range(n)]
+    b = [rng.getrandbits(64) for _ in range(n)]
+    g = [x & y for x, y in zip(a, b)]
+    p = [x ^ y for x, y in zip(a, b)]
+    bits = dict.fromkeys(circ.qubits(), 0) | dict(zip(A, g)) | dict(zip(B, p))
+    spent, failures = set(), []
+    forward = Circuit(gates=circ.gates[:halfway])
+    assert _run_masks(forward, bits, spent, (1 << 64) - 1, failures) and not failures
+    c = 0
+    for k in range(1, n + 1):
+        c = g[k - 1] | p[k - 1] & c
+        assert bits[A[k - 1]] == c, f"carry c{k}"
+    backward = Circuit(gates=circ.gates[halfway:])
+    assert _run_masks(backward, bits, spent, (1 << 64) - 1, failures) and not failures
+    assert [bits[q] for q in A] == g and [bits[q] for q in B] == p
+    assert all(q in spent or not bits[q] for q in circ.qubits() if q.reg == "X")
 
 
 @pytest.mark.parametrize("kind", [RoundKind.P, RoundKind.G, RoundKind.C, RoundKind.P_ERASE])

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import platform
 import re
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import qcla
-from qcla import resources, revsim, validate
+from qcla import resources, revsim, statevec, validate
 from qcla.builders import Design, build
 from qcla.ir import Gate, GateKind, Level, QubitRef, not_, t, tdg
 from qcla.jsonio import from_json, to_json
@@ -268,6 +269,21 @@ def test_statevector_check_fails_an_adder_that_breaks_an_uncompute(monkeypatch):
     [(name, ok, detail, _)] = report.checks
     match = re.fullmatch(r"In-FT-QCLA2 n=3: max deviation (\S+) on 48 of 64 inputs", detail)
     assert not ok and match and float(match[1]) < 1e-10, detail
+
+
+@pytest.mark.parametrize("worst, passed", [
+    (statevec.CERTIFY_TOL, True),
+    (math.nextafter(statevec.CERTIFY_TOL, 1), False),
+    (math.nan, False),
+])
+def test_both_certificate_checks_give_one_verdict_at_the_tolerance(monkeypatch, worst, passed):
+    """The gadget and lowered-adder checks judge a worst deviation the same way."""
+    monkeypatch.setattr(statevec, "_certify", lambda *args: worst)
+    monkeypatch.setattr(validate, "_certify", lambda *args: worst)
+    report = validate.ValidationReport()
+    validate._check_gadgets(report)
+    validate._check_statevector(report)
+    assert [ok for _, ok, _, _ in report.checks] == [passed, passed]
 
 
 def test_stream_check_reports_a_wrong_sum(monkeypatch):
