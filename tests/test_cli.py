@@ -117,14 +117,25 @@ def test_cost_below_the_closed_form_domain_is_a_domain_error(capsys):
     assert capsys.readouterr().err == "error: empty width range\n"
 
 
-@pytest.mark.parametrize("backend", ["reversible", "statevector"])
-@pytest.mark.parametrize("branches", ["seed:x", "seed:", "seed:--5", "seeds:5", "garbage"])
-def test_sim_rejects_a_malformed_branch_seed(branches, backend, capsys):
-    """Either backend parses --branches, though only the statevector reads it."""
+MALFORMED_BRANCHES = ["seed:x", "seed:", "seed:--5", "seeds:5", "garbage"]
+
+
+def _assert_sim_rejects_branches(backend, branches, capsys):
     assert cli(["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2",
                 "--backend", backend, "--branches", branches]) == 2
     assert capsys.readouterr() == (
         "", f"error: --branches must be 'all', 'seed' or 'seed:S', got {branches!r}\n")
+
+
+@pytest.mark.parametrize("branches", MALFORMED_BRANCHES)
+def test_sim_rejects_a_malformed_branch_seed(branches, capsys):
+    _assert_sim_rejects_branches("statevector", branches, capsys)
+
+
+@pytest.mark.parametrize("branches", MALFORMED_BRANCHES)
+def test_reversible_sim_rejects_a_malformed_branch_seed(branches, capsys):
+    """The reversible backend parses --branches too, though it never reads it."""
+    _assert_sim_rejects_branches("reversible", branches, capsys)
 
 
 def test_cost_starts_at_the_closed_form_domain(capsys):
