@@ -7,14 +7,25 @@ against the published closed forms, and verifies functional correctness with
 classical and statevector simulators.
 
 ``import qcla`` loads only what costing needs: ``ir``, ``builders``,
-``lowering`` and ``resources``.  The simulator names (``_LAZY``) and the
-``revsim`` and ``statevec`` submodules are bound on first access, so a caller
-that never simulates never compiles the simulators.
+``lowering`` and ``measure``, none of which loads ``dataclasses`` or
+``fractions``.  The names of the closed cost forms and of the simulators
+(``_LAZY``), and the ``resources``, ``revsim`` and ``statevec`` submodules,
+are bound on first access, so a caller that only builds and counts never
+compiles the cost tables or the simulators.
 """
 
 from importlib import import_module
 
-from .builders import Design, RoundKind, RoundTriple, build, cla_reference, design_from_key, round_indices
+from .builders import (
+    Design,
+    RoundKind,
+    RoundTriple,
+    build,
+    cla_reference,
+    design_from_key,
+    floor_log2,
+    round_indices,
+)
 from .ir import (
     AncillaInit,
     Circuit,
@@ -27,22 +38,19 @@ from .ir import (
     new_circuit,
 )
 from .lowering import lift, lower, lower_temporary_and, lower_toffoli, lower_uncompute
-from .resources import (
-    CostModel,
-    ResourceReport,
-    SavingsFigure,
-    count,
-    floor_log2,
-    formula_qubits,
-    formula_tcount,
-    hamming_weight,
-    savings,
-    savings_average,
-    schedule,
-)
+from .measure import ResourceReport, count, schedule
 
 # submodule -> the names qcla re-exports from it, imported on first access
 _LAZY = {
+    "resources": (
+        "CostModel",
+        "SavingsFigure",
+        "formula_qubits",
+        "formula_tcount",
+        "hamming_weight",
+        "savings",
+        "savings_average",
+    ),
     "revsim": ("BasisState", "exhaustive_check", "initial_state", "random_check", "run_basis"),
     "statevec": ("AllBranches", "FixedOutcomes", "SeededRandom", "gadget_unitary_check", "simulate"),
 }

@@ -5,20 +5,21 @@ resources), ``sim`` (add two numbers on a simulator backend), ``compare``
 (cost catalog with savings percentages), ``verify`` (the full verification
 suite with the known-discrepancy ledger).
 
-Usage errors exit 2: argparse's, bad input values including a non-integer
-QCLA_SEED, a simulator limit such as the statevector branch cap, and a
-width too large for memory, in any subcommand.  A handler raises
+Usage errors exit 2: argparse's, bad input values including an integer
+option or QCLA_SEED not spelled in ASCII digits (see :func:`integer`), a
+simulator limit such as the statevector branch cap, and a width too large
+for memory, in any subcommand.  A handler raises
 ``ValueError`` (``SimulationError`` is one) or ``MemoryError``, and
 :func:`cli` alone prints it as one ``error: ...`` line.  Verification
 failures exit 1, and so does ``cost --check-formulas`` on any cost check
 ``verify`` would fail.  The environment variable QCLA_SEED overrides the
 default simulation seed of 42.
 
-Each subcommand imports only the modules it calls.  ``gen``, ``cost`` and
-``compare`` load builders, lowering and resources (what ``import qcla``
-loads), and ``gen`` adds jsonio or qasm; ``sim`` adds revsim, or statevec
-for the statevector backend; only ``verify`` loads validate, which loads
-everything.
+Each subcommand imports only the modules it calls.  Every one loads what
+``import qcla`` loads (ir, builders, lowering and measure); ``gen`` adds
+jsonio or qasm; ``cost`` and ``compare`` add resources, the closed cost
+forms; ``sim`` adds revsim, or statevec for the statevector backend; only
+``verify`` loads validate, which loads everything.
 """
 
 from __future__ import annotations
@@ -30,26 +31,26 @@ import sys
 
 from .builders import Design, build, design_from_key
 from .lowering import lower
-from .resources import (
-    CATALOG,
-    DESIGN_COSTS,
-    IN_PLACE_BASELINES,
-    OUT_OF_PLACE_BASELINES,
-    UNREPRODUCED_AVERAGE,
-    count,
-    judge_costs,
-    round_half_up,
-    savings,
-    savings_average,
-)
+from .measure import count
 
 DESIGN_KEYS = [d.key for d in Design]
+
+
+def integer(text: str) -> int:
+    """The one reader of the integers the CLI is given: ASCII digits after an
+    optional leading ``-``, as the QASM parser and ``label_index`` read them.
+    Anything else raises ValueError, which ``int()`` alone would not for other
+    Unicode digits, ``_`` separators, a ``+`` or padding."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _default_seed() -> int:
     raw = os.environ.get("QCLA_SEED", "42")
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise ValueError(f"QCLA_SEED must be an integer, got {raw!r}") from None
 
@@ -81,6 +82,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .resources import DESIGN_COSTS, judge_costs
+
     design = design_from_key(args.design)
     rows = []
     failures = []  # every failed cost check, as qcla verify would report it
@@ -113,11 +116,13 @@ def _cmd_cost(args) -> int:
 
 def _branch_seed(text: str) -> int | None:
     """The ``--branches`` option: None for "all", else the seed to follow."""
-    seed = text.removeprefix("seed:")
-    if seed != text and seed.removeprefix("-").isdecimal():
-        return int(seed)
     if text in ("all", "seed"):
         return None if text == "all" else _default_seed()
+    if text.startswith("seed:"):
+        try:
+            return integer(text.removeprefix("seed:"))
+        except ValueError:
+            pass
     raise ValueError(f"--branches must be 'all', 'seed' or 'seed:S', got {text!r}")
 
 
@@ -149,6 +154,16 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .resources import (
+        CATALOG,
+        IN_PLACE_BASELINES,
+        OUT_OF_PLACE_BASELINES,
+        UNREPRODUCED_AVERAGE,
+        round_half_up,
+        savings,
+        savings_average,
+    )
+
     in_place = args.table == "in"
     designs = [d for d in Design if d.in_place == in_place]
     baselines = IN_PLACE_BASELINES if in_place else OUT_OF_PLACE_BASELINES
@@ -200,7 +215,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a circuit")
     p.add_argument("--design", required=True, choices=DESIGN_KEYS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--level", choices=["toffoli", "cliffordt"], default="toffoli")
     p.add_argument("--format", choices=["qasm3", "json"], default="json")
     p.add_argument("-o", "--output", default=None)
@@ -208,8 +223,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="measured resources vs closed forms")
     p.add_argument("--design", required=True, choices=DESIGN_KEYS)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
+    p.add_argument("--n-from", type=integer, required=True)
+    p.add_argument("--n-to", type=integer, required=True)
     p.add_argument("--check-formulas", action="store_true")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("-o", "--output", default=None)
@@ -217,9 +232,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="add two numbers on a simulator")
     p.add_argument("--design", required=True, choices=DESIGN_KEYS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--a", type=integer, required=True)
+    p.add_argument("--b", type=integer, required=True)
     p.add_argument("--backend", choices=["reversible", "statevector"], default="reversible")
     p.add_argument("--branches", default="all",
                    help='"all", "seed" (QCLA_SEED, default 42) or "seed:S"')
@@ -227,7 +242,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cost catalog with savings percentages")
     p.add_argument("--table", required=True, choices=["out", "in"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_compare)
 

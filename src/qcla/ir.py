@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import gc
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -30,7 +29,7 @@ def _gc_paused(fn: _F) -> _F:
     collector tracks but which never form a cycle: reference counting frees
     them, and a collection during the build only re-walks the growing list.
     A walk's per-gate tuples (the depth pairs of
-    :func:`qcla.resources.schedule`) would likewise set off collections that
+    :func:`qcla.measure.schedule`) would likewise set off collections that
     re-walk a circuit still young from its build.
     The collector is re-enabled on exit only if it was enabled on entry, so a
     nested call changes nothing and a caller that turned it off keeps it off.
@@ -53,6 +52,28 @@ def _gc_paused(fn: _F) -> _F:
 
 class CircuitError(ValueError):
     """Raised for malformed circuits: bad operands, level mismatches, etc."""
+
+
+class _Record:
+    """A record whose plain ``__init__`` sets its fields in order.  The
+    records ``import qcla`` builds are not dataclasses, so that importing it
+    loads neither :mod:`dataclasses` nor :mod:`inspect`.  As a dataclass's,
+    equality compares the fields of two records of one type, ``repr`` prints
+    them in order and a record is unhashable.
+
+    Not a ``SimpleNamespace`` either: CPython 3.11 does not specialize
+    attribute reads on its instances, which then take twice as long, and
+    building, lowering and counting read a circuit or register field about
+    once per gate."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 class AncillaInit(Enum):
@@ -178,21 +199,17 @@ def cc_x(cbit: int, q: QubitRef) -> Gate:
     return Gate(GateKind.CC_X, (q,), cbit)
 
 
-@dataclass
-class Register:
+class Register(_Record):
     """A named block of qubits; ``inits`` is None for data registers."""
 
-    name: str
-    size: int
-    inits: list[AncillaInit] | None = None
-
-    def __post_init__(self) -> None:
-        if type(self.size) is not int or self.size < 0:
-            raise CircuitError(f"register {self.name!r} size {self.size!r} is not an int >= 0")
-        if self.inits is not None and len(self.inits) != self.size:
-            raise CircuitError(
-                f"register {self.name!r}: {len(self.inits)} inits for {self.size} qubits"
-            )
+    def __init__(self, name: str, size: int, inits: list[AncillaInit] | None = None) -> None:
+        if type(size) is not int or size < 0:
+            raise CircuitError(f"register {name!r} size {size!r} is not an int >= 0")
+        if inits is not None and len(inits) != size:
+            raise CircuitError(f"register {name!r}: {len(inits)} inits for {size} qubits")
+        self.name = name
+        self.size = size
+        self.inits = inits
 
     @property
     def is_ancilla(self) -> bool:
@@ -211,21 +228,31 @@ def label_index(label: str, prefix: str = "s") -> int | None:
     return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
-@dataclass
-class Circuit:
+class Circuit(_Record):
     """Register table + ordered gate list + level tag.
 
     Construction is append-only; consumers treat finished circuits as frozen.
     ``labels`` holds the final wire-name map set by the builders, identifying
-    sum bits and restored operands.
+    sum bits and restored operands.  The constructor checks nothing; the
+    registers and gates it is handed are taken as they are (:func:`new_circuit`
+    and :func:`load_circuit` check them).
     """
 
-    registers: dict[str, Register] = field(default_factory=dict)
-    gates: list[Gate] = field(default_factory=list)
-    level: Level = Level.TOFFOLI
-    num_cbits: int = 0
-    labels: WireNameMap = field(default_factory=dict)
-    ancilla_register: str = "anc"
+    def __init__(
+        self,
+        registers: dict[str, Register] | None = None,
+        gates: list[Gate] | None = None,
+        level: Level = Level.TOFFOLI,
+        num_cbits: int = 0,
+        labels: WireNameMap | None = None,
+        ancilla_register: str = "anc",
+    ) -> None:
+        self.registers = {} if registers is None else registers
+        self.gates = [] if gates is None else gates
+        self.level = level
+        self.num_cbits = num_cbits
+        self.labels = {} if labels is None else labels
+        self.ancilla_register = ancilla_register
 
     # -- register/qubit structure -------------------------------------------------
 

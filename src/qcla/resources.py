@@ -1,5 +1,6 @@
-"""Resource measurement, depth scheduling, closed-form cost models, the cost
-rule that judges a measured cost against them, and the paper's savings table.
+"""Closed-form cost models, the cost rule that judges a measured cost against
+them, and the paper's savings table.  The measurement itself (``count``,
+``schedule``, ``ResourceReport``) is :mod:`qcla.measure`'s, re-exported here.
 
 Cost expressions are linear combinations over the basis {n, w(n), w(n-1),
 floor(log2 n), floor(log2(n-1)), 1} plus optional quadratic/cubic terms for
@@ -10,15 +11,14 @@ rounding half up.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .builders import Design, build, floor_log2
-from .ir import T_KINDS, Circuit, GateKind, Level, _gc_paused
+from .ir import GateKind
 from .lowering import GADGETS, lower
+from .measure import ResourceReport, count, schedule  # noqa: F401  (re-exported)
 
 
 def hamming_weight(n: int) -> int:
@@ -26,129 +26,6 @@ def hamming_weight(n: int) -> int:
     if n < 0:
         raise ValueError("hamming_weight requires n >= 0")
     return n.bit_count()
-
-
-# ---------------------------------------------------------------------------
-# measured resources
-
-
-@dataclass
-class ResourceReport:
-    """Measured resources of one circuit.
-
-    T fields are None for Toffoli-level circuits (no T gates exist yet);
-    depth is reported at both levels, counting each logical gate as one unit
-    at Toffoli level.
-    """
-
-    level: str
-    qubit_count: int
-    gate_histogram: dict[str, int]
-    cnot_count: int
-    measurement_count: int
-    total_depth: int
-    t_count: int | None = None
-    t_depth: int | None = None
-
-
-@_gc_paused
-def schedule(circ: Circuit) -> tuple[int, int]:
-    """ASAP layering: (total_depth, t_depth).
-
-    A gate's layer is one past the latest layer of any gate sharing a qubit,
-    or of the measurement producing a classical bit it is conditioned on.
-    t_depth is the depth of the T-gate dependency cone: T and T-dagger cost
-    one T layer, every other gate is free but still synchronizes its
-    operands (the usual T-depth with free Clifford gates).
-
-    One walk over the gates keeps a (layer, cone) pair per qubit and per
-    measured classical bit, and branches on the gate's shape: ``cc_z`` and
-    ``cc_x`` also read their bit's pair; a one-qubit gate reads and writes
-    one pair (only T and T-dagger grow the cone, and ``measure_x`` also sets
-    its bit's pair); a two- or three-qubit gate compares its operands'
-    pairs inline.  Gate kinds are compared by identity.  Each gate writes
-    its pair to every qubit it acts on and a qubit's pair never decreases,
-    so both depths are the maxima over the final qubit pairs, read once at
-    the end.  Pauses the cyclic garbage collector while it runs and restores
-    it (see :func:`qcla.ir._gc_paused`).
-    """
-    T, TDG = GateKind.T, GateKind.TDG
-    CC_Z, CC_X, MEASURE_X = GateKind.CC_Z, GateKind.CC_X, GateKind.MEASURE_X
-    wire: dict = {}
-    cwire: dict[int, tuple[int, int]] = {}
-    get = wire.get
-    unset = (0, 0)
-    for kind, qubits, cbit in circ.gates:
-        if kind is CC_Z or kind is CC_X:
-            layer, cone = cwire.get(cbit, unset)
-            for q in qubits:
-                q_layer, q_cone = get(q, unset)
-                if q_layer > layer:
-                    layer = q_layer
-                if q_cone > cone:
-                    cone = q_cone
-            state = (layer + 1, cone)
-            for q in qubits:
-                wire[q] = state
-            continue
-        width = len(qubits)
-        if width == 1:
-            (a,) = qubits
-            layer, cone = get(a, unset)
-            if kind is T or kind is TDG:
-                wire[a] = (layer + 1, cone + 1)
-            else:
-                state = wire[a] = (layer + 1, cone)
-                if kind is MEASURE_X:
-                    cwire[cbit] = state
-        elif width == 2:
-            a, b = qubits
-            layer, cone = get(a, unset)
-            b_layer, b_cone = get(b, unset)
-            if b_layer > layer:
-                layer = b_layer
-            if b_cone > cone:
-                cone = b_cone
-            wire[a] = wire[b] = (layer + 1, cone)
-        else:
-            a, b, c = qubits
-            layer, cone = get(a, unset)
-            b_layer, b_cone = get(b, unset)
-            c_layer, c_cone = get(c, unset)
-            if b_layer > layer:
-                layer = b_layer
-            if c_layer > layer:
-                layer = c_layer
-            if b_cone > cone:
-                cone = b_cone
-            if c_cone > cone:
-                cone = c_cone
-            wire[a] = wire[b] = wire[c] = (layer + 1, cone)
-    states = wire.values()
-    return max(map(itemgetter(0), states), default=0), max(map(itemgetter(1), states), default=0)
-
-
-@_gc_paused
-def count(circ: Circuit) -> ResourceReport:
-    """Gate histogram (keys in order of first occurrence) plus the depths of
-    :func:`schedule`: one ``Counter`` pass over the gate kinds, then the
-    scheduling walk.  Pauses the cyclic garbage collector while it runs and
-    restores it (see :func:`qcla.ir._gc_paused`)."""
-    kinds = Counter(map(itemgetter(0), circ.gates))
-    hist = {kind.value: k for kind, k in kinds.items()}
-    total_depth, t_depth = schedule(circ)
-    report = ResourceReport(
-        level=circ.level.value,
-        qubit_count=circ.num_qubits,
-        gate_histogram=hist,
-        cnot_count=hist.get("cnot", 0),
-        measurement_count=hist.get("measure_x", 0),
-        total_depth=total_depth,
-    )
-    if circ.level is Level.CLIFFORD_T:
-        report.t_count = sum(kinds[kind] for kind in T_KINDS)
-        report.t_depth = t_depth
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +243,8 @@ def formula_qubits(design: Design, n: int) -> int:
 
 class CostRow(SimpleNamespace):
     """One design at one width: measured and closed-form T-count and qubits,
-    built by keyword.  A namespace rather than a dataclass: ``import qcla``
-    creates it, and a dataclass costs about 0.4 ms to create (Python 3.11.7
-    on a shared 2-core machine)."""
+    built by keyword.  A namespace rather than a dataclass, which costs about
+    0.4 ms to create (Python 3.11.7 on a shared 2-core machine)."""
 
     design: str
     n: int

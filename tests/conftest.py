@@ -3,6 +3,13 @@ import gc
 import pytest
 
 
+def replaced(obj, **changes):
+    """``obj`` rebuilt by its constructor with ``changes`` applied, as
+    ``dataclasses.replace`` rebuilds a dataclass: for the records of
+    ``qcla.ir`` and ``qcla.measure``, which are not dataclasses."""
+    return type(obj)(**{**vars(obj), **changes})
+
+
 @pytest.fixture(autouse=True)
 def _collector_state_kept():
     """Fail a test that leaves the cyclic garbage collector on or off other

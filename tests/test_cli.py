@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import replaced
 from hypothesis import given, settings, strategies as st
 
 from qcla import resources, validate
@@ -37,7 +38,7 @@ def test_sim_statevector_mismatch_exits_1(monkeypatch, capsys):
 
     def short_build(design, n):
         circ = build(design, n)
-        return replace(circ, gates=circ.gates[:-1])
+        return replaced(circ, gates=circ.gates[:-1])
 
     monkeypatch.setattr("qcla.cli.build", short_build)
     assert cli(["sim", "--design", "out2", "--n", "2", "--a", "1", "--b", "0",
@@ -206,6 +207,75 @@ def test_subcommand_loads_no_simulator(argv, head, unloaded):
     status, loaded = result.stdout.splitlines()
     assert status == "0 True"
     assert not unloaded & set(loaded.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--design", "out1", "--n", "2"],
+    ["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2"],
+    ["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2", "--backend", "statevector"],
+], ids=["gen", "sim-reversible", "sim-statevector"])
+def test_gen_and_sim_load_no_cost_forms(argv):
+    """qcla gen and qcla sim read no closed cost form: in a fresh interpreter
+    neither loads qcla.resources or fractions."""
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from qcla.cli import cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    code = cli({argv!r})\n"
+        "print(code, *sorted({'qcla.resources', 'fractions'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
+NOT_ASCII_INTEGERS = ["\u0663", "3_0", "+3", " 3", "3 ", "--3", "", "0x3", "3.0"]
+# the option under test is spelled --opt=value, so that '--3' is its value
+INTEGER_OPTIONS = {
+    "--n": ["gen", "--design", "out1", "--n={}"],
+    "--n-from": ["cost", "--design", "out1", "--n-from={}", "--n-to", "3"],
+    "--n-to": ["cost", "--design", "out1", "--n-from", "1", "--n-to={}"],
+    "--a": ["sim", "--design", "out1", "--n", "2", "--a={}", "--b", "0"],
+    "--b": ["sim", "--design", "out1", "--n", "2", "--a", "0", "--b={}"],
+}
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(option, text, capsys):
+    """Every integer option reads ASCII digits after an optional '-', and
+    exits 2 on any other spelling ``int()`` would take."""
+    argv = [arg.format(text) for arg in INTEGER_OPTIONS[option]]
+    assert cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {option}: invalid integer value: {text!r}\n" in err
+    assert cli([arg.format("3" if option == "--n-from" else "1") for arg in INTEGER_OPTIONS[option]]) == 0
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+def test_branch_seed_takes_ascii_digits_only(text, capsys):
+    _assert_sim_rejects_branches("statevector", f"seed:{text}", capsys)
+
+
+@pytest.mark.parametrize("text", [*NOT_ASCII_INTEGERS, "\u0664\u0662", "4_2", " 7 "])
+def test_seed_variable_takes_ascii_digits_only(text, capsys, monkeypatch):
+    monkeypatch.setenv("QCLA_SEED", text)
+    assert cli(["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2",
+                "--backend", "statevector", "--branches", "seed"]) == 2
+    assert capsys.readouterr() == ("", f"error: QCLA_SEED must be an integer, got {text!r}\n")
+
+
+@pytest.mark.parametrize("seed", ["-3", "0", "007"])
+def test_ascii_integers_with_a_leading_minus_are_read(seed, capsys, monkeypatch):
+    monkeypatch.setenv("QCLA_SEED", seed)
+    for branches in ("seed", f"seed:{seed}"):
+        assert cli(["sim", "--design", "out1", "--n", "2", "--a", "1", "--b", "2",
+                    "--backend", "statevector", "--branches", branches]) == 0
+        assert "deterministic, correct (1 + 2 = 3)" in capsys.readouterr().out
 
 
 def test_usage_error_exit_2(capsys):

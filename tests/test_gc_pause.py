@@ -6,9 +6,9 @@ import gc
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
+from conftest import replaced
 
 from qcla.builders import Design, build
 from qcla.ir import CircuitError, _gc_paused
@@ -143,7 +143,7 @@ def test_gate_walk_runs_with_the_collector_paused(fn):
     """Each walk over the gates runs with the collector off, whatever happens
     to trigger a collection: handed alone, each function must pause it itself."""
     seen = []
-    circ = replace(_LOWERED, gates=_RecordingGates(_LOWERED.gates, seen))
+    circ = replaced(_LOWERED, gates=_RecordingGates(_LOWERED.gates, seen))
     with _collector(True):
         fn(circ)
         assert gc.isenabled()

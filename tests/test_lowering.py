@@ -1,9 +1,8 @@
 """Lowering: gadget gate sequences, T-count arithmetic, structural preservation,
 and ``lift``, its inverse."""
 
-import dataclasses
-
 import pytest
+from conftest import replaced
 from hypothesis import given, settings, strategies as st
 
 from qcla.builders import Design, build
@@ -184,8 +183,8 @@ def _canonical(circ):
     """``circ`` with every magic ancilla that no temporary AND targets set to
     ZERO: the preimage ``lift`` returns."""
     targets = {g.qubits[2] for g in circ.gates if g.kind is GateKind.TEMP_AND}
-    return dataclasses.replace(circ, registers={
-        name: dataclasses.replace(reg, inits=None if reg.inits is None else [
+    return replaced(circ, registers={
+        name: replaced(reg, inits=None if reg.inits is None else [
             AncillaInit.MAGIC_A if QubitRef(name, i) in targets else AncillaInit.ZERO
             for i in range(reg.size)
         ])
@@ -225,14 +224,14 @@ def test_lift_reads_a_reloaded_stream(design):
     circ = build(design, 5)
     stream = lower(circ)
     assert lift(from_json(to_json(stream))).structural_key() == circ.structural_key()
-    bare = dataclasses.replace(circ, labels={})
+    bare = replaced(circ, labels={})
     assert lift(parse_qasm3(to_qasm3(stream))).structural_key() == bare.structural_key()
 
 
 def _edited(stream, edit):
     gates = list(stream.gates)
     edit(gates)
-    return dataclasses.replace(stream, gates=gates)
+    return replaced(stream, gates=gates)
 
 
 def _first(gates, kind):
@@ -260,7 +259,7 @@ _OUT2_TOFFOLI = build(Design.OUT_FT_QCLA2, 4)
 _OUT2 = lower(_OUT2_TOFFOLI)
 # gate 4 of the first Toffoli window, a CNOT at none of the row's heads; the
 # window starts where the lowering of the gates before its Toffoli ends
-_INNER = 4 + len(lower(dataclasses.replace(
+_INNER = 4 + len(lower(replaced(
     _OUT2_TOFFOLI, gates=_OUT2_TOFFOLI.gates[:_first(_OUT2_TOFFOLI.gates, GateKind.TOFFOLI)]
 )).gates)
 

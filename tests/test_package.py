@@ -49,11 +49,13 @@ def test_star_import_binds_all():
 def test_lowering_and_counting_import_no_numpy():
     """qcla runs on the standard library alone: importing it and costing a
     lowered adder leaves numpy unimported, and loads neither simulator nor
-    the verifier or exporters until a name of theirs is touched."""
+    the cost tables, the verifier or exporters until a name of theirs is
+    touched.  Nor does it load dataclasses, fractions or inspect."""
     code = (
         "import sys, qcla\n"
         "qcla.count(qcla.lower(qcla.build(qcla.Design.IN_FT_QCLA1, 8)))\n"
         "print('numpy' in sys.modules)\n"
+        "print(*sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))\n"
         "print(*sorted(m for m in sys.modules if m.startswith('qcla.')))\n"
         "qcla.simulate\n"
         "print('qcla.statevec' in sys.modules)\n"
@@ -62,9 +64,10 @@ def test_lowering_and_counting_import_no_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    numpy, loaded, statevec = result.stdout.splitlines()
+    numpy, stdlib, loaded, statevec = result.stdout.splitlines()
     assert numpy == "False"
-    assert loaded.split() == ["qcla.builders", "qcla.ir", "qcla.lowering", "qcla.resources"]
+    assert stdlib == ""
+    assert loaded.split() == ["qcla.builders", "qcla.ir", "qcla.lowering", "qcla.measure"]
     assert statevec == "True"
 
 

@@ -2,9 +2,9 @@
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
+from conftest import replaced
 from hypothesis import given, settings, strategies as st
 
 from qcla.builders import Design, build, cla_masks
@@ -248,7 +248,7 @@ def test_summary_counts_every_wrong_sum(monkeypatch):
     summary counts every such input, not the at most 8 reported rows."""
     circ = build(Design.OUT_FT_QCLA2, 4)
     assert circ.gates[-1] == cnot(QubitRef("A", 0), QubitRef("X", 0))
-    circ = replace(circ, gates=circ.gates[:-1])
+    circ = replaced(circ, gates=circ.gates[:-1])
     monkeypatch.setattr("qcla.revsim.build", lambda design, n: circ)
     report = exhaustive_check(Design.OUT_FT_QCLA2, 4)
     assert report.wrong == 128 and len(report.mismatches) == 8
@@ -305,7 +305,7 @@ def test_every_single_gate_deletion_fails_the_batch_check(design, n):
     circ = build(design, n)
     assert _check_batch(circ, design.value, range(4**n)).passed
     for i in range(len(circ.gates)):
-        mutant = replace(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
+        mutant = replaced(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
         report = _check_batch(mutant, design.value, range(4**n))
         assert not report.passed, f"deleting gate {i} ({circ.gates[i]}) goes unseen"
 
@@ -354,7 +354,7 @@ def test_every_control_swap_fails_unless_the_and_is_unchanged():
                     swapped = ops[:pos] + (q,) + ops[pos + 1 :]
                     gates = circ.gates[:i] + [Gate(kind, swapped)] + circ.gates[i + 1 :]
                     mutants += 1
-                    if _check_batch(replace(circ, gates=gates), design.value, range(64)).passed:
+                    if _check_batch(replaced(circ, gates=gates), design.value, range(64)).passed:
                         survivors.append((design, circ, i, ops, swapped))
     assert mutants == 771
     assert sorted((d.key, c.gates[i].kind.name) for d, c, i, _, _ in survivors) == [
@@ -365,7 +365,7 @@ def test_every_control_swap_fails_unless_the_and_is_unchanged():
         ("out1", "UNCOMPUTE"),
     ]
     for _, circ, i, ops, swapped in survivors:
-        prefix = replace(circ, gates=circ.gates[:i])
+        prefix = replaced(circ, gates=circ.gates[:i])
         differs = False
         for a in range(8):
             for b in range(8):
@@ -376,7 +376,7 @@ def test_every_control_swap_fails_unless_the_and_is_unchanged():
 
 
 def _without_gate(circ, i):
-    return replace(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
+    return replaced(circ, gates=circ.gates[:i] + circ.gates[i + 1 :])
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import replaced
 
 import qcla
 from qcla import resources, revsim, statevec, validate
@@ -137,7 +138,7 @@ def test_t_count_check_reports_a_measured_mismatch(monkeypatch):
     """One extra T gate in every count fails only the T-count check."""
     def one_more_t(circ):
         rep = count(circ)
-        return replace(rep, t_count=rep.t_count + 1)
+        return replaced(rep, t_count=rep.t_count + 1)
 
     monkeypatch.setattr(resources, "count", one_more_t)
     report = validate.ValidationReport()
@@ -374,7 +375,7 @@ def test_depth_check_reports_its_failure(monkeypatch, fault, detail):
         monkeypatch.setattr(validate, "depth_bound_fit", lambda depths: (0, 0))
     else:  # the Toffoli-level depth falls with n, along a line the fit still bounds
         def falling(circ):
-            return replace(count(circ), total_depth=99 - circ.registers["A"].size)
+            return replaced(count(circ), total_depth=99 - circ.registers["A"].size)
 
         monkeypatch.setattr(validate, "count", falling)
     report = validate.ValidationReport()
