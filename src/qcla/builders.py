@@ -31,6 +31,7 @@ from .ir import (
     cnot,
     new_circuit,
     not_,
+    qubit_refs,
     temp_and,
     toffoli,
     uncompute,
@@ -95,24 +96,24 @@ def _span_rounds(n: int, descending: bool, first_m: int) -> list[RoundTriple]:
     # spans [j, k) with j = 2^t*m, m >= first_m: generate spans start at m = 0,
     # propagate spans at m = 1 (a propagate span from bit 0 is never needed)
     levels = range(1, floor_log2(n) + 1)
-    out = []
+    new, out = tuple.__new__, []
     for t in (reversed(levels) if descending else levels):
         half, full = 2 ** (t - 1), 2**t
         for m in range(first_m, n // full):
             j = full * m
-            out.append(RoundTriple(t, m, j, j + half, j + full))
+            out.append(new(RoundTriple, (t, m, j, j + half, j + full)))
     return out
 
 
 def _c_rounds(n: int, descending: bool) -> list[RoundTriple]:
     # t up to floor(log2(2n/3)): the largest t with 3 * 2^t <= 2n
     levels = range(1, (2 * n // 3).bit_length())
-    out = []
+    new, out = tuple.__new__, []
     for t in (reversed(levels) if descending else levels):
         half, full = 2 ** (t - 1), 2**t
         for m in range(1, (n - half) // full + 1):
             l = full * m
-            out.append(RoundTriple(t, m, 0, l, l + half))
+            out.append(new(RoundTriple, (t, m, 0, l, l + half)))
     return out
 
 
@@ -190,27 +191,29 @@ class _Net:
 
     def span_round(self, triples: list[RoundTriple]) -> None:
         # P[j,k] = P[j,l] & P[l,k]: computed when absent, erased when present
-        for tr in triples:
-            src1, src2 = self.p[(tr.j, tr.l)], self.p[(tr.l, tr.k)]
-            tgt = self.p.pop((tr.j, tr.k), None)
+        p, gates, spent = self.p, self.gates, self.spent
+        for _, _, j, l, k in triples:
+            src1, src2 = p[(j, l)], p[(l, k)]
+            tgt = p.pop((j, k), None)
             if tgt is None:
-                self.p[(tr.j, tr.k)] = self.emit_and(src1, src2)
+                p[(j, k)] = self.emit_and(src1, src2)
             else:
-                self.gates.append(uncompute(src1, src2, tgt))
-                self.spent.append(tgt)
+                gates.append(uncompute(src1, src2, tgt))
+                spent.append(tgt)
 
     def merge_round(self, triples: list[RoundTriple]) -> None:
         # G and C merges (C triples have j = 0): G[l,k] ^= G[j,l] & P[l,k] on
         # gen[k-1], which makes it G[j,k]; run again, the same gates undo it
-        for tr in triples:
-            c1, c2, target = self.gen[tr.l - 1], self.p[(tr.l, tr.k)], self.gen[tr.k - 1]
+        p, gen, gates, spent = self.p, self.gen, self.gates, self.spent
+        for _, _, _, l, k in triples:
+            c1, c2, target = gen[l - 1], p[(l, k)], gen[k - 1]
             if self.use_pairs:
                 tmp = self.emit_and(c1, c2)
-                self.gates.append(cnot(tmp, target))
-                self.gates.append(uncompute(c1, c2, tmp))
-                self.spent.append(tmp)
+                gates.append(cnot(tmp, target))
+                gates.append(uncompute(c1, c2, tmp))
+                spent.append(tmp)
             else:
-                self.gates.append(toffoli(c1, c2, target))
+                gates.append(toffoli(c1, c2, target))
 
     def forward(self, A: list[QubitRef], B: list[QubitRef], first_p: int) -> None:
         """Steps 1-6 at width n: generate bits onto ``gen``, propagate bits in
@@ -251,8 +254,7 @@ def _adder_circuit(
     circ = new_circuit(
         [("A", n, None), ("B", n, None), out_register], ancilla_register=ancilla_register
     )
-    A = [QubitRef("A", i) for i in range(n)]
-    B = [QubitRef("B", i) for i in range(n)]
+    A, B = list(qubit_refs("A", n)), list(qubit_refs("B", n))
     for i in range(n):
         circ.labels[A[i]] = f"a{i}"
         circ.labels[B[i]] = f"b{i}"
@@ -262,7 +264,7 @@ def _adder_circuit(
 def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     x_inits = [AncillaInit.ZERO] + [AncillaInit.MAGIC_A] * n
     circ, A, B = _adder_circuit(n, ("X", n + 1, x_inits), ancilla_register="Z")
-    X = [QubitRef("X", i) for i in range(n + 1)]
+    X = list(qubit_refs("X", n + 1))
 
     net = _Net(circ, design.uses_and_pairs, X[1:])
     gates = net.gates
@@ -286,7 +288,7 @@ def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
 
 def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
     circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.MAGIC_A] * n), ancilla_register="X")
-    Z = [QubitRef("Z", i) for i in range(n)]
+    Z = list(qubit_refs("Z", n))
 
     net = _Net(circ, design.uses_and_pairs, Z)
     gates = net.gates

@@ -16,6 +16,7 @@ import functools
 import gc
 import re
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _F = TypeVar("_F", bound=Callable)
@@ -23,14 +24,17 @@ _F = TypeVar("_F", bound=Callable)
 
 def _gc_paused(fn: _F) -> _F:
     """Run ``fn`` with the cyclic garbage collector paused, for a function that
-    builds a whole gate list or walks one allocating state per gate.
+    builds a whole gate list, walks one allocating state per gate, or builds
+    and runs a circuit (the :mod:`qcla.revsim` batch checks).
 
     Gates are tuples of a ``GateKind`` and ``QubitRef`` tuples, which the
     collector tracks but which never form a cycle: reference counting frees
     them, and a collection during the build only re-walks the growing list.
     A walk's per-gate tuples (the depth pairs of
     :func:`qcla.measure.schedule`) would likewise set off collections that
-    re-walk a circuit still young from its build.
+    re-walk a circuit still young from its build.  Freeing by reference
+    counting lowers the young-generation count again, so a circuit built and
+    freed inside one paused call is never walked.
     The collector is re-enabled on exit only if it was enabled on entry, so a
     nested call changes nothing and a caller that turned it off keeps it off.
     The ``gc`` switch is process-wide: if another thread turns the collector
@@ -114,6 +118,13 @@ class QubitRef(NamedTuple):
         return cls(m[1], int(m[2]))
 
 
+def qubit_refs(reg: str, size: int) -> Iterator[QubitRef]:
+    """``QubitRef(reg, i)`` for i in ``range(size)``, each made with
+    ``tuple.__new__`` as the gate makers make gates: no per-qubit call of the
+    named tuple's Python-level constructor."""
+    return map(tuple.__new__, repeat(QubitRef), zip(repeat(reg), range(size)))
+
+
 class GateKind(Enum):
     """Each kind is ``(value, qubit operand count, level)``; the level is None
     for NOT and CNOT, which are legal at both levels."""
@@ -148,6 +159,19 @@ class GateKind(Enum):
 
 
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
+
+# level -> {kind legal at that level that carries no classical bit: its operand
+# count}; a gate that matches its row and carries no bit passes the arity,
+# level and classical-bit rules of Circuit.extend by construction
+_PLAIN_ARITY = {
+    level: {
+        kind: kind.arity
+        for kind in GateKind
+        if kind.level in (None, level)
+        and kind not in (GateKind.MEASURE_X, GateKind.CC_Z, GateKind.CC_X)
+    }
+    for level in Level
+}
 
 
 class Gate(NamedTuple):
@@ -263,8 +287,7 @@ class Circuit(_Record):
     def qubits(self) -> Iterator[QubitRef]:
         """All qubits in register-table order (the simulator qubit order)."""
         for reg in self.registers.values():
-            for i in range(reg.size):
-                yield QubitRef(reg.name, i)
+            yield from qubit_refs(reg.name, reg.size)
 
     def qubit_positions(self) -> dict[QubitRef, int]:
         return {q: i for i, q in enumerate(self.qubits())}
@@ -342,7 +365,10 @@ class Circuit(_Record):
         target of a temporary AND, and the classical bits.  :meth:`resolves`
         runs once per distinct qubit of the batch, and the two or three
         operands of a gate are compared with each other, so no per-gate set
-        is built.  A ``measure_x``
+        is built.  A gate of a bit-free kind legal at the level, with that
+        kind's operand count and no bit, passes the arity, level and
+        classical-bit rules by construction and skips their tests
+        (``_PLAIN_ARITY``).  A ``measure_x``
         writes bit ``num_cbits`` (assigned when its cbit is None), so
         classical bits are written once in program order and a ``cc_z`` /
         ``cc_x`` condition bit in ``[0, num_cbits)`` was measured earlier; no
@@ -362,8 +388,12 @@ class Circuit(_Record):
         temp_and_kind, measure_kind = GateKind.TEMP_AND, GateKind.MEASURE_X
         conditional_kinds = (GateKind.CC_Z, GateKind.CC_X)
         magic = AncillaInit.MAGIC_A
+        plain_arity = _PLAIN_ARITY[level]
         for i, (kind, qubits, cbit) in enumerate(batch):
-            if len(qubits) != kind.arity:
+            # a plain gate skips the arity, level and classical-bit tests, which
+            # it passes; every other gate takes them in the documented order
+            plain = cbit is None and plain_arity.get(kind) == len(qubits)
+            if not plain and len(qubits) != kind.arity:
                 raise CircuitError(
                     f"{kind.value} takes {kind.arity} qubit operands, got {len(qubits)}"
                 )
@@ -381,11 +411,13 @@ class Circuit(_Record):
                 or len(qubits) == 3 and (qubits[2] == qubits[0] or qubits[2] == qubits[1])
             ):
                 raise CircuitError(f"duplicate operands in gate {kind.value}")
-            if kind.level is not None and kind.level is not level:
+            if not plain and kind.level is not None and kind.level is not level:
                 where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"
                 raise CircuitError(f"{kind.value} is not a {where} gate")
             if kind is temp_and_kind and self.init_of(qubits[2]) is not magic:
                 raise CircuitError(f"temporary-AND target {qubits[2]} is not a magic-state ancilla")
+            if plain:
+                continue
             if kind is measure_kind:
                 if cbit is None:
                     assigned.append((i, num_cbits))
@@ -417,7 +449,7 @@ class Circuit(_Record):
         assert reg.inits is not None
         reg.inits.append(init)
         reg.size += 1
-        return QubitRef(reg.name, reg.size - 1)
+        return tuple.__new__(QubitRef, (reg.name, reg.size - 1))
 
     def label_key(self, q: QubitRef) -> str:
         """The labelled qubit ``q`` spelled ``reg[i]`` by the register index it

@@ -15,7 +15,10 @@ become bitwise integer operations.  ``run_basis`` runs it on one input.  The
 batch check takes a circuit and a list of packed inputs (a << n) | b and runs
 them in one pass against the bit-sliced oracle ``cla_masks``; it also requires
 every ancilla to end spent or 0.  ``exhaustive_check`` hands it all 2^(2n)
-operand pairs of the built adder and ``random_check`` a random sample.
+operand pairs of the built adder and ``random_check`` a random sample.  All
+three run with the cyclic garbage collector paused
+(:func:`qcla.ir._gc_paused`), so the collector never walks the adder a check
+builds and frees.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .builders import Design, build, cla_masks
-from .ir import Circuit, GateKind, Level, QubitRef
+from .ir import Circuit, GateKind, Level, QubitRef, _gc_paused, qubit_refs
 
 
 class UncomputeAssertionError(AssertionError):
@@ -83,14 +86,12 @@ def _run_masks(
     # an Enum class attribute is slow to look up, so read each one once
     NOT, CNOT, TOFFOLI = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
     TEMP_AND, UNCOMPUTE = GateKind.TEMP_AND, GateKind.UNCOMPUTE
-    for idx, gate in enumerate(circ.gates):
-        kind = gate.kind
+    for idx, (kind, qubits, _) in enumerate(circ.gates):
         if kind is TEMP_AND:
-            c1, c2, tgt = gate.qubits
-            for q in (c1, c2):
-                if q in spent:
-                    failures.append(SpentQubitUseError(idx, q))
-                    return False
+            c1, c2, tgt = qubits
+            if c1 in spent or c2 in spent:
+                failures.append(SpentQubitUseError(idx, c1 if c1 in spent else c2))
+                return False
             if tgt in spent:
                 spent.discard(tgt)  # allocator re-initialized this qubit
             elif bits[tgt]:
@@ -100,20 +101,14 @@ def _run_masks(
                 return False
             bits[tgt] = bits[c1] & bits[c2]
             continue
-        for q in gate.qubits:
-            if q in spent:
-                failures.append(SpentQubitUseError(idx, q))
-                return False
-        if kind is NOT:
-            bits[gate.qubits[0]] ^= full
-        elif kind is CNOT:
-            c, tq = gate.qubits
+        if not spent.isdisjoint(qubits):
+            failures.append(SpentQubitUseError(idx, next(q for q in qubits if q in spent)))
+            return False
+        if kind is CNOT:
+            c, tq = qubits
             bits[tq] ^= bits[c]
-        elif kind is TOFFOLI:
-            c1, c2, tq = gate.qubits
-            bits[tq] ^= bits[c1] & bits[c2]
         elif kind is UNCOMPUTE:
-            c1, c2, tq = gate.qubits
+            c1, c2, tq = qubits
             bad = bits[tq] ^ (bits[c1] & bits[c2])
             if bad:
                 failures.append(
@@ -124,6 +119,11 @@ def _run_masks(
                     )
                 )
             spent.add(tq)
+        elif kind is TOFFOLI:
+            c1, c2, tq = qubits
+            bits[tq] ^= bits[c1] & bits[c2]
+        elif kind is NOT:
+            bits[qubits[0]] ^= full
         else:
             raise ValueError(f"unexpected gate kind {kind} at Toffoli level")
     return True
@@ -209,6 +209,7 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return _columns(*_pack(rows, width), len(rows), width)
 
 
+@_gc_paused
 def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport:
     """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
 
@@ -243,10 +244,10 @@ def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport
     sums = circ.labeled("s")
     readable = set(sums) == set(range(n + 1))
     assertions = [] if readable else [f"sum labels cover bits {sorted(sums)}, not 0..{n}"]
+    A, B = list(qubit_refs("A", n)), list(qubit_refs("B", n))
     bits = dict.fromkeys(circ.qubits(), 0)
-    for i in range(n):
-        bits[QubitRef("A", i)] = a_masks[i]
-        bits[QubitRef("B", i)] = b_masks[i]
+    bits.update(zip(A, a_masks))
+    bits.update(zip(B, b_masks))
     spent: set[QubitRef] = set()
     failures: list[Exception] = []
     finished = _run_masks(circ, bits, spent, (1 << total) - 1, failures)
@@ -261,14 +262,14 @@ def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport
                     f"ancilla {q} ({circ.labels.get(q, 'unlabelled')}) not clean on "
                     f"{mask.bit_count()} inputs"
                 )
-    restored = {"A": a_masks}
+    restored = [(A, a_masks)]
     if all(q.reg != "B" for q in sums.values()):
-        restored["B"] = b_masks
+        restored.append((B, b_masks))
     restoration = [
-        f"{reg}[{i}] not restored"
-        for reg, reg_masks in restored.items()
-        for i in range(n)
-        if bits[QubitRef(reg, i)] != reg_masks[i]
+        f"{q} not restored"
+        for refs, reg_masks in restored
+        for q, mask in zip(refs, reg_masks)
+        if bits[q] != mask
     ]
     mismatches: list[tuple[int, int, int, int]] = []
     wrong = total
@@ -299,6 +300,7 @@ def random_pairs(n: int, pairs: int, seed: int = 42) -> list[int]:
     return [rng.randrange(2**n) << n | rng.randrange(2**n) for _ in range(pairs)]
 
 
+@_gc_paused
 def exhaustive_check(design: Design, n: int, max_n: int = EXHAUSTIVE_MAX_N) -> CheckReport:
     """Run every (a, b) pair through the built circuit and compare with the oracle.
 
@@ -311,6 +313,7 @@ def exhaustive_check(design: Design, n: int, max_n: int = EXHAUSTIVE_MAX_N) -> C
     return _check_batch(build(design, n), design.value, range(4**n))
 
 
+@_gc_paused
 def random_check(design: Design, n: int, pairs: int, seed: int = 42) -> CheckReport:
     """Check ``pairs`` random operand pairs (:func:`random_pairs`) at width n in
     one bit-parallel pass; ``pairs`` must be at least 1 (ValueError)."""

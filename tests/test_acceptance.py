@@ -14,12 +14,12 @@ import json
 from qcla.builders import Design, build
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower
+from qcla.measure import count
 from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import (
     QUOTED_AVERAGES,
     QUOTED_SAVINGS,
     UNREPRODUCED_AVERAGE,
-    count,
     depth_bound_fit,
     floor_log2,
     formula_qubits,

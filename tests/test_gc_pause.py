@@ -1,6 +1,6 @@
 """The functions that allocate a whole gate list, or walk one allocating state
-per gate, run with the cyclic garbage collector paused, and leave it on or off
-as they found it."""
+per gate, and the batch checks that build and run a circuit, run with the
+cyclic garbage collector paused, and leave it on or off as they found it."""
 
 import gc
 import json
@@ -14,10 +14,14 @@ from qcla.builders import Design, build
 from qcla.ir import CircuitError, _gc_paused
 from qcla.jsonio import JsonIrError, from_json, from_json_dict, to_json
 from qcla.lowering import lift, lower
+from qcla.measure import count, schedule
 from qcla.qasm import QasmError, parse_qasm3, to_qasm3
-from qcla.resources import count, schedule
+from qcla.revsim import _check_batch, exhaustive_check, random_check
 
-PAUSED = (build, lower, lift, from_json, from_json_dict, parse_qasm3, count, schedule)
+PAUSED = (
+    build, lower, lift, from_json, from_json_dict, parse_qasm3, count, schedule,
+    exhaustive_check, random_check, _check_batch,
+)
 
 
 @contextmanager
@@ -52,6 +56,12 @@ CALLS = [
     (count, (None,), AttributeError),
     (schedule, (_LOWERED,), None),
     (schedule, (None,), AttributeError),
+    (exhaustive_check, (Design.IN_FT_QCLA1, 3), None),
+    (exhaustive_check, (Design.IN_FT_QCLA1, 7), ValueError),
+    (random_check, (Design.IN_FT_QCLA1, 16, 8), None),
+    (random_check, (Design.IN_FT_QCLA1, 16, 0), ValueError),
+    (_check_batch, (_TOFFOLI, "In-FT-QCLA1", range(64)), None),
+    (_check_batch, (_LOWERED, "In-FT-QCLA1", range(64)), ValueError),
 ]
 
 
@@ -118,6 +128,8 @@ def test_no_collection_starts_inside_a_gate_list_build():
                 count(lower(build(design, 256)))
             from_json(text)
             parse_qasm3(qasm)
+            random_check(Design.IN_FT_QCLA1, 256, 64)
+            exhaustive_check(Design.IN_FT_QCLA1, 4)
             [[i] for i in range(10 * gc.get_threshold()[0])]  # young lists a collection finds
         finally:
             gc.callbacks.remove(seen)

@@ -23,6 +23,7 @@ from qcla.ir import (
     label_index,
     measure_x,
     new_circuit,
+    not_,
     temp_and,
     toffoli,
 )
@@ -160,6 +161,84 @@ def test_gate_kind_arity_and_level(kind, level):
         circ.append(Gate(kind, tuple(qs[: arity + 1]), cbit))
 
 
+_A0, _A1, _Z0, _Q0 = QubitRef("A", 0), QubitRef("A", 1), QubitRef("Z", 0), QubitRef("Q", 0)
+
+# (level, a gate that breaks two adjacent rules of Circuit.extend, the earlier
+# rule's message).  The rules in order: arity, resolve, distinct, level, AND
+# target, classical bit; Q[0] resolves nowhere and Z[0] is a ZERO ancilla.
+TWO_RULES_BROKEN = {
+    "toffoli-arity-resolve": (
+        Level.TOFFOLI, Gate(GateKind.CNOT, (_A0, _Q0, _A1)), "cnot takes 2 qubit operands, got 3"
+    ),
+    "toffoli-resolve-distinct": (
+        Level.TOFFOLI, Gate(GateKind.CNOT, (_Q0, _Q0)),
+        "operand Q[0] does not resolve in the register table",
+    ),
+    "toffoli-distinct-level": (
+        Level.TOFFOLI, Gate(GateKind.CC_Z, (_A0, _A0), 0), "duplicate operands in gate cc_z"
+    ),
+    "toffoli-level-bit": (Level.TOFFOLI, Gate(GateKind.H, (_A0,), 0), "h is not a Toffoli-level gate"),
+    "toffoli-and_target-bit": (
+        Level.TOFFOLI, Gate(GateKind.TEMP_AND, (_A0, _A1, _Z0), 0),
+        "temporary-AND target Z[0] is not a magic-state ancilla",
+    ),
+    "toffoli-plain_kind-arity-bit": (
+        Level.TOFFOLI, Gate(GateKind.NOT, (_A0, _A1), 0), "not takes 1 qubit operands, got 2"
+    ),
+    "toffoli-plain_kind-distinct-bit": (
+        Level.TOFFOLI, Gate(GateKind.CNOT, (_A0, _A0), 0), "duplicate operands in gate cnot"
+    ),
+    "toffoli-plain_kind-bit": (
+        Level.TOFFOLI, Gate(GateKind.CNOT, (_A0, _A1), 0), "cnot carries classical bit 0"
+    ),
+    "cliffordt-arity-resolve": (
+        Level.CLIFFORD_T, Gate(GateKind.H, (_Q0, _A0)), "h takes 1 qubit operands, got 2"
+    ),
+    "cliffordt-resolve-distinct": (
+        Level.CLIFFORD_T, Gate(GateKind.CC_Z, (_Q0, _Q0), 0),
+        "operand Q[0] does not resolve in the register table",
+    ),
+    "cliffordt-distinct-level": (
+        Level.CLIFFORD_T, Gate(GateKind.TOFFOLI, (_A0, _A1, _A0)), "duplicate operands in gate toffoli"
+    ),
+    "cliffordt-level-and_target": (
+        Level.CLIFFORD_T, Gate(GateKind.TEMP_AND, (_A0, _A1, _Z0)), "temp_and is not a Clifford+T gate"
+    ),
+    "cliffordt-level-bit": (
+        Level.CLIFFORD_T, Gate(GateKind.UNCOMPUTE, (_A0, _A1, _Z0), 0),
+        "uncompute is not a Clifford+T gate",
+    ),
+    "cliffordt-plain_kind-arity-bit": (
+        Level.CLIFFORD_T, Gate(GateKind.T, (_A0, _A1), 0), "t takes 1 qubit operands, got 2"
+    ),
+    "cliffordt-plain_kind-bit": (
+        Level.CLIFFORD_T, Gate(GateKind.S, (_A0,), 0), "s carries classical bit 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("level, gate, message", TWO_RULES_BROKEN.values(), ids=TWO_RULES_BROKEN)
+def test_the_first_broken_rule_names_the_error(level, gate, message):
+    """A gate that breaks two rules raises the earlier rule's message, alone
+    or after valid gates in one batch; the failing batch appends nothing and
+    leaves ``num_cbits`` as it was."""
+    circ = new_circuit([("A", 2, None), ("Z", 1, [ZERO])], level=level)
+    if level is Level.CLIFFORD_T:
+        circ.append(measure_x(_Z0))
+        prefix = [h(_A0), measure_x(_A1), cnot(_A0, _A1), cc_z(1, _A0, _A1)]
+    else:
+        circ.append(cnot(_A0, _A1))
+        prefix = [cnot(_A1, _A0), toffoli(_A0, _A1, _Z0), not_(_Z0)]
+    gates, num_cbits = list(circ.gates), circ.num_cbits
+    for batch in ([gate], prefix + [gate] + prefix):
+        with pytest.raises(CircuitError) as info:
+            circ.extend(batch)
+        assert str(info.value) == message
+        assert circ.gates == gates and circ.num_cbits == num_cbits
+    circ.extend(prefix)  # the valid gates alone append
+    assert len(circ.gates) == len(gates) + len(prefix)
+
+
 def test_gate_kinds_hash_by_identity():
     """Kinds are singletons, so they hash by identity and still key the
     package's kind tables."""
@@ -289,7 +368,7 @@ def _magic_by_reassigned_level():
 @pytest.mark.parametrize("write", [to_json, to_qasm3])
 @pytest.mark.parametrize("make", [_magic_by_constructor, _magic_by_reassigned_level])
 def test_writers_refuse_a_magic_ancilla_their_loaders_would_refuse(write, make):
-    """The dataclass constructor and a reassigned ``level`` skip the init rule;
+    """The ``Circuit`` constructor and a reassigned ``level`` skip the init rule;
     both writers apply it, so neither writes a document its loader refuses."""
     with pytest.raises(CircuitError, match="'X': a Clifford\\+T ancilla is zero, not magic_a"):
         write(make())
@@ -358,6 +437,32 @@ def test_allocate_fresh_extends_register():
     for _ in range(3):
         circ.allocate_ancilla(MAGIC)
     assert circ.registers["anc"].size == 3
+
+
+def _same_refs(got, want):
+    """``got`` are ``QubitRef`` instances equal and hash-equal to ``want``."""
+    assert [type(q) for q in got] == [QubitRef] * len(want)
+    assert got == want and [hash(q) for q in got] == [hash(q) for q in want]
+    assert [(q.reg, q.index, str(q)) for q in got] == [(q.reg, q.index, str(q)) for q in want]
+
+
+def test_qubits_are_qubit_refs_in_register_table_order():
+    circ = new_circuit([("B", 2, None), ("E", 0, None), ("A", 1, None), ("X", 2, [ZERO, MAGIC])])
+    want = [QubitRef("B", 0), QubitRef("B", 1), QubitRef("A", 0), QubitRef("X", 0), QubitRef("X", 1)]
+    _same_refs(list(circ.qubits()), want)
+    assert {q: i for i, q in enumerate(want)} == circ.qubit_positions()
+    assert list(new_circuit([("E", 0, None)]).qubits()) == []
+    assert list(new_circuit([]).qubits()) == []
+
+
+def test_allocated_ancillae_are_qubit_refs():
+    """From an absent and from an empty ancilla register."""
+    absent = new_circuit([("A", 1, None)], ancilla_register="Z")
+    empty = new_circuit([("Z", 0, [])], ancilla_register="Z")
+    for circ in (absent, empty):
+        got = [circ.allocate_ancilla(init) for init in (MAGIC, ZERO, MAGIC)]
+        _same_refs(got, [QubitRef("Z", i) for i in range(3)])
+        assert list(circ.qubits())[-3:] == got
 
 
 def test_measure_assigns_cbits_in_program_order():

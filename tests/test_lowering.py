@@ -72,7 +72,7 @@ def test_lower_mixed_circuit_t_count_11():
     circ.append(temp_and(Q[0], Q[1], anc[0]))
     circ.append(uncompute(Q[0], Q[1], anc[0]))
     lowered = lower(circ)
-    from qcla.resources import count
+    from qcla.measure import count
 
     rep = count(lowered)
     assert rep.t_count == 11  # 7 + 4 + 0
@@ -316,7 +316,7 @@ def test_t_count_additivity(design):
         circ = build(design, n)
         toffolis = sum(1 for g in circ.gates if g.kind is GateKind.TOFFOLI)
         ands = sum(1 for g in circ.gates if g.kind is GateKind.TEMP_AND)
-        from qcla.resources import count
+        from qcla.measure import count
 
         assert count(lower(circ)).t_count == 7 * toffolis + 4 * ands
 

@@ -23,13 +23,13 @@ from qcla.ir import (
 )
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import lower, lower_temporary_and, lower_toffoli, lower_uncompute
+from qcla.measure import count, schedule
 from qcla.qasm import parse_qasm3, to_qasm3
 from qcla.resources import (
     CATALOG,
     DESIGN_COSTS,
     IN_PLACE_BASELINES,
     OUT_OF_PLACE_BASELINES,
-    count,
     floor_log2,
     formula_qubits,
     formula_tcount,
@@ -37,7 +37,6 @@ from qcla.resources import (
     round_half_up,
     savings,
     savings_average,
-    schedule,
 )
 
 

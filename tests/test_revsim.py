@@ -17,6 +17,7 @@ from qcla.ir import (
     new_circuit,
     not_,
     temp_and,
+    toffoli,
     uncompute,
 )
 from qcla import revsim
@@ -82,6 +83,60 @@ def test_and_on_a_spent_control_ends_the_run():
     assert report.assertion_failures == [
         f"spent qubit {spent} used at gate {len(built.gates) - 1}"
     ]
+
+
+_Q0, _Q1 = QubitRef("q", 0), QubitRef("q", 1)
+_M0, _M1, _M2 = QubitRef("M", 0), QubitRef("M", 1), QubitRef("M", 2)
+
+# (gate 4, the operand it reports) after M[0] and M[1] are spent by gates 0-3:
+# the first spent operand in operand order
+ON_SPENT = {
+    "cnot-both": (cnot(_M1, _M0), _M1),
+    "cnot-target": (cnot(_Q0, _M0), _M0),
+    "toffoli-both-controls": (toffoli(_M1, _M0, _Q0), _M1),
+    "toffoli-second-control": (toffoli(_Q0, _M1, _Q1), _M1),
+    "toffoli-target": (toffoli(_Q0, _Q1, _M0), _M0),
+    "and-both-controls": (temp_and(_M1, _M0, _M2), _M1),
+    "and-second-control": (temp_and(_Q0, _M0, _M2), _M0),
+    "not": (not_(_M1), _M1),
+    "uncompute-both-controls": (uncompute(_M1, _M0, _Q0), _M1),
+}
+
+
+def _spent_m0_m1() -> list:
+    return [temp_and(_Q0, _Q1, _M0), temp_and(_Q0, _Q1, _M1), uncompute(_Q0, _Q1, _M0),
+            uncompute(_Q0, _Q1, _M1)]
+
+
+@pytest.mark.parametrize("gate, first", ON_SPENT.values(), ids=ON_SPENT)
+def test_a_gate_on_spent_operands_reports_the_first_one(gate, first):
+    """The run stops at the gate with one failure, which names its index and
+    the first spent operand."""
+    circ = new_circuit([("q", 2, None), ("M", 3, [MAGIC] * 3)])
+    circ.extend(_spent_m0_m1() + [gate, not_(_Q0)])
+    with pytest.raises(SpentQubitUseError) as info:
+        run_basis(circ, initial_state(circ, {"q": 0b11}))
+    assert (info.value.gate_index, info.value.qubit) == (4, first)
+    assert str(info.value) == f"spent qubit {first} used at gate 4"
+    bits, spent, failures = {_Q0: 0b0101, _Q1: 0b0011, _M0: 0, _M1: 0, _M2: 0}, set(), []
+    assert revsim._run_masks(circ, bits, spent, 0b1111, failures) is False
+    assert [(f.gate_index, f.qubit) for f in failures] == [(4, first)]
+    assert spent == {_M0, _M1} and bits[_Q0] == 0b0101
+
+
+def test_and_onto_a_spent_target_reinitializes_it():
+    """The target leaves the spent set and holds the AND of the controls, on
+    every slot; a CNOT may then read it and an uncompute spend it again."""
+    circ = new_circuit([("q", 2, None), ("M", 3, [MAGIC] * 3)])
+    circ.extend(_spent_m0_m1() + [temp_and(_Q1, _Q0, _M0), cnot(_M0, _M2)])
+    bits, spent, failures = {_Q0: 0b0101, _Q1: 0b0011, _M0: 0, _M1: 0, _M2: 0}, set(), []
+    assert revsim._run_masks(circ, bits, spent, 0b1111, failures) is True
+    assert failures == [] and spent == {_M1}
+    assert bits == {_Q0: 0b0101, _Q1: 0b0011, _M0: 0b0001, _M1: 0b0001, _M2: 0b0001}
+    circ.append(uncompute(_Q0, _Q1, _M0))
+    for v in range(4):
+        st = run_basis(circ, initial_state(circ, {"q": v}))
+        assert st.spent == {_M0, _M1} and st.bits[_M2] == (v == 3)
 
 
 def test_spent_qubit_use_rejected():

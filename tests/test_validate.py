@@ -21,8 +21,9 @@ from qcla.builders import Design, build
 from qcla.ir import Gate, GateKind, Level, QubitRef, not_, t, tdg
 from qcla.jsonio import from_json, to_json
 from qcla.lowering import GADGETS, _gadget_row, lower
+from qcla.measure import count
 from qcla.qasm import parse_qasm3, to_qasm3
-from qcla.resources import CostExpr, count, formula_tcount, round_half_up, savings_average
+from qcla.resources import CostExpr, formula_tcount, round_half_up, savings_average
 
 
 def _checks(report):
