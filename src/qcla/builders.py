@@ -183,8 +183,8 @@ class _Net:
         self.pool: list[QubitRef] = []
 
     def emit_and(self, c1: QubitRef, c2: QubitRef) -> QubitRef:
-        """Temporary-AND onto a pooled or fresh magic ancilla, labelled spent."""
-        q = self.pool.pop() if self.pool else self.circ.allocate_ancilla(AncillaInit.MAGIC_A)
+        """Temporary-AND onto a pooled or fresh ancilla, labelled spent."""
+        q = self.pool.pop() if self.pool else self.circ.allocate_ancilla()
         self.circ.labels[q] = "spent"
         self.gates.append(temp_and(c1, c2, q))
         return q
@@ -262,13 +262,13 @@ def _adder_circuit(
 
 
 def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
-    x_inits = [AncillaInit.ZERO] + [AncillaInit.MAGIC_A] * n
+    x_inits = [AncillaInit.ZERO] * (n + 1)
     circ, A, B = _adder_circuit(n, ("X", n + 1, x_inits), ancilla_register="Z")
     X = list(qubit_refs("X", n + 1))
 
     net = _Net(circ, design.uses_and_pairs, X[1:])
     gates = net.gates
-    # Steps 1-6: generate bits onto the magic ancillae X[1..n]; propagate bits
+    # Steps 1-6: generate bits onto the ancillae X[1..n]; propagate bits
     # from bit 1 (bit 0 is never needed); the carry network.
     net.forward(A, B, first_p=1)
     # Step 7: fold propagate bits into the carries c_i on X[i] to form sum
@@ -287,7 +287,7 @@ def _build_out_of_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
 
 
 def _build_in_place(design: Design, n: int) -> tuple[Circuit, list[Gate]]:
-    circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.MAGIC_A] * n), ancilla_register="X")
+    circ, A, B = _adder_circuit(n, ("Z", n, [AncillaInit.ZERO] * n), ancilla_register="X")
     Z = list(qubit_refs("Z", n))
 
     net = _Net(circ, design.uses_and_pairs, Z)

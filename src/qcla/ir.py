@@ -7,7 +7,8 @@ the fault-tolerant primitive set (H, T, T{dag}, S, S{dag}, Z, X, CNOT,
 X-basis measurement and classically controlled Z/X).
 
 Registers are either data registers (no declared initial state) or ancilla
-registers where every qubit carries an :class:`AncillaInit` annotation.
+registers where every qubit carries an :class:`AncillaInit` annotation, which
+is ZERO: every ancilla starts in |0>.
 """
 
 from __future__ import annotations
@@ -81,16 +82,14 @@ class _Record:
 
 
 class AncillaInit(Enum):
-    """Initial state annotation for ancilla qubits.
+    """Initial state annotation for ancilla qubits: ZERO, |0>, at both levels.
 
-    ZERO is |0>.  MAGIC_A, a Toffoli-level init only, marks an ancilla that a
-    temporary AND may target: the 4-T AND gadget consumes the magic resource
-    state (|0> + e^{i pi/4}|1>)/sqrt(2), which :func:`qcla.lowering.lower`
-    prepares inline from |0>, so every Clifford+T ancilla starts in |0>.
+    The 4-T temporary-AND gadget consumes the magic resource state
+    (|0> + e^{i pi/4}|1>)/sqrt(2), which :func:`qcla.lowering.lower` prepares
+    inline from |0>, so no ancilla is declared in that state.
     """
 
     ZERO = "zero"
-    MAGIC_A = "magic_a"
 
 
 class Level(Enum):
@@ -323,11 +322,6 @@ class Circuit(_Record):
                 bits[QubitRef(reg.name, i)] = (value or 0) >> i & 1
         return bits
 
-    def init_of(self, q: QubitRef) -> AncillaInit | None:
-        """The init of the register slot ``q`` resolves to (``True`` and ``1.0`` are 1)."""
-        reg = self.registers[q.reg]
-        return None if reg.inits is None else reg.inits[range(reg.size).index(q.index)]
-
     def resolves(self, q: QubitRef) -> bool:
         """Whether ``q``'s index equals one of its register's (1.5 does not)."""
         reg = self.registers.get(q.reg)
@@ -340,14 +334,7 @@ class Circuit(_Record):
             raise CircuitError(f"register name {name!r} is not an identifier other than 'c'")
         if name in self.registers:
             raise CircuitError(f"duplicate register name {name!r}")
-        self._check_inits(name, inits or ())
         self.registers[name] = Register(name, size, inits)
-
-    def _check_inits(self, name: str, inits: Sequence[AncillaInit]) -> None:
-        """The one rule on inits: a Clifford+T circuit holds no MAGIC_A ancilla
-        (see :class:`AncillaInit`)."""
-        if self.level is Level.CLIFFORD_T and AncillaInit.MAGIC_A in inits:
-            raise CircuitError(f"register {name!r}: a Clifford+T ancilla is zero, not magic_a")
 
     # -- gate appends ---------------------------------------------------------------
 
@@ -361,8 +348,8 @@ class Circuit(_Record):
         The one validator of the circuit rules.  The gates are checked one by
         one, in order, and each against these rules in this order: the
         operand count of its kind, that every operand resolves, distinct
-        operands, the gate set of the level, a magic-state ancilla as the
-        target of a temporary AND, and the classical bits.  :meth:`resolves`
+        operands, the gate set of the level, a qubit of an ancilla register as
+        the target of a temporary AND, and the classical bits.  :meth:`resolves`
         runs once per distinct qubit of the batch, and the two or three
         operands of a gate are compared with each other, so no per-gate set
         is built.  A gate of a bit-free kind legal at the level, with that
@@ -387,7 +374,7 @@ class Circuit(_Record):
         # an Enum class attribute is slow to look up, so read each one once
         temp_and_kind, measure_kind = GateKind.TEMP_AND, GateKind.MEASURE_X
         conditional_kinds = (GateKind.CC_Z, GateKind.CC_X)
-        magic = AncillaInit.MAGIC_A
+        registers = self.registers
         plain_arity = _PLAIN_ARITY[level]
         for i, (kind, qubits, cbit) in enumerate(batch):
             # a plain gate skips the arity, level and classical-bit tests, which
@@ -414,8 +401,8 @@ class Circuit(_Record):
             if not plain and kind.level is not None and kind.level is not level:
                 where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"
                 raise CircuitError(f"{kind.value} is not a {where} gate")
-            if kind is temp_and_kind and self.init_of(qubits[2]) is not magic:
-                raise CircuitError(f"temporary-AND target {qubits[2]} is not a magic-state ancilla")
+            if kind is temp_and_kind and registers[qubits[2].reg].inits is None:
+                raise CircuitError(f"temporary-AND target {qubits[2]} is not an ancilla")
             if plain:
                 continue
             if kind is measure_kind:
@@ -440,14 +427,13 @@ class Circuit(_Record):
 
     # -- ancilla allocation ----------------------------------------------------------
 
-    def allocate_ancilla(self, init: AncillaInit) -> QubitRef:
-        """Extend the ancilla register by one qubit of the requested initial state."""
-        self._check_inits(self.ancilla_register, (init,))
+    def allocate_ancilla(self) -> QubitRef:
+        """Extend the ancilla register by one ZERO qubit."""
         if self.ancilla_register not in self.registers:
             self.add_register(self.ancilla_register, 0, [])
         reg = self.registers[self.ancilla_register]
         assert reg.inits is not None
-        reg.inits.append(init)
+        reg.inits.append(AncillaInit.ZERO)
         reg.size += 1
         return tuple.__new__(QubitRef, (reg.name, reg.size - 1))
 

@@ -32,13 +32,8 @@ def to_json(circ: Circuit) -> str:
     fields before ``"gates"`` go through ``json.dumps`` and the gate list is
     written here: each qubit's ``[reg, index]`` block and each kind's opening
     lines are spelled once, each distinct gate's block is one join of them,
-    and a gate that repeats reuses its block.  A register
-    whose inits break :meth:`Circuit._check_inits` (a ``magic_a`` ancilla of a
-    Clifford+T circuit, which :func:`from_json` refuses) raises
-    :class:`~qcla.ir.CircuitError`.
+    and a gate that repeats reuses its block.
     """
-    for reg in circ.registers.values():
-        circ._check_inits(reg.name, reg.inits or ())
     head = json.dumps(
         {
             "schema": SCHEMA,
@@ -132,11 +127,12 @@ def from_json_dict(data: dict) -> Circuit:
     """Rebuild a circuit through :func:`qcla.ir.load_circuit`.
 
     A document that is not a ``qcla-ir/1`` object of the expected shape and
-    types raises JsonIrError.  A well-formed document that breaks a circuit
-    rule (a gate or label on a qubit that does not exist, a conditional gate
-    reading a bit no earlier measurement wrote, a ``num_cbits`` that differs
-    from the measured bits) raises CircuitError.  Pauses the cyclic garbage
-    collector while it runs and restores it (see :func:`qcla.ir._gc_paused`).
+    types, or that names an init other than ``zero``, raises JsonIrError.  A
+    well-formed document that breaks a circuit rule (a gate or label on a
+    qubit that does not exist, a conditional gate reading a bit no earlier
+    measurement wrote, a ``num_cbits`` that differs from the measured bits)
+    raises CircuitError.  Pauses the cyclic garbage collector while it runs
+    and restores it (see :func:`qcla.ir._gc_paused`).
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != SCHEMA:

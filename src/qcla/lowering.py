@@ -17,7 +17,6 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .ir import (
-    AncillaInit,
     Circuit,
     CircuitError,
     Gate,
@@ -164,10 +163,10 @@ def lower(circ: Circuit) -> Circuit:
     single-qubit gates on one qubit share one operand tuple (gates are
     immutable, so sharing is safe).  A gadget that measures its target takes
     the next classical bit; one that prepares its target first resets a
-    reused target by ``cc_x``.  Every ancilla init is written as ZERO, since
-    the stream prepares each magic state it consumes (a Clifford+T circuit
-    holds no MAGIC_A ancilla).  The qubit set is unchanged; the output's
-    T-count is the sum of the rows' costs.
+    reused target by ``cc_x``.  The register table is copied as it is: every
+    ancilla is ZERO, and the stream prepares each magic state it consumes.
+    The qubit set is unchanged; the output's T-count is the sum of the rows'
+    costs.
 
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.extend`: the input gates were checked when they were
@@ -208,10 +207,8 @@ def lower(circ: Circuit) -> Circuit:
         ]
         gates += row.order(built)
 
-    # every ancilla starts in |0>: each magic state is prepared inline
     for reg in circ.registers.values():
-        inits = None if reg.inits is None else [AncillaInit.ZERO] * reg.size
-        out.add_register(reg.name, reg.size, inits)
+        out.add_register(reg.name, reg.size, None if reg.inits is None else list(reg.inits))
     out.labels = dict(circ.labels)
     return out
 
@@ -224,24 +221,22 @@ def lift(circ: Circuit) -> Circuit:
     re-derives it.  Every other gate must start the window of one
     :data:`GADGETS` row, picked by the kinds of the window's gates; the
     operands are read where the row's gate list first uses each slot.  The
-    result goes through :func:`qcla.ir.load_circuit`; each temporary-AND
-    target gets its MAGIC_A init back and every other ancilla is ZERO, so the
-    result is the canonical preimage.  ``lower`` of it must equal ``circ``
-    structurally: that comparison alone judges the operands, the resets, the
-    classical bits and the register table.  Raises :class:`CircuitError` for
-    a Toffoli-level input, a gate that starts no gadget, or a stream that is
-    not the lowering of its lift.  Pauses the cyclic garbage collector while
-    it runs and restores it (see :func:`qcla.ir._gc_paused`).
+    result goes through :func:`qcla.ir.load_circuit` with the register table
+    of ``circ``.  ``lower`` of it must equal ``circ`` structurally: that
+    comparison alone judges the operands, the resets, the classical bits and
+    the register table.  Raises :class:`CircuitError` for a Toffoli-level
+    input, a gate that starts no gadget, or a stream that is not the
+    lowering of its lift.  Pauses the cyclic garbage collector while it runs
+    and restores it (see :func:`qcla.ir._gc_paused`).
     """
     if circ.level is not Level.CLIFFORD_T:
         raise CircuitError("lift expects a Clifford+T circuit")
-    NOT, CNOT, CC_X, TEMP_AND = GateKind.NOT, GateKind.CNOT, GateKind.CC_X, GateKind.TEMP_AND
+    NOT, CNOT, CC_X = GateKind.NOT, GateKind.CNOT, GateKind.CC_X
     stream = circ.gates
     kinds = [gate.kind for gate in stream]
     # a slot the gadget never uses cannot be read back, so its row matches nothing
     rows = [(lifted, row) for lifted, row in GADGETS.items() if None not in row.heads]
     gates: list[Gate] = []
-    and_targets: set[QubitRef] = set()
     k = 0
     while k < len(stream):
         kind = kinds[k]
@@ -258,19 +253,10 @@ def lift(circ: Circuit) -> Circuit:
                 break
         else:
             raise CircuitError(f"gate {k} ({kind.value}) starts no gadget")
-        operands = tuple(stream[k + i].qubits[j] for i, j in row.heads)
-        gates.append(Gate(lifted, operands))
-        if lifted is TEMP_AND:
-            and_targets.add(operands[2])
+        gates.append(Gate(lifted, tuple(stream[k + i].qubits[j] for i, j in row.heads)))
         k = end
 
-    registers = [
-        (reg.name, reg.size, None if reg.inits is None else [
-            AncillaInit.MAGIC_A if QubitRef(reg.name, i) in and_targets else AncillaInit.ZERO
-            for i in range(reg.size)
-        ])
-        for reg in circ.registers.values()
-    ]
+    registers = [(reg.name, reg.size, reg.inits) for reg in circ.registers.values()]
     out = load_circuit(Level.TOFFOLI, registers, gates, 0, circ.labels, circ.ancilla_register)
     again = lower(out)
     if again.structural_key() != circ.structural_key():

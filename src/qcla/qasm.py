@@ -51,15 +51,11 @@ _KIND_OF = {spelling: kind for kind, spelling in _SPELLING.items()}
 
 def to_qasm3(circ: Circuit) -> str:
     """Serialize a Clifford+T circuit to OpenQASM 3 text.  Each distinct gate
-    is spelled once and its text reused wherever the gate repeats.  A
-    register whose inits break :meth:`Circuit._check_inits` (a ``magic_a``
-    ancilla, which :func:`parse_qasm3` refuses) raises
-    :class:`~qcla.ir.CircuitError`."""
+    is spelled once and its text reused wherever the gate repeats."""
     if circ.level is not Level.CLIFFORD_T:
         raise QasmError("OpenQASM export requires a Clifford+T circuit (lower first)")
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";']
     for reg in circ.registers.values():
-        circ._check_inits(reg.name, reg.inits or ())
         lines.append(f"qubit[{reg.size}] {reg.name};")
         if reg.inits is not None:
             inits = ",".join(i.value for i in reg.inits)
@@ -131,10 +127,11 @@ def parse_qasm3(text: str) -> Circuit:
     register; every other comment is skipped.  ``bit[k] c;`` is declared at
     most once.  The parsed registers, gates and ``bit[k] c;`` count go to
     :func:`qcla.ir.load_circuit`, which applies the circuit rules
-    (CircuitError; a ``magic_a`` ancilla is one of them).  Each distinct
-    gate line is parsed once: a line that repeats one already read appends
-    the same (immutable) gate again.  Pauses the cyclic garbage collector
-    while it runs and restores it (see :func:`qcla.ir._gc_paused`).
+    (CircuitError); an annotation that names an init other than ``zero`` is
+    a QasmError.  Each distinct gate line is parsed once: a line that repeats
+    one already read appends the same (immutable) gate again.  Pauses the
+    cyclic garbage collector while it runs and restores it (see
+    :func:`qcla.ir._gc_paused`).
     """
     lines = [ln.removesuffix("\r").strip(_BLANK) for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]

@@ -209,22 +209,16 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return _columns(*_pack(rows, width), len(rows), width)
 
 
-@_gc_paused
-def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport:
-    """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
+def _operand_masks(inputs: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The A masks, B masks and oracle sum masks of packed inputs
+    ``inputs[i] = (a << n) | b``, slot i each.
 
-    n is the size of register A.  The inputs are packed into one integer, a
-    field per slot, and each qubit's slot mask is one column of it.  The
-    bit-sliced oracle ``cla_masks`` must agree with native a + b, one
-    addition of the a and b views of the packed integer (else
-    AssertionError).  The sum-bit masks are compared with it; every wrong
-    slot is counted, and the first 8 become (a, b, a + b, got) rows in slot
-    order.  ``s`` labels that do not spell bits 0..n, contract violations
-    that stop the run, failed uncomputes and ancillae left dirty are
-    assertion failures; with unreadable sums every slot counts as wrong.  A
-    must come back, and so must B unless the ``s`` labels sit on register B.
+    The inputs are packed into one integer, a field per slot, and each
+    operand bit's slot mask is one column of it.  The bit-sliced oracle
+    ``cla_masks`` must agree with native a + b, one addition of the a and b
+    views of the packed integer (else AssertionError).  The packed integer
+    and the native sums are freed when this returns.
     """
-    n = circ.registers["A"].size
     low = (1 << n) - 1
     total = len(inputs)
     packed, field = _pack(inputs, 2 * n)
@@ -240,6 +234,26 @@ def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport
     if oracle_bad:
         i = inputs[(oracle_bad & -oracle_bad).bit_length() - 1]
         raise AssertionError(f"oracle self-check failed at a={i >> n} b={i & low}")
+    return a_masks, b_masks, expected
+
+
+@_gc_paused
+def _check_batch(circ: Circuit, name: str, inputs: Sequence[int]) -> CheckReport:
+    """Run packed input ``inputs[i] = (a << n) | b`` on slot i, all in one pass.
+
+    n is the size of register A.  The operand masks and the oracle's sums
+    come from :func:`_operand_masks`.  The sum-bit masks are compared with
+    the oracle's; every wrong slot is counted, and the first 8 become
+    (a, b, a + b, got) rows in slot order.  ``s`` labels that do not spell
+    bits 0..n, contract violations that stop the run, failed uncomputes and
+    ancillae left dirty are assertion failures; with unreadable sums every
+    slot counts as wrong.  A must come back, and so must B unless the ``s``
+    labels sit on register B.
+    """
+    n = circ.registers["A"].size
+    low = (1 << n) - 1
+    total = len(inputs)
+    a_masks, b_masks, expected = _operand_masks(inputs, n)
 
     sums = circ.labeled("s")
     readable = set(sums) == set(range(n + 1))

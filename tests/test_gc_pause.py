@@ -81,6 +81,12 @@ def test_collector_state_is_restored(fn, args, error, enabled):
         assert gc.isenabled() is enabled
 
 
+@pytest.mark.parametrize("fn", PAUSED, ids=lambda fn: fn.__name__)
+def test_each_paused_function_is_wrapped(fn):
+    """The pause wraps the function itself, not a helper it calls."""
+    assert fn.__wrapped__.__name__ == fn.__name__
+
+
 def test_pause_is_off_inside_and_nests():
     seen = []
 

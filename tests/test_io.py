@@ -233,14 +233,15 @@ _NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
          QasmError),
         ("qubit[2] q;\nx q[01];\n", QasmError),
         ("qubit[2] q;\nx q[١];\n", QasmError),
-        # a Clifford+T ancilla starts in |0>: the circuit rules refuse magic_a
-        ("qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("t a[0];\n"), CircuitError),
-        ("qubit[1] a;\n// ancilla a: magic_a\n", CircuitError),
+        # zero is the one ancilla init, so the parser refuses magic_a as an
+        # unknown init (QasmError) before the circuit rules see a register
+        ("qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("t a[0];\n"), QasmError),
+        ("qubit[1] a;\n// ancilla a: magic_a\n", QasmError),
         ("qubit[2] a;\n// ancilla a: magic_a,magic_a\n"
-         + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"), CircuitError),
+         + _PREP.format("h a[1];\nt a[1];\nh a[0];\nt a[0];\n"), QasmError),
         ("qubit[1] a;\n// ancilla a: magic_a\n" + _PREP.format("h a[0];\nt a[0];\n") * 2,
-         CircuitError),
-        ("qubit[1] a;\n// ancilla a: magic_a\n// ancilla a: zero\n", QasmError),
+         QasmError),
+        ("qubit[1] a;\n// ancilla a: zero\n// ancilla a: zero\n", QasmError),
         ("qubit[1] q;\nbit[1] c;\nbit[0] c;\n", QasmError),
         ("qubit[1] q;\nx\u3000q[0];\n", QasmError),
         ("qubit[2] q;\ncx q[0],\u3000q[1];\n", QasmError),

@@ -194,15 +194,12 @@ def gate_batches(draw):
     earlier measurement may or may not have written.  At most one gate is
     drawn with any kind, operands and classical bit instead."""
     level = draw(st.sampled_from(Level))
-    # MAGIC_A is a Toffoli-level init only
-    init_choices = AncillaInit if level is Level.TOFFOLI else [AncillaInit.ZERO]
-    inits = draw(st.lists(st.sampled_from(init_choices), min_size=3, max_size=3))
     measured = draw(st.integers(0, 2)) if level is Level.CLIFFORD_T else 0
 
     def make() -> Circuit:
         circ = Circuit(level=level)
         circ.add_register("d", 3)
-        circ.add_register("m", 3, list(inits))
+        circ.add_register("m", 3, [AncillaInit.ZERO] * 3)
         circ.extend(Gate(GateKind.MEASURE_X, (QubitRef("d", i),)) for i in range(measured))
         return circ
 

@@ -9,7 +9,6 @@ from qcla import ir
 from qcla.builders import Design, build
 from qcla.ir import (
     AncillaInit,
-    Circuit,
     CircuitError,
     Gate,
     GateKind,
@@ -27,24 +26,23 @@ from qcla.ir import (
     temp_and,
     toffoli,
 )
-from qcla.jsonio import from_json, to_json
+from qcla.jsonio import JsonIrError, from_json, to_json
 from qcla.lowering import lower
-from qcla.qasm import _SPELLING, parse_qasm3, to_qasm3
+from qcla.qasm import _SPELLING, QasmError, parse_qasm3, to_qasm3
 from qcla.revsim import initial_state, read_labeled, run_basis
 from qcla.statevec import _PHASE, SeededRandom, simulate
 
-ZERO, MAGIC = AncillaInit.ZERO, AncillaInit.MAGIC_A
+ZERO = AncillaInit.ZERO
 
 
 def test_new_circuit_registers():
-    circ = new_circuit([("A", 2, None), ("B", 2, None), ("X", 3, [ZERO, MAGIC, MAGIC])])
+    circ = new_circuit([("A", 2, None), ("B", 2, None), ("X", 3, [ZERO] * 3)])
     assert circ.num_qubits == 7
     assert circ.gates == []
     assert circ.level is Level.TOFFOLI
     assert circ.num_cbits == 0
-    assert circ.init_of(QubitRef("X", 0)) is ZERO
-    assert circ.init_of(QubitRef("X", 2)) is MAGIC
-    assert circ.init_of(QubitRef("A", 1)) is None
+    assert circ.registers["X"].inits == [ZERO] * 3
+    assert circ.registers["A"].inits is None
 
 
 def test_new_circuit_empty():
@@ -140,9 +138,8 @@ CLIFFORD_T_ONLY = {"h", "t", "tdg", "s", "sdg", "z", "measure_x", "cc_z", "cc_x"
 def test_gate_kind_arity_and_level(kind, level):
     """A gate of the right arity appends only at its legal level; one operand
     too many is refused at either level."""
-    # a magic-state ancilla only at the Toffoli level, where a temporary AND may target it
-    init = MAGIC if level is Level.TOFFOLI else ZERO
-    circ = new_circuit([("M", 4, [init] * 4), ("C", 1, [ZERO])], level=level)
+    # an ancilla register, so a temporary AND may target any of its qubits
+    circ = new_circuit([("M", 4, [ZERO] * 4), ("C", 1, [ZERO])], level=level)
     if level is Level.CLIFFORD_T:
         circ.append(measure_x(QubitRef("C", 0)))  # bit 0 for the classically controlled kinds
     qs = [QubitRef("M", i) for i in range(4)]
@@ -165,7 +162,8 @@ _A0, _A1, _Z0, _Q0 = QubitRef("A", 0), QubitRef("A", 1), QubitRef("Z", 0), Qubit
 
 # (level, a gate that breaks two adjacent rules of Circuit.extend, the earlier
 # rule's message).  The rules in order: arity, resolve, distinct, level, AND
-# target, classical bit; Q[0] resolves nowhere and Z[0] is a ZERO ancilla.
+# target, classical bit; Q[0] resolves nowhere, A is a data register and Z[0]
+# is a ZERO ancilla.
 TWO_RULES_BROKEN = {
     "toffoli-arity-resolve": (
         Level.TOFFOLI, Gate(GateKind.CNOT, (_A0, _Q0, _A1)), "cnot takes 2 qubit operands, got 3"
@@ -179,8 +177,8 @@ TWO_RULES_BROKEN = {
     ),
     "toffoli-level-bit": (Level.TOFFOLI, Gate(GateKind.H, (_A0,), 0), "h is not a Toffoli-level gate"),
     "toffoli-and_target-bit": (
-        Level.TOFFOLI, Gate(GateKind.TEMP_AND, (_A0, _A1, _Z0), 0),
-        "temporary-AND target Z[0] is not a magic-state ancilla",
+        Level.TOFFOLI, Gate(GateKind.TEMP_AND, (_A0, _Z0, _A1), 0),
+        "temporary-AND target A[1] is not an ancilla",
     ),
     "toffoli-plain_kind-arity-bit": (
         Level.TOFFOLI, Gate(GateKind.NOT, (_A0, _A1), 0), "not takes 1 qubit operands, got 2"
@@ -322,81 +320,56 @@ def test_condition_bit_must_be_an_int(bit):
     assert len(circ.gates) == 1
 
 
-def test_temp_and_target_must_be_magic():
+def test_temp_and_target_must_be_an_ancilla():
+    """The AND rule reads the target's register: any qubit of an ancilla
+    register is accepted, a data qubit is refused and nothing is appended."""
     circ = new_circuit([("A", 2, None), ("X", 1, [ZERO])])
-    with pytest.raises(CircuitError, match="magic-state"):
-        circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 0)))
-
-
-_MAGIC_ENTRIES = {
-    "new_circuit": lambda level: new_circuit([("A", 1, None), ("X", 2, [ZERO, MAGIC])], level),
-    "add_register": lambda level: Circuit(level=level).add_register("X", 2, [ZERO, MAGIC]),
-    "allocate_ancilla": lambda level: Circuit(level=level).allocate_ancilla(MAGIC),
-    "from_json": lambda level: from_json(
-        to_json(new_circuit([("X", 1, [MAGIC])])).replace('"toffoli"', f'"{level.value}"')
-    ),
-}
-
-
-@pytest.mark.parametrize("entry", list(_MAGIC_ENTRIES))
-def test_a_magic_ancilla_is_refused_at_the_clifford_t_level_only(entry):
-    """MAGIC_A is a Toffoli-level init: every way in to a Clifford+T circuit
-    refuses it with the one rule of ``ir``, and the Toffoli level keeps it."""
-    _MAGIC_ENTRIES[entry](Level.TOFFOLI)
-    with pytest.raises(CircuitError, match="a Clifford\\+T ancilla is zero, not magic_a"):
-        _MAGIC_ENTRIES[entry](Level.CLIFFORD_T)
+    circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 0)))
+    with pytest.raises(CircuitError, match=re.escape("temporary-AND target A[1] is not an ancilla")):
+        circ.append(temp_and(QubitRef("A", 0), QubitRef("X", 0), QubitRef("A", 1)))
+    assert circ.gates == [temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 0))]
 
 
 def test_qasm_refuses_a_magic_ancilla():
-    """OpenQASM text is Clifford+T, so a magic_a annotation is always refused."""
+    """zero is the one ancilla init, so a magic_a annotation is an unknown init."""
     text = 'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] a;\n// ancilla a: magic_a\n'
-    with pytest.raises(CircuitError, match="'a': a Clifford\\+T ancilla is zero, not magic_a"):
+    with pytest.raises(QasmError, match="unknown ancilla init in '// ancilla a: magic_a'"):
         parse_qasm3(text)
     assert parse_qasm3(text.replace("magic_a", "zero")).registers["a"].inits == [ZERO]
 
 
-def _magic_by_constructor():
-    return Circuit(level=Level.CLIFFORD_T, registers={"X": ir.Register("X", 2, [ZERO, MAGIC])})
-
-
-def _magic_by_reassigned_level():
-    circ = new_circuit([("A", 1, None), ("X", 2, [ZERO, MAGIC])])
-    circ.level = Level.CLIFFORD_T
-    return circ
-
-
-@pytest.mark.parametrize("write", [to_json, to_qasm3])
-@pytest.mark.parametrize("make", [_magic_by_constructor, _magic_by_reassigned_level])
-def test_writers_refuse_a_magic_ancilla_their_loaders_would_refuse(write, make):
-    """The ``Circuit`` constructor and a reassigned ``level`` skip the init rule;
-    both writers apply it, so neither writes a document its loader refuses."""
-    with pytest.raises(CircuitError, match="'X': a Clifford\\+T ancilla is zero, not magic_a"):
-        write(make())
-    circ = make()
-    circ.registers["X"].inits = [ZERO, ZERO]
-    assert write(circ)
+def test_json_refuses_a_magic_ancilla():
+    """A Toffoli-level document that says magic_a, as earlier versions wrote
+    every AND target, is refused as an unknown init; written as zero it loads."""
+    circ = build(Design.OUT_FT_QCLA1, 2)
+    text = to_json(circ)
+    assert '"magic_a"' not in text
+    old = text.replace('"zero"', '"magic_a"')
+    with pytest.raises(JsonIrError, match="'magic_a' is not a valid AncillaInit"):
+        from_json(old)
+    assert from_json(old.replace('"magic_a"', '"zero"')).structural_key() == circ.structural_key()
 
 
 def test_float_temp_and_target_reads_the_init_of_its_register_index():
-    """X[1.0] is the magic X[1]: accepted, and both writers spell it 1; X[0.0]
-    is the zero-init X[0] and refused with the circuit rule's own message."""
-    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    """X[1.0] is X[1] of an ancilla register: accepted, and both writers spell
+    it 1; A[0.0] is the data qubit A[0] and refused with the circuit rule's own
+    message."""
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, ZERO])])
     a0, a1 = QubitRef("A", 0), QubitRef("A", 1)
     circ.append(temp_and(a0, a1, QubitRef("X", 1.0)))
-    assert circ.init_of(QubitRef("X", 1.0)) is MAGIC
     assert json.loads(to_json(circ))["gates"][0]["qubits"][2] == ["X", 1]
     assert "cx A[0], X[1];\n" in to_qasm3(lower(circ))
     assert from_json(to_json(circ)).gates == circ.gates
-    msg = "temporary-AND target X[0.0] is not a magic-state ancilla"
+    msg = "temporary-AND target A[0.0] is not an ancilla"
     with pytest.raises(CircuitError, match=re.escape(msg)):
-        circ.append(temp_and(a0, a1, QubitRef("X", 0.0)))
+        circ.append(temp_and(a1, QubitRef("X", 0), QubitRef("A", 0.0)))
     assert len(circ.gates) == 1
 
 
 def test_label_key_is_spelled_by_register_index():
     """A label on X[1.0] is a label on X[1]: JSON spells its key as the
     operand is spelled, and the document loads back."""
-    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, ZERO])])
     circ.labels[QubitRef("X", 1.0)] = "s1"
     circ.labels[QubitRef("A", True)] = "a1"
     assert json.loads(to_json(circ))["labels"] == {"X[1]": "s1", "A[1]": "a1"}
@@ -407,7 +380,7 @@ def test_label_key_is_spelled_by_register_index():
 
 @pytest.mark.parametrize("where", [QubitRef("X", 1.5), QubitRef("X", 2), QubitRef("B", 0)])
 def test_label_on_an_unresolved_qubit_is_not_written(where):
-    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC])])
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, ZERO])])
     circ.labels[where] = "s0"
     with pytest.raises(CircuitError, match=re.escape(f"label 's0' is on unknown qubit {where}")):
         to_json(circ)
@@ -435,8 +408,9 @@ def test_register_size_must_be_an_int_of_at_least_zero(size):
 def test_allocate_fresh_extends_register():
     circ = new_circuit([])
     for _ in range(3):
-        circ.allocate_ancilla(MAGIC)
+        circ.allocate_ancilla()
     assert circ.registers["anc"].size == 3
+    assert circ.registers["anc"].inits == [ZERO] * 3
 
 
 def _same_refs(got, want):
@@ -447,7 +421,7 @@ def _same_refs(got, want):
 
 
 def test_qubits_are_qubit_refs_in_register_table_order():
-    circ = new_circuit([("B", 2, None), ("E", 0, None), ("A", 1, None), ("X", 2, [ZERO, MAGIC])])
+    circ = new_circuit([("B", 2, None), ("E", 0, None), ("A", 1, None), ("X", 2, [ZERO, ZERO])])
     want = [QubitRef("B", 0), QubitRef("B", 1), QubitRef("A", 0), QubitRef("X", 0), QubitRef("X", 1)]
     _same_refs(list(circ.qubits()), want)
     assert {q: i for i, q in enumerate(want)} == circ.qubit_positions()
@@ -460,7 +434,7 @@ def test_allocated_ancillae_are_qubit_refs():
     absent = new_circuit([("A", 1, None)], ancilla_register="Z")
     empty = new_circuit([("Z", 0, [])], ancilla_register="Z")
     for circ in (absent, empty):
-        got = [circ.allocate_ancilla(init) for init in (MAGIC, ZERO, MAGIC)]
+        got = [circ.allocate_ancilla() for _ in range(3)]
         _same_refs(got, [QubitRef("Z", i) for i in range(3)])
         assert list(circ.qubits())[-3:] == got
 
@@ -517,7 +491,7 @@ def test_duplicated_sum_index_raises(spelling):
 
 
 def test_basis_input_in_register_order():
-    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, MAGIC]), ("B", 1, None)])
+    circ = new_circuit([("A", 2, None), ("X", 2, [ZERO, ZERO]), ("B", 1, None)])
     bits = circ.basis_input({"A": 0b10, "B": 1})
     assert list(bits) == list(circ.qubits())
     assert list(bits.values()) == [0, 1, 0, 0, 1]

@@ -15,7 +15,6 @@ from qcla.ir import (
     QubitRef,
     T_KINDS,
     cc_x,
-    cnot,
     h,
     load_circuit,
     new_circuit,
@@ -66,7 +65,7 @@ def test_uncompute_gadget_zero_t_one_measurement():
 
 
 def test_lower_mixed_circuit_t_count_11():
-    circ = new_circuit([("q", 4, None), ("anc", 2, [AncillaInit.MAGIC_A] * 2)])
+    circ = new_circuit([("q", 4, None), ("anc", 2, [AncillaInit.ZERO] * 2)])
     anc = [QubitRef("anc", i) for i in range(2)]
     circ.append(toffoli(Q[0], Q[1], Q[2]))
     circ.append(temp_and(Q[0], Q[1], anc[0]))
@@ -92,15 +91,15 @@ def test_lower_preserves_qubits_and_flips_and_target_inits():
     assert [r.name for r in lowered.registers.values()] == [
         r.name for r in circ.registers.values()
     ]
-    # every magic ancilla is an AND target, so all become explicit |0> + prep
+    # every ancilla is ZERO at both levels: each AND prepares its magic state inline
     for reg in lowered.registers.values():
         if reg.inits is not None:
             assert all(i is AncillaInit.ZERO for i in reg.inits)
 
 
 def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
-    """One pass over the gates; every ancilla of the output starts in |0>,
-    the magic ancilla no temporary AND consumes too."""
+    """One pass over the gates; the output copies the input's inits, so every
+    ancilla starts in |0>, AND target or not."""
 
     class Walked(list):
         walks = 0
@@ -109,7 +108,7 @@ def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
             Walked.walks += 1
             return super().__iter__()
 
-    circ = new_circuit([("A", 2, None), ("X", 3, [AncillaInit.MAGIC_A] * 3)])
+    circ = new_circuit([("A", 2, None), ("X", 3, [AncillaInit.ZERO] * 3)])
     circ.extend([temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 2.0))])
     circ.gates = Walked(circ.gates)
     lowered = lower(circ)
@@ -132,26 +131,15 @@ def _agrees_with_revsim(circ, values):
     return True
 
 
-def test_a_never_anded_magic_ancilla_lowers_to_zero():
-    """A magic ancilla no temporary AND targets is 0 at the Toffoli level, so
-    its lowered stream starts it in |0>, not in the magic state."""
-    circ = new_circuit([("A", 1, None), ("X", 1, [AncillaInit.MAGIC_A])])
-    circ.append(cnot(QubitRef("A", 0), QubitRef("X", 0)))
-    circ.labels[QubitRef("X", 0)] = "s0"
-    out, = simulate(lower(circ), {"A": 1}, AllBranches())
-    assert out.readout == {"s0": 1}
-    assert _agrees_with_revsim(circ, {"A": 1})
-
-
 _LOGICAL_KINDS = [k for k in GateKind if k.level in (None, Level.TOFFOLI)]
 
 
 @st.composite
 def _small_toffoli_level_circuits(draw):
-    """1-3 data qubits, 1-3 magic-state ancillae and up to 10 logical gates;
-    a temporary AND targets an ancilla.  Returns the circuit and an input."""
-    data, magic = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    circ = new_circuit([("D", data, None), ("M", magic, [AncillaInit.MAGIC_A] * magic)])
+    """1-3 data qubits, 1-3 ancillae and up to 10 logical gates; a temporary
+    AND targets an ancilla.  Returns the circuit and an input."""
+    data, anc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    circ = new_circuit([("D", data, None), ("M", anc, [AncillaInit.ZERO] * anc)])
     qubits = list(circ.qubits())
     ancillae = qubits[data:]
     kinds = [k for k in _LOGICAL_KINDS if k.arity <= len(qubits)]
@@ -179,35 +167,16 @@ def test_lowering_agrees_with_the_toffoli_level(case):
     _agrees_with_revsim(circ, values)
 
 
-def _canonical(circ):
-    """``circ`` with every magic ancilla that no temporary AND targets set to
-    ZERO: the preimage ``lift`` returns."""
-    targets = {g.qubits[2] for g in circ.gates if g.kind is GateKind.TEMP_AND}
-    return replaced(circ, registers={
-        name: replaced(reg, inits=None if reg.inits is None else [
-            AncillaInit.MAGIC_A if QubitRef(name, i) in targets else AncillaInit.ZERO
-            for i in range(reg.size)
-        ])
-        for name, reg in circ.registers.items()
-    })
-
-
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(_small_toffoli_level_circuits())
 def test_lift_inverts_lower_on_random_circuits(case):
     """``lower(lift(s)) == s`` on every lowered random circuit, and the lift is
-    the canonical preimage: a never-ANDed magic ancilla comes back ZERO."""
+    the circuit that was lowered."""
     circ, _values = case
     stream = lower(circ)
     lifted = lift(stream)
     assert lower(lifted).structural_key() == stream.structural_key()
-    assert lifted.structural_key() == _canonical(circ).structural_key()
-
-
-def test_lift_returns_a_never_anded_magic_ancilla_as_zero():
-    circ = new_circuit([("A", 2, None), ("X", 2, [AncillaInit.MAGIC_A] * 2)])
-    circ.append(temp_and(QubitRef("A", 0), QubitRef("A", 1), QubitRef("X", 1)))
-    assert lift(lower(circ)).registers["X"].inits == [AncillaInit.ZERO, AncillaInit.MAGIC_A]
+    assert lifted.structural_key() == circ.structural_key()
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -413,7 +382,7 @@ def test_gadget_templates(kind, size, distinct, t_gates):
 @pytest.mark.parametrize("operands", [(0, 0, 2), (0, 1, 0), (0, 1, 1)])
 def test_lower_raises_the_gadget_error_on_repeated_operands(kind, message, operands):
     # planted in the gate list directly: Circuit.extend would refuse it
-    circ = new_circuit([("q", 4, [AncillaInit.MAGIC_A] * 4)])
+    circ = new_circuit([("q", 4, [AncillaInit.ZERO] * 4)])
     circ.gates.append(Gate(kind, tuple(Q[i] for i in operands)))
     with pytest.raises(CircuitError, match=message):
         lower(circ)

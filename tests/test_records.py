@@ -70,14 +70,6 @@ def test_register_checks_keep_their_messages(size, inits, message):
     assert str(info.value) == message
 
 
-def test_circuit_constructor_checks_no_init():
-    """The constructor takes a magic-state ancilla on a Clifford+T circuit;
-    ``new_circuit`` and the writers apply the rule."""
-    circ = Circuit(level=Level.CLIFFORD_T,
-                   registers={"X": Register("X", 1, [AncillaInit.MAGIC_A])})
-    assert circ.registers["X"].inits == [AncillaInit.MAGIC_A]
-
-
 def test_equality_compares_the_fields():
     circ = build(Design.IN_FT_QCLA2, 3)
     assert circ == build(Design.IN_FT_QCLA2, 3)

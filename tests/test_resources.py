@@ -143,8 +143,7 @@ def test_schedule_of_one_gate(kind):
     """One gate on fresh qubits is one layer deep; only T and T-dagger start
     a T cone.  Both depths are read off the final qubit states."""
     for level in Level if kind.level is None else (kind.level,):
-        init = AncillaInit.MAGIC_A if level is Level.TOFFOLI else AncillaInit.ZERO
-        circ = new_circuit([("q", 3, [init] * 3)], level=level)
+        circ = new_circuit([("q", 3, [AncillaInit.ZERO] * 3)], level=level)
         circ.append(Gate(kind, tuple(QubitRef("q", i) for i in range(kind.arity))))
         assert schedule(circ) == ((1, 1) if kind in T_KINDS else (1, 0))
 
@@ -192,12 +191,10 @@ def _reference_histogram(circ):
 @st.composite
 def _random_circuits(draw):
     """Circuits of up to 8 qubits and 60 gates, built through ``Circuit.append``.
-    At the Toffoli level every qubit is a magic-state ancilla, so any qubit
-    may be a temporary-AND target; a Clifford+T ancilla starts in |0>."""
+    Every qubit is an ancilla, so any qubit may be a temporary-AND target."""
     level = draw(st.sampled_from(Level))
     nq = draw(st.integers(1, 8))
-    init = AncillaInit.MAGIC_A if level is Level.TOFFOLI else AncillaInit.ZERO
-    circ = new_circuit([("q", nq, [init] * nq)], level=level)
+    circ = new_circuit([("q", nq, [AncillaInit.ZERO] * nq)], level=level)
     qubits = list(circ.qubits())
     kinds = [k for k in GateKind if k.level in (None, level) and k.arity <= nq]
     for _ in range(draw(st.integers(0, 60))):
@@ -254,11 +251,11 @@ _TOFFOLI_LEVEL_KINDS = (
 
 @st.composite
 def _random_toffoli_level_circuits(draw):
-    """Toffoli-level circuits of 3 to 5 magic-state ancillae and up to 40 gates;
+    """Toffoli-level circuits of 3 to 5 ancillae and up to 40 gates;
     few qubits make a temporary AND on a measured target, which ``lower``
     resets by ``cc_x``, common."""
     nq = draw(st.integers(3, 5))
-    circ = new_circuit([("q", nq, [AncillaInit.MAGIC_A] * nq)])
+    circ = new_circuit([("q", nq, [AncillaInit.ZERO] * nq)])
     qubits = list(circ.qubits())
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(_TOFFOLI_LEVEL_KINDS))

@@ -23,7 +23,7 @@ from qcla.ir import (
 from qcla import revsim
 from qcla.lowering import lower
 
-MAGIC = AncillaInit.MAGIC_A
+ZERO = AncillaInit.ZERO
 from qcla.revsim import (
     SpentQubitUseError,
     UncomputeAssertionError,
@@ -55,7 +55,7 @@ def test_in_place_carry_out():
 
 
 def test_uncompute_assertion_fires_on_violation():
-    circ = new_circuit([("q", 2, None), ("anc", 1, [AncillaInit.MAGIC_A])])
+    circ = new_circuit([("q", 2, None), ("anc", 1, [ZERO])])
     q0, q1, anc = QubitRef("q", 0), QubitRef("q", 1), QubitRef("anc", 0)
     circ.append(temp_and(q0, q1, anc))
     circ.append(not_(q0))  # corrupt a control before uncomputing
@@ -69,7 +69,7 @@ def test_uncompute_assertion_fires_on_violation():
 def test_and_on_a_spent_control_ends_the_run():
     """A temporary AND whose control was measured out raises at that gate, and
     the batch check reports it as the one failure of a run that stops there."""
-    circ = new_circuit([("q", 2, None), ("anc", 2, [MAGIC, MAGIC])])
+    circ = new_circuit([("q", 2, None), ("anc", 2, [ZERO, ZERO])])
     q0, q1, anc0, anc1 = QubitRef("q", 0), QubitRef("q", 1), QubitRef("anc", 0), QubitRef("anc", 1)
     circ.extend([temp_and(q0, q1, anc0), uncompute(q0, q1, anc0), temp_and(anc0, q1, anc1)])
     with pytest.raises(SpentQubitUseError) as info:
@@ -78,7 +78,7 @@ def test_and_on_a_spent_control_ends_the_run():
 
     built = build(Design.OUT_FT_QCLA1, 3)
     spent = next(q for q, label in built.labels.items() if label == "spent")
-    built.append(temp_and(spent, QubitRef("A", 0), built.allocate_ancilla(MAGIC)))
+    built.append(temp_and(spent, QubitRef("A", 0), built.allocate_ancilla()))
     report = _check_batch(built, "Out-FT-QCLA1", range(4**3))
     assert report.assertion_failures == [
         f"spent qubit {spent} used at gate {len(built.gates) - 1}"
@@ -112,7 +112,7 @@ def _spent_m0_m1() -> list:
 def test_a_gate_on_spent_operands_reports_the_first_one(gate, first):
     """The run stops at the gate with one failure, which names its index and
     the first spent operand."""
-    circ = new_circuit([("q", 2, None), ("M", 3, [MAGIC] * 3)])
+    circ = new_circuit([("q", 2, None), ("M", 3, [ZERO] * 3)])
     circ.extend(_spent_m0_m1() + [gate, not_(_Q0)])
     with pytest.raises(SpentQubitUseError) as info:
         run_basis(circ, initial_state(circ, {"q": 0b11}))
@@ -127,7 +127,7 @@ def test_a_gate_on_spent_operands_reports_the_first_one(gate, first):
 def test_and_onto_a_spent_target_reinitializes_it():
     """The target leaves the spent set and holds the AND of the controls, on
     every slot; a CNOT may then read it and an uncompute spend it again."""
-    circ = new_circuit([("q", 2, None), ("M", 3, [MAGIC] * 3)])
+    circ = new_circuit([("q", 2, None), ("M", 3, [ZERO] * 3)])
     circ.extend(_spent_m0_m1() + [temp_and(_Q1, _Q0, _M0), cnot(_M0, _M2)])
     bits, spent, failures = {_Q0: 0b0101, _Q1: 0b0011, _M0: 0, _M1: 0, _M2: 0}, set(), []
     assert revsim._run_masks(circ, bits, spent, 0b1111, failures) is True
@@ -140,7 +140,7 @@ def test_and_onto_a_spent_target_reinitializes_it():
 
 
 def test_spent_qubit_use_rejected():
-    circ = new_circuit([("q", 2, None), ("anc", 1, [AncillaInit.MAGIC_A])])
+    circ = new_circuit([("q", 2, None), ("anc", 1, [ZERO])])
     q0, q1, anc = QubitRef("q", 0), QubitRef("q", 1), QubitRef("anc", 0)
     circ.append(temp_and(q0, q1, anc))
     circ.append(uncompute(q0, q1, anc))
@@ -156,13 +156,13 @@ def _spent_reuse(circ):
 
 
 def _stale_and_target(circ):
-    # X[1] holds sum bit s1: a live magic ancilla, nonzero on some inputs
+    # X[1] holds sum bit s1: a live ancilla, nonzero on some inputs
     circ.append(temp_and(QubitRef("A", 0), QubitRef("B", 0), QubitRef("X", 1)))
     return f"AND target X[1] not fresh at gate {len(circ.gates) - 1}"
 
 
 def _bad_uncompute(circ):
-    a0, b0, anc = QubitRef("A", 0), QubitRef("B", 0), circ.allocate_ancilla(MAGIC)
+    a0, b0, anc = QubitRef("A", 0), QubitRef("B", 0), circ.allocate_ancilla()
     circ.extend([temp_and(a0, b0, anc), not_(a0), uncompute(a0, b0, anc), not_(a0)])
     return f"gate {len(circ.gates) - 2}: uncompute target {anc} wrong on"
 
@@ -186,6 +186,19 @@ def test_batch_checks_report_contract_violations(monkeypatch, corrupt, check):
     assert not report.passed
     assert len(report.assertion_failures) == 1
     assert report.assertion_failures[0].startswith(messages[0])
+
+
+def test_an_and_onto_the_written_sum_qubit_is_caught_by_the_executor():
+    """X[0] of Out-FT-QCLA1 is a ZERO ancilla, so ``extend`` takes an AND onto
+    it; X[0] holds s0 = a0 xor b0 by then, and the batch check reports the
+    executor's fresh-target rule."""
+    circ = build(Design.OUT_FT_QCLA1, 3)
+    circ.append(temp_and(QubitRef("A", 1), QubitRef("B", 1), QubitRef("X", 0)))
+    report = _check_batch(circ, "Out-FT-QCLA1", range(4**3))
+    assert not report.passed
+    assert report.assertion_failures == [
+        f"AND target X[0] not fresh at gate {len(circ.gates) - 1}"
+    ]
 
 
 def test_missing_data_register_value():

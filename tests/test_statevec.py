@@ -70,7 +70,7 @@ def test_gadget_certification(gadget):
 def _lower_one(kind):
     """The gates ``lower`` emits for one gate of ``kind`` on q[0], q[1], q[2]."""
     circ = Circuit(level=Level.TOFFOLI)
-    circ.add_register("q", 3, [AncillaInit.MAGIC_A] * 3)
+    circ.add_register("q", 3, [AncillaInit.ZERO] * 3)
     circ.append(Gate(kind, tuple(Q)))
     return lower(circ).gates
 
@@ -220,7 +220,7 @@ def test_the_reset_before_a_reused_and_target_returns_it_to_zero():
     uncompute; the reset left out or on the wrong bit leaves the target at 1
     in the outcome-1 branches."""
     circ = Circuit(level=Level.TOFFOLI)
-    circ.add_register("q", 3, [AncillaInit.MAGIC_A] * 3)
+    circ.add_register("q", 3, [AncillaInit.ZERO] * 3)
     circ.append(uncompute(*Q))
     circ.append(temp_and(*Q))
     gates = lower(circ).gates
