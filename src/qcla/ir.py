@@ -352,14 +352,16 @@ class Circuit(_Record):
         the target of a temporary AND, and the classical bits.  :meth:`resolves`
         runs once per distinct qubit of the batch, and the two or three
         operands of a gate are compared with each other, so no per-gate set
-        is built.  A gate of a bit-free kind legal at the level, with that
-        kind's operand count and no bit, passes the arity, level and
-        classical-bit rules by construction and skips their tests
-        (``_PLAIN_ARITY``).  A ``measure_x``
-        writes bit ``num_cbits`` (assigned when its cbit is None), so
-        classical bits are written once in program order and a ``cc_z`` /
-        ``cc_x`` condition bit in ``[0, num_cbits)`` was measured earlier; no
-        other gate carries a bit.  A bit given is an ``int``.
+        is built.  A plain gate (a bit-free kind legal at the level, with that
+        kind's operand count and no bit: ``_PLAIN_ARITY``) passes the arity,
+        level and classical-bit rules by construction.  It takes only the
+        tests of its operand count, on its unpacked operands: that they
+        resolve, that they are distinct and, for three operands, the AND
+        target rule.  Every other gate takes all the rules in order.  A
+        ``measure_x`` writes bit ``num_cbits`` (assigned when its cbit is
+        None), so classical bits are written once in program order and a
+        ``cc_z`` / ``cc_x`` condition bit in ``[0, num_cbits)`` was measured
+        earlier; no other gate carries a bit.  A bit given is an ``int``.
 
         The batch is atomic: on a :class:`CircuitError` nothing is appended and
         ``num_cbits`` is unchanged.  The error is the one that appending the
@@ -376,35 +378,46 @@ class Circuit(_Record):
         conditional_kinds = (GateKind.CC_Z, GateKind.CC_X)
         registers = self.registers
         plain_arity = _PLAIN_ARITY[level]
+        resolve = self._resolve
         for i, (kind, qubits, cbit) in enumerate(batch):
-            # a plain gate skips the arity, level and classical-bit tests, which
-            # it passes; every other gate takes them in the documented order
-            plain = cbit is None and plain_arity.get(kind) == len(qubits)
-            if not plain and len(qubits) != kind.arity:
+            # a plain gate takes only the tests of its operand count
+            arity = plain_arity.get(kind) if cbit is None else None
+            if arity == len(qubits):
+                if arity == 1:
+                    if qubits[0] not in resolved:
+                        resolve(qubits, resolved)
+                elif arity == 2:
+                    a, b = qubits
+                    if a not in resolved or b not in resolved:
+                        resolve(qubits, resolved)
+                    if a == b:
+                        raise CircuitError(f"duplicate operands in gate {kind.value}")
+                else:
+                    a, b, c = qubits
+                    if a not in resolved or b not in resolved or c not in resolved:
+                        resolve(qubits, resolved)
+                    if a == b or c == a or c == b:
+                        raise CircuitError(f"duplicate operands in gate {kind.value}")
+                    if kind is temp_and_kind and registers[c.reg].inits is None:
+                        raise CircuitError(f"temporary-AND target {c} is not an ancilla")
+                continue
+            if len(qubits) != kind.arity:
                 raise CircuitError(
                     f"{kind.value} takes {kind.arity} qubit operands, got {len(qubits)}"
                 )
             if not resolved.issuperset(qubits):
-                for q in qubits:
-                    if q not in resolved:
-                        if not self.resolves(q):
-                            raise CircuitError(
-                                f"operand {q} does not resolve in the register table"
-                            )
-                        resolved.add(q)
+                resolve(qubits, resolved)
             # a kind takes at most three operands, so compare them pairwise
             if len(qubits) > 1 and (
                 qubits[0] == qubits[1]
                 or len(qubits) == 3 and (qubits[2] == qubits[0] or qubits[2] == qubits[1])
             ):
                 raise CircuitError(f"duplicate operands in gate {kind.value}")
-            if not plain and kind.level is not None and kind.level is not level:
+            if kind.level is not None and kind.level is not level:
                 where = "Toffoli-level" if level is Level.TOFFOLI else "Clifford+T"
                 raise CircuitError(f"{kind.value} is not a {where} gate")
             if kind is temp_and_kind and registers[qubits[2].reg].inits is None:
                 raise CircuitError(f"temporary-AND target {qubits[2]} is not an ancilla")
-            if plain:
-                continue
             if kind is measure_kind:
                 if cbit is None:
                     assigned.append((i, num_cbits))
@@ -424,6 +437,15 @@ class Circuit(_Record):
             self.gates[start + i] = Gate(measure_kind, batch[i].qubits, bit)
         self.num_cbits = num_cbits
         return self
+
+    def _resolve(self, qubits: tuple[QubitRef, ...], resolved: set[QubitRef]) -> None:
+        """Add each operand not yet in ``resolved`` to it, or raise
+        :class:`CircuitError` for the first that does not resolve."""
+        for q in qubits:
+            if q not in resolved:
+                if not self.resolves(q):
+                    raise CircuitError(f"operand {q} does not resolve in the register table")
+                resolved.add(q)
 
     # -- ancilla allocation ----------------------------------------------------------
 

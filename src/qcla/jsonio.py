@@ -92,34 +92,34 @@ def _register(reg: dict) -> tuple[str, int, list[AncillaInit] | None]:
 _KIND_OF = {kind.value: kind for kind in GateKind}
 
 
-class _Refs(dict):
-    """``(reg, index)`` -> its QubitRef, made at the first lookup, so each
-    qubit of a document is one shared QubitRef."""
-
-    def __missing__(self, key: tuple[str, int]) -> QubitRef:
-        ref = self[key] = QubitRef(*key)
-        return ref
-
-
-def _gate(g: dict, refs: _Refs) -> Gate:
-    # the types are checked on every occurrence and before the lookup, as
-    # ("A", True) and ("A", 1.0) are keys equal to ("A", 1); _typed only runs
-    # to raise for an operand that fails the inline test
-    qubits = tuple(
-        [
-            refs[r, i]
-            if type(r) is str and type(i) is int
-            else refs[_typed(r, str), _typed(i, int)]
-            for r, i in g["qubits"]
-        ]
-    )
-    value = g["kind"]
-    try:
-        kind = _KIND_OF[value]
-    except (KeyError, TypeError):
-        kind = GateKind(value)  # not a kind's value: raises the Enum's ValueError
-    cbit = g.get("cbit")
-    return tuple.__new__(Gate, (kind, qubits, None if cbit is None else _typed(cbit, int)))
+def _gates(items: list) -> list[Gate]:
+    """The gates of a document's ``"gates"`` list, each qubit one shared QubitRef."""
+    by_reg: dict[str, dict[int, QubitRef]] = {}  # reg -> index -> its one QubitRef
+    gates = []
+    append = gates.append
+    kind_of = _KIND_OF.get
+    new = tuple.__new__
+    for g in items:
+        qubits = []
+        for r, i in g["qubits"]:
+            # typed before the lookup, as True and 1.0 are keys equal to 1;
+            # _typed only runs to raise
+            if type(r) is not str or type(i) is not int:
+                _typed(r, str)
+                _typed(i, int)
+            try:
+                qubits.append(by_reg[r][i])
+            except KeyError:
+                qubits.append(by_reg.setdefault(r, {}).setdefault(i, QubitRef(r, i)))
+        value = g["kind"]
+        kind = kind_of(value) if type(value) is str else None
+        if kind is None:
+            kind = GateKind(value)  # not a kind's value: raises the Enum's ValueError
+        cbit = g.get("cbit")
+        if cbit is not None and type(cbit) is not int:
+            _typed(cbit, int)
+        append(new(Gate, (kind, tuple(qubits), cbit)))
+    return gates
 
 
 @_gc_paused
@@ -133,6 +133,11 @@ def from_json_dict(data: dict) -> Circuit:
     measurement wrote, a ``num_cbits`` that differs from the measured bits)
     raises CircuitError.  Pauses the cyclic garbage collector while it runs
     and restores it (see :func:`qcla.ir._gc_paused`).
+
+    The gates are decoded in one loop.  Within a gate the operands are read
+    first, then the kind, then the bit, and every occurrence of an operand is
+    type-checked before its lookup.  Each register keeps a table from index
+    to QubitRef, so each qubit of a document is one shared QubitRef.
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != SCHEMA:
@@ -140,8 +145,7 @@ def from_json_dict(data: dict) -> Circuit:
     try:
         level = Level(data["level"])
         registers = [_register(reg) for reg in data["registers"]]
-        refs = _Refs()
-        gates = [_gate(g, refs) for g in data["gates"]]
+        gates = _gates(data["gates"])
         labels = {QubitRef.parse(k): _typed(v, str) for k, v in data["labels"].items()}
         num_cbits = _typed(data["num_cbits"], int)
         ancilla_register = _typed(data.get("ancilla_register", "anc"), str)

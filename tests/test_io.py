@@ -382,3 +382,49 @@ def test_loaders_share_one_ref_per_qubit(design):
     assert _shares_one_ref_per_qubit(from_json(to_json(low)))
     assert _shares_one_ref_per_qubit(parse_qasm3(to_qasm3(low)))
     assert _shares_one_ref_per_qubit(from_json(to_json(build(design, 8))))
+
+
+_MALFORMED = "malformed qcla-ir/1 document "
+
+
+@pytest.mark.parametrize(
+    "gate, error, message",
+    [
+        ({"kind": "not", "qubits": [["A"]]}, JsonIrError,
+         "(ValueError: not enough values to unpack (expected 2, got 1))"),
+        ({"kind": "not", "qubits": [["A", 0, 1]]}, JsonIrError,
+         "(ValueError: too many values to unpack (expected 2))"),
+        ({"kind": "not", "qubits": ["A0"]}, JsonIrError, "(TypeError: expected int, got '0')"),
+        ({"kind": "not", "qubits": [5]}, JsonIrError,
+         "(TypeError: cannot unpack non-iterable int object)"),
+        ({"kind": "not", "qubits": [[True, 0]]}, JsonIrError,
+         "(TypeError: expected str, got True)"),
+        ({"kind": "not", "qubits": [["A", None]]}, JsonIrError,
+         "(TypeError: expected int, got None)"),
+        ({"kind": "measure_x", "qubits": [["A", 0]], "cbit": True}, JsonIrError,
+         "(TypeError: expected int, got True)"),
+        ({"kind": "measure_x", "qubits": [["A", 0]], "cbit": 0.0}, JsonIrError,
+         "(TypeError: expected int, got 0.0)"),
+        ({"kind": "measure_x", "qubits": [["A", 0]], "cbit": "0"}, JsonIrError,
+         "(TypeError: expected int, got '0')"),
+        ({"kind": ["h"], "qubits": [["A", 0]], "cbit": True}, JsonIrError,
+         "(ValueError: ['h'] is not a valid GateKind)"),
+        ({"kind": "zz", "qubits": [["A", 0.5]]}, JsonIrError,
+         "(TypeError: expected int, got 0.5)"),
+        ({"kind": "not", "qubits": [["A", -1]]}, CircuitError,
+         "operand A[-1] does not resolve in the register table"),
+        ({"kind": "not", "qubits": [["A", 7]]}, CircuitError,
+         "operand A[7] does not resolve in the register table"),
+    ],
+    ids=["operand-one-field", "operand-three-fields", "operand-string", "operand-int",
+         "register-bool", "index-null", "cbit-bool", "cbit-float", "cbit-string",
+         "kind-before-cbit", "operands-before-kind", "index-negative", "index-too-large"],
+)
+def test_json_loader_names_the_first_bad_field_of_a_gate(gate, error, message):
+    """One appended gate of each malformed shape raises this class and message."""
+    data = json.loads((GOLDEN / "out1_n2.json").read_text())
+    data["gates"].append(gate)
+    if error is JsonIrError:
+        message = _MALFORMED + message
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        from_json(json.dumps(data))

@@ -84,7 +84,7 @@ def test_lower_empty_circuit():
     assert lowered.gates == [] and lowered.level is Level.CLIFFORD_T
 
 
-def test_lower_preserves_qubits_and_flips_and_target_inits():
+def test_lower_keeps_the_register_table_with_every_ancilla_zero():
     circ = build(Design.OUT_FT_QCLA1, 4)
     lowered = lower(circ)
     assert lowered.num_qubits == circ.num_qubits
@@ -97,7 +97,7 @@ def test_lower_preserves_qubits_and_flips_and_target_inits():
             assert all(i is AncillaInit.ZERO for i in reg.inits)
 
 
-def test_lower_walks_its_input_once_and_flips_only_consumed_magic_states():
+def test_lower_walks_its_input_once_and_copies_the_ancilla_inits():
     """One pass over the gates; the output copies the input's inits, so every
     ancilla starts in |0>, AND target or not."""
 
