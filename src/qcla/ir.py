@@ -25,13 +25,13 @@ _F = TypeVar("_F", bound=Callable)
 
 def _gc_paused(fn: _F) -> _F:
     """Run ``fn`` with the cyclic garbage collector paused, for a function that
-    builds a whole gate list, walks one allocating state per gate, or builds
+    builds a whole gate list, walks one allocating state for its qubits, or builds
     and runs a circuit (the :mod:`qcla.revsim` batch checks).
 
     Gates are tuples of a ``GateKind`` and ``QubitRef`` tuples, which the
     collector tracks but which never form a cycle: reference counting frees
     them, and a collection during the build only re-walks the growing list.
-    A walk's per-gate tuples (the depth pairs of
+    A walk's allocations (the per-qubit depth pairs of
     :func:`qcla.measure.schedule`) would likewise set off collections that
     re-walk a circuit still young from its build.  Freeing by reference
     counting lowers the young-generation count again, so a circuit built and

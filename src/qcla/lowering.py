@@ -3,17 +3,20 @@
 Three gadgets cover the Toffoli-level gates: the 7-T Toffoli, the 4-T
 temporary AND, which prepares its magic resource state
 (|0> + e^{i pi/4}|1>)/sqrt(2) inline from |0> with H then T, and the zero-T
-measurement-based uncompute.  :data:`GADGETS` holds one row per gadget: its
-gate list, template and declared T cost.  :func:`lower` instantiates the rows
-and :func:`lift`, its inverse, recognises them.  What each Toffoli-level gate
-does is stated once, by the executor of :mod:`qcla.revsim`; each row's
-certificate (:func:`qcla.statevec.gadget_unitary_check`) reads it there.
+measurement-based uncompute.  Each gadget function states its gate list once,
+in gate order, and builds it straight-line: each distinct gate is made once
+by ``tuple.__new__``, a repeated gate is one object, and the one-qubit gates
+on a qubit share one operand tuple (gates are immutable, so sharing is safe).
+:data:`GADGETS` holds one row per gadget: its function and declared T cost.
+:func:`lower` calls the row's function once per gadget and :func:`lift`, its
+inverse, recognises them.  What each Toffoli-level gate does is stated once,
+by the executor of :mod:`qcla.revsim`; each row's certificate
+(:func:`qcla.statevec.gadget_unitary_check`) reads it there.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .ir import (
@@ -25,38 +28,33 @@ from .ir import (
     QubitRef,
     _gc_paused,
     cc_x,
-    cc_z,
-    cnot,
-    h,
     load_circuit,
-    measure_x,
-    s,
-    t,
-    tdg,
 )
+
+_new = tuple.__new__
+H, T, TDG, S, CNOT = GateKind.H, GateKind.T, GateKind.TDG, GateKind.S, GateKind.CNOT
+MEASURE_X, CC_Z = GateKind.MEASURE_X, GateKind.CC_Z
 
 
 def lower_toffoli(c1: QubitRef, c2: QubitRef, target: QubitRef) -> list[Gate]:
-    """7-T Toffoli decomposition; exactly the Toffoli unitary (no phase)."""
-    if len({c1, c2, target}) != 3:
+    """7-T Toffoli decomposition; exactly the Toffoli unitary (no phase).
+    16 gates, 10 of them distinct."""
+    if c1 == c2 or c1 == target or c2 == target:
         raise CircuitError("Toffoli operands must be distinct")
+    on1, on2, on_t = (c1,), (c2,), (target,)
+    h_t = _new(Gate, (H, on_t, None))
+    t_1 = _new(Gate, (T, on1, None))
+    t_2 = _new(Gate, (T, on2, None))
+    t_t = _new(Gate, (T, on_t, None))
+    tdg_1 = _new(Gate, (TDG, on1, None))
+    tdg_2 = _new(Gate, (TDG, on2, None))
+    cx_12 = _new(Gate, (CNOT, (c1, c2), None))
+    cx_21 = _new(Gate, (CNOT, (c2, c1), None))
+    cx_t2 = _new(Gate, (CNOT, (target, c2), None))
+    cx_1t = _new(Gate, (CNOT, (c1, target), None))
     return [
-        h(target),
-        t(c1),
-        t(c2),
-        t(target),
-        cnot(c2, c1),
-        cnot(target, c2),
-        cnot(c1, target),
-        tdg(c2),
-        cnot(c1, c2),
-        tdg(c1),
-        tdg(c2),
-        t(target),
-        cnot(target, c2),
-        cnot(c1, target),
-        cnot(c2, c1),
-        h(target),
+        h_t, t_1, t_2, t_t, cx_21, cx_t2, cx_1t, tdg_2,
+        cx_12, tdg_1, tdg_2, t_t, cx_t2, cx_1t, cx_21, h_t,
     ]
 
 
@@ -66,46 +64,41 @@ def lower_temporary_and(c1: QubitRef, c2: QubitRef, anc: QubitRef) -> list[Gate]
     The ancilla starts in |0>; H then T put it in the magic resource state the
     gadget consumes.  Counting that preparation T gives the gadget its 4-T
     cost; the rest maps |x, y> and the resource state to |x, y, x AND y>.
+    13 gates, 9 of them distinct.
     """
-    if len({c1, c2, anc}) != 3:
+    if c1 == c2 or c1 == anc or c2 == anc:
         raise CircuitError("temporary-AND operands must be distinct")
-    return [
-        h(anc),
-        t(anc),
-        cnot(c1, anc),
-        cnot(c2, anc),
-        cnot(anc, c1),
-        cnot(anc, c2),
-        tdg(c1),
-        tdg(c2),
-        t(anc),
-        cnot(anc, c1),
-        cnot(anc, c2),
-        h(anc),
-        s(anc),
-    ]
+    on_a = (anc,)
+    h_a = _new(Gate, (H, on_a, None))
+    t_a = _new(Gate, (T, on_a, None))
+    s_a = _new(Gate, (S, on_a, None))
+    tdg_1 = _new(Gate, (TDG, (c1,), None))
+    tdg_2 = _new(Gate, (TDG, (c2,), None))
+    cx_1a = _new(Gate, (CNOT, (c1, anc), None))
+    cx_2a = _new(Gate, (CNOT, (c2, anc), None))
+    cx_a1 = _new(Gate, (CNOT, (anc, c1), None))
+    cx_a2 = _new(Gate, (CNOT, (anc, c2), None))
+    return [h_a, t_a, cx_1a, cx_2a, cx_a1, cx_a2, tdg_1, tdg_2, t_a, cx_a1, cx_a2, h_a, s_a]
 
 
 def lower_uncompute(c1: QubitRef, c2: QubitRef, target: QubitRef, cbit: int = 0) -> list[Gate]:
     """Measurement-based erasure: X-basis measure, then CZ on the controls
     when the outcome is 1.  Zero T gates; one classical bit.
     """
-    if len({c1, c2, target}) != 3:
+    if c1 == c2 or c1 == target or c2 == target:
         raise CircuitError("uncompute operands must be distinct")
-    return [measure_x(target, cbit), cc_z(cbit, c1, c2)]
+    return [_new(Gate, (MEASURE_X, (target,), cbit)), _new(Gate, (CC_Z, (c1, c2), cbit))]
 
 
 class Gadget(NamedTuple):
     """One row of :data:`GADGETS`: a Toffoli-level kind's gadget and its facts.
 
-    ``gadget`` builds the gate list on (c1, c2, target); it costs ``t_cost``
-    T gates, and its first ``prep`` gates take the target from |0> to the
+    ``gadget`` builds the gate list on (c1, c2, target), and on the
+    gadget's classical bit as a fourth argument when ``measures``, which
+    says a gate of the list reads that bit.  The list costs ``t_cost`` T
+    gates, and its first ``prep`` gates take the target from |0> to the
     magic resource state.  ``name`` names its certificate, which holds the
-    gate list to what :mod:`qcla.revsim` executes for the row's kind.  The
-    template, read once from the gate list: ``distinct`` holds each distinct
-    gate once as (kind, operand getter over ``(c1, c2, target, (c1,), (c2,),
-    (target,))``, reads cbit); ``order`` maps the built distinct gates to the
-    gate list; ``measures`` says a gate reads the gadget's classical bit.
+    gate list to what :mod:`qcla.revsim` executes for the row's kind.
     ``kinds`` lists the gate list's kinds in order, by which :func:`lift`
     picks the row for a window; ``heads`` gives, per slot, the (gate,
     operand) position of its first use in the gate list (None if unused),
@@ -117,8 +110,6 @@ class Gadget(NamedTuple):
     t_cost: int
     prep: int
     measures: bool
-    distinct: tuple[tuple[GateKind, itemgetter, bool], ...]
-    order: Callable[[list[Gate]], tuple[Gate, ...]]
     kinds: tuple[GateKind, ...]
     heads: tuple[tuple[int, int] | None, ...]
 
@@ -128,22 +119,13 @@ def _gadget_row(name: str, gadget: Callable[..., list[Gate]], t_cost: int, prep:
     # classical bit keeps its default, and any gate carrying a bit reads it.
     slots = tuple(QubitRef("slot", i) for i in range(3))
     gates = gadget(*slots)
-    distinct = list(dict.fromkeys(gates))
-    entries = []
-    for gate in distinct:
-        at = [slots.index(q) for q in gate.qubits]
-        get = itemgetter(3 + at[0]) if len(at) == 1 else itemgetter(*at)
-        entries.append((gate.kind, get, gate.cbit is not None))
-    index = [distinct.index(gate) for gate in gates]
-    # ``order`` returns a tuple, which an itemgetter of one index does not
-    order = itemgetter(*index) if len(index) > 1 else lambda built: (built[index[0]],)
-    measures = any(reads for _kind, _get, reads in entries)
+    measures = any(gate.cbit is not None for gate in gates)
     heads = tuple(
         next(((i, g.qubits.index(slot)) for i, g in enumerate(gates) if slot in g.qubits), None)
         for slot in slots
     )
     kinds = tuple(gate.kind for gate in gates)
-    return Gadget(name, gadget, t_cost, prep, measures, tuple(entries), order, kinds, heads)
+    return Gadget(name, gadget, t_cost, prep, measures, kinds, heads)
 
 
 # the temporary AND and its measurement-based uncompute: Gidney, arXiv:1709.06648
@@ -158,21 +140,20 @@ GADGETS = {
 def lower(circ: Circuit) -> Circuit:
     """Gate-by-gate, in-order rewrite to a Clifford+T circuit.
 
-    NOT and CNOT pass through.  Every other gate is instantiated from the
-    template of its :data:`GADGETS` row: a repeated gate is one object, and
-    single-qubit gates on one qubit share one operand tuple (gates are
-    immutable, so sharing is safe).  A gadget that measures its target takes
-    the next classical bit; one that prepares its target first resets a
-    reused target by ``cc_x``.  The register table is copied as it is: every
-    ancilla is ZERO, and the stream prepares each magic state it consumes.
-    The qubit set is unchanged; the output's T-count is the sum of the rows'
-    costs.
+    NOT and CNOT pass through.  Every other gate is replaced by the gate
+    list of its :data:`GADGETS` row's function, called once per gadget.  A
+    gadget that measures its target takes the next classical bit; one that
+    prepares its target first resets a reused target by ``cc_x``.  The
+    register table is copied as it is: every ancilla is ZERO, and the stream
+    prepares each magic state it consumes.  The qubit set is unchanged; the
+    output's T-count is the sum of the rows' costs.
 
     The output is written straight into ``out.gates`` without
     :meth:`Circuit.extend`: the input gates were checked when they were
     built or loaded, a repeated gadget operand raises the gadget's own
-    error, and classical bits are numbered here in program order.  Pauses
-    the cyclic garbage collector while it runs and restores it (see
+    error, a gadget gate without three operands raises here, and classical
+    bits are numbered here in program order.  Pauses the cyclic garbage
+    collector while it runs and restores it (see
     :func:`qcla.ir._gc_paused`).
     """
     if circ.level is not Level.TOFFOLI:
@@ -180,7 +161,6 @@ def lower(circ: Circuit) -> Circuit:
 
     out = Circuit(level=Level.CLIFFORD_T, ancilla_register=circ.ancilla_register)
     NOT, CNOT = GateKind.NOT, GateKind.CNOT
-    new = tuple.__new__
     gates = out.gates
     outcome_bit: dict[QubitRef, int] = {}  # measured target -> its measurement bit
     for gate in circ.gates:
@@ -191,21 +171,20 @@ def lower(circ: Circuit) -> Circuit:
         row = GADGETS.get(kind)
         if row is None:
             raise CircuitError(f"cannot lower gate kind {kind}")
-        c1, c2, c3 = gate.qubits
-        if c1 == c2 or c1 == c3 or c2 == c3:
-            row.gadget(c1, c2, c3)  # raises the gadget's own CircuitError
+        try:
+            c1, c2, c3 = gate.qubits
+        except ValueError:
+            raise CircuitError(
+                f"{kind.value} gate has {len(gate.qubits)} operands, expected 3"
+            ) from None
         if row.prep and c3 in outcome_bit:
             gates.append(cc_x(outcome_bit.pop(c3), c3))
-        cbit = None
         if row.measures:
             cbit = outcome_bit[c3] = out.num_cbits
             out.num_cbits += 1
-        refs = (c1, c2, c3, (c1,), (c2,), (c3,))
-        built = [
-            new(Gate, (k, get(refs), cbit if reads else None))
-            for k, get, reads in row.distinct
-        ]
-        gates += row.order(built)
+            gates += row.gadget(c1, c2, c3, cbit)
+        else:
+            gates += row.gadget(c1, c2, c3)
 
     for reg in circ.registers.values():
         out.add_register(reg.name, reg.size, None if reg.inits is None else list(reg.inits))

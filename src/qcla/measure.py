@@ -6,7 +6,8 @@ the cost rule and the savings table, which :mod:`qcla.resources` holds.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import partial
 from operator import itemgetter
 
 from .ir import T_KINDS, Circuit, GateKind, Level, _gc_paused, _Record
@@ -51,60 +52,62 @@ def schedule(circ: Circuit) -> tuple[int, int]:
     one T layer, every other gate is free but still synchronizes its
     operands (the usual T-depth with free Clifford gates).
 
-    One walk over the gates keeps a (layer, cone) pair per qubit and per
-    measured classical bit, and branches on the gate's shape: ``cc_z`` and
-    ``cc_x`` also read their bit's pair; a one-qubit gate reads and writes
-    one pair (only T and T-dagger grow the cone, and ``measure_x`` also sets
-    its bit's pair); a two- or three-qubit gate compares its operands'
-    pairs inline.  Gate kinds are compared by identity.  Each gate writes
-    its pair to every qubit it acts on and a qubit's pair never decreases,
-    so both depths are the maxima over the final qubit pairs, read once at
-    the end.  Pauses the cyclic garbage collector while it runs and restores
-    it (see :func:`qcla.ir._gc_paused`).
+    One walk over the gates keeps one mutable ``[layer, cone]`` pair per
+    qubit and updates it in place, so no tuple is allocated per gate.  It
+    branches on the gate's shape: ``cc_z`` and ``cc_x`` also read their
+    bit's pair; a one-qubit gate steps its own pair (only T and T-dagger
+    grow the cone, and ``measure_x`` stores a snapshot of its pair for its
+    bit, not the live pair); a two- or three-qubit gate compares its
+    operands' pairs inline.  Gate kinds are compared by identity.  Each gate
+    writes its layer and cone to every qubit it acts on and a qubit's pair
+    never decreases, so both depths are the maxima over the final qubit
+    pairs, read once at the end.  Pauses the cyclic garbage collector while
+    it runs and restores it (see :func:`qcla.ir._gc_paused`).
     """
     T, TDG = GateKind.T, GateKind.TDG
     CC_Z, CC_X, MEASURE_X = GateKind.CC_Z, GateKind.CC_X, GateKind.MEASURE_X
-    wire: dict = {}
+    wire: defaultdict = defaultdict(partial(list, (0, 0)))
     cwire: dict[int, tuple[int, int]] = {}
-    get = wire.get
     unset = (0, 0)
     for kind, qubits, cbit in circ.gates:
         if kind is CC_Z or kind is CC_X:
             layer, cone = cwire.get(cbit, unset)
-            for q in qubits:
-                q_layer, q_cone = get(q, unset)
+            qpairs = [wire[q] for q in qubits]
+            for q_layer, q_cone in qpairs:
                 if q_layer > layer:
                     layer = q_layer
                 if q_cone > cone:
                     cone = q_cone
-            state = (layer + 1, cone)
-            for q in qubits:
-                wire[q] = state
+            layer += 1
+            for pair in qpairs:
+                pair[0] = layer
+                pair[1] = cone
             continue
         width = len(qubits)
         if width == 1:
-            (a,) = qubits
-            layer, cone = get(a, unset)
+            pair = wire[qubits[0]]
+            pair[0] += 1
             if kind is T or kind is TDG:
-                wire[a] = (layer + 1, cone + 1)
-            else:
-                state = wire[a] = (layer + 1, cone)
-                if kind is MEASURE_X:
-                    cwire[cbit] = state
+                pair[1] += 1
+            elif kind is MEASURE_X:
+                cwire[cbit] = tuple(pair)
         elif width == 2:
             a, b = qubits
-            layer, cone = get(a, unset)
-            b_layer, b_cone = get(b, unset)
+            pa, pb = wire[a], wire[b]
+            layer, cone = pa
+            b_layer, b_cone = pb
             if b_layer > layer:
                 layer = b_layer
             if b_cone > cone:
                 cone = b_cone
-            wire[a] = wire[b] = (layer + 1, cone)
+            pa[0] = pb[0] = layer + 1
+            pa[1] = pb[1] = cone
         else:
             a, b, c = qubits
-            layer, cone = get(a, unset)
-            b_layer, b_cone = get(b, unset)
-            c_layer, c_cone = get(c, unset)
+            pa, pb, pc = wire[a], wire[b], wire[c]
+            layer, cone = pa
+            b_layer, b_cone = pb
+            c_layer, c_cone = pc
             if b_layer > layer:
                 layer = b_layer
             if c_layer > layer:
@@ -113,9 +116,10 @@ def schedule(circ: Circuit) -> tuple[int, int]:
                 cone = b_cone
             if c_cone > cone:
                 cone = c_cone
-            wire[a] = wire[b] = wire[c] = (layer + 1, cone)
-    states = wire.values()
-    return max(map(itemgetter(0), states), default=0), max(map(itemgetter(1), states), default=0)
+            pa[0] = pb[0] = pc[0] = layer + 1
+            pa[1] = pb[1] = pc[1] = cone
+    pairs = wire.values()
+    return max(map(itemgetter(0), pairs), default=0), max(map(itemgetter(1), pairs), default=0)
 
 
 @_gc_paused

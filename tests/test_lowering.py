@@ -49,6 +49,9 @@ def test_toffoli_gadget_has_seven_t():
 def test_toffoli_gadget_rejects_duplicates():
     with pytest.raises(CircuitError):
         lower_toffoli(Q[0], Q[0], Q[2])
+    # equal but separately built, one with a float index
+    with pytest.raises(CircuitError):
+        lower_toffoli(QubitRef("q", 1), QubitRef("q", 1.0), Q[2])
 
 
 def test_and_gadget_has_four_t():
@@ -349,7 +352,7 @@ def _reference_lowering(circ):
 
 @pytest.mark.parametrize("design", list(Design))
 def test_lower_matches_the_gadget_functions(design):
-    """The template path emits exactly the gadget functions' gate lists."""
+    """lower emits exactly the gadget functions' gate lists, resets and bits."""
     for n in [*range(1, 17), 64, 256]:
         circ = build(design, n)
         lowered = lower(circ)
@@ -362,13 +365,18 @@ def test_lower_matches_the_gadget_functions(design):
     "kind, size, distinct, t_gates",
     [(GateKind.TOFFOLI, 16, 10, 7), (GateKind.TEMP_AND, 13, 9, 4), (GateKind.UNCOMPUTE, 2, 2, 0)],
 )
-def test_gadget_templates(kind, size, distinct, t_gates):
-    """Each row's template spells its gadget's gate list from its distinct gates."""
+def test_gadget_functions_share_their_repeated_gates(kind, size, distinct, t_gates):
+    """Each gadget function builds each distinct gate once: a repeated gate
+    is one object, and the one-qubit gates on one qubit share one operand
+    tuple."""
     row = GADGETS[kind]
     gates = row.gadget(*Q[:3])
     assert len(gates) == size and _t_count(gates) == t_gates == row.t_cost
-    assert len(row.distinct) == distinct == len(set(gates))
-    assert len(row.order(range(distinct))) == size
+    assert len({id(g) for g in gates}) == distinct == len(set(gates))
+    operands = {}
+    for g in gates:
+        if len(g.qubits) == 1:
+            assert operands.setdefault(g.qubits, g.qubits) is g.qubits
 
 
 @pytest.mark.parametrize(
@@ -379,11 +387,20 @@ def test_gadget_templates(kind, size, distinct, t_gates):
         (GateKind.UNCOMPUTE, "uncompute operands must be distinct"),
     ],
 )
-@pytest.mark.parametrize("operands", [(0, 0, 2), (0, 1, 0), (0, 1, 1)])
+@pytest.mark.parametrize(
+    "operands",
+    [
+        (Q[0], Q[0], Q[2]),
+        (Q[0], Q[1], Q[0]),
+        (Q[0], Q[1], Q[1]),
+        # equal but separately built, one with a float index
+        (QubitRef("q", 1), QubitRef("q", 1.0), QubitRef("q", 2)),
+    ],
+)
 def test_lower_raises_the_gadget_error_on_repeated_operands(kind, message, operands):
     # planted in the gate list directly: Circuit.extend would refuse it
     circ = new_circuit([("q", 4, [AncillaInit.ZERO] * 4)])
-    circ.gates.append(Gate(kind, tuple(Q[i] for i in operands)))
+    circ.gates.append(Gate(kind, operands))
     with pytest.raises(CircuitError, match=message):
         lower(circ)
 
@@ -395,8 +412,19 @@ def test_lower_rejects_a_planted_clifford_t_gate():
         lower(circ)
 
 
+@pytest.mark.parametrize("kind", [GateKind.TOFFOLI, GateKind.TEMP_AND, GateKind.UNCOMPUTE])
+@pytest.mark.parametrize("operands", [Q[:2], Q[:4]])
+def test_lower_rejects_a_planted_gadget_gate_without_three_operands(kind, operands):
+    # planted in the gate list directly: Circuit.extend would refuse it
+    circ = new_circuit([("q", 4, [AncillaInit.ZERO] * 4)])
+    circ.gates.append(Gate(kind, tuple(operands)))
+    message = rf"^{kind.value} gate has {len(operands)} operands, expected 3$"
+    with pytest.raises(CircuitError, match=message):
+        lower(circ)
+
+
 def test_lower_shares_repeated_gates_and_operand_tuples():
-    """Gates are immutable, so a template's repeated gate is one object and
+    """Gates are immutable, so a gadget's repeated gate is one object and
     single-qubit gates on one qubit share one operand tuple."""
     circ = new_circuit([("q", 4, None)])
     circ.append(toffoli(Q[0], Q[1], Q[2]))

@@ -114,6 +114,19 @@ def test_schedule_cc_gate_waits_for_its_measurement():
     assert schedule(circ) == (4, 0)
 
 
+def test_schedule_cc_gate_reads_the_pair_its_measurement_left():
+    """The bit keeps the layer its measurement wrote, not the qubit's later
+    state: the cc_x lands in layer 2, while one that read the measured
+    qubit's live pair after the three H gates would land in layer 5."""
+    q = [QubitRef("q", i) for i in range(2)]
+    circ = new_circuit([("q", 2, None)], level=Level.CLIFFORD_T)
+    circ.append(measure_x(q[0]))
+    for _ in range(3):
+        circ.append(h_gate(q[0]))
+    circ.append(cc_x(0, q[1]))
+    assert schedule(circ) == (4, 0)
+
+
 def test_schedule_cc_gate_inherits_the_measurement_t_cone():
     q = [QubitRef("q", i) for i in range(2)]
     circ = new_circuit([("q", 2, None)], level=Level.CLIFFORD_T)
