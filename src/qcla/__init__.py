@@ -52,7 +52,7 @@ _LAZY = {
         "savings_average",
     ),
     "revsim": ("BasisState", "exhaustive_check", "initial_state", "random_check", "run_basis"),
-    "statevec": ("AllBranches", "FixedOutcomes", "SeededRandom", "gadget_unitary_check", "simulate"),
+    "statevec": ("AllBranches", "SeededRandom", "gadget_unitary_check", "simulate"),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -64,7 +64,6 @@ __all__ = [
     "CircuitError",
     "CostModel",
     "Design",
-    "FixedOutcomes",
     "Gate",
     "GateKind",
     "Level",

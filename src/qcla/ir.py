@@ -454,7 +454,8 @@ class Circuit(_Record):
         if self.ancilla_register not in self.registers:
             self.add_register(self.ancilla_register, 0, [])
         reg = self.registers[self.ancilla_register]
-        assert reg.inits is not None
+        if reg.inits is None:
+            raise CircuitError(f"ancilla register {reg.name!r} is a data register")
         reg.inits.append(AncillaInit.ZERO)
         reg.size += 1
         return tuple.__new__(QubitRef, (reg.name, reg.size - 1))

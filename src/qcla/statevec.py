@@ -61,14 +61,6 @@ class SeededRandom:
 
 
 @dataclass(frozen=True)
-class FixedOutcomes:
-    """Force the listed measurement outcomes, each an ``int`` 0 or 1 (a ``bool``
-    is not) with nonzero probability."""
-
-    outcomes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AllBranches:
     """Explore every measurement outcome with probability above the prune cut."""
 
@@ -153,16 +145,15 @@ def _run_branches(
     positions: dict[QubitRef, int],
     state: State,
     cbits: Sequence[int],
-    strategy=AllBranches(),
+    rng: random.Random | None = None,
 ) -> list[tuple[State, float, tuple[int, ...]]]:
     """Execute a gate list from (state, cbits), branching on measurements.
 
     ``positions`` maps each qubit to its bit in the basis indices of
     ``state``.  Returns one (state, probability, cbits) per branch: every
-    outcome above the prune cut under AllBranches, a single sampled or forced
-    record under SeededRandom and FixedOutcomes.
+    outcome above the prune cut when ``rng`` is None, else the single record
+    that one ``rng.random()`` draw per measurement samples.
     """
-    rng = random.Random(strategy.seed) if isinstance(strategy, SeededRandom) else None
     masks = {q: 1 << p for q, p in positions.items()}
     # branch: (gate index to resume at, state, probability, classical bits)
     stack = [(0, state, 1.0, list(cbits))]
@@ -193,7 +184,7 @@ def _run_branches(
                 state = _hadamard(state, m)
                 p1 = _prob_one(state, m)
                 p = (max(1 - p1, 0.0), max(p1, 0.0))
-                if isinstance(strategy, AllBranches):
+                if rng is None:
                     live = [b for b in (0, 1) if sqrt(p[b]) > PRUNE_AMPLITUDE]
                     if len(live) == 2:
                         if len(stack) + len(results) + 2 > BRANCH_CAP:
@@ -202,12 +193,6 @@ def _run_branches(
                         bits2[gate.cbit] = 1
                         stack.append((gi + 1, _project(state, m, 1), prob * p[1], bits2))
                     outcome = live[0]
-                elif isinstance(strategy, FixedOutcomes):
-                    outcome = strategy.outcomes[gate.cbit]
-                    if sqrt(p[outcome]) <= PRUNE_AMPLITUDE:
-                        raise SimulationError(
-                            f"forced outcome {outcome} for bit {gate.cbit} has zero probability"
-                        )
                 else:
                     outcome = int(rng.random() < p[1])
                 state = _project(state, m, outcome)
@@ -227,28 +212,20 @@ def simulate(
     """Run a Clifford+T circuit, returning one outcome per surviving branch.
 
     Branch probabilities sum to 1 (within numerical tolerance) under
-    AllBranches; SeededRandom and FixedOutcomes return a single branch whose
-    probability is that of the sampled/forced measurement record.  Raises
-    :class:`CircuitError` when two qubits spell one sum-bit label.
+    AllBranches; SeededRandom returns one branch, of the probability of its
+    sampled record; any other ``strategy`` raises :class:`SimulationError`
+    before a gate runs.  Raises :class:`CircuitError` when two qubits spell
+    one sum-bit label.
     """
     if circ.level is not Level.CLIFFORD_T:
         raise SimulationError("statevector simulation expects a Clifford+T circuit")
+    if not isinstance(strategy, (AllBranches, SeededRandom)):
+        raise SimulationError(f"unknown branch strategy {strategy!r}")
+    rng = random.Random(strategy.seed) if isinstance(strategy, SeededRandom) else None
     circ.labeled("s")
-    if isinstance(strategy, FixedOutcomes):
-        if len(strategy.outcomes) != circ.num_cbits:
-            raise SimulationError(
-                f"{len(strategy.outcomes)} forced outcomes for {circ.num_cbits} measurements"
-            )
-        if not all(type(o) is int and o in (0, 1) for o in strategy.outcomes):
-            raise SimulationError("forced outcomes must each be 0 or 1")
     positions = circ.qubit_positions()
-    branches = _run_branches(
-        circ.gates,
-        positions,
-        initial_vector(circ, register_values),
-        [0] * circ.num_cbits,
-        strategy,
-    )
+    start = initial_vector(circ, register_values)
+    branches = _run_branches(circ.gates, positions, start, [0] * circ.num_cbits, rng)
     results: list[BranchOutcome] = []
     for state, prob, cbits in branches:
         norm = sum(abs(v) ** 2 for v in state.values())

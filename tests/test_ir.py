@@ -439,6 +439,16 @@ def test_allocated_ancillae_are_qubit_refs():
         assert list(circ.qubits())[-3:] == got
 
 
+def test_allocating_into_a_data_register_raises():
+    """An ancilla register that names a data register is an error, also under
+    ``python -O``, and the register keeps its size and its lack of inits."""
+    circ = new_circuit([("A", 1, None)], ancilla_register="A")
+    with pytest.raises(CircuitError, match="^ancilla register 'A' is a data register$"):
+        circ.allocate_ancilla()
+    reg = circ.registers["A"]
+    assert (reg.size, reg.inits, circ.num_qubits) == (1, None, 1)
+
+
 def test_measure_assigns_cbits_in_program_order():
     circ = new_circuit([("A", 3, None)], level=Level.CLIFFORD_T)
     for i in range(3):

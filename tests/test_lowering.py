@@ -361,6 +361,35 @@ def test_lower_matches_the_gadget_functions(design):
         assert lowered.num_cbits == num_cbits
 
 
+# each row's gate list on slots q0, q1, q2, written out by hand as
+# (kind value, slot indices, cbit), so that a changed gadget function is seen
+# by a test that does not call it to build its reference
+GADGET_GATE_LISTS = {
+    "toffoli": [
+        ("h", (2,), None), ("t", (0,), None), ("t", (1,), None), ("t", (2,), None),
+        ("cnot", (1, 0), None), ("cnot", (2, 1), None), ("cnot", (0, 2), None),
+        ("tdg", (1,), None), ("cnot", (0, 1), None), ("tdg", (0,), None),
+        ("tdg", (1,), None), ("t", (2,), None), ("cnot", (2, 1), None),
+        ("cnot", (0, 2), None), ("cnot", (1, 0), None), ("h", (2,), None),
+    ],
+    "and": [
+        ("h", (2,), None), ("t", (2,), None), ("cnot", (0, 2), None),
+        ("cnot", (1, 2), None), ("cnot", (2, 0), None), ("cnot", (2, 1), None),
+        ("tdg", (0,), None), ("tdg", (1,), None), ("t", (2,), None),
+        ("cnot", (2, 0), None), ("cnot", (2, 1), None), ("h", (2,), None), ("s", (2,), None),
+    ],
+    "and_uncompute_pair": [("measure_x", (2,), 0), ("cc_z", (0, 1), 0)],
+}
+
+
+@pytest.mark.parametrize("name, size", [("toffoli", 16), ("and", 13), ("and_uncompute_pair", 2)])
+def test_gadget_gate_lists_are_pinned(name, size):
+    (row,) = [row for row in GADGETS.values() if row.name == name]
+    assert len(GADGET_GATE_LISTS[name]) == size
+    got = [(g.kind.value, tuple(q.index for q in g.qubits), g.cbit) for g in row.gadget(*Q[:3])]
+    assert got == GADGET_GATE_LISTS[name]
+
+
 @pytest.mark.parametrize(
     "kind, size, distinct, t_gates",
     [(GateKind.TOFFOLI, 16, 10, 7), (GateKind.TEMP_AND, 13, 9, 4), (GateKind.UNCOMPUTE, 2, 2, 0)],

@@ -32,7 +32,6 @@ from qcla import statevec
 from qcla.revsim import UncomputeAssertionError, initial_state, read_labeled, run_basis
 from qcla.statevec import (
     AllBranches,
-    FixedOutcomes,
     MAGIC_A_STATE,
     SeededRandom,
     SimulationError,
@@ -301,24 +300,6 @@ def test_outcome_independence_exhaustive(design, n):
             assert abs(sum(o.probability for o in outs) - 1) < 1e-9
 
 
-def test_fixed_outcomes_single_branch():
-    circ = lower(build(Design.OUT_FT_QCLA1, 2))
-    outs = simulate(circ, {"A": 3, "B": 3}, AllBranches())
-    record = outs[-1].cbits
-    forced, = simulate(circ, {"A": 3, "B": 3}, FixedOutcomes(record))
-    assert forced.cbits == record
-    assert forced.labeled_int("s") == 6
-
-
-@pytest.mark.parametrize("value", [2, -1, 1.0, True, False])
-def test_fixed_outcomes_must_be_bits(value):
-    """Each outcome is an ``int`` 0 or 1; a ``bool`` is not, so no record
-    comes back holding ``True`` for a bit."""
-    circ = lower(build(Design.OUT_FT_QCLA1, 2))
-    with pytest.raises(SimulationError, match="must each be 0 or 1"):
-        simulate(circ, {"A": 3, "B": 3}, FixedOutcomes((value,) * circ.num_cbits))
-
-
 def test_two_labels_spelling_one_index_raise():
     """``simulate`` reads the sum-bit map as ``Circuit.labeled`` does: an ``s01``
     next to an ``s1`` is an error, not two bits ORed into one."""
@@ -328,13 +309,15 @@ def test_two_labels_spelling_one_index_raise():
         simulate(circ, {"A": 0, "B": 2}, SeededRandom(1))
 
 
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_fixed_outcomes_must_cover_every_measurement(extra):
-    circ = lower(build(Design.OUT_FT_QCLA1, 2))
-    k = circ.num_cbits + extra
-    message = f"^{k} forced outcomes for {circ.num_cbits} measurements$"
-    with pytest.raises(SimulationError, match=message):
-        simulate(circ, {"A": 3, "B": 3}, FixedOutcomes((0,) * k))
+@pytest.mark.parametrize("strategy", [None, "all"])
+@pytest.mark.parametrize("design, n", [(Design.OUT_FT_QCLA1, 2), (Design.OUT_FT_QCLA2, 1)])
+def test_simulate_rejects_an_unknown_branch_strategy(design, n, strategy):
+    """Before a gate runs: the second circuit measures nothing, so a run would
+    otherwise return without ever consulting the strategy."""
+    circ = lower(build(design, n))
+    assert (circ.num_cbits > 0) == (design is Design.OUT_FT_QCLA1)
+    with pytest.raises(SimulationError, match=f"^unknown branch strategy {strategy!r}$"):
+        simulate(circ, {"A": 1, "B": 1}, strategy)
 
 
 def test_simulate_rejects_a_toffoli_level_circuit():
@@ -355,21 +338,6 @@ def test_a_labelled_output_left_in_superposition_is_not_classical():
     with pytest.raises(SimulationError, match=message) as err:
         simulate(circ, {"q": 0})
     assert float(str(err.value).split("p1=")[1].rstrip(")")) == pytest.approx(0.5)
-
-
-def test_fixed_outcomes_rejects_impossible_record():
-    # a lone X-basis measurement of |0> yields both outcomes, but forcing an
-    # outcome on a qubit held in a basis state after H is fine; instead force
-    # an impossible record via a deterministic measurement
-    from qcla.ir import h as h_gate, measure_x
-
-    circ = Circuit(level=Level.CLIFFORD_T)
-    circ.add_register("q", 1, None)
-    q = QubitRef("q", 0)
-    circ.append(h_gate(q))  # |+>; X-basis measure of |+> is deterministic 0
-    circ.append(measure_x(q))
-    with pytest.raises(SimulationError, match="zero probability"):
-        simulate(circ, {"q": 0}, FixedOutcomes((1,)))
 
 
 def test_branch_cap_enforced():
@@ -401,14 +369,15 @@ def test_seeded_branch_reads_sum_at_n64(design):
 
 @pytest.mark.parametrize("design", list(Design))
 @pytest.mark.parametrize("n", [16, 64])
-def test_all_zero_outcomes_keep_the_norm(design, n):
-    """Projection renormalises by the kept amplitudes, so a long run of outcome-0
-    measurements does not drift the state norm."""
+def test_seeded_records_keep_the_norm(design, n):
+    """Projection renormalises by the kept amplitudes, so a long run of
+    measurements does not drift the state norm, on any sampled record."""
     circ = lower(build(design, n))
     a, b = 2**n - 1, 1
-    out, = simulate(circ, {"A": a, "B": b}, FixedOutcomes((0,) * circ.num_cbits))
-    assert out.labeled_int("s") == a + b
-    assert out.probability == pytest.approx(2.0**-circ.num_cbits, rel=1e-9)
+    for seed in (0, 1, 2):
+        out, = simulate(circ, {"A": a, "B": b}, SeededRandom(seed))
+        assert out.labeled_int("s") == a + b
+        assert out.probability == pytest.approx(2.0**-circ.num_cbits, rel=1e-9)
 
 
 def test_amplitude_cap_enforced(monkeypatch):
